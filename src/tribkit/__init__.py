@@ -12,7 +12,7 @@ from .binet import (BinetConstants, ConstantAlgebraReport, DEFAULT_PRECISION,
                     binet_trib, check_constant_algebra, compute_roots,
                     radical_roots)
 from .core import (Conversion, SEEDS, SequenceKind, TermCache,
-                   lucas_from_trib, lucas_trib, trib, trib_alt,
+                   lucas_from_trib, lucas_trib, to_decimal, trib, trib_alt,
                    trib_from_lucas)
 from .counters import OpCounter
 from .errors import (DegenerateDenominator, DivisibilityViolation,
@@ -23,8 +23,7 @@ from .identities import (Arity, GridBounds, IdentityRecord, PROFILE_BOUNDS,
                          report_to_dict, verify, verify_all, verify_record)
 from .matrices import (IDENTITY, K_MAT_SEEDS, Mat3, MatrixKind,
                        MatrixStrategy, T_MAT_SEEDS, ZERO, k_matrix,
-                       lucas_fast, mat_mul, mat_pow, matrix_term, t_matrix,
-                       trib_fast)
+                       lucas_fast, mat_mul, mat_pow, t_matrix, trib_fast)
 from .series import (DENOMINATOR, PolyRational, SumSpec, gf_coeffs,
                      gf_matrix_coeffs, gf_numerators, gf_rational,
                      partial_sum, partial_sum_bruteforce)
@@ -81,7 +80,6 @@ __all__ = [
     "lucas_trib",
     "mat_mul",
     "mat_pow",
-    "matrix_term",
     "partial_sum",
     "partial_sum_bruteforce",
     "radical_roots",
@@ -89,6 +87,7 @@ __all__ = [
     "report_to_dict",
     "run_bench",
     "t_matrix",
+    "to_decimal",
     "trib",
     "trib_alt",
     "trib_fast",

@@ -6,7 +6,7 @@ import time
 from dataclasses import dataclass
 
 from .binet import DEFAULT_PRECISION, binet_lucas, binet_trib
-from .core import SequenceKind, lucas_trib, trib
+from .core import SequenceKind, lucas_trib, to_decimal, trib
 from .counters import OpCounter
 from .errors import StrategyMismatch
 from .matrices import lucas_fast, trib_fast
@@ -27,7 +27,8 @@ def _run_binet(kind, n, precision, counter):
     return fn(n, precision)
 
 
-# name -> callable(kind, n, precision, counter) -> int
+# name -> callable(kind, n, precision, counter) -> int; each runner looks
+# its evaluator up when called, so rebinding a module global takes effect
 STRATEGIES = {
     "iterate": _run_iterate,
     "matpow": _run_matpow,
@@ -69,7 +70,8 @@ def run_bench(kind: SequenceKind, ns: list[int], strategies: list[str],
                 for name in strategies}
         if len(set(warm.values())) > 1:
             details = ", ".join(
-                f"{name}={value}" for name, value in sorted(warm.items()))
+                f"{name}={to_decimal(value)}"
+                for name, value in sorted(warm.items()))
             raise StrategyMismatch(
                 f"strategies disagree at {kind.value}({n}): {details}")
         for name in strategies:

@@ -4,6 +4,9 @@ Exit codes: 0 success, 2 usage/parse/constraint error, 3 precision
 exhausted, 4 cross-strategy value mismatch.  Big integers are emitted as
 decimal strings in JSON (never floats -- values outgrow 64-bit parsers
 within a few dozen indices).
+
+Each command returns its answer once, as an Output; `emit` alone knows
+the formats.
 """
 
 from __future__ import annotations
@@ -13,15 +16,15 @@ import csv
 import json
 import os
 import sys
+from dataclasses import dataclass, replace
 
-from .bench import run_bench
-from .binet import DEFAULT_PRECISION, binet_lucas, binet_trib
-from .core import SequenceKind, lucas_trib, trib
+from .bench import STRATEGIES, run_bench
+from .binet import DEFAULT_PRECISION
+from .core import SequenceKind, to_decimal
 from .errors import PrecisionExhausted, StrategyMismatch, UnknownIdentity
 from .identities import (PROFILE_BOUNDS, Profile, format_report_table,
-                         report_to_dict, verify, verify_all)
-from .matrices import (Mat3, MatrixKind, k_matrix, lucas_fast, t_matrix,
-                       trib_fast)
+                         registry, report_to_dict, verify_record)
+from .matrices import Mat3, MatrixKind, k_matrix, t_matrix
 from .series import (SumSpec, gf_coeffs, gf_matrix_coeffs, partial_sum,
                      partial_sum_bruteforce)
 
@@ -30,30 +33,42 @@ EXIT_USAGE = 2
 EXIT_PRECISION = 3
 EXIT_MISMATCH = 4
 
-_SCALAR_KINDS = {
-    "T": SequenceKind.TRIBONACCI,
-    "K": SequenceKind.TRIBONACCI_LUCAS,
-}
-_MATRIX_KINDS = {
-    "T": MatrixKind.TRIB_MATRIX,
-    "K": MatrixKind.LUCAS_MATRIX,
-}
-_SUM_KINDS = {
-    "T": SequenceKind.TRIBONACCI,
-    "K": SequenceKind.TRIBONACCI_LUCAS,
-    "TM": MatrixKind.TRIB_MATRIX,
-    "KM": MatrixKind.LUCAS_MATRIX,
-}
+# command-line kind -> sequence, e.g. "T", "KM"
+KINDS = {kind.value: kind for kind in (*SequenceKind, *MatrixKind)}
+_SCALAR_CHOICES = sorted(kind.value for kind in SequenceKind)
+_BENCH_FIELDS = ("strategy", "kind", "n", "elapsed_ms", "big_adds",
+                 "big_muls", "mat_muls", "precision")
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("plain", "json", "csv"),
-                     default="plain", help="output format")
-    sub.add_argument("--precision", type=int, default=None,
-                     help="working precision in bits "
-                          "(default: TRIBKIT_PRECISION or 256)")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="worker threads for verify (best effort)")
+@dataclass(frozen=True)
+class Output:
+    """A command's answer, numbers as decimal strings, in every format."""
+
+    text: str           # plain
+    data: object        # JSON document
+    header: list        # CSV header
+    rows: list          # CSV rows
+    code: int = EXIT_OK
+
+
+def emit(out: Output, fmt: str) -> None:
+    if fmt == "plain":
+        print(out.text)
+    elif fmt == "json":
+        print(json.dumps(out.data))
+    else:
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(out.header)
+        writer.writerows(out.rows)
+
+
+def _bits(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a number of bits "
+            "(check --precision and TRIBKIT_PRECISION)") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,255 +78,178 @@ def build_parser() -> argparse.ArgumentParser:
                     "matrix sequences, sums, series and identity checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("term", help="nth term of T or K")
-    p.add_argument("kind", choices=sorted(_SCALAR_KINDS))
+    def command(name, handler, help, precision=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        p.add_argument("--format", choices=("plain", "json", "csv"),
+                       default="plain", help="output format")
+        if precision:
+            # argparse runs a string default through `type` as well
+            p.add_argument("--precision", type=_bits,
+                           default=os.environ.get("TRIBKIT_PRECISION",
+                                                  DEFAULT_PRECISION),
+                           help="working precision in bits "
+                                "(default: TRIBKIT_PRECISION or 256)")
+        return p
+
+    p = command("term", cmd_term, "nth term of T or K", precision=True)
+    p.add_argument("kind", choices=_SCALAR_CHOICES)
     p.add_argument("n", type=int)
     p.add_argument("--strategy", choices=("iterate", "matpow", "binet"),
                    default="iterate")
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_term)
 
-    p = sub.add_parser("matrix", help="nth matrix term TM(n) or KM(n)")
-    p.add_argument("kind", choices=sorted(_MATRIX_KINDS))
+    p = command("matrix", cmd_matrix, "nth matrix term TM(n) or KM(n)")
+    p.add_argument("kind", choices=_SCALAR_CHOICES)
     p.add_argument("n", type=int)
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_matrix)
 
-    p = sub.add_parser("sum", help="closed-form sum of n terms at m*i + j")
-    p.add_argument("kind", choices=sorted(_SUM_KINDS))
+    p = command("sum", cmd_sum, "closed-form sum of n terms at m*i + j")
+    p.add_argument("kind", choices=sorted(KINDS))
     p.add_argument("m", type=int)
     p.add_argument("j", type=int)
     p.add_argument("n", type=int)
     p.add_argument("--check", action="store_true",
                    help="also run the brute-force oracle and compare")
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_sum)
 
-    p = sub.add_parser("gf", help="leading generating-function coefficients")
-    p.add_argument("kind", choices=sorted(_SUM_KINDS))
+    p = command("gf", cmd_gf, "leading generating-function coefficients")
+    p.add_argument("kind", choices=sorted(KINDS))
     p.add_argument("count", type=int)
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_gf)
 
-    p = sub.add_parser("verify", help="run identity verification")
+    p = command("verify", cmd_verify, "run identity verification")
     p.add_argument("ids", nargs="*", help="identity ids (default: all)")
     p.add_argument("--profile", choices=[pr.value for pr in Profile],
                    default=Profile.STANDARD.value)
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("bench", help="compare nth-term strategies")
+    p = command("bench", cmd_bench, "compare nth-term strategies",
+                precision=True)
     p.add_argument("--n", required=True,
                    help="comma-separated indices, e.g. 1000,100000")
     p.add_argument("--strategies", default="iterate,matpow",
                    help="comma-separated subset of iterate,matpow,binet")
-    p.add_argument("--kind", choices=sorted(_SCALAR_KINDS), default="T")
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_bench)
+    p.add_argument("--kind", choices=_SCALAR_CHOICES, default="T")
 
     return parser
 
 
-def _resolve_precision(args) -> int:
-    if args.precision is not None:
-        return args.precision
-    return int(os.environ.get("TRIBKIT_PRECISION", DEFAULT_PRECISION))
+def _value(value) -> tuple[str, object, list[str], list[list]]:
+    """Plain text, JSON value, CSV columns and CSV cells of an int or Mat3.
+
+    Matrix cells carry 1-based row and column, matching the prose
+    convention.
+    """
+    if isinstance(value, Mat3):
+        grid = value.decimal_rows()
+        cells = [[r + 1, c + 1, x] for r, row in enumerate(grid)
+                 for c, x in enumerate(row)]
+        return ("\n".join(map(" ".join, grid)), grid,
+                ["row", "col", "value"], cells)
+    text = to_decimal(value)
+    return text, text, ["value"], [[text]]
 
 
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
+def _answer(fields: dict, value, wrap: bool = True,
+            extra: dict | None = None) -> Output:
+    """One value with the fields that name it.
+
+    JSON is an object of the fields, the value and `extra` -- or, with
+    wrap=False, the bare value; each CSV row repeats the fields.
+    """
+    extra = extra or {}
+    text, data, columns, cells = _value(value)
+    return Output(
+        text, {**fields, "value": data, **extra} if wrap else data,
+        [*fields, *columns, *extra],
+        [[*fields.values(), *cell, *extra.values()] for cell in cells])
 
 
-def _mat_json(m: Mat3) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.rows()]
+def cmd_term(args) -> Output:
+    value = STRATEGIES[args.strategy](KINDS[args.kind], args.n,
+                                      args.precision, None)
+    return _answer({"kind": args.kind, "n": args.n,
+                    "strategy": args.strategy}, value)
 
 
-def _mat_plain(m: Mat3) -> str:
-    return "\n".join(" ".join(str(x) for x in row) for row in m.rows())
+def cmd_matrix(args) -> Output:
+    fn = t_matrix if args.kind == "T" else k_matrix
+    return _answer({"kind": args.kind, "n": args.n}, fn(args.n), wrap=False)
 
 
-def _mat_csv_rows(m: Mat3, prefix: list) -> list[list]:
-    # row/col are 1-based, matching the prose convention
-    return [prefix + [r + 1, c + 1, str(m.entry(r, c))]
-            for r in range(3) for c in range(3)]
-
-
-def cmd_term(args, precision: int) -> int:
-    kind = _SCALAR_KINDS[args.kind]
-    if args.strategy == "iterate":
-        fn = trib if kind is SequenceKind.TRIBONACCI else lucas_trib
-        value = fn(args.n)
-    elif args.strategy == "matpow":
-        fn = trib_fast if kind is SequenceKind.TRIBONACCI else lucas_fast
-        value = fn(args.n)
-    else:
-        fn = binet_trib if kind is SequenceKind.TRIBONACCI else binet_lucas
-        value = fn(args.n, precision)
-    if args.format == "plain":
-        print(value)
-    elif args.format == "json":
-        print(json.dumps({"kind": args.kind, "n": args.n,
-                          "strategy": args.strategy, "value": str(value)}))
-    else:
-        w = _csv_writer()
-        w.writerow(["kind", "n", "strategy", "value"])
-        w.writerow([args.kind, args.n, args.strategy, str(value)])
-    return EXIT_OK
-
-
-def cmd_matrix(args, precision: int) -> int:
-    kind = _MATRIX_KINDS[args.kind]
-    if kind is MatrixKind.TRIB_MATRIX:
-        value = t_matrix(args.n)
-    else:
-        value = k_matrix(args.n)
-    if args.format == "plain":
-        print(_mat_plain(value))
-    elif args.format == "json":
-        print(json.dumps(_mat_json(value)))
-    else:
-        w = _csv_writer()
-        w.writerow(["kind", "n", "row", "col", "value"])
-        w.writerows(_mat_csv_rows(value, [args.kind, args.n]))
-    return EXIT_OK
-
-
-def cmd_sum(args, precision: int) -> int:
-    spec = SumSpec(_SUM_KINDS[args.kind], args.m, args.j, args.n)
+def cmd_sum(args) -> Output:
+    spec = SumSpec(KINDS[args.kind], args.m, args.j, args.n)
     value = partial_sum(spec)
-    checked = None
     if args.check:
         oracle = partial_sum_bruteforce(spec)
         if value != oracle:
-            print(f"error: closed form {value!r} disagrees with "
-                  f"brute force {oracle!r} for {spec}", file=sys.stderr)
-            return EXIT_MISMATCH
-        checked = "ok"
-    is_matrix = isinstance(value, Mat3)
-    if args.format == "plain":
-        print(_mat_plain(value) if is_matrix else value)
-        if checked:
-            print("check: closed form matches brute force")
-    elif args.format == "json":
-        payload = {"kind": args.kind, "m": args.m, "j": args.j, "n": args.n,
-                   "value": _mat_json(value) if is_matrix else str(value)}
-        if checked:
-            payload["check"] = checked
-        print(json.dumps(payload))
+            raise StrategyMismatch(
+                f"closed form {_value(value)[0]} disagrees with "
+                f"brute force {_value(oracle)[0]} for {spec}")
+    out = _answer({"kind": args.kind, "m": args.m, "j": args.j,
+                   "n": args.n}, value,
+                  extra={"check": "ok"} if args.check else None)
+    if args.check:
+        out = replace(out, text=out.text
+                      + "\ncheck: closed form matches brute force")
+    return out
+
+
+def cmd_gf(args) -> Output:
+    kind = KINDS[args.kind]
+    scalar = isinstance(kind, SequenceKind)
+    coeffs = (gf_coeffs if scalar else gf_matrix_coeffs)(kind, args.count)
+    answers = [_answer({"kind": args.kind, "i": i}, c, wrap=False)
+               for i, c in enumerate(coeffs)]
+    if scalar:
+        text = " ".join(a.text for a in answers)
     else:
-        w = _csv_writer()
-        prefix = [args.kind, args.m, args.j, args.n]
-        if is_matrix:
-            w.writerow(["kind", "m", "j", "n", "row", "col", "value"]
-                       + (["check"] if checked else []))
-            for row in _mat_csv_rows(value, prefix):
-                w.writerow(row + ([checked] if checked else []))
-        else:
-            w.writerow(["kind", "m", "j", "n", "value"]
-                       + (["check"] if checked else []))
-            w.writerow(prefix + [str(value)] + ([checked] if checked else []))
-    return EXIT_OK
+        text = "\n".join(f"{i}: " + a.text.replace("\n", " | ")
+                         for i, a in enumerate(answers))
+    return Output(text, [a.data for a in answers], answers[0].header,
+                  [row for a in answers for row in a.rows])
 
 
-def cmd_gf(args, precision: int) -> int:
-    kind = _SUM_KINDS[args.kind]
-    if isinstance(kind, SequenceKind):
-        coeffs = gf_coeffs(kind, args.count)
-        if args.format == "plain":
-            print(" ".join(str(c) for c in coeffs))
-        elif args.format == "json":
-            print(json.dumps([str(c) for c in coeffs]))
-        else:
-            w = _csv_writer()
-            w.writerow(["kind", "i", "value"])
-            for i, c in enumerate(coeffs):
-                w.writerow([args.kind, i, str(c)])
-        return EXIT_OK
-    mats = gf_matrix_coeffs(kind, args.count)
-    if args.format == "plain":
-        for i, m in enumerate(mats):
-            rows = " | ".join(" ".join(str(x) for x in row)
-                              for row in m.rows())
-            print(f"{i}: {rows}")
-    elif args.format == "json":
-        print(json.dumps([_mat_json(m) for m in mats]))
-    else:
-        w = _csv_writer()
-        w.writerow(["kind", "i", "row", "col", "value"])
-        for i, m in enumerate(mats):
-            w.writerows(_mat_csv_rows(m, [args.kind, i]))
-    return EXIT_OK
+def cmd_verify(args) -> Output:
+    records = {record.id: record for record in registry()}
+    for identity_id in args.ids:
+        if identity_id not in records:
+            raise UnknownIdentity(identity_id)
+    bounds = PROFILE_BOUNDS[Profile(args.profile)]
+    reports = [verify_record(records[identity_id], bounds)
+               for identity_id in args.ids or records]
+    failed = [r.identity_id for r in reports if not r.passed]
+    summary = (f"FAILED: {', '.join(failed)}" if failed
+               else f"all {len(reports)} identities passed")
+    return Output(
+        format_report_table(reports) + "\n" + summary,
+        [report_to_dict(r) for r in reports],
+        ["id", "status", "cases", "failures", "elapsed_ms"],
+        [[r.identity_id, "pass" if r.passed else "fail", r.cases,
+          len(r.failures), round(r.elapsed_s * 1000, 3)] for r in reports],
+        code=1 if failed else EXIT_OK)
 
 
-def cmd_verify(args, precision: int) -> int:
-    profile = Profile(args.profile)
-    bounds = PROFILE_BOUNDS[profile]
-    if args.ids:
-        reports = [verify(identity_id, bounds) for identity_id in args.ids]
-    else:
-        reports = verify_all(profile, jobs=args.jobs)
-    if args.format == "plain":
-        print(format_report_table(reports))
-        failed = [r.identity_id for r in reports if not r.passed]
-        if failed:
-            print(f"FAILED: {', '.join(failed)}")
-        else:
-            print(f"all {len(reports)} identities passed")
-    elif args.format == "json":
-        print(json.dumps([report_to_dict(r) for r in reports]))
-    else:
-        w = _csv_writer()
-        w.writerow(["id", "status", "cases", "failures", "elapsed_ms"])
-        for r in reports:
-            w.writerow([r.identity_id, "pass" if r.passed else "fail",
-                        r.cases, len(r.failures),
-                        round(r.elapsed_s * 1000, 3)])
-    return EXIT_OK if all(r.passed for r in reports) else 1
-
-
-def cmd_bench(args, precision: int) -> int:
+def cmd_bench(args) -> Output:
     ns = [int(part) for part in args.n.split(",") if part]
     strategies = [part for part in args.strategies.split(",") if part]
-    kind = _SCALAR_KINDS[args.kind]
-    results = run_bench(kind, ns, strategies, precision)
-    rows = [{
-        "strategy": r.strategy,
-        "kind": args.kind,
-        "n": r.n,
-        "elapsed_ms": round(r.elapsed_s * 1000, 3),
-        "big_adds": r.big_adds,
-        "big_muls": r.big_muls,
-        "mat_muls": r.mat_muls,
-        "precision": r.precision,
-    } for r in results]
-    if args.format == "plain":
-        print(f"{'STRATEGY':<10} {'N':>12} {'MS':>12} {'ADDS':>12} "
-              f"{'MULS':>12} {'MATMULS':>8}  PRECISION")
-        for row in rows:
-            prec = row["precision"] if row["precision"] is not None else "-"
-            print(f"{row['strategy']:<10} {row['n']:>12} "
-                  f"{row['elapsed_ms']:>12.3f} {row['big_adds']:>12} "
-                  f"{row['big_muls']:>12} {row['mat_muls']:>8}  {prec}")
-    elif args.format == "json":
-        print(json.dumps(rows))
-    else:
-        w = _csv_writer()
-        w.writerow(["strategy", "kind", "n", "elapsed_ms", "big_adds",
-                    "big_muls", "mat_muls", "precision"])
-        for row in rows:
-            w.writerow([row["strategy"], row["kind"], row["n"],
-                        row["elapsed_ms"], row["big_adds"], row["big_muls"],
-                        row["mat_muls"],
-                        "" if row["precision"] is None else row["precision"]])
-    return EXIT_OK
+    results = run_bench(KINDS[args.kind], ns, strategies, args.precision)
+    rows = [dict(zip(_BENCH_FIELDS, (
+        r.strategy, args.kind, r.n, round(r.elapsed_s * 1000, 3),
+        r.big_adds, r.big_muls, r.mat_muls, r.precision)))
+        for r in results]
+    lines = [f"{'STRATEGY':<10} {'N':>12} {'MS':>12} {'ADDS':>12} "
+             f"{'MULS':>12} {'MATMULS':>8}  PRECISION"]
+    for row in rows:
+        prec = row["precision"] if row["precision"] is not None else "-"
+        lines.append(f"{row['strategy']:<10} {row['n']:>12} "
+                     f"{row['elapsed_ms']:>12.3f} {row['big_adds']:>12} "
+                     f"{row['big_muls']:>12} {row['mat_muls']:>8}  {prec}")
+    # csv writes None (no precision) as an empty field
+    return Output("\n".join(lines), rows, list(_BENCH_FIELDS),
+                  [list(row.values()) for row in rows])
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        precision = _resolve_precision(args)
-        return args.handler(args, precision)
+        out = args.handler(args)
     except PrecisionExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
@@ -324,6 +262,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    emit(out, args.format)
+    return out.code
 
 
 def main_entry() -> None:

@@ -12,6 +12,7 @@ All arithmetic is on Python ints; results are exact at every index.
 
 from __future__ import annotations
 
+import decimal
 import threading
 from enum import Enum
 
@@ -87,6 +88,37 @@ class TermCache:
 
     def _at(self, i: int) -> int:
         return self._fwd[i] if i >= 0 else self._bwd[-i - 1]
+
+
+def to_decimal(value: int) -> str:
+    """Decimal text of an int of any size.
+
+    str() serves values within the interpreter's int-to-str digit limit.
+    Longer ones are rebuilt from binary halves as a decimal.Decimal,
+    whose sub-quadratic multiplication makes this faster than str()
+    would be, and which prints with no limit.  The limit itself is left
+    alone.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                          traps=[decimal.Inexact])
+    powers: dict[int, decimal.Decimal] = {}
+
+    def build(x: int, bits: int) -> decimal.Decimal:
+        if bits <= 4096:  # far below the limit's ~14000 bits
+            return decimal.Decimal(x)
+        low = bits >> 1
+        if low not in powers:
+            powers[low] = ctx.power(2, low)
+        high = x >> low
+        return ctx.fma(build(high, bits - low), powers[low],
+                       build(x - (high << low), low))
+
+    digits = str(build(abs(value), value.bit_length()))
+    return "-" + digits if value < 0 else digits
 
 
 def _stateless(kind: SequenceKind, n: int, counter: OpCounter | None) -> int:

@@ -15,12 +15,11 @@ as tuples compared slotwise, so a failure in either leg surfaces.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
-from .core import SequenceKind, TermCache
+from .core import SequenceKind, TermCache, to_decimal
 from .errors import UnknownIdentity
 from .matrices import (K_MAT_SEEDS, T_MAT_SEEDS, Mat3, MatrixKind, k_matrix,
                        mat_mul, mat_pow, t_matrix)
@@ -375,27 +374,20 @@ def verify(identity_id: str, bounds: GridBounds | None = None) -> VerifyReport:
     raise UnknownIdentity(identity_id)
 
 
-def verify_all(profile: Profile = Profile.STANDARD,
-               jobs: int = 1) -> list[VerifyReport]:
+def verify_all(profile: Profile = Profile.STANDARD) -> list[VerifyReport]:
     """Verify every registered identity; reports follow registry order."""
     bounds = PROFILE_BOUNDS[profile]
-    records = registry()
-    if jobs <= 1:
-        return [verify_record(record, bounds) for record in records]
-    # per-task registries keep the shared caches out of cross-thread reach
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(verify, record.id, bounds) for record in records]
-        return [future.result() for future in futures]
+    return [verify_record(record, bounds) for record in registry()]
 
 
 # report rendering ---------------------------------------------------------
 
 def _serialize_value(value):
     if isinstance(value, Mat3):
-        return [[str(x) for x in row] for row in value.rows()]
+        return value.decimal_rows()
     if isinstance(value, tuple):
         return [_serialize_value(v) for v in value]
-    return str(value)
+    return to_decimal(value)
 
 
 def report_to_dict(report: VerifyReport) -> dict:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .core import SequenceKind, TermCache, lucas_trib, trib
+from .core import SequenceKind, TermCache, lucas_trib, to_decimal, trib
 from .counters import OpCounter
 from .errors import DivisibilityViolation, NegativeExponent
 
@@ -41,6 +41,10 @@ class Mat3:
     def rows(self) -> tuple[tuple[int, int, int], ...]:
         e = self.entries
         return ((e[0], e[1], e[2]), (e[3], e[4], e[5]), (e[6], e[7], e[8]))
+
+    def decimal_rows(self) -> list[list[str]]:
+        """Entries as decimal strings, row by row."""
+        return [[to_decimal(x) for x in row] for row in self.rows()]
 
     def entry(self, row: int, col: int) -> int:
         """Entry at 0-based (row, col)."""
@@ -209,14 +213,6 @@ def k_matrix(n: int, strategy: MatrixStrategy = MatrixStrategy.CLOSED_FORM,
         return mat_mul(K_MAT_SEEDS[0],
                        t_matrix(n, MatrixStrategy.CLOSED_FORM, cache))
     raise ValueError(f"unsupported strategy for k_matrix: {strategy}")
-
-
-def matrix_term(kind: MatrixKind, n: int,
-                cache: TermCache | None = None) -> Mat3:
-    """TM(n) or KM(n) by the closed form."""
-    if kind is MatrixKind.TRIB_MATRIX:
-        return t_matrix(n, cache=cache)
-    return k_matrix(n, cache=cache)
 
 
 def trib_fast(n: int, counter: OpCounter | None = None) -> int:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import settings
 
@@ -25,3 +27,18 @@ def t_cache():
 @pytest.fixture()
 def k_cache():
     return TermCache(SequenceKind.TRIBONACCI_LUCAS)
+
+
+@pytest.fixture()
+def unlimited_str():
+    """str() of an int with the int-to-str digit limit lifted for the call."""
+    def convert(value: int) -> str:
+        if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.11
+            return str(value)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(old)
+    return convert

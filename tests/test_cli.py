@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -178,11 +180,20 @@ class TestVerify:
         assert lines[0] == "id,status,cases,failures,elapsed_ms"
         assert lines[1].startswith("EQ4,pass,81,0,")
 
-    def test_jobs_flag(self, capsys):
-        code, out, _ = run(["verify", "--profile", "quick", "--jobs", "4"],
-                           capsys)
+    def test_one_registry_per_request(self, capsys, monkeypatch):
+        import tribkit.cli as cli
+        original = cli.registry
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "registry", counted)
+        code, _, _ = run(["verify", "EQ4", "EQ5", "TNEG", "--profile",
+                          "quick"], capsys)
         assert code == 0
-        assert "all" in out.splitlines()[-1]
+        assert len(calls) == 1
 
 
 class TestBench:
@@ -217,6 +228,119 @@ class TestBench:
                             "--strategies", "iterate,matpow"], capsys)
         assert code == 4
         assert "disagree" in err
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["matrix", "T", "2", "--precision", "64"],
+        ["verify", "--jobs", "2"],
+    ])
+    def test_removed_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+
+    def test_bad_env_precision_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("TRIBKIT_PRECISION", "abc")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["term", "T", "5", "--strategy", "binet"])
+        assert excinfo.value.code == 2
+        assert "TRIBKIT_PRECISION" in capsys.readouterr().err
+
+    def test_bad_env_precision_ignored_without_flag(self, capsys,
+                                                    monkeypatch):
+        monkeypatch.setenv("TRIBKIT_PRECISION", "abc")
+        code, out, _ = run(["gf", "T", "3"], capsys)
+        assert code == 0
+        assert out.strip() == "0 1 1"
+
+
+class TestBigAnswers:
+    """Answers far past the 4300-digit int-to-str limit."""
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_term(self, fmt, capsys, unlimited_str):
+        from tribkit import trib_fast
+        code, out, _ = run(["term", "T", "100000", "--strategy", "matpow",
+                            "--format", fmt], capsys)
+        assert code == 0
+        expected = unlimited_str(trib_fast(100000))
+        assert len(expected) > 20000
+        if fmt == "plain":
+            value = out.strip()
+        elif fmt == "json":
+            value = json.loads(out)["value"]
+        else:
+            value = out.splitlines()[-1].split(",")[-1]
+        assert value == expected
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_matrix(self, fmt, capsys, unlimited_str):
+        from tribkit import k_matrix
+        code, out, _ = run(["matrix", "K", "20000", "--format", fmt], capsys)
+        assert code == 0
+        expected = [unlimited_str(x) for x in k_matrix(20000).entries]
+        assert max(map(len, expected)) > 4300
+        assert _entries(fmt, out) == expected
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_matrix_sum(self, fmt, capsys, unlimited_str):
+        from tribkit import MatrixKind, SumSpec, partial_sum
+        code, out, _ = run(["sum", "TM", "3", "1", "10000", "--format", fmt],
+                           capsys)
+        assert code == 0
+        value = partial_sum(SumSpec(MatrixKind.TRIB_MATRIX, 3, 1, 10000))
+        expected = [unlimited_str(x) for x in value.entries]
+        assert max(map(len, expected)) > 4300
+        assert _entries(fmt, out) == expected
+
+    def test_bench_mismatch_exits_4(self, capsys, monkeypatch):
+        import tribkit.bench as bench
+        from tribkit import trib_fast
+        monkeypatch.setitem(bench.STRATEGIES, "matpow",
+                            lambda kind, n, precision, counter:
+                            trib_fast(n) + 1)
+        code, _, err = run(["bench", "--n", "100000",
+                            "--strategies", "iterate,matpow"], capsys)
+        assert code == 4
+        assert "disagree" in err
+
+    def test_sum_check_mismatch_exits_4(self, capsys, monkeypatch,
+                                        unlimited_str):
+        import tribkit.cli as cli
+        from tribkit import SequenceKind, SumSpec, partial_sum
+        monkeypatch.setattr(cli, "partial_sum_bruteforce",
+                            lambda spec: partial_sum(spec) + 1)
+        code, _, err = run(["sum", "T", "1", "0", "20000", "--check"],
+                           capsys)
+        assert code == 4
+        value = partial_sum(SumSpec(SequenceKind.TRIBONACCI, 1, 0, 20000))
+        assert unlimited_str(value + 1) in err
+
+
+def _entries(fmt, out):
+    """The nine entries of a matrix answer, row-major, as printed."""
+    if fmt == "plain":
+        return out.split()
+    if fmt == "json":
+        payload = json.loads(out)
+        grid = payload["value"] if isinstance(payload, dict) else payload
+        return [x for row in grid for x in row]
+    return [line.split(",")[-1] for line in out.splitlines()[1:]]
+
+
+class TestReadme:
+    def test_cli_examples_exit_0(self, capsys):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```text\n", 1)[1]
+        lines = block.split("```", 1)[0].splitlines()
+        assert len(lines) >= 13
+        for line in lines:
+            argv = shlex.split(line, comments=True)
+            assert argv[0] == "tribkit", line
+            assert main(argv[1:]) == 0, line
+            capsys.readouterr()
 
 
 class TestDeterminism:

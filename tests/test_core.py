@@ -3,7 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tribkit import (Conversion, SequenceKind, TermCache, lucas_from_trib,
-                     lucas_trib, trib, trib_alt, trib_from_lucas)
+                     lucas_trib, to_decimal, trib, trib_alt, trib_fast,
+                     trib_from_lucas)
 
 # published leading terms: value at n for n = 0..12, and at -n for n = 0..12
 T_TABLE = [0, 1, 1, 2, 4, 7, 13, 24, 44, 81, 149, 274, 504]
@@ -129,3 +130,16 @@ class TestTermCache:
         cache = TermCache(SequenceKind.TRIBONACCI)
         with pytest.raises(ValueError):
             lucas_trib(3, cache)
+
+
+class TestToDecimal:
+    @pytest.mark.parametrize("value", [
+        0, 7, -7, 10 ** 4299, -(10 ** 4299), 10 ** 4300, -(10 ** 4300),
+        2 ** 20000 - 1, 3 ** 50000, -(5 ** 70000),
+    ], ids=lambda v: f"{'-' if v < 0 else ''}{v.bit_length()}bits")
+    def test_matches_str(self, value, unlimited_str):
+        assert to_decimal(value) == unlimited_str(value)
+
+    def test_large_term(self, unlimited_str):
+        value = trib_fast(300000)
+        assert to_decimal(value) == unlimited_str(value)
