@@ -10,8 +10,11 @@ class OpCounter:
     """Tallies of arbitrary-precision arithmetic operations.
 
     Evaluators that accept a counter credit it with the big-integer
-    additions/multiplications they actually perform and with whole 3x3
-    matrix products; index bookkeeping on machine ints is never counted.
+    additions/multiplications they actually perform; index bookkeeping
+    on machine ints is never counted.  `mat_muls` counts the products of
+    a power chain: whole 3x3 matrix products in `mat_pow`, and each
+    squaring and each step by x or 1/x of the polynomial kernel behind
+    `trib_fast`, `lucas_fast` and `t_matrix`.
     """
 
     big_adds: int = 0

@@ -4,7 +4,12 @@ TM(n) and KM(n) satisfy the same third-order recurrence as the scalars,
 starting from fixed seed matrices with TM(0) = I, and extend to negative
 indices the same way.  Their entries are shifted scalar terms: reading
 the cell at row 2, column 1 (1-based) of TM(n) gives T(n), which is what
-makes binary powers of TM(1) an O(log n) route to T(n).
+makes TM(n) = TM(1)**n an O(log |n|) route to T(n) at any signed n.
+
+That power is computed in three coefficients: by Cayley-Hamilton
+TM(n) = a*TM(2) + b*TM(1) + c*I, where x**n = a*x^2 + b*x + c modulo the
+characteristic polynomial x^3 - x^2 - x - 1 (Fiduccia, SIAM J. Comput.
+14(1), 1985).  `mat_pow` is kept as an independent matrix-product oracle.
 """
 
 from __future__ import annotations
@@ -91,6 +96,8 @@ K_MAT_SEEDS: tuple[Mat3, Mat3, Mat3] = (
     Mat3((3, 4, 1, 1, 2, 3, 3, -2, -1)),
     Mat3((7, 4, 3, 3, 4, 1, 1, 2, 3)),
 )
+# TM(-1); det TM(1) = 1, so the inverse has integer entries
+_TM_INVERSE = Mat3((0, 1, 0, 0, 0, 1, 1, -1, -1))
 
 
 class MatrixKind(Enum):
@@ -148,6 +155,59 @@ def mat_pow(a: Mat3, e: int, counter: OpCounter | None = None) -> Mat3:
     return acc
 
 
+def _x_power(n: int, counter: OpCounter | None = None) -> tuple[int, int, int]:
+    """(a, b, c) with x**n = a*x^2 + b*x + c modulo x^3 - x^2 - x - 1.
+
+    Any signed n.  Left-to-right binary powering of x, or of
+    x**-1 = x^2 - x - 1 when n < 0.  A squaring costs 6 big
+    multiplications (a 3x3 matrix product costs 27); a step by x or
+    x**-1 costs only additions.  The coefficients apply to every
+    solution s of the recurrence: s(n) = a*s(2) + b*s(1) + c*s(0), so
+    T(n) = a + b, T(n-1) = a, T(n-2) = c and K(n) = 3a + b + 3c.
+
+    The counter gets one mat_muls per squaring or step of the chain,
+    the 6 multiplications of each squaring, and every addition, with a
+    doubling counted as one.
+    """
+    if n == 0:
+        return 0, 0, 1
+    a, b, c = (0, 1, 0) if n > 0 else (1, -1, -1)
+    squarings = steps = 0
+    for bit in bin(abs(n))[3:]:  # bits below the most significant one
+        # (a x^2 + b x + c)^2 reduced by x^3 = x^2 + x + 1 and
+        # x^4 = 2x^2 + 2x + 1, each cross term 2uv taken as
+        # (u + v)^2 - u^2 - v^2: CPython squares faster than it multiplies
+        aa, bb, cc = a * a, b * b, c * c
+        p, q, r = a + b, a + c, b + c
+        p, q, r = p * p, q * q, r * r
+        a, b, c = p + q - cc, aa + p + r - 2 * bb - cc, p - bb + cc
+        squarings += 1
+        if bit == "1":
+            steps += 1
+            if n > 0:
+                a, b, c = a + b, a + c, a
+            else:
+                a, b, c = c, a - c, b - c
+    if counter is not None:
+        counter.mat_muls += squarings + steps
+        counter.big_muls += 6 * squarings
+        counter.big_adds += 12 * squarings + (2 if n > 0 else 3) * steps
+    return a, b, c
+
+
+def _tm_from_kernel(n: int, counter: OpCounter | None = None) -> Mat3:
+    """TM(n) = a*TM(2) + b*TM(1) + c*I from one kernel call."""
+    a, b, c = _x_power(n, counter)
+    # a = T(n-1), c = T(n-2), b = T(n-2) + T(n-3)
+    t0 = a + b  # T(n)
+    s = t0 + a  # T(n) + T(n-1)
+    if counter is not None:
+        counter.big_adds += 4
+    return Mat3((s + c, s, t0,
+                 t0, a + c, a,
+                 a, b, c))
+
+
 def _iterate_matrix(seeds: tuple[Mat3, Mat3, Mat3], n: int) -> Mat3:
     # window (M(i), M(i+1), M(i+2)) slid from i = 0
     a, b, c = seeds
@@ -177,18 +237,21 @@ def t_matrix(n: int, strategy: MatrixStrategy = MatrixStrategy.CLOSED_FORM,
              counter: OpCounter | None = None) -> Mat3:
     """Tribonacci matrix TM(n) for any integer n; all strategies agree.
 
-    ITERATE walks the matrix recurrence from the seeds, CLOSED_FORM
-    fills entries from scalar terms, MAT_POW raises TM(1) to the n-th
-    power.  MAT_POW is defined for n >= 0 only (integer-preserving
-    inversion is not available); negative n falls back to ITERATE.
+    ITERATE walks the matrix recurrence from the seeds.  CLOSED_FORM
+    fills entries from scalar terms: read from the cache when one is
+    passed, else from one call of the O(log |n|) polynomial kernel.
+    MAT_POW raises TM(1) to the n-th power by matrix products, or the
+    integer inverse TM(-1) to the (-n)-th when n < 0.
     """
     if strategy is MatrixStrategy.ITERATE:
         return _iterate_matrix(T_MAT_SEEDS, n)
     if strategy is MatrixStrategy.CLOSED_FORM:
+        if cache is None:
+            return _tm_from_kernel(n, counter)
         return _closed_form(lambda i: trib(i, cache), n)
     if strategy is MatrixStrategy.MAT_POW:
         if n < 0:
-            return _iterate_matrix(T_MAT_SEEDS, n)
+            return mat_pow(_TM_INVERSE, -n, counter)
         return mat_pow(T_MAT_SEEDS[1], n, counter)
     raise ValueError(f"unsupported strategy for t_matrix: {strategy}")
 
@@ -199,11 +262,14 @@ def k_matrix(n: int, strategy: MatrixStrategy = MatrixStrategy.CLOSED_FORM,
 
     FROM_T multiplies KM(0) by TM(n), which lands exactly on KM(n); its
     scalar route runs on Tribonacci terms, so it wants a Tribonacci
-    cache (CLOSED_FORM wants a Tribonacci-Lucas one).
+    cache (CLOSED_FORM wants a Tribonacci-Lucas one).  CLOSED_FORM with
+    no cache is KM(0) times the kernel's TM(n).
     """
     if strategy is MatrixStrategy.ITERATE:
         return _iterate_matrix(K_MAT_SEEDS, n)
     if strategy is MatrixStrategy.CLOSED_FORM:
+        if cache is None:
+            return mat_mul(K_MAT_SEEDS[0], t_matrix(n))
         return _closed_form(lambda i: lucas_trib(i, cache), n)
     if strategy is MatrixStrategy.FROM_T:
         if cache is not None and cache.kind is not SequenceKind.TRIBONACCI:
@@ -216,19 +282,19 @@ def k_matrix(n: int, strategy: MatrixStrategy = MatrixStrategy.CLOSED_FORM,
 
 
 def trib_fast(n: int, counter: OpCounter | None = None) -> int:
-    """T(n) read off a binary power of TM(1): O(log n) matrix products.
+    """T(n) = a + b from TM(1)**n in 3-coefficient form, any signed n.
 
-    Negative n uses the backward scalar recurrence (O(|n|) additions).
+    O(log |n|) squarings of 6 big multiplications each.
     """
-    if n < 0:
-        return trib(n, counter=counter)
-    return mat_pow(T_MAT_SEEDS[1], n, counter).entry(1, 0)
+    a, b, _ = _x_power(n, counter)
+    if counter is not None:
+        counter.big_adds += 1
+    return a + b
 
 
 def lucas_fast(n: int, counter: OpCounter | None = None) -> int:
-    """K(n) read off KM(0) times a binary power of TM(1)."""
-    if n < 0:
-        return lucas_trib(n, counter=counter)
-    product = mat_mul(K_MAT_SEEDS[0], mat_pow(T_MAT_SEEDS[1], n, counter),
-                      counter)
-    return product.entry(1, 0)
+    """K(n) = 3a + b + 3c from TM(1)**n in 3-coefficient form, any signed n."""
+    a, b, c = _x_power(n, counter)
+    if counter is not None:
+        counter.big_adds += 3
+    return 3 * (a + c) + b

@@ -16,7 +16,7 @@ from typing import Union
 from .core import SEEDS, SequenceKind, TermCache, lucas_trib
 from .errors import DegenerateDenominator, DivisibilityViolation
 from .matrices import (K_MAT_SEEDS, T_MAT_SEEDS, ZERO, Mat3, MatrixKind,
-                       k_matrix, t_matrix)
+                       k_matrix, lucas_fast, t_matrix, trib_fast)
 
 AnyKind = Union[SequenceKind, MatrixKind]
 
@@ -136,10 +136,21 @@ def _term_fn(kind: AnyKind, cache: TermCache | None):
     return lambda i: k_matrix(i, cache=cache)
 
 
+def _kernel_term_fn(kind: AnyKind):
+    # each term on its own in O(log |i|) products: no window up to i
+    return {SequenceKind.TRIBONACCI: trib_fast,
+            SequenceKind.TRIBONACCI_LUCAS: lucas_fast,
+            MatrixKind.TRIB_MATRIX: t_matrix,
+            MatrixKind.LUCAS_MATRIX: k_matrix}[kind]
+
+
 def partial_sum(spec: SumSpec, cache: TermCache | None = None):
     """Closed-form value of the sum described by `spec`.
 
     Assembles six boundary terms and divides by K(m) - K(-m).  The
+    terms are read from `cache` when one is passed, else each comes
+    from the log-time kernel, so memory stays proportional to the
+    answer rather than to the top index m*n + j.  The
     division is exact by theorem; a remainder raises
     DivisibilityViolation (a bug, not bad input), and a vanishing
     divisor raises DegenerateDenominator (provably impossible for
@@ -150,7 +161,8 @@ def partial_sum(spec: SumSpec, cache: TermCache | None = None):
     divisor = k_m - lucas_trib(-m)
     if divisor == 0:
         raise DegenerateDenominator(f"K({m}) - K({-m}) = 0")
-    term = _term_fn(spec.kind, cache)
+    term = (_kernel_term_fn(spec.kind) if cache is None
+            else _term_fn(spec.kind, cache))
     w = 1 - k_m
     top = m * n + j
     numerator = (term(top + m) + term(top - m) + w * term(top)

@@ -18,6 +18,13 @@ K_STRATEGIES = (MatrixStrategy.ITERATE, MatrixStrategy.CLOSED_FORM,
 TM_10 = Mat3((274, 230, 149, 149, 125, 81, 81, 68, 44))
 # TM(-3), assembled from the backward-recurrence terms T(-6)..T(-2)
 TM_NEG3 = Mat3((1, -1, -1, -1, 2, 0, 0, -1, 2))
+# TM(-1); det TM(1) = 1, so the inverse has integer entries
+TM_INV = Mat3((0, 1, 0, 0, 0, 1, 1, -1, -1))
+
+
+def tm_pow(n):
+    """TM(1)**n by 3x3 matrix products, for any signed n."""
+    return mat_pow(T_MAT_SEEDS[1], n) if n >= 0 else mat_pow(TM_INV, -n)
 
 
 def test_seed_matrices_all_strategies():
@@ -99,6 +106,15 @@ def test_negative_index_iterate_example():
     assert t_matrix(-3, MatrixStrategy.ITERATE) == TM_NEG3
 
 
+def test_cacheless_strategies_match_iterate():
+    for n in range(-300, 301):
+        assert t_matrix(n) == t_matrix(n, MatrixStrategy.ITERATE)
+        assert k_matrix(n) == k_matrix(n, MatrixStrategy.ITERATE)
+    for n in range(-200, 0):
+        assert t_matrix(n, MatrixStrategy.MAT_POW) == t_matrix(
+            n, MatrixStrategy.ITERATE)
+
+
 def test_product_laws(t_cache, k_cache):
     tm = lambda i: t_matrix(i, cache=t_cache)
     km = lambda i: k_matrix(i, cache=k_cache)
@@ -176,22 +192,30 @@ def test_trib_fast_examples(n, expected):
     assert trib_fast(n) == expected
 
 
-def test_trib_fast_matches_iteration():
+def test_trib_fast_matches_iteration(t_cache):
     assert trib_fast(100) == trib(100)
-    for n in range(-50, 200):
-        assert trib_fast(n) == trib(n)
+    for n in range(-2000, 2001):
+        assert trib_fast(n) == trib(n, t_cache) == tm_pow(n).entry(1, 0)
+    for n in (10**5, -10**5):
+        assert trib_fast(n) == trib(n) == tm_pow(n).entry(1, 0)
 
 
 def test_trib_fast_multiplication_bound():
-    for n in (5, 10, 149, 1000, 65536, 10**6):
+    for n in (5, 10, 149, 1000, 65536, 10**6, -5, -1000, -10**5):
         counter = OpCounter()
         trib_fast(n, counter)
-        assert counter.mat_muls <= 2 * math.ceil(math.log2(n)) + 2
+        assert counter.mat_muls <= 2 * math.ceil(math.log2(abs(n))) + 2
+        assert counter.big_adds < 1000  # no O(|n|) walk at either sign
 
 
-def test_lucas_fast_matches_iteration():
-    for n in range(-50, 120):
-        assert lucas_fast(n) == lucas_trib(n)
+def test_lucas_fast_matches_iteration(k_cache):
+    def km_pow(n):
+        return mat_mul(K_MAT_SEEDS[0], tm_pow(n)).entry(1, 0)
+
+    for n in range(-2000, 2001):
+        assert lucas_fast(n) == lucas_trib(n, k_cache) == km_pow(n)
+    for n in (10**5, -10**5):
+        assert lucas_fast(n) == lucas_trib(n) == km_pow(n)
 
 
 def test_div_exact():

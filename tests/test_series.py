@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -144,6 +146,19 @@ class TestPartialSums:
     def test_wrong_cache_kind_rejected(self, k_cache):
         with pytest.raises(ValueError):
             partial_sum(SumSpec(T, 1, 0, 3), k_cache)
+
+    @pytest.mark.parametrize("spec", [SumSpec(TM, 7, 3, 10**5),
+                                      SumSpec(T, 1, 0, 10**5)],
+                             ids=["TM-7-3-1e5", "T-1-0-1e5"])
+    def test_memory_follows_answer_not_index(self, spec):
+        # a window of every term up to m*n + j would take hundreds of MB
+        tracemalloc.start()
+        try:
+            partial_sum(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestGuards:
