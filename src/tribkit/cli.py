@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("term", cmd_term, "nth term of T or K", precision=True)
     p.add_argument("kind", choices=_SCALAR_CHOICES)
     p.add_argument("n", type=int)
-    p.add_argument("--strategy", choices=("iterate", "matpow", "binet"),
+    p.add_argument("--strategy", choices=tuple(STRATEGIES),
                    default="iterate")
 
     p = command("matrix", cmd_matrix, "nth matrix term TM(n) or KM(n)")
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True,
                    help="comma-separated indices, e.g. 1000,100000")
     p.add_argument("--strategies", default="iterate,matpow",
-                   help="comma-separated subset of iterate,matpow,binet")
+                   help="comma-separated subset of " + ",".join(STRATEGIES))
     p.add_argument("--kind", choices=_SCALAR_CHOICES, default="T")
 
     return parser

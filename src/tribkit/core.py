@@ -121,24 +121,26 @@ def to_decimal(value: int) -> str:
     return "-" + digits if value < 0 else digits
 
 
-def _stateless(kind: SequenceKind, n: int, counter: OpCounter | None) -> int:
-    # window (s(i), s(i+1), s(i+2)) slid from i = 0
-    a, b, c = SEEDS[kind]
+def walk(seeds, n: int, counter: OpCounter | None = None):
+    """s(n), any signed n, from seeds (s(0), s(1), s(2)), ints or matrices.
+
+    Slides the window (s(i), s(i+1), s(i+2)) from i = 0, forwards or
+    backwards, at two additions a step, which the counter gets.
+    """
+    a, b, c = seeds
     if n >= 0:
-        if n == 0:
-            return a
-        if n == 1:
-            return b
-        for _ in range(n - 2):
+        steps = max(n - 2, 0)
+        for _ in range(steps):
             a, b, c = b, c, a + b + c
-        if counter is not None:
-            counter.big_adds += 2 * (n - 2)
-        return c
-    for _ in range(-n):
-        a, b, c = c - b - a, a, b
+        value = (a, b, c)[min(n, 2)]
+    else:
+        steps = -n
+        for _ in range(steps):
+            a, b, c = c - b - a, a, b
+        value = a
     if counter is not None:
-        counter.big_adds += 2 * (-n)
-    return a
+        counter.big_adds += 2 * steps
+    return value
 
 
 def trib(n: int, cache: TermCache | None = None,
@@ -152,7 +154,7 @@ def trib(n: int, cache: TermCache | None = None,
         if cache.kind is not SequenceKind.TRIBONACCI:
             raise ValueError("cache holds the wrong sequence")
         return cache.get(n)
-    return _stateless(SequenceKind.TRIBONACCI, n, counter)
+    return walk(SEEDS[SequenceKind.TRIBONACCI], n, counter)
 
 
 def lucas_trib(n: int, cache: TermCache | None = None,
@@ -162,7 +164,7 @@ def lucas_trib(n: int, cache: TermCache | None = None,
         if cache.kind is not SequenceKind.TRIBONACCI_LUCAS:
             raise ValueError("cache holds the wrong sequence")
         return cache.get(n)
-    return _stateless(SequenceKind.TRIBONACCI_LUCAS, n, counter)
+    return walk(SEEDS[SequenceKind.TRIBONACCI_LUCAS], n, counter)
 
 
 _ALT_SEEDS = (0, 1, 1, 2)  # T(0)..T(3)

@@ -21,8 +21,8 @@ from typing import Callable, Iterator
 
 from .core import SequenceKind, TermCache, to_decimal
 from .errors import UnknownIdentity
-from .matrices import (K_MAT_SEEDS, T_MAT_SEEDS, Mat3, MatrixKind, k_matrix,
-                       mat_mul, mat_pow, t_matrix)
+from .matrices import (K_MAT_SEEDS, T_MAT_SEEDS, Mat3, MatrixKind, mat_mul,
+                       mat_pow, term_reader)
 from .series import SumSpec, partial_sum, partial_sum_bruteforce
 
 
@@ -155,11 +155,8 @@ def registry() -> list[IdentityRecord]:
     t = tc.get
     k = kc.get
 
-    def tm(i: int) -> Mat3:
-        return t_matrix(i, cache=tc)
-
-    def km(i: int) -> Mat3:
-        return k_matrix(i, cache=kc)
+    tm = term_reader(MatrixKind.TRIB_MATRIX, tc)
+    km = term_reader(MatrixKind.LUCAS_MATRIX, kc)
 
     ident = T_MAT_SEEDS[0]
     tm1 = T_MAT_SEEDS[1]

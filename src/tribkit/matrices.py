@@ -1,15 +1,14 @@
 """Exact 3x3 matrix companions of the scalar sequences.
 
-TM(n) and KM(n) satisfy the same third-order recurrence as the scalars,
-starting from fixed seed matrices with TM(0) = I, and extend to negative
-indices the same way.  Their entries are shifted scalar terms: reading
-the cell at row 2, column 1 (1-based) of TM(n) gives T(n), which is what
-makes TM(n) = TM(1)**n an O(log |n|) route to T(n) at any signed n.
-
-That power is computed in three coefficients: by Cayley-Hamilton
-TM(n) = a*TM(2) + b*TM(1) + c*I, where x**n = a*x^2 + b*x + c modulo the
-characteristic polynomial x^3 - x^2 - x - 1 (Fiduccia, SIAM J. Comput.
-14(1), 1985).  `mat_pow` is kept as an independent matrix-product oracle.
+T(n), K(n), TM(n) and KM(n) are one third-order recurrence started from
+four seed triples (`KIND_SEEDS`; TM(0) = I), so every route to a term
+depends on the seeds alone: `walk` slides a window from them, and the
+kernel read-out s(n) = a*s(2) + b*s(1) + c*s(0), with x**n = a*x^2 +
+b*x + c modulo x^3 - x^2 - x - 1 (Fiduccia, SIAM J. Comput. 14(1),
+1985), takes O(log |n|) squarings at any signed n.  The entries of
+TM(n) and KM(n) are shifted T and K terms, laid out in `_closed_form`;
+row 2, column 1 (1-based) of TM(n) holds T(n).  `mat_pow` (TM(1)**n by
+matrix products) and FROM_T (KM(0) @ TM(n)) are independent oracles.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .core import SequenceKind, TermCache, lucas_trib, to_decimal, trib
+from .core import SEEDS, SequenceKind, TermCache, to_decimal, walk
 from .counters import OpCounter
 from .errors import DivisibilityViolation, NegativeExponent
 
@@ -107,6 +106,12 @@ class MatrixKind(Enum):
     LUCAS_MATRIX = "KM"
 
 
+# kind -> (its seed triple, the scalar sequence its terms are read from)
+KIND_SEEDS = {kind: (SEEDS[kind], kind) for kind in SequenceKind} | {
+    MatrixKind.TRIB_MATRIX: (T_MAT_SEEDS, SequenceKind.TRIBONACCI),
+    MatrixKind.LUCAS_MATRIX: (K_MAT_SEEDS, SequenceKind.TRIBONACCI_LUCAS)}
+
+
 class MatrixStrategy(Enum):
     """Interchangeable evaluation routes for a matrix term."""
 
@@ -161,9 +166,7 @@ def _x_power(n: int, counter: OpCounter | None = None) -> tuple[int, int, int]:
     Any signed n.  Left-to-right binary powering of x, or of
     x**-1 = x^2 - x - 1 when n < 0.  A squaring costs 6 big
     multiplications (a 3x3 matrix product costs 27); a step by x or
-    x**-1 costs only additions.  The coefficients apply to every
-    solution s of the recurrence: s(n) = a*s(2) + b*s(1) + c*s(0), so
-    T(n) = a + b, T(n-1) = a, T(n-2) = c and K(n) = 3a + b + 3c.
+    x**-1 costs only additions.  `kernel_term` reads a term off them.
 
     The counter gets one mat_muls per squaring or step of the chain,
     the 6 multiplications of each squaring, and every addition, with a
@@ -195,33 +198,17 @@ def _x_power(n: int, counter: OpCounter | None = None) -> tuple[int, int, int]:
     return a, b, c
 
 
-def _tm_from_kernel(n: int, counter: OpCounter | None = None) -> Mat3:
-    """TM(n) = a*TM(2) + b*TM(1) + c*I from one kernel call."""
+def kernel_term(seeds, n: int, counter: OpCounter | None = None):
+    """s(n) = a*s(2) + b*s(1) + c*s(0), (a, b, c) = `_x_power(n)`, any n.
+
+    The seeds (s(0), s(1), s(2)) may be ints or matrices.  The counter
+    also gets the read-out: 5 additions per entry (3 small multiples).
+    """
     a, b, c = _x_power(n, counter)
-    # a = T(n-1), c = T(n-2), b = T(n-2) + T(n-3)
-    t0 = a + b  # T(n)
-    s = t0 + a  # T(n) + T(n-1)
+    s0, s1, s2 = seeds
     if counter is not None:
-        counter.big_adds += 4
-    return Mat3((s + c, s, t0,
-                 t0, a + c, a,
-                 a, b, c))
-
-
-def _iterate_matrix(seeds: tuple[Mat3, Mat3, Mat3], n: int) -> Mat3:
-    # window (M(i), M(i+1), M(i+2)) slid from i = 0
-    a, b, c = seeds
-    if n >= 0:
-        if n == 0:
-            return a
-        if n == 1:
-            return b
-        for _ in range(n - 2):
-            a, b, c = b, c, a + b + c
-        return c
-    for _ in range(-n):
-        a, b, c = c - b - a, a, b
-    return a
+        counter.big_adds += 45 if isinstance(s0, Mat3) else 5
+    return a * s2 + b * s1 + c * s0
 
 
 def _closed_form(term: Callable[[int], int], n: int) -> Mat3:
@@ -232,23 +219,40 @@ def _closed_form(term: Callable[[int], int], n: int) -> Mat3:
                  tm1, tm2 + tm3, tm2))
 
 
+def term_reader(kind, cache: TermCache | None = None,
+                counter: OpCounter | None = None):
+    """n -> the CLOSED_FORM term of `kind` at any signed n.
+
+    The cache's scalar terms (laid out by `_closed_form` for a matrix
+    kind), else the kernel read-out over the kind's seeds: each term on
+    its own in O(log |n|), with no window up to n.
+    """
+    seeds, scalar = KIND_SEEDS[kind]
+    if cache is None:
+        return lambda n: kernel_term(seeds, n, counter)
+    if cache.kind is not scalar:
+        raise ValueError(f"{kind.value} is read from {scalar.value} terms; "
+                         f"the cache holds {cache.kind.value}")
+    if isinstance(kind, MatrixKind):
+        return lambda n: _closed_form(cache.get, n)
+    return cache.get
+
+
 def t_matrix(n: int, strategy: MatrixStrategy = MatrixStrategy.CLOSED_FORM,
              cache: TermCache | None = None,
              counter: OpCounter | None = None) -> Mat3:
     """Tribonacci matrix TM(n) for any integer n; all strategies agree.
 
     ITERATE walks the matrix recurrence from the seeds.  CLOSED_FORM
-    fills entries from scalar terms: read from the cache when one is
-    passed, else from one call of the O(log |n|) polynomial kernel.
-    MAT_POW raises TM(1) to the n-th power by matrix products, or the
-    integer inverse TM(-1) to the (-n)-th when n < 0.
+    lays out Tribonacci terms when a cache is passed, else it is the
+    kernel read-out a*TM(2) + b*TM(1) + c*I.  MAT_POW raises TM(1) to
+    the n-th power by matrix products, or the integer inverse TM(-1) to
+    the (-n)-th when n < 0.
     """
     if strategy is MatrixStrategy.ITERATE:
-        return _iterate_matrix(T_MAT_SEEDS, n)
+        return walk(T_MAT_SEEDS, n)
     if strategy is MatrixStrategy.CLOSED_FORM:
-        if cache is None:
-            return _tm_from_kernel(n, counter)
-        return _closed_form(lambda i: trib(i, cache), n)
+        return term_reader(MatrixKind.TRIB_MATRIX, cache, counter)(n)
     if strategy is MatrixStrategy.MAT_POW:
         if n < 0:
             return mat_pow(_TM_INVERSE, -n, counter)
@@ -260,22 +264,16 @@ def k_matrix(n: int, strategy: MatrixStrategy = MatrixStrategy.CLOSED_FORM,
              cache: TermCache | None = None) -> Mat3:
     """Tribonacci-Lucas matrix KM(n) for any integer n; strategies agree.
 
-    FROM_T multiplies KM(0) by TM(n), which lands exactly on KM(n); its
-    scalar route runs on Tribonacci terms, so it wants a Tribonacci
-    cache (CLOSED_FORM wants a Tribonacci-Lucas one).  CLOSED_FORM with
-    no cache is KM(0) times the kernel's TM(n).
+    ITERATE and CLOSED_FORM are those of `t_matrix` on KM's seeds (a
+    CLOSED_FORM cache holds Tribonacci-Lucas terms).  FROM_T multiplies
+    KM(0) by the CLOSED_FORM TM(n), which lands exactly on KM(n); it
+    wants a Tribonacci cache or none.
     """
     if strategy is MatrixStrategy.ITERATE:
-        return _iterate_matrix(K_MAT_SEEDS, n)
+        return walk(K_MAT_SEEDS, n)
     if strategy is MatrixStrategy.CLOSED_FORM:
-        if cache is None:
-            return mat_mul(K_MAT_SEEDS[0], t_matrix(n))
-        return _closed_form(lambda i: lucas_trib(i, cache), n)
+        return term_reader(MatrixKind.LUCAS_MATRIX, cache)(n)
     if strategy is MatrixStrategy.FROM_T:
-        if cache is not None and cache.kind is not SequenceKind.TRIBONACCI:
-            raise ValueError(
-                "FROM_T runs on Tribonacci terms; pass a Tribonacci cache "
-                "or None")
         return mat_mul(K_MAT_SEEDS[0],
                        t_matrix(n, MatrixStrategy.CLOSED_FORM, cache))
     raise ValueError(f"unsupported strategy for k_matrix: {strategy}")

@@ -10,23 +10,19 @@ force summer is kept alongside as the oracle.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Union
 
-from .core import SEEDS, SequenceKind, TermCache, lucas_trib
+from .core import SEEDS, SequenceKind, TermCache, walk
 from .errors import DegenerateDenominator, DivisibilityViolation
-from .matrices import (K_MAT_SEEDS, T_MAT_SEEDS, ZERO, Mat3, MatrixKind,
-                       k_matrix, lucas_fast, t_matrix, trib_fast)
+from .matrices import (KIND_SEEDS, ZERO, Mat3, MatrixKind, lucas_fast,
+                       term_reader)
 
 AnyKind = Union[SequenceKind, MatrixKind]
 
 # 1 - x - x^2 - x^3, constant term first
 DENOMINATOR = (1, -1, -1, -1)
-
-_MATRIX_SCALAR_KIND = {
-    MatrixKind.TRIB_MATRIX: SequenceKind.TRIBONACCI,
-    MatrixKind.LUCAS_MATRIX: SequenceKind.TRIBONACCI_LUCAS,
-}
 
 
 @dataclass(frozen=True)
@@ -77,12 +73,7 @@ def gf_numerators(kind: AnyKind):
     scalars this lands on (0, 1, 0) a.k.a. x and (3, -2, -1) a.k.a.
     3 - 2x - x^2.
     """
-    if isinstance(kind, SequenceKind):
-        s0, s1, s2 = SEEDS[kind]
-    elif kind is MatrixKind.TRIB_MATRIX:
-        s0, s1, s2 = T_MAT_SEEDS
-    else:
-        s0, s1, s2 = K_MAT_SEEDS
+    s0, s1, s2 = KIND_SEEDS[kind][0]
     return (s0, s1 - s0, s2 - s1 - s0)
 
 
@@ -122,47 +113,23 @@ class SumSpec:
             raise ValueError(f"summation requires n >= 1, got n={self.n}")
 
 
-def _term_fn(kind: AnyKind, cache: TermCache | None):
-    scalar_kind = kind if isinstance(kind, SequenceKind) \
-        else _MATRIX_SCALAR_KIND[kind]
-    if cache is None:
-        cache = TermCache(scalar_kind)
-    elif cache.kind is not scalar_kind:
-        raise ValueError("cache holds the wrong sequence for this kind")
-    if isinstance(kind, SequenceKind):
-        return cache.get
-    if kind is MatrixKind.TRIB_MATRIX:
-        return lambda i: t_matrix(i, cache=cache)
-    return lambda i: k_matrix(i, cache=cache)
-
-
-def _kernel_term_fn(kind: AnyKind):
-    # each term on its own in O(log |i|) products: no window up to i
-    return {SequenceKind.TRIBONACCI: trib_fast,
-            SequenceKind.TRIBONACCI_LUCAS: lucas_fast,
-            MatrixKind.TRIB_MATRIX: t_matrix,
-            MatrixKind.LUCAS_MATRIX: k_matrix}[kind]
-
-
 def partial_sum(spec: SumSpec, cache: TermCache | None = None):
     """Closed-form value of the sum described by `spec`.
 
     Assembles six boundary terms and divides by K(m) - K(-m).  The
     terms are read from `cache` when one is passed, else each comes
     from the log-time kernel, so memory stays proportional to the
-    answer rather than to the top index m*n + j.  The
-    division is exact by theorem; a remainder raises
-    DivisibilityViolation (a bug, not bad input), and a vanishing
-    divisor raises DegenerateDenominator (provably impossible for
-    m >= 1, guarded anyway).
+    answer rather than to the top index m*n + j.  The division is
+    exact by theorem; a remainder raises DivisibilityViolation (a bug,
+    not bad input), and a vanishing divisor raises DegenerateDenominator
+    (provably impossible for m >= 1, guarded anyway).
     """
     m, j, n = spec.m, spec.j, spec.n
-    k_m = lucas_trib(m)
-    divisor = k_m - lucas_trib(-m)
+    k_m = lucas_fast(m)
+    divisor = k_m - lucas_fast(-m)
     if divisor == 0:
         raise DegenerateDenominator(f"K({m}) - K({-m}) = 0")
-    term = (_kernel_term_fn(spec.kind) if cache is None
-            else _term_fn(spec.kind, cache))
+    term = term_reader(spec.kind, cache)
     w = 1 - k_m
     top = m * n + j
     numerator = (term(top + m) + term(top - m) + w * term(top)
@@ -176,9 +143,38 @@ def partial_sum(spec: SumSpec, cache: TermCache | None = None):
     return q
 
 
+class _SlidingWindow:
+    """Stand-in for a TermCache that keeps only the five latest terms.
+
+    Any k >= -3; a get may fall at most four below the highest index got
+    so far, which covers the rising indices of a strided sum, each laid
+    out by `_closed_form` from k - 3 .. k + 1.
+    """
+
+    def __init__(self, kind: SequenceKind):
+        self.kind = kind
+        self._window = deque((walk(SEEDS[kind], k) for k in range(-3, 2)),
+                             maxlen=5)
+        self._lo = -3  # index of _window[0]
+
+    def get(self, k: int) -> int:
+        window = self._window
+        while k > self._lo + 4:
+            window.append(window[-1] + window[-2] + window[-3])
+            self._lo += 1
+        return window[k - self._lo]
+
+
 def partial_sum_bruteforce(spec: SumSpec, cache: TermCache | None = None):
-    """Direct n-term summation; the oracle the closed form is tested against."""
-    term = _term_fn(spec.kind, cache)
+    """Direct n-term summation; the oracle the closed form is tested against.
+
+    Terms are read from `cache` when one is passed.  Else a window of
+    scalar terms slides up to the top index m*(n-1) + j, so memory stays
+    of the order of the answer.
+    """
+    if cache is None:
+        cache = _SlidingWindow(KIND_SEEDS[spec.kind][1])
+    term = term_reader(spec.kind, cache)
     total = ZERO if isinstance(spec.kind, MatrixKind) else 0
     for i in range(spec.n):
         total = total + term(spec.m * i + spec.j)

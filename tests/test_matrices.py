@@ -5,9 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tribkit import (DivisibilityViolation, IDENTITY, K_MAT_SEEDS, Mat3,
-                     MatrixStrategy, NegativeExponent, OpCounter,
-                     T_MAT_SEEDS, k_matrix, lucas_fast, lucas_trib, mat_mul,
-                     mat_pow, t_matrix, trib, trib_fast)
+                     MatrixKind, MatrixStrategy, NegativeExponent, OpCounter,
+                     SequenceKind, T_MAT_SEEDS, k_matrix, lucas_fast,
+                     lucas_trib, mat_mul, mat_pow, t_matrix, trib, trib_fast)
+from tribkit.core import walk
+from tribkit.matrices import KIND_SEEDS, kernel_term, term_reader
 
 T_STRATEGIES = (MatrixStrategy.ITERATE, MatrixStrategy.CLOSED_FORM,
                 MatrixStrategy.MAT_POW)
@@ -106,10 +108,23 @@ def test_negative_index_iterate_example():
     assert t_matrix(-3, MatrixStrategy.ITERATE) == TM_NEG3
 
 
-def test_cacheless_strategies_match_iterate():
-    for n in range(-300, 301):
+def test_cacheless_strategies_match_iterate(t_cache, k_cache):
+    # one recurrence from four seed triples: for every kind the walk, the
+    # kernel read-out and the cache's closed form agree
+    caches = {SequenceKind.TRIBONACCI: t_cache,
+              SequenceKind.TRIBONACCI_LUCAS: k_cache,
+              MatrixKind.TRIB_MATRIX: t_cache,
+              MatrixKind.LUCAS_MATRIX: k_cache}
+    ns = [*range(-300, 301), 10**4, -10**4]
+    for kind, cache in caches.items():
+        seeds = KIND_SEEDS[kind][0]
+        read = term_reader(kind, cache)
+        for n in ns:
+            assert walk(seeds, n) == kernel_term(seeds, n) == read(n), (kind, n)
+    for n in ns:
         assert t_matrix(n) == t_matrix(n, MatrixStrategy.ITERATE)
-        assert k_matrix(n) == k_matrix(n, MatrixStrategy.ITERATE)
+        assert k_matrix(n) == k_matrix(n, MatrixStrategy.FROM_T) == k_matrix(
+            n, MatrixStrategy.ITERATE)
     for n in range(-200, 0):
         assert t_matrix(n, MatrixStrategy.MAT_POW) == t_matrix(
             n, MatrixStrategy.ITERATE)

@@ -147,14 +147,17 @@ class TestPartialSums:
         with pytest.raises(ValueError):
             partial_sum(SumSpec(T, 1, 0, 3), k_cache)
 
-    @pytest.mark.parametrize("spec", [SumSpec(TM, 7, 3, 10**5),
-                                      SumSpec(T, 1, 0, 10**5)],
-                             ids=["TM-7-3-1e5", "T-1-0-1e5"])
-    def test_memory_follows_answer_not_index(self, spec):
-        # a window of every term up to m*n + j would take hundreds of MB
+    @pytest.mark.parametrize("summer,spec", [
+        (partial_sum, SumSpec(TM, 7, 3, 10**5)),
+        (partial_sum, SumSpec(T, 1, 0, 10**5)),
+        (partial_sum_bruteforce, SumSpec(TM, 3, 1, 10**4)),
+    ], ids=["TM-7-3-1e5", "T-1-0-1e5", "bruteforce-TM-3-1-1e4"])
+    def test_memory_follows_answer_not_index(self, summer, spec):
+        # a window of every term up to m*n + j would take tens to hundreds
+        # of MB
         tracemalloc.start()
         try:
-            partial_sum(spec)
+            summer(spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -164,7 +167,7 @@ class TestPartialSums:
 class TestGuards:
     def test_degenerate_denominator(self, monkeypatch):
         import tribkit.series as series
-        monkeypatch.setattr(series, "lucas_trib",
+        monkeypatch.setattr(series, "lucas_fast",
                             lambda n, cache=None, counter=None: 7)
         with pytest.raises(DegenerateDenominator):
             series.partial_sum(SumSpec(T, 1, 0, 3))
@@ -172,7 +175,7 @@ class TestGuards:
     def test_divisibility_violation(self, monkeypatch):
         # force divisor 4 while the numerator stays a genuine T-combination
         import tribkit.series as series
-        monkeypatch.setattr(series, "lucas_trib",
+        monkeypatch.setattr(series, "lucas_fast",
                             lambda n, cache=None, counter=None:
                             5 if n >= 0 else 1)
         with pytest.raises(DivisibilityViolation):
