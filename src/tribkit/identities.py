@@ -14,6 +14,7 @@ as tuples compared slotwise, so a failure in either leg surfaces.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -23,7 +24,7 @@ from .core import SequenceKind, TermCache, to_decimal
 from .errors import UnknownIdentity
 from .matrices import (K_MAT_SEEDS, T_MAT_SEEDS, Mat3, MatrixKind, mat_mul,
                        mat_pow, term_reader)
-from .series import SumSpec, partial_sum, partial_sum_bruteforce
+from .series import SumSpec, partial_sum, running_bruteforce
 
 
 class Arity(Enum):
@@ -148,15 +149,19 @@ def registry() -> list[IdentityRecord]:
     """The full static registry; ids are stable and unique.
 
     Each call builds fresh evaluators over private term caches, so
-    returned registries are independent and safe to use concurrently.
+    returned registries are independent of each other and safe to use
+    concurrently.  Within one registry each TM(n) and KM(n) is built
+    once per index, and the sum records keep a running total of their
+    direct summation (`series.running_bruteforce`): a sweep up the n
+    axis adds one term per case instead of summing from i = 0 again.
     """
     tc = TermCache(SequenceKind.TRIBONACCI)
     kc = TermCache(SequenceKind.TRIBONACCI_LUCAS)
     t = tc.get
     k = kc.get
 
-    tm = term_reader(MatrixKind.TRIB_MATRIX, tc)
-    km = term_reader(MatrixKind.LUCAS_MATRIX, kc)
+    tm = functools.cache(term_reader(MatrixKind.TRIB_MATRIX, tc))
+    km = functools.cache(term_reader(MatrixKind.LUCAS_MATRIX, kc))
 
     ident = T_MAT_SEEDS[0]
     tm1 = T_MAT_SEEDS[1]
@@ -171,9 +176,10 @@ def registry() -> list[IdentityRecord]:
                 + 4 * tm(s - 1) + tm(s - 2))
 
     def sum_eval(kind, cache):
+        oracle = running_bruteforce(kind, cache)
+
         def evaluate(m, j, n):
-            spec = SumSpec(kind, m, j, n)
-            return partial_sum(spec, cache), partial_sum_bruteforce(spec, cache)
+            return partial_sum(SumSpec(kind, m, j, n), cache), oracle(m, j, n)
         return evaluate
 
     def rec(id, anchor, arity, domain, evaluate, grid, describe, note=None):

@@ -179,3 +179,28 @@ def partial_sum_bruteforce(spec: SumSpec, cache: TermCache | None = None):
     for i in range(spec.n):
         total = total + term(spec.m * i + spec.j)
     return total
+
+
+def running_bruteforce(kind: AnyKind, cache: TermCache):
+    """(m, j, n) -> `partial_sum_bruteforce` of `kind` over `cache`, along n.
+
+    Called at (m, j, n) right after (m, j, n - 1), it adds the one term
+    m*(n-1) + j to the total it stored; after any other call (the first,
+    an out-of-order or a repeated one) it sums from i = 0 again.  So a
+    sweep up the n axis costs O(n) terms instead of O(n^2), and stays
+    plain summation.  The latest ((m, j, n), total) is stored as one
+    tuple, so a shared instance always reads a matching pair.
+    """
+    term = term_reader(kind, cache)
+    latest = (None, None)
+
+    def total(m: int, j: int, n: int):
+        nonlocal latest
+        key, value = latest
+        if key == (m, j, n - 1):
+            value = value + term(m * (n - 1) + j)
+        else:
+            value = partial_sum_bruteforce(SumSpec(kind, m, j, n), cache)
+        latest = ((m, j, n), value)
+        return value
+    return total

@@ -1,11 +1,15 @@
 import json
+import random
 
 import pytest
 
-from tribkit import (Arity, GridBounds, IdentityRecord, PROFILE_BOUNDS,
-                     Profile, UnknownIdentity, format_report_table,
-                     VerifyReport, lucas_trib, registry, report_to_dict,
-                     trib, verify, verify_all, verify_record)
+from tribkit import (IDENTITY, Arity, GridBounds, IdentityRecord, MatrixKind,
+                     PROFILE_BOUNDS, Profile, SequenceKind, SumSpec,
+                     TermCache, UnknownIdentity, format_report_table,
+                     VerifyReport, lucas_trib, partial_sum_bruteforce,
+                     registry, report_to_dict, trib, verify, verify_all,
+                     verify_record)
+from tribkit import identities, series
 from tribkit.identities import Failure
 
 EXPECTED_IDS = {
@@ -110,6 +114,109 @@ class TestVerify:
         assert len(reports) == len(registry())
         assert all(r.passed for r in reports)
         assert sum(r.cases for r in reports) >= 3000
+
+    def test_verify_all_deep(self):
+        # grid sizes at signed = 100, pair = 60, counted from each domain
+        deep_cases = {
+            "all integers n": 201,         # n in [-100, 100]
+            "n >= 0": 101,                 # n in [0, 100]
+            "m, n >= 0": 61 * 61,          # (m, n) in [0, 60]^2
+            "n >= r >= 0": 61 * 62 // 2,   # 0 <= r <= n <= 60
+            "m > j >= 0, n >= 1": 55 * 60,  # 55 (m, j) with m <= 10
+        }
+        reports = verify_all(Profile.DEEP)
+        domains = {r.id: r.domain for r in registry()}
+        assert [r.identity_id for r in reports] == list(domains)
+        for report in reports:
+            assert report.passed, report.identity_id
+            assert report.cases == deep_cases[domains[report.identity_id]], \
+                report.identity_id
+
+
+# identity id -> (kind summed, scalar sequence its terms come from, unit)
+SUM_RECORDS = {
+    "SUMTHMa": (MatrixKind.TRIB_MATRIX, SequenceKind.TRIBONACCI, IDENTITY),
+    "SUMCORb": (SequenceKind.TRIBONACCI_LUCAS,
+                SequenceKind.TRIBONACCI_LUCAS, 1),
+}
+
+
+def _sum_record(identity_id):
+    return next(r for r in registry() if r.id == identity_id)
+
+
+class TestSumOracle:
+    """The sum records' running totals against a fresh direct sum."""
+
+    @pytest.mark.parametrize("identity_id", sorted(SUM_RECORDS))
+    def test_call_order_does_not_matter(self, identity_id, monkeypatch):
+        kind, scalar, _ = SUM_RECORDS[identity_id]
+        quick = PROFILE_BOUNDS[Profile.QUICK]
+        points = list(_sum_record(identity_id).grid(quick))
+        shuffled = random.Random(20180101).sample(points, len(points))
+        # per (m, j): steps up, repeats, skips forwards and backwards
+        uneven_n = (1, 2, 2, 4, 5, 3, 4, 4, 7, 6, 10, 1)
+        uneven = [(m, j, n) for m, j in sorted({p[:2] for p in points})
+                  for n in uneven_n]
+        real = series.partial_sum_bruteforce
+        resums = 0
+
+        def counting_bruteforce(spec, cache=None):
+            nonlocal resums
+            resums += 1
+            return real(spec, cache)
+
+        monkeypatch.setattr(series, "partial_sum_bruteforce",
+                            counting_bruteforce)
+        fresh = TermCache(scalar)
+        for order in (shuffled, uneven):
+            resums = 0
+            record = _sum_record(identity_id)
+            for m, j, n in order:
+                _, right = record.evaluate(m, j, n)
+                assert right == real(SumSpec(kind, m, j, n), fresh), (m, j, n)
+            # a call right after (m, j, n - 1) adds one term; any other resums
+            steps = sum(prev == (m, j, n - 1)
+                        for prev, (m, j, n) in zip(order, order[1:]))
+            assert resums == len(order) - steps
+        assert steps == 3 * 55
+
+    @pytest.mark.parametrize("identity_id", sorted(SUM_RECORDS))
+    def test_negative_control_one_wrong_point(self, identity_id,
+                                              monkeypatch):
+        kind, scalar, unit = SUM_RECORDS[identity_id]
+        real = identities.partial_sum
+        bad = (3, 1, 7)
+
+        def skewed(spec, cache=None):
+            value = real(spec, cache)
+            if (spec.m, spec.j, spec.n) == bad:
+                value = value + unit
+            return value
+
+        monkeypatch.setattr(identities, "partial_sum", skewed)
+        report = verify_record(_sum_record(identity_id),
+                               PROFILE_BOUNDS[Profile.QUICK])
+        right = partial_sum_bruteforce(SumSpec(kind, *bad), TermCache(scalar))
+        assert report.cases == 55 * 10
+        assert report.failures == (Failure(bad, right + unit, right),)
+
+    def test_cache_reads_linear_in_n(self, monkeypatch):
+        # 3300 cases; re-summing from i = 0 at every n reads 602 250 terms
+        reads = 0
+        real_get = TermCache.get
+
+        def counting_get(cache, n):
+            nonlocal reads
+            reads += 1
+            return real_get(cache, n)
+
+        monkeypatch.setattr(TermCache, "get", counting_get)
+        report = verify_record(_sum_record("SUMTHMa"),
+                               PROFILE_BOUNDS[Profile.DEEP])
+        assert report.passed
+        assert report.cases == 3300
+        assert reads < 200_000
 
 
 
