@@ -24,9 +24,9 @@ from .identities import (Arity, GridBounds, IdentityRecord, PROFILE_BOUNDS,
 from .matrices import (IDENTITY, K_MAT_SEEDS, Mat3, MatrixKind,
                        MatrixStrategy, T_MAT_SEEDS, ZERO, k_matrix,
                        lucas_fast, mat_mul, mat_pow, t_matrix, trib_fast)
-from .series import (DENOMINATOR, PolyRational, SumSpec, gf_coeffs,
-                     gf_matrix_coeffs, gf_numerators, gf_rational,
-                     partial_sum, partial_sum_bruteforce)
+from .series import (DENOMINATOR, SumSpec, gf_coeffs, gf_matrix_coeffs,
+                     gf_numerators, gf_stream, partial_sum,
+                     partial_sum_bruteforce)
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "NegativeExponent",
     "OpCounter",
     "PROFILE_BOUNDS",
-    "PolyRational",
     "PrecisionExhausted",
     "Profile",
     "RootTriple",
@@ -73,7 +72,7 @@ __all__ = [
     "gf_coeffs",
     "gf_matrix_coeffs",
     "gf_numerators",
-    "gf_rational",
+    "gf_stream",
     "k_matrix",
     "lucas_fast",
     "lucas_from_trib",

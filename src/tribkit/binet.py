@@ -34,10 +34,6 @@ DEFAULT_PRECISION = 256
 _GUARD_BITS = 32
 _ROUND_TOL = 0.25
 
-# 3x3 nested tuples of mpmath complex numbers
-CMat = tuple
-
-
 @dataclass(frozen=True)
 class RootTriple:
     """Roots of the characteristic cubic: real alpha, conjugates beta/gamma."""
@@ -52,12 +48,12 @@ class RootTriple:
 class BinetConstants:
     """The six fixed complex matrices weighting the root powers."""
 
-    a1: CMat
-    b1: CMat
-    c1: CMat
-    a2: CMat
-    b2: CMat
-    c2: CMat
+    a1: mp.matrix
+    b1: mp.matrix
+    c1: mp.matrix
+    a2: mp.matrix
+    b2: mp.matrix
+    c2: mp.matrix
     precision: int
 
 
@@ -114,11 +110,13 @@ def _round_to_int(z, context: str, precision: int) -> int:
     # A float of magnitude >= 2**(p-2) cannot resolve quarter-integers at
     # all: it is integral at ulp granularity and would "round cleanly" to
     # a wrong value.  Reject on magnitude before trusting the window test.
-    if mp.mag(real) > precision - 2:
+    magnitude = mp.mag(real)
+    if magnitude > precision - 2:
+        bits = int(magnitude) + 2
         raise PrecisionExhausted(
-            f"{context}: magnitude 2^{int(mp.mag(real))} exceeds what "
+            f"{context}: magnitude 2^{int(magnitude)} exceeds what "
             f"{precision} bits resolve to +/-{_ROUND_TOL}; raise the "
-            "working precision")
+            f"working precision to {bits} bits (--precision {bits})")
     nearest = mp.nint(real)
     if abs(imag) > _ROUND_TOL or abs(real - nearest) > _ROUND_TOL:
         raise PrecisionExhausted(
@@ -148,32 +146,6 @@ def binet_lucas(n: int, precision: int = DEFAULT_PRECISION,
         return _round_to_int(total, f"binet_lucas({n})", precision)
 
 
-def cmat_from_mat3(m: Mat3) -> CMat:
-    return tuple(tuple(mpc(x) for x in row) for row in m.rows())
-
-
-def cmat_scale(s, m: CMat) -> CMat:
-    return tuple(tuple(s * x for x in row) for row in m)
-
-
-def cmat_add(a: CMat, b: CMat) -> CMat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def cmat_sub(a: CMat, b: CMat) -> CMat:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def cmat_mul(a: CMat, b: CMat) -> CMat:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3))
-
-
-def cmat_max_abs(m: CMat):
-    return max(abs(x) for row in m for x in row)
-
-
 def binet_constants(precision: int = DEFAULT_PRECISION,
                     roots: RootTriple | None = None) -> BinetConstants:
     """Solve the order-3 power form against the seed matrices.
@@ -186,10 +158,8 @@ def binet_constants(precision: int = DEFAULT_PRECISION,
     r = roots if roots is not None else compute_roots(precision)
     with mp.workprec(precision + _GUARD_BITS):
         def constant(x, y, z, seeds):
-            m0, m1, m2 = (cmat_from_mat3(s) for s in seeds)
-            num = cmat_add(cmat_add(cmat_scale(x, m2),
-                                    cmat_scale(x * (x - 1), m1)), m0)
-            return cmat_scale(1 / (x * (x - y) * (x - z)), num)
+            m0, m1, m2 = (mp.matrix(s.rows()) for s in seeds)
+            return (x * m2 + x * (x - 1) * m1 + m0) / (x * (x - y) * (x - z))
 
         a, b, g = r.alpha, r.beta, r.gamma
         return BinetConstants(
@@ -215,14 +185,11 @@ def binet_matrix(kind: MatrixKind, n: int,
     else:
         weights = (c.a2, c.b2, c.c2)
     with mp.workprec(precision + _GUARD_BITS):
-        acc = cmat_add(
-            cmat_add(cmat_scale(r.alpha**n, weights[0]),
-                     cmat_scale(r.beta**n, weights[1])),
-            cmat_scale(r.gamma**n, weights[2]))
+        acc = (r.alpha**n * weights[0] + r.beta**n * weights[1]
+               + r.gamma**n * weights[2])
         context = f"binet_matrix({kind.value}, {n})"
-        return Mat3.from_rows(
-            tuple(tuple(_round_to_int(x, context, precision) for x in row)
-                  for row in acc))
+        # mp.matrix iterates row by row, as Mat3 lays its entries out
+        return Mat3(tuple(_round_to_int(x, context, precision) for x in acc))
 
 
 @dataclass(frozen=True)
@@ -264,13 +231,13 @@ def check_constant_algebra(precision: int = DEFAULT_PRECISION,
         family2 = {"A2": c.a2, "B2": c.b2, "C2": c.c2}
         checks = []
         for name, m in family1.items():
-            dev = cmat_max_abs(cmat_sub(cmat_mul(m, m), m))
+            dev = mp.norm(m * m - m, mp.inf)  # max entrywise deviation
             checks.append(AlgebraCheck(f"{name}^2 - {name}", float(dev)))
         for family in (family1, family2):
             for x, mx in family.items():
                 for y, my in family.items():
                     if x == y:
                         continue
-                    dev = cmat_max_abs(cmat_mul(mx, my))
+                    dev = mp.norm(mx * my, mp.inf)
                     checks.append(AlgebraCheck(f"{x}*{y}", float(dev)))
         return ConstantAlgebraReport(precision, epsilon, tuple(checks))

@@ -5,8 +5,8 @@ exhausted, 4 cross-strategy value mismatch.  Big integers are emitted as
 decimal strings in JSON (never floats -- values outgrow 64-bit parsers
 within a few dozen indices).
 
-Each command returns its answer once, as an Output; `emit` alone knows
-the formats.
+Each command states its answer once, as an Output that writes itself in
+each format; `emit` writes the one asked for, a listing item by item.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
+from typing import Iterator
 
 from .bench import STRATEGIES, run_bench
 from .binet import DEFAULT_PRECISION
@@ -25,8 +26,7 @@ from .errors import PrecisionExhausted, StrategyMismatch, UnknownIdentity
 from .identities import (PROFILE_BOUNDS, Profile, format_report_table,
                          registry, report_to_dict, verify_record)
 from .matrices import Mat3, MatrixKind, k_matrix, t_matrix
-from .series import (SumSpec, gf_coeffs, gf_matrix_coeffs, partial_sum,
-                     partial_sum_bruteforce)
+from .series import SumSpec, gf_stream, partial_sum, partial_sum_bruteforce
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -40,26 +40,143 @@ _BENCH_FIELDS = ("strategy", "kind", "n", "elapsed_ms", "big_adds",
                  "big_muls", "mat_muls", "precision")
 
 
-@dataclass(frozen=True)
 class Output:
-    """A command's answer, numbers as decimal strings, in every format."""
+    """A command's answer, stated once: `plain(write)`, `json(write)` and
+    `csv(writer)` each render it in one format."""
 
-    text: str           # plain
-    data: object        # JSON document
-    header: list        # CSV header
-    rows: list          # CSV rows
-    code: int = EXIT_OK
+    code = EXIT_OK
+
+
+def _doc(value):
+    """An int as a decimal string, a Mat3 as a grid of them."""
+    return value.decimal_rows() if isinstance(value, Mat3) \
+        else to_decimal(value)
+
+
+def _text(value) -> str:
+    doc = _doc(value)
+    return doc if isinstance(doc, str) else "\n".join(map(" ".join, doc))
+
+
+def _write_cells(writer, fields: dict, value, extra: dict, header: bool):
+    """CSV rows of an int or Mat3 between `fields` and `extra`; matrix
+    cells carry 1-based row and column, matching the prose convention."""
+    doc = _doc(value)
+    if isinstance(doc, str):
+        columns, cells = ["value"], [[doc]]
+    else:
+        columns = ["row", "col", "value"]
+        cells = [[r + 1, c + 1, x] for r, row in enumerate(doc)
+                 for c, x in enumerate(row)]
+    if header:
+        writer.writerow([*fields, *columns, *extra])
+    writer.writerows([*fields.values(), *cell, *extra.values()]
+                     for cell in cells)
+
+
+@dataclass(frozen=True)
+class Value(Output):
+    """An int or Mat3 named by `fields`, the keys of its JSON object
+    (bare=True: the value alone) and the first CSV columns; `extra`
+    follows the value there, and `note` lines follow it in plain text."""
+
+    fields: dict
+    value: object
+    bare: bool = False
+    extra: dict = field(default_factory=dict)
+    note: tuple = ()
+
+    def plain(self, write):
+        write("\n".join([_text(self.value), *self.note]) + "\n")
+
+    def json(self, write):
+        doc = _doc(self.value)
+        if not self.bare:
+            doc = {**self.fields, "value": doc, **self.extra}
+        write(json.dumps(doc) + "\n")
+
+    def csv(self, writer):
+        _write_cells(writer, self.fields, self.value, self.extra, True)
+
+
+@dataclass(frozen=True)
+class Listing(Output):
+    """Ints or Mat3s drawn one at a time, value i named by `fields` and
+    "i"; JSON is an array of the bare values."""
+
+    fields: dict
+    values: Iterator
+
+    def plain(self, write):
+        for i, value in enumerate(self.values):
+            if isinstance(value, Mat3):  # a line each
+                text = f"\n{i}: " + _text(value).replace("\n", " | ")
+            else:
+                text = " " + _text(value)
+            write(text[1:] if i == 0 else text)
+        write("\n")
+
+    def json(self, write):
+        write("[")
+        for i, value in enumerate(self.values):
+            write((", " if i else "") + json.dumps(_doc(value)))
+        write("]\n")
+
+    def csv(self, writer):
+        for i, value in enumerate(self.values):
+            _write_cells(writer, {**self.fields, "i": i}, value, {}, i == 0)
+
+
+@dataclass(frozen=True)
+class Reports(Output):
+    reports: list
+    code: int
+
+    def plain(self, write):
+        failed = [r.identity_id for r in self.reports if not r.passed]
+        write(format_report_table(self.reports) + "\n"
+              + (f"FAILED: {', '.join(failed)}" if failed
+                 else f"all {len(self.reports)} identities passed") + "\n")
+
+    def json(self, write):
+        write(json.dumps([report_to_dict(r) for r in self.reports]) + "\n")
+
+    def csv(self, writer):
+        writer.writerow(["id", "status", "cases", "failures", "elapsed_ms"])
+        writer.writerows(
+            [r.identity_id, "pass" if r.passed else "fail", r.cases,
+             len(r.failures), round(r.elapsed_s * 1000, 3)]
+            for r in self.reports)
+
+
+@dataclass(frozen=True)
+class BenchRows(Output):
+    rows: list  # dicts of _BENCH_FIELDS
+
+    def plain(self, write):
+        line = "{:<10} {:>12} {:>12} {:>12} {:>12} {:>8}  {}\n".format
+        write(line(*"STRATEGY N MS ADDS MULS MATMULS PRECISION".split()))
+        for r in self.rows:
+            write(line(r["strategy"], r["n"], f"{r['elapsed_ms']:.3f}",
+                       r["big_adds"], r["big_muls"], r["mat_muls"],
+                       "-" if r["precision"] is None else r["precision"]))
+
+    def json(self, write):
+        write(json.dumps(self.rows) + "\n")
+
+    def csv(self, writer):
+        writer.writerow(_BENCH_FIELDS)
+        # csv writes None (no precision) as an empty field
+        writer.writerows(row.values() for row in self.rows)
 
 
 def emit(out: Output, fmt: str) -> None:
-    if fmt == "plain":
-        print(out.text)
-    elif fmt == "json":
-        print(json.dumps(out.data))
+    """Write `out` to stdout in `fmt` alone; a listing is drawn only as it
+    is written, so it is never held whole."""
+    if fmt == "csv":
+        out.csv(csv.writer(sys.stdout, lineterminator="\n"))
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(out.header)
-        writer.writerows(out.rows)
+        getattr(out, fmt)(sys.stdout.write)
 
 
 def _bits(text: str) -> int:
@@ -130,80 +247,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _value(value) -> tuple[str, object, list[str], list[list]]:
-    """Plain text, JSON value, CSV columns and CSV cells of an int or Mat3.
-
-    Matrix cells carry 1-based row and column, matching the prose
-    convention.
-    """
-    if isinstance(value, Mat3):
-        grid = value.decimal_rows()
-        cells = [[r + 1, c + 1, x] for r, row in enumerate(grid)
-                 for c, x in enumerate(row)]
-        return ("\n".join(map(" ".join, grid)), grid,
-                ["row", "col", "value"], cells)
-    text = to_decimal(value)
-    return text, text, ["value"], [[text]]
-
-
-def _answer(fields: dict, value, wrap: bool = True,
-            extra: dict | None = None) -> Output:
-    """One value with the fields that name it.
-
-    JSON is an object of the fields, the value and `extra` -- or, with
-    wrap=False, the bare value; each CSV row repeats the fields.
-    """
-    extra = extra or {}
-    text, data, columns, cells = _value(value)
-    return Output(
-        text, {**fields, "value": data, **extra} if wrap else data,
-        [*fields, *columns, *extra],
-        [[*fields.values(), *cell, *extra.values()] for cell in cells])
-
-
 def cmd_term(args) -> Output:
     value = STRATEGIES[args.strategy](KINDS[args.kind], args.n,
                                       args.precision, None)
-    return _answer({"kind": args.kind, "n": args.n,
-                    "strategy": args.strategy}, value)
+    return Value({"kind": args.kind, "n": args.n,
+                  "strategy": args.strategy}, value)
 
 
 def cmd_matrix(args) -> Output:
     fn = t_matrix if args.kind == "T" else k_matrix
-    return _answer({"kind": args.kind, "n": args.n}, fn(args.n), wrap=False)
+    return Value({"kind": args.kind, "n": args.n}, fn(args.n), bare=True)
 
 
 def cmd_sum(args) -> Output:
     spec = SumSpec(KINDS[args.kind], args.m, args.j, args.n)
     value = partial_sum(spec)
-    if args.check:
-        oracle = partial_sum_bruteforce(spec)
-        if value != oracle:
-            raise StrategyMismatch(
-                f"closed form {_value(value)[0]} disagrees with "
-                f"brute force {_value(oracle)[0]} for {spec}")
-    out = _answer({"kind": args.kind, "m": args.m, "j": args.j,
-                   "n": args.n}, value,
-                  extra={"check": "ok"} if args.check else None)
-    if args.check:
-        out = replace(out, text=out.text
-                      + "\ncheck: closed form matches brute force")
-    return out
+    fields = {"kind": args.kind, "m": args.m, "j": args.j, "n": args.n}
+    if not args.check:
+        return Value(fields, value)
+    oracle = partial_sum_bruteforce(spec)
+    if value != oracle:
+        raise StrategyMismatch(
+            f"closed form {_text(value)} disagrees with "
+            f"brute force {_text(oracle)} for {spec}")
+    return Value(fields, value, extra={"check": "ok"},
+                 note=("check: closed form matches brute force",))
 
 
 def cmd_gf(args) -> Output:
-    kind = KINDS[args.kind]
-    scalar = isinstance(kind, SequenceKind)
-    coeffs = (gf_coeffs if scalar else gf_matrix_coeffs)(kind, args.count)
-    answers = [_answer({"kind": args.kind, "i": i}, c, wrap=False)
-               for i, c in enumerate(coeffs)]
-    if scalar:
-        text = " ".join(a.text for a in answers)
-    else:
-        text = "\n".join(f"{i}: " + a.text.replace("\n", " | ")
-                         for i, a in enumerate(answers))
-    return Output(text, [a.data for a in answers], answers[0].header,
-                  [row for a in answers for row in a.rows])
+    return Listing({"kind": args.kind},
+                   gf_stream(KINDS[args.kind], args.count))
 
 
 def cmd_verify(args) -> Output:
@@ -214,36 +287,18 @@ def cmd_verify(args) -> Output:
     bounds = PROFILE_BOUNDS[Profile(args.profile)]
     reports = [verify_record(records[identity_id], bounds)
                for identity_id in args.ids or records]
-    failed = [r.identity_id for r in reports if not r.passed]
-    summary = (f"FAILED: {', '.join(failed)}" if failed
-               else f"all {len(reports)} identities passed")
-    return Output(
-        format_report_table(reports) + "\n" + summary,
-        [report_to_dict(r) for r in reports],
-        ["id", "status", "cases", "failures", "elapsed_ms"],
-        [[r.identity_id, "pass" if r.passed else "fail", r.cases,
-          len(r.failures), round(r.elapsed_s * 1000, 3)] for r in reports],
-        code=1 if failed else EXIT_OK)
+    return Reports(reports, 1 if any(not r.passed for r in reports)
+                   else EXIT_OK)
 
 
 def cmd_bench(args) -> Output:
     ns = [int(part) for part in args.n.split(",") if part]
     strategies = [part for part in args.strategies.split(",") if part]
     results = run_bench(KINDS[args.kind], ns, strategies, args.precision)
-    rows = [dict(zip(_BENCH_FIELDS, (
+    return BenchRows([dict(zip(_BENCH_FIELDS, (
         r.strategy, args.kind, r.n, round(r.elapsed_s * 1000, 3),
         r.big_adds, r.big_muls, r.mat_muls, r.precision)))
-        for r in results]
-    lines = [f"{'STRATEGY':<10} {'N':>12} {'MS':>12} {'ADDS':>12} "
-             f"{'MULS':>12} {'MATMULS':>8}  PRECISION"]
-    for row in rows:
-        prec = row["precision"] if row["precision"] is not None else "-"
-        lines.append(f"{row['strategy']:<10} {row['n']:>12} "
-                     f"{row['elapsed_ms']:>12.3f} {row['big_adds']:>12} "
-                     f"{row['big_muls']:>12} {row['mat_muls']:>8}  {prec}")
-    # csv writes None (no precision) as an empty field
-    return Output("\n".join(lines), rows, list(_BENCH_FIELDS),
-                  [list(row.values()) for row in rows])
+        for r in results])
 
 
 def main(argv: list[str] | None = None) -> int:

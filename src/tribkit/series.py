@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
 
 from .core import SEEDS, SequenceKind, TermCache, walk
 from .errors import DegenerateDenominator, DivisibilityViolation
@@ -23,47 +23,6 @@ AnyKind = Union[SequenceKind, MatrixKind]
 
 # 1 - x - x^2 - x^3, constant term first
 DENOMINATOR = (1, -1, -1, -1)
-
-
-@dataclass(frozen=True)
-class PolyRational:
-    """A series numerator over the fixed cubic denominator.
-
-    `numerator` holds the (constant, x, x^2) coefficients -- ints for the
-    scalar series, Mat3 for the matrix series.  The denominator is
-    locked to 1 - x - x^2 - x^3; its leading 1 is what makes forward
-    substitution well-defined.  General rational-function algebra is out
-    of scope.
-    """
-
-    numerator: tuple
-    denominator: tuple[int, ...] = DENOMINATOR
-
-    def __post_init__(self):
-        if self.denominator != DENOMINATOR:
-            raise ValueError(
-                "only the fixed denominator 1 - x - x^2 - x^3 is supported")
-
-    def coefficients(self, count: int) -> list:
-        """First `count` series coefficients by forward substitution.
-
-        c(i) = num(i) + c(i-1) + c(i-2) + c(i-3), missing terms zero.
-        """
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        numerator = self.numerator
-        zero = numerator[0] - numerator[0]  # typed zero (int or Mat3)
-        out = []
-        for i in range(count):
-            c = numerator[i] if i < len(numerator) else zero
-            if i >= 1:
-                c = c + out[i - 1]
-            if i >= 2:
-                c = c + out[i - 2]
-            if i >= 3:
-                c = c + out[i - 3]
-            out.append(c)
-        return out
 
 
 def gf_numerators(kind: AnyKind):
@@ -77,19 +36,38 @@ def gf_numerators(kind: AnyKind):
     return (s0, s1 - s0, s2 - s1 - s0)
 
 
-def gf_rational(kind: AnyKind) -> PolyRational:
-    """The generating function of `kind` as a PolyRational."""
-    return PolyRational(gf_numerators(kind))
+def gf_stream(kind: AnyKind, count: int) -> Iterator:
+    """First `count` series coefficients of `kind`, one at a time.
+
+    Coefficient i equals term i.  Each comes from the three before it by
+    forward substitution, c(i) = num(i) + c(i-1) + c(i-2) + c(i-3) with
+    missing terms zero, so the stream holds three coefficients, never
+    the listing.  A count below 1 raises here, before anything is drawn.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    return _expand(gf_numerators(kind), count)
+
+
+def _expand(numerator: tuple, count: int) -> Iterator:
+    # c(i-1), c(i-2), c(i-3), starting as zeros of the numerator's type
+    c1 = c2 = c3 = numerator[0] - numerator[0]
+    for i in range(count):
+        c = c1 + c2 + c3
+        if i < len(numerator):
+            c = numerator[i] + c
+        yield c
+        c1, c2, c3 = c, c1, c2
 
 
 def gf_coeffs(kind: SequenceKind, count: int) -> list[int]:
     """First `count` series coefficients; coefficient i equals term i."""
-    return gf_rational(kind).coefficients(count)
+    return list(gf_stream(kind, count))
 
 
 def gf_matrix_coeffs(kind: MatrixKind, count: int) -> list[Mat3]:
     """First `count` matrix series coefficients, expanded entrywise."""
-    return gf_rational(kind).coefficients(count)
+    return list(gf_stream(kind, count))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from mpmath import mp
 
@@ -5,7 +7,6 @@ from tribkit import (MatrixKind, PrecisionExhausted, binet_lucas,
                      binet_matrix, binet_trib, check_constant_algebra,
                      compute_roots, k_matrix, lucas_trib, radical_roots,
                      t_matrix, trib)
-from tribkit.binet import cmat_add, cmat_from_mat3, cmat_scale, cmat_sub, cmat_max_abs
 
 ALPHA_64 = 1.839286755214161  # real root, double precision reference
 
@@ -77,6 +78,18 @@ class TestScalarBinet:
         with pytest.raises(PrecisionExhausted):
             binet_trib(-700, 256)
 
+    @pytest.mark.parametrize("n", [1000, -2000])
+    @pytest.mark.parametrize("binet,exact", [(binet_trib, trib),
+                                             (binet_lucas, lucas_trib)],
+                             ids=["trib", "lucas"])
+    def test_exhausted_precision_names_the_bits_to_pass(self, binet, exact,
+                                                        n):
+        with pytest.raises(PrecisionExhausted) as excinfo:
+            binet(n, 256)
+        bits = int(re.search(r"--precision (\d+)\)", str(excinfo.value))[1])
+        assert bits > 256
+        assert binet(n, bits) == exact(n)
+
     def test_more_bits_extend_the_range(self):
         assert binet_trib(2000, 2048) == trib(2000)
         assert binet_lucas(-1000, 1024) == lucas_trib(-1000)
@@ -107,26 +120,20 @@ class TestConstants:
         c = constants256
         with mp.workprec(300):
             eps = mp.mpf(2) ** (8 - 256)
-            ident = cmat_from_mat3(t_matrix(0))
-            total = cmat_add(cmat_add(c.a1, c.b1), c.c1)
-            assert cmat_max_abs(cmat_sub(total, ident)) < eps
-            km0 = cmat_from_mat3(k_matrix(0))
-            total = cmat_add(cmat_add(c.a2, c.b2), c.c2)
-            assert cmat_max_abs(cmat_sub(total, km0)) < eps
+            ident = mp.matrix(t_matrix(0).rows())
+            assert mp.norm(c.a1 + c.b1 + c.c1 - ident, mp.inf) < eps
+            km0 = mp.matrix(k_matrix(0).rows())
+            assert mp.norm(c.a2 + c.b2 + c.c2 - km0, mp.inf) < eps
 
     def test_weighted_powers_hit_seed_matrices(self, roots256, constants256):
         a, b, g = roots256.alpha, roots256.beta, roots256.gamma
         c = constants256
         with mp.workprec(300):
             eps = mp.mpf(2) ** (8 - 256)
-            tm2 = cmat_add(
-                cmat_add(cmat_scale(a**2, c.a1), cmat_scale(b**2, c.b1)),
-                cmat_scale(g**2, c.c1))
-            assert cmat_max_abs(cmat_sub(tm2, cmat_from_mat3(t_matrix(2)))) < eps
-            km1 = cmat_add(
-                cmat_add(cmat_scale(a, c.a2), cmat_scale(b, c.b2)),
-                cmat_scale(g, c.c2))
-            assert cmat_max_abs(cmat_sub(km1, cmat_from_mat3(k_matrix(1)))) < eps
+            tm2 = a**2 * c.a1 + b**2 * c.b1 + g**2 * c.c1
+            assert mp.norm(tm2 - mp.matrix(t_matrix(2).rows()), mp.inf) < eps
+            km1 = a * c.a2 + b * c.b2 + g * c.c2
+            assert mp.norm(km1 - mp.matrix(k_matrix(1).rows()), mp.inf) < eps
 
     def test_constant_algebra_report(self, constants256):
         report = check_constant_algebra(256, 1e-50, constants256)

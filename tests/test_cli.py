@@ -1,5 +1,7 @@
+import contextlib
 import json
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -136,9 +138,32 @@ class TestGf:
                                     ["0", "0", "1"]]]
 
     def test_count_floor_exits_2(self, capsys):
-        code, _, err = run(["gf", "T", "0"], capsys)
+        code, out, err = run(["gf", "T", "0"], capsys)
         assert code == 2
+        assert out == ""
         assert "count" in err
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_listing_streams(self, fmt):
+        # memory of about one term: holding the listing, in any format,
+        # would take several times the bytes written
+        class Discard:
+            written = 0
+
+            def write(self, text):
+                self.written += len(text)  # ASCII: one byte a character
+
+        sink = Discard()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["gf", "TM", "4000", "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.written > 15 * 2**20
+        assert peak < sink.written / 4
 
 
 class TestVerify:
@@ -159,8 +184,9 @@ class TestVerify:
         assert "all 3 identities passed" in lines[-1]
 
     def test_unknown_identity_exits_2(self, capsys):
-        code, _, err = run(["verify", "NOPE"], capsys)
+        code, out, err = run(["verify", "NOPE"], capsys)
         assert code == 2
+        assert out == ""
         assert "unknown identity" in err
 
     def test_json_report_schema(self, capsys):
@@ -224,9 +250,10 @@ class TestBench:
         import tribkit.bench as bench
         monkeypatch.setitem(bench.STRATEGIES, "matpow",
                             lambda kind, n, precision, counter: 0)
-        code, _, err = run(["bench", "--n", "10",
-                            "--strategies", "iterate,matpow"], capsys)
+        code, out, err = run(["bench", "--n", "10",
+                              "--strategies", "iterate,matpow"], capsys)
         assert code == 4
+        assert out == ""
         assert "disagree" in err
 
 
@@ -301,9 +328,10 @@ class TestBigAnswers:
         monkeypatch.setitem(bench.STRATEGIES, "matpow",
                             lambda kind, n, precision, counter:
                             trib_fast(n) + 1)
-        code, _, err = run(["bench", "--n", "100000",
-                            "--strategies", "iterate,matpow"], capsys)
+        code, out, err = run(["bench", "--n", "100000",
+                              "--strategies", "iterate,matpow"], capsys)
         assert code == 4
+        assert out == ""
         assert "disagree" in err
 
     def test_sum_check_mismatch_exits_4(self, capsys, monkeypatch,
@@ -312,9 +340,10 @@ class TestBigAnswers:
         from tribkit import SequenceKind, SumSpec, partial_sum
         monkeypatch.setattr(cli, "partial_sum_bruteforce",
                             lambda spec: partial_sum(spec) + 1)
-        code, _, err = run(["sum", "T", "1", "0", "20000", "--check"],
-                           capsys)
+        code, out, err = run(["sum", "T", "1", "0", "20000", "--check"],
+                             capsys)
         assert code == 4
+        assert out == ""
         value = partial_sum(SumSpec(SequenceKind.TRIBONACCI, 1, 0, 20000))
         assert unlimited_str(value + 1) in err
 

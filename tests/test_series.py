@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from tribkit import (DENOMINATOR, DegenerateDenominator,
                      DivisibilityViolation, K_MAT_SEEDS, Mat3, MatrixKind,
-                     PolyRational, SequenceKind, SumSpec, T_MAT_SEEDS,
-                     gf_coeffs, gf_matrix_coeffs, gf_numerators, gf_rational,
-                     k_matrix, lucas_trib, partial_sum, partial_sum_bruteforce,
+                     SequenceKind, SumSpec, T_MAT_SEEDS, gf_coeffs,
+                     gf_matrix_coeffs, gf_numerators, gf_stream, k_matrix,
+                     lucas_trib, partial_sum, partial_sum_bruteforce,
                      t_matrix, trib)
 
 T = SequenceKind.TRIBONACCI
@@ -66,20 +66,26 @@ class TestGeneratingFunctions:
             gf_coeffs(T, 0)
         with pytest.raises(ValueError):
             gf_matrix_coeffs(TM, 0)
+        # raised by the call itself, before a coefficient is drawn
+        with pytest.raises(ValueError):
+            gf_stream(K, 0)
+        with pytest.raises(ValueError):
+            gf_stream(KM, -1)
 
     def test_rational_carries_fixed_denominator(self):
         assert DENOMINATOR == (1, -1, -1, -1)
-        assert DENOMINATOR[0] == 1
-        rational = gf_rational(K)
-        assert rational.denominator == DENOMINATOR
-        assert rational.coefficients(4) == [3, 1, 3, 7]
-        with pytest.raises(ValueError):
-            PolyRational((0, 1, 0), denominator=(1, -1, 0, 0))
+        assert gf_coeffs(K, 4) == [3, 1, 3, 7]
 
-    def test_rational_accepts_arbitrary_numerators(self):
-        # 1/(1 - x - x^2 - x^3): the shifted Tribonacci row
-        ones = PolyRational((1,))
-        assert ones.coefficients(6) == [trib(i + 1) for i in range(6)]
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 64])
+    @pytest.mark.parametrize("kind", [T, K, TM, KM], ids=lambda k: k.value)
+    def test_stream_matches_lists_and_terms(self, kind, count):
+        stream = gf_stream(kind, count)
+        assert iter(stream) is stream  # drawn lazily, not a list
+        term = {T: trib, K: lucas_trib, TM: t_matrix, KM: k_matrix}[kind]
+        expected = [term(i) for i in range(count)]
+        listed = (gf_coeffs if kind in (T, K) else gf_matrix_coeffs)(
+            kind, count)
+        assert list(stream) == listed == expected
 
 
 class TestSumSpec:
