@@ -64,6 +64,8 @@ def run_bench(kind: SequenceKind, ns: list[int], strategies: list[str],
         raise ValueError(f"unknown strategies: {', '.join(unknown)}")
     if not strategies:
         raise ValueError("no strategies selected")
+    if not ns:
+        raise ValueError("no indices selected")
     results = []
     for n in ns:
         warm = {name: STRATEGIES[name](kind, n, precision, None)

@@ -62,6 +62,16 @@ def _require_precision(precision: int) -> None:
         raise ValueError(f"precision must be at least 64 bits, got {precision}")
 
 
+def _require_given(name: str, given, precision: int) -> None:
+    """Refuse `given` roots or constants held at fewer bits than asked:
+    their error would pass the rounding window as a wrong integer."""
+    if given is not None and given.precision < precision:
+        raise ValueError(
+            f"{name} computed at {given.precision} bits cannot give "
+            f"{precision}-bit results; pass {name} computed at "
+            f"{precision} bits or more, or none")
+
+
 def compute_roots(precision: int = DEFAULT_PRECISION) -> RootTriple:
     """Newton's method for alpha, then quadratic deflation for beta, gamma.
 
@@ -128,6 +138,7 @@ def _round_to_int(z, context: str, precision: int) -> int:
 def binet_trib(n: int, precision: int = DEFAULT_PRECISION,
                roots: RootTriple | None = None) -> int:
     """T(n) from the three-root power form, rounded to an exact int."""
+    _require_given("roots", roots, precision)
     r = roots if roots is not None else compute_roots(precision)
     with mp.workprec(precision + _GUARD_BITS):
         a, b, g = r.alpha, r.beta, r.gamma
@@ -140,6 +151,7 @@ def binet_trib(n: int, precision: int = DEFAULT_PRECISION,
 def binet_lucas(n: int, precision: int = DEFAULT_PRECISION,
                 roots: RootTriple | None = None) -> int:
     """K(n) as the plain power sum alpha**n + beta**n + gamma**n."""
+    _require_given("roots", roots, precision)
     r = roots if roots is not None else compute_roots(precision)
     with mp.workprec(precision + _GUARD_BITS):
         total = r.alpha**n + r.beta**n + r.gamma**n
@@ -155,6 +167,7 @@ def binet_constants(precision: int = DEFAULT_PRECISION,
     family.  The six results satisfy A1+B1+C1 = I and A2+B2+C2 = KM(0)
     up to working precision.
     """
+    _require_given("roots", roots, precision)
     r = roots if roots is not None else compute_roots(precision)
     with mp.workprec(precision + _GUARD_BITS):
         def constant(x, y, z, seeds):
@@ -178,6 +191,8 @@ def binet_matrix(kind: MatrixKind, n: int,
                  roots: RootTriple | None = None,
                  constants: BinetConstants | None = None) -> Mat3:
     """TM(n) or KM(n) from the matrix power form, rounded entrywise."""
+    _require_given("roots", roots, precision)
+    _require_given("constants", constants, precision)
     r = roots if roots is not None else compute_roots(precision)
     c = constants if constants is not None else binet_constants(precision, r)
     if kind is MatrixKind.TRIB_MATRIX:

@@ -21,11 +21,11 @@ from typing import Iterator
 
 from .bench import STRATEGIES, run_bench
 from .binet import DEFAULT_PRECISION
-from .core import SequenceKind, to_decimal
+from .core import SequenceKind
 from .errors import PrecisionExhausted, StrategyMismatch, UnknownIdentity
 from .identities import (PROFILE_BOUNDS, Profile, format_report_table,
                          registry, report_to_dict, verify_record)
-from .matrices import Mat3, MatrixKind, k_matrix, t_matrix
+from .matrices import Mat3, MatrixKind, decimal_form, k_matrix, t_matrix
 from .series import SumSpec, gf_stream, partial_sum, partial_sum_bruteforce
 
 EXIT_OK = 0
@@ -47,21 +47,15 @@ class Output:
     code = EXIT_OK
 
 
-def _doc(value):
-    """An int as a decimal string, a Mat3 as a grid of them."""
-    return value.decimal_rows() if isinstance(value, Mat3) \
-        else to_decimal(value)
-
-
 def _text(value) -> str:
-    doc = _doc(value)
+    doc = decimal_form(value)
     return doc if isinstance(doc, str) else "\n".join(map(" ".join, doc))
 
 
 def _write_cells(writer, fields: dict, value, extra: dict, header: bool):
     """CSV rows of an int or Mat3 between `fields` and `extra`; matrix
     cells carry 1-based row and column, matching the prose convention."""
-    doc = _doc(value)
+    doc = decimal_form(value)
     if isinstance(doc, str):
         columns, cells = ["value"], [[doc]]
     else:
@@ -90,7 +84,7 @@ class Value(Output):
         write("\n".join([_text(self.value), *self.note]) + "\n")
 
     def json(self, write):
-        doc = _doc(self.value)
+        doc = decimal_form(self.value)
         if not self.bare:
             doc = {**self.fields, "value": doc, **self.extra}
         write(json.dumps(doc) + "\n")
@@ -119,7 +113,7 @@ class Listing(Output):
     def json(self, write):
         write("[")
         for i, value in enumerate(self.values):
-            write((", " if i else "") + json.dumps(_doc(value)))
+            write((", " if i else "") + json.dumps(decimal_form(value)))
         write("]\n")
 
     def csv(self, writer):
@@ -292,7 +286,11 @@ def cmd_verify(args) -> Output:
 
 
 def cmd_bench(args) -> Output:
-    ns = [int(part) for part in args.n.split(",") if part]
+    try:
+        ns = [int(part) for part in args.n.split(",") if part]
+    except ValueError:
+        raise ValueError(f"--n takes comma-separated integers, "
+                         f"got {args.n!r}") from None
     strategies = [part for part in args.strategies.split(",") if part]
     results = run_bench(KINDS[args.kind], ns, strategies, args.precision)
     return BenchRows([dict(zip(_BENCH_FIELDS, (

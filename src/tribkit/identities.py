@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
-from .core import SequenceKind, TermCache, to_decimal
+from .core import SequenceKind, TermCache
 from .errors import UnknownIdentity
-from .matrices import (K_MAT_SEEDS, T_MAT_SEEDS, Mat3, MatrixKind, mat_mul,
-                       mat_pow, term_reader)
+from .matrices import (K_MAT_SEEDS, T_MAT_SEEDS, Mat3, MatrixKind,
+                       decimal_form, mat_mul, mat_pow, term_reader)
 from .series import SumSpec, partial_sum, running_bruteforce
 
 
@@ -353,7 +353,8 @@ def registry() -> list[IdentityRecord]:
 # verification -------------------------------------------------------------
 
 def verify_record(record: IdentityRecord, bounds: GridBounds) -> VerifyReport:
-    """Sweep one identity over its grid, demanding exact equality."""
+    """Sweep one identity over its grid, demanding exact equality.  A
+    grid with no case raises ValueError: an empty sweep proves nothing."""
     start = time.perf_counter()
     cases = 0
     failures = []
@@ -363,6 +364,8 @@ def verify_record(record: IdentityRecord, bounds: GridBounds) -> VerifyReport:
         if left != right:
             failures.append(Failure(tuple(indices), left, right))
     elapsed = time.perf_counter() - start
+    if not cases:
+        raise ValueError(f"{record.id}: no case in {record.describe(bounds)}")
     return VerifyReport(record.id, record.anchor, record.describe(bounds),
                         cases, tuple(failures), elapsed, record.note)
 
@@ -385,14 +388,6 @@ def verify_all(profile: Profile = Profile.STANDARD) -> list[VerifyReport]:
 
 # report rendering ---------------------------------------------------------
 
-def _serialize_value(value):
-    if isinstance(value, Mat3):
-        return value.decimal_rows()
-    if isinstance(value, tuple):
-        return [_serialize_value(v) for v in value]
-    return to_decimal(value)
-
-
 def report_to_dict(report: VerifyReport) -> dict:
     """JSON-ready form: id, anchor, bounds, cases, failures[], elapsed_ms."""
     out = {
@@ -404,8 +399,8 @@ def report_to_dict(report: VerifyReport) -> dict:
         "failures": [
             {
                 "indices": list(f.indices),
-                "left": _serialize_value(f.left),
-                "right": _serialize_value(f.right),
+                "left": decimal_form(f.left),
+                "right": decimal_form(f.right),
             }
             for f in report.failures
         ],

@@ -46,10 +46,6 @@ class Mat3:
         e = self.entries
         return ((e[0], e[1], e[2]), (e[3], e[4], e[5]), (e[6], e[7], e[8]))
 
-    def decimal_rows(self) -> list[list[str]]:
-        """Entries as decimal strings, row by row."""
-        return [[to_decimal(x) for x in row] for row in self.rows()]
-
     def entry(self, row: int, col: int) -> int:
         """Entry at 0-based (row, col)."""
         return self.entries[3 * row + col]
@@ -80,6 +76,16 @@ class Mat3:
                 raise DivisibilityViolation(f"{d} does not divide entry {x}")
             out.append(q)
         return Mat3(tuple(out))
+
+
+def decimal_form(value):
+    """An int as its decimal string, a Mat3 as rows of those and a tuple
+    as a list of its items' forms; every output format writes these."""
+    if isinstance(value, Mat3):
+        return [[to_decimal(x) for x in row] for row in value.rows()]
+    if isinstance(value, tuple):
+        return [decimal_form(item) for item in value]
+    return to_decimal(value)
 
 
 IDENTITY = Mat3((1, 0, 0, 0, 1, 0, 0, 0, 1))

@@ -152,33 +152,31 @@ def partial_sum_bruteforce(spec: SumSpec, cache: TermCache | None = None):
     """
     if cache is None:
         cache = _SlidingWindow(KIND_SEEDS[spec.kind][1])
-    term = term_reader(spec.kind, cache)
-    total = ZERO if isinstance(spec.kind, MatrixKind) else 0
-    for i in range(spec.n):
-        total = total + term(spec.m * i + spec.j)
-    return total
+    return running_bruteforce(spec.kind, cache)(spec.m, spec.j, spec.n)
 
 
 def running_bruteforce(kind: AnyKind, cache: TermCache):
-    """(m, j, n) -> `partial_sum_bruteforce` of `kind` over `cache`, along n.
+    """(m, j, n) -> the direct sum of `kind` at m*i + j for 0 <= i < n.
 
-    Called at (m, j, n) right after (m, j, n - 1), it adds the one term
-    m*(n-1) + j to the total it stored; after any other call (the first,
-    an out-of-order or a repeated one) it sums from i = 0 again.  So a
-    sweep up the n axis costs O(n) terms instead of O(n^2), and stays
-    plain summation.  The latest ((m, j, n), total) is stored as one
-    tuple, so a shared instance always reads a matching pair.
+    The package's one summation loop.  Called at the (m, j) of the call
+    before it and an n no smaller, it adds only the terms from there;
+    any other call sums from i = 0 in the same loop.  So a sweep up the
+    n axis costs O(n) terms instead of O(n^2), and stays plain
+    summation.  The latest ((m, j), n, total) is stored as one tuple,
+    so a shared instance always reads a matching triple.
     """
     term = term_reader(kind, cache)
-    latest = (None, None)
+    zero = ZERO if isinstance(kind, MatrixKind) else 0
+    latest = (None, 0, zero)
 
     def total(m: int, j: int, n: int):
         nonlocal latest
-        key, value = latest
-        if key == (m, j, n - 1):
-            value = value + term(m * (n - 1) + j)
-        else:
-            value = partial_sum_bruteforce(SumSpec(kind, m, j, n), cache)
-        latest = ((m, j, n), value)
+        key, done, value = latest
+        if key != (m, j) or done > n:
+            SumSpec(kind, m, j, n)  # rejects indices off the stated domain
+            done, value = 0, zero
+        for i in range(done, n):
+            value = value + term(m * i + j)
+        latest = ((m, j), n, value)
         return value
     return total

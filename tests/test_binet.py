@@ -3,10 +3,10 @@ import re
 import pytest
 from mpmath import mp
 
-from tribkit import (MatrixKind, PrecisionExhausted, binet_lucas,
-                     binet_matrix, binet_trib, check_constant_algebra,
-                     compute_roots, k_matrix, lucas_trib, radical_roots,
-                     t_matrix, trib)
+from tribkit import (MatrixKind, PrecisionExhausted, binet_constants,
+                     binet_lucas, binet_matrix, binet_trib,
+                     check_constant_algebra, compute_roots, k_matrix,
+                     lucas_trib, radical_roots, t_matrix, trib)
 
 ALPHA_64 = 1.839286755214161  # real root, double precision reference
 
@@ -94,6 +94,18 @@ class TestScalarBinet:
         assert binet_trib(2000, 2048) == trib(2000)
         assert binet_lucas(-1000, 1024) == lucas_trib(-1000)
 
+    @pytest.mark.parametrize("n", [200, 250, -300])
+    @pytest.mark.parametrize("binet", [binet_trib, binet_lucas],
+                             ids=["trib", "lucas"])
+    def test_roots_below_the_precision_raise(self, binet, n):
+        # 64-bit roots at 1024 bits round to wrong integers unless refused
+        with pytest.raises(ValueError, match="at 64 bits.*1024 bits"):
+            binet(n, 1024, compute_roots(64))
+
+    def test_roots_above_the_precision_pass(self):
+        assert binet_trib(100, 256, compute_roots(512)) == trib(100)
+        assert binet_lucas(100, 256, compute_roots(512)) == lucas_trib(100)
+
 
 class TestMatrixBinet:
     def test_examples(self, roots256, constants256):
@@ -113,6 +125,17 @@ class TestMatrixBinet:
                                 constants256) == t_matrix(n, cache=t_cache)
             assert binet_matrix(MatrixKind.LUCAS_MATRIX, n, 256, roots256,
                                 constants256) == k_matrix(n, cache=k_cache)
+
+    def test_roots_or_constants_below_the_precision_raise(self):
+        roots64 = compute_roots(64)
+        with pytest.raises(ValueError, match="roots computed at 64 bits"):
+            binet_constants(1024, roots64)
+        with pytest.raises(ValueError, match="roots computed at 64 bits"):
+            binet_matrix(MatrixKind.TRIB_MATRIX, 60, 1024, roots64)
+        with pytest.raises(ValueError,
+                           match="constants computed at 64 bits"):
+            binet_matrix(MatrixKind.LUCAS_MATRIX, 60, 1024,
+                         constants=binet_constants(64, roots64))
 
 
 class TestConstants:

@@ -246,6 +246,16 @@ class TestBench:
         assert code == 2
         assert "unknown strategies" in err
 
+    @pytest.mark.parametrize("indices,message", [
+        (",", "no indices selected"),
+        ("1.5", "--n takes comma-separated integers"),
+    ])
+    def test_bad_indices_exit_2(self, indices, message, capsys):
+        code, out, err = run(["bench", "--n", indices], capsys)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_value_mismatch_exits_4(self, capsys, monkeypatch):
         import tribkit.bench as bench
         monkeypatch.setitem(bench.STRATEGIES, "matpow",
