@@ -21,9 +21,9 @@ from .errors import (DegenerateDenominator, DivisibilityViolation,
 from .identities import (Arity, GridBounds, IdentityRecord, PROFILE_BOUNDS,
                          Profile, VerifyReport, format_report_table, registry,
                          report_to_dict, verify, verify_all, verify_record)
-from .matrices import (IDENTITY, K_MAT_SEEDS, Mat3, MatrixKind,
-                       MatrixStrategy, T_MAT_SEEDS, ZERO, k_matrix,
-                       lucas_fast, mat_mul, mat_pow, t_matrix, trib_fast)
+from .matrices import (IDENTITY, K_MAT_SEEDS, Mat3, MatrixKind, MatrixStrategy,
+                       T_MAT_SEEDS, ZERO, k_matrix, lucas_fast, mat_mul,
+                       mat_pow, t_matrix, term_reader, trib_fast)
 from .series import (DENOMINATOR, SumSpec, gf_coeffs, gf_matrix_coeffs,
                      gf_numerators, gf_stream, partial_sum,
                      partial_sum_bruteforce)
@@ -86,6 +86,7 @@ __all__ = [
     "report_to_dict",
     "run_bench",
     "t_matrix",
+    "term_reader",
     "to_decimal",
     "trib",
     "trib_alt",

@@ -62,14 +62,17 @@ def _require_precision(precision: int) -> None:
         raise ValueError(f"precision must be at least 64 bits, got {precision}")
 
 
-def _require_given(name: str, given, precision: int) -> None:
-    """Refuse `given` roots or constants held at fewer bits than asked:
-    their error would pass the rounding window as a wrong integer."""
-    if given is not None and given.precision < precision:
+def _given(name: str, given, precision: int, compute):
+    """`given` roots or constants, else `compute(precision)`; given ones at
+    fewer bits are refused, as their error would round to a wrong int."""
+    if given is None:
+        return compute(precision)
+    if given.precision < precision:
         raise ValueError(
             f"{name} computed at {given.precision} bits cannot give "
             f"{precision}-bit results; pass {name} computed at "
             f"{precision} bits or more, or none")
+    return given
 
 
 def compute_roots(precision: int = DEFAULT_PRECISION) -> RootTriple:
@@ -115,14 +118,17 @@ def radical_roots(precision: int = DEFAULT_PRECISION) -> RootTriple:
         return RootTriple(mpc(alpha), beta, gamma, precision)
 
 
-def _round_to_int(z, context: str, precision: int) -> int:
+def _round_to_int(z, terms, context: str, precision: int) -> int:
+    """`z`, a sum of `terms` or an entry of their sum, as an exact int."""
     real, imag = z.real, z.imag
     # A float of magnitude >= 2**(p-2) cannot resolve quarter-integers at
     # all: it is integral at ulp granularity and would "round cleanly" to
     # a wrong value.  Reject on magnitude before trusting the window test.
     magnitude = mp.mag(real)
     if magnitude > precision - 2:
-        bits = int(magnitude) + 2
+        # terms that cancel in z hide their size from it: name their bits
+        bound = sum(mp.norm(t, mp.inf) for t in terms)  # over every entry
+        bits = int(max(magnitude, mp.mag(bound))) + 2
         raise PrecisionExhausted(
             f"{context}: magnitude 2^{int(magnitude)} exceeds what "
             f"{precision} bits resolve to +/-{_ROUND_TOL}; raise the "
@@ -138,24 +144,22 @@ def _round_to_int(z, context: str, precision: int) -> int:
 def binet_trib(n: int, precision: int = DEFAULT_PRECISION,
                roots: RootTriple | None = None) -> int:
     """T(n) from the three-root power form, rounded to an exact int."""
-    _require_given("roots", roots, precision)
-    r = roots if roots is not None else compute_roots(precision)
+    r = _given("roots", roots, precision, compute_roots)
     with mp.workprec(precision + _GUARD_BITS):
         a, b, g = r.alpha, r.beta, r.gamma
-        total = (a ** (n + 1) / ((a - b) * (a - g))
-                 + b ** (n + 1) / ((b - a) * (b - g))
-                 + g ** (n + 1) / ((g - a) * (g - b)))
-        return _round_to_int(total, f"binet_trib({n})", precision)
+        terms = (a ** (n + 1) / ((a - b) * (a - g)),
+                 b ** (n + 1) / ((b - a) * (b - g)),
+                 g ** (n + 1) / ((g - a) * (g - b)))
+        return _round_to_int(sum(terms), terms, f"binet_trib({n})", precision)
 
 
 def binet_lucas(n: int, precision: int = DEFAULT_PRECISION,
                 roots: RootTriple | None = None) -> int:
     """K(n) as the plain power sum alpha**n + beta**n + gamma**n."""
-    _require_given("roots", roots, precision)
-    r = roots if roots is not None else compute_roots(precision)
+    r = _given("roots", roots, precision, compute_roots)
     with mp.workprec(precision + _GUARD_BITS):
-        total = r.alpha**n + r.beta**n + r.gamma**n
-        return _round_to_int(total, f"binet_lucas({n})", precision)
+        terms = (r.alpha**n, r.beta**n, r.gamma**n)
+        return _round_to_int(sum(terms), terms, f"binet_lucas({n})", precision)
 
 
 def binet_constants(precision: int = DEFAULT_PRECISION,
@@ -167,8 +171,7 @@ def binet_constants(precision: int = DEFAULT_PRECISION,
     family.  The six results satisfy A1+B1+C1 = I and A2+B2+C2 = KM(0)
     up to working precision.
     """
-    _require_given("roots", roots, precision)
-    r = roots if roots is not None else compute_roots(precision)
+    r = _given("roots", roots, precision, compute_roots)
     with mp.workprec(precision + _GUARD_BITS):
         def constant(x, y, z, seeds):
             m0, m1, m2 = (mp.matrix(s.rows()) for s in seeds)
@@ -191,20 +194,19 @@ def binet_matrix(kind: MatrixKind, n: int,
                  roots: RootTriple | None = None,
                  constants: BinetConstants | None = None) -> Mat3:
     """TM(n) or KM(n) from the matrix power form, rounded entrywise."""
-    _require_given("roots", roots, precision)
-    _require_given("constants", constants, precision)
-    r = roots if roots is not None else compute_roots(precision)
-    c = constants if constants is not None else binet_constants(precision, r)
+    r = _given("roots", roots, precision, compute_roots)
+    c = _given("constants", constants, precision,
+               lambda bits: binet_constants(bits, r))
     if kind is MatrixKind.TRIB_MATRIX:
         weights = (c.a1, c.b1, c.c1)
     else:
         weights = (c.a2, c.b2, c.c2)
     with mp.workprec(precision + _GUARD_BITS):
-        acc = (r.alpha**n * weights[0] + r.beta**n * weights[1]
-               + r.gamma**n * weights[2])
+        terms = [x**n * w for x, w in zip((r.alpha, r.beta, r.gamma), weights)]
         context = f"binet_matrix({kind.value}, {n})"
         # mp.matrix iterates row by row, as Mat3 lays its entries out
-        return Mat3(tuple(_round_to_int(x, context, precision) for x in acc))
+        return Mat3(tuple(_round_to_int(x, terms, context, precision)
+                          for x in terms[0] + terms[1] + terms[2]))
 
 
 @dataclass(frozen=True)
@@ -238,9 +240,9 @@ def check_constant_algebra(precision: int = DEFAULT_PRECISION,
     Runs the nine products within {A1, B1, C1} (squares against
     idempotence, the six mixed products against zero) plus the six mixed
     products within {A2, B2, C2}, reporting each max entrywise deviation.
-    Failures become report rows; nothing raises.
+    Failures become report rows; constants held at fewer bits raise.
     """
-    c = constants if constants is not None else binet_constants(precision)
+    c = _given("constants", constants, precision, binet_constants)
     with mp.workprec(precision + _GUARD_BITS):
         family1 = {"A1": c.a1, "B1": c.b1, "C1": c.c1}
         family2 = {"A2": c.a2, "B2": c.b2, "C2": c.c2}

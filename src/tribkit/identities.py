@@ -22,7 +22,7 @@ from typing import Callable, Iterator
 
 from .core import SequenceKind, TermCache
 from .errors import UnknownIdentity
-from .matrices import (K_MAT_SEEDS, T_MAT_SEEDS, Mat3, MatrixKind,
+from .matrices import (KIND_SEEDS, K_MAT_SEEDS, T_MAT_SEEDS, Mat3, MatrixKind,
                        decimal_form, mat_mul, mat_pow, term_reader)
 from .series import SumSpec, partial_sum, running_bruteforce
 
@@ -150,22 +150,20 @@ def registry() -> list[IdentityRecord]:
 
     Each call builds fresh evaluators over private term caches, so
     returned registries are independent of each other and safe to use
-    concurrently.  Within one registry each TM(n) and KM(n) is built
-    once per index, and the sum records keep a running total of their
-    direct summation (`series.running_bruteforce`): a sweep up the n
-    axis adds one term per case instead of summing from i = 0 again.
+    concurrently.  A registry reads each kind through one memoised
+    reader, both sides of the sum records too, so each TM(n) and KM(n)
+    is built once; the direct sums keep a running total
+    (`series.running_bruteforce`), one term per step up the n axis.
     """
-    tc = TermCache(SequenceKind.TRIBONACCI)
-    kc = TermCache(SequenceKind.TRIBONACCI_LUCAS)
-    t = tc.get
-    k = kc.get
+    caches = {kind: TermCache(kind) for kind in SequenceKind}
+    readers = {kind: functools.cache(term_reader(kind, caches[scalar]))
+               for kind, (_, scalar) in KIND_SEEDS.items()}
+    t = readers[SequenceKind.TRIBONACCI]
+    k = readers[SequenceKind.TRIBONACCI_LUCAS]
+    tm = readers[MatrixKind.TRIB_MATRIX]
+    km = readers[MatrixKind.LUCAS_MATRIX]
 
-    tm = functools.cache(term_reader(MatrixKind.TRIB_MATRIX, tc))
-    km = functools.cache(term_reader(MatrixKind.LUCAS_MATRIX, kc))
-
-    ident = T_MAT_SEEDS[0]
-    tm1 = T_MAT_SEEDS[1]
-    tm2 = T_MAT_SEEDS[2]
+    ident, tm1, tm2 = T_MAT_SEEDS
     km0 = K_MAT_SEEDS[0]
 
     def conv_lhs(m: int, n: int) -> int:
@@ -175,16 +173,17 @@ def registry() -> list[IdentityRecord]:
         return (9 * tm(s + 2) - 12 * tm(s + 1) - 2 * tm(s)
                 + 4 * tm(s - 1) + tm(s - 2))
 
-    def sum_eval(kind, cache):
-        oracle = running_bruteforce(kind, cache)
+    def sum_record(id: str, kind) -> IdentityRecord:
+        term = readers[kind]
+        oracle = running_bruteforce(kind, term)
 
         def evaluate(m, j, n):
-            return partial_sum(SumSpec(kind, m, j, n), cache), oracle(m, j, n)
-        return evaluate
-
-    def rec(id, anchor, arity, domain, evaluate, grid, describe, note=None):
-        return IdentityRecord(id, anchor, arity, domain, evaluate, grid,
-                              describe, note)
+            return partial_sum(SumSpec(kind, m, j, n), term), oracle(m, j, n)
+        return IdentityRecord(
+            id=id, anchor="sum_{i=0}^{n-1} " f"{kind.value}(m*i+j) equals "
+                          "its closed form over K(m) - K(-m)",
+            arity=Arity.MNR, domain="m > j >= 0, n >= 1", evaluate=evaluate,
+            grid=_sum_grid, describe=_sum_desc)
 
     n_all = dict(arity=Arity.N, domain="all integers n",
                  grid=_signed, describe=_signed_desc)
@@ -194,70 +193,76 @@ def registry() -> list[IdentityRecord]:
               grid=_pair, describe=_pair_desc)
     nr = dict(arity=Arity.MNR, domain="n >= r >= 0",
               grid=_nr, describe=_nr_desc)
-    mjn = dict(arity=Arity.MNR, domain="m > j >= 0, n >= 1",
-               grid=_sum_grid, describe=_sum_desc)
 
     return [
-        rec("EQ3", "T(n) = 2*T(n-1) - T(n-4)",
+        IdentityRecord(id="EQ3", anchor="T(n) = 2*T(n-1) - T(n-4)",
             evaluate=lambda n: (t(n), 2 * t(n - 1) - t(n - 4)), **n_all),
-        rec("TNEG", "T(-n) = T(n-1)^2 - T(n-2)*T(n)",
+        IdentityRecord(id="TNEG", anchor="T(-n) = T(n-1)^2 - T(n-2)*T(n)",
             evaluate=lambda n: (t(-n), t(n - 1) ** 2 - t(n - 2) * t(n)),
             **n_nonneg),
-        rec("EQ4", "K(n) = 3*T(n+1) - 2*T(n) - T(n-1)",
+        IdentityRecord(id="EQ4", anchor="K(n) = 3*T(n+1) - 2*T(n) - T(n-1)",
             evaluate=lambda n: (k(n), 3 * t(n + 1) - 2 * t(n) - t(n - 1)),
             **n_all),
-        rec("EQ5", "K(n) = T(n) + 2*T(n-1) + 3*T(n-2)",
+        IdentityRecord(id="EQ5", anchor="K(n) = T(n) + 2*T(n-1) + 3*T(n-2)",
             evaluate=lambda n: (k(n), t(n) + 2 * t(n - 1) + 3 * t(n - 2)),
             **n_all),
-        rec("EQ6", "K(n) = 4*T(n+1) - T(n) - T(n+2)",
+        IdentityRecord(id="EQ6", anchor="K(n) = 4*T(n+1) - T(n) - T(n+2)",
             evaluate=lambda n: (k(n), 4 * t(n + 1) - t(n) - t(n + 2)),
             **n_all),
-        rec("THM15a", "KM(n) = 3*TM(n+1) - 2*TM(n) - TM(n-1)",
+        IdentityRecord(id="THM15a", anchor=
+            "KM(n) = 3*TM(n+1) - 2*TM(n) - TM(n-1)",
             evaluate=lambda n: (km(n), 3 * tm(n + 1) - 2 * tm(n) - tm(n - 1)),
             **n_all),
-        rec("THM15b", "KM(n) = TM(n) + 2*TM(n-1) + 3*TM(n-2)",
+        IdentityRecord(id="THM15b", anchor=
+            "KM(n) = TM(n) + 2*TM(n-1) + 3*TM(n-2)",
             evaluate=lambda n: (km(n), tm(n) + 2 * tm(n - 1) + 3 * tm(n - 2)),
             **n_all),
-        rec("THM15c", "KM(n) = 4*TM(n+1) - TM(n) - TM(n+2)",
+        IdentityRecord(id="THM15c", anchor=
+            "KM(n) = 4*TM(n+1) - TM(n) - TM(n+2)",
             evaluate=lambda n: (km(n), 4 * tm(n + 1) - tm(n) - tm(n + 2)),
             note="items (c) and (d) of this identity group are the same "
                  "formula with terms reordered; registered once",
             **n_all),
-        rec("THM15e", "22*TM(n) = 5*KM(n+2) - 3*KM(n+1) - 4*KM(n)",
+        IdentityRecord(id="THM15e", anchor=
+            "22*TM(n) = 5*KM(n+2) - 3*KM(n+1) - 4*KM(n)",
             evaluate=lambda n: (22 * tm(n),
                                 5 * km(n + 2) - 3 * km(n + 1) - 4 * km(n)),
             **n_all),
-        rec("LEM16a", "KM(0)*TM(n) = TM(n)*KM(0) = KM(n)",
+        IdentityRecord(id="LEM16a", anchor="KM(0)*TM(n) = TM(n)*KM(0) = KM(n)",
             evaluate=lambda n: ((mat_mul(km0, tm(n)), mat_mul(tm(n), km0)),
                                 (km(n), km(n))),
             **n_nonneg),
-        rec("LEM16b", "TM(0)*KM(n) = KM(n)*TM(0) = KM(n)",
+        IdentityRecord(id="LEM16b", anchor="TM(0)*KM(n) = KM(n)*TM(0) = KM(n)",
             evaluate=lambda n: ((mat_mul(ident, km(n)), mat_mul(km(n), ident)),
                                 (km(n), km(n))),
             **n_nonneg),
-        rec("COR17a", "22*T(n) = K(n) + 5*K(n-1) + 2*K(n+1)",
+        IdentityRecord(id="COR17a", anchor=
+            "22*T(n) = K(n) + 5*K(n-1) + 2*K(n+1)",
             evaluate=lambda n: (22 * t(n), k(n) + 5 * k(n - 1) + 2 * k(n + 1)),
             **n_all),
-        rec("COR17b", "22*TM(n) = KM(n) + 5*KM(n-1) + 2*KM(n+1)",
+        IdentityRecord(id="COR17b", anchor=
+            "22*TM(n) = KM(n) + 5*KM(n-1) + 2*KM(n+1)",
             evaluate=lambda n: (22 * tm(n),
                                 km(n) + 5 * km(n - 1) + 2 * km(n + 1)),
             **n_all),
-        rec("THM18a", "TM(m)*TM(n) = TM(m+n) = TM(n)*TM(m)",
+        IdentityRecord(id="THM18a", anchor=
+            "TM(m)*TM(n) = TM(m+n) = TM(n)*TM(m)",
             evaluate=lambda m, n: ((mat_mul(tm(m), tm(n)), mat_mul(tm(n), tm(m))),
                                    (tm(m + n), tm(m + n))),
             **mn),
-        rec("THM18b", "TM(m)*KM(n) = KM(n)*TM(m) = KM(m+n)",
+        IdentityRecord(id="THM18b", anchor=
+            "TM(m)*KM(n) = KM(n)*TM(m) = KM(m+n)",
             evaluate=lambda m, n: ((mat_mul(tm(m), km(n)), mat_mul(km(n), tm(m))),
                                    (km(m + n), km(m + n))),
             **mn),
-        rec("THM18c",
+        IdentityRecord(id="THM18c", anchor=
             "KM(m)*KM(n) = KM(n)*KM(m) = 9*TM(m+n+2) - 12*TM(m+n+1) "
             "- 2*TM(m+n) + 4*TM(m+n-1) + TM(m+n-2)",
             evaluate=lambda m, n: (
                 (mat_mul(km(m), km(n)), mat_mul(km(n), km(m))),
                 (km_product(m + n), km_product(m + n))),
             **mn),
-        rec("THM18d",
+        IdentityRecord(id="THM18d", anchor=
             "KM(m)*KM(n) = TM(m+n) + 4*TM(m+n-1) + 10*TM(m+n-2) "
             "+ 12*TM(m+n-3) + 9*TM(m+n-4)",
             evaluate=lambda m, n: (
@@ -265,7 +270,7 @@ def registry() -> list[IdentityRecord]:
                 tm(m + n) + 4 * tm(m + n - 1) + 10 * tm(m + n - 2)
                 + 12 * tm(m + n - 3) + 9 * tm(m + n - 4)),
             **mn),
-        rec("THM18e",
+        IdentityRecord(id="THM18e", anchor=
             "KM(m)*KM(n) = TM(m+n) - 8*TM(m+n+1) + 18*TM(m+n+2) "
             "- 8*TM(m+n+3) + TM(m+n+4)",
             evaluate=lambda m, n: (
@@ -273,21 +278,21 @@ def registry() -> list[IdentityRecord]:
                 tm(m + n) - 8 * tm(m + n + 1) + 18 * tm(m + n + 2)
                 - 8 * tm(m + n + 3) + tm(m + n + 4)),
             **mn),
-        rec("COR19a",
+        IdentityRecord(id="COR19a", anchor=
             "T(m+n) = T(m)*T(n+1) + T(n)*(T(m-1) + T(m-2)) + T(m-1)*T(n-1)",
             evaluate=lambda m, n: (
                 t(m + n),
                 t(m) * t(n + 1) + t(n) * (t(m - 1) + t(m - 2))
                 + t(m - 1) * t(n - 1)),
             **mn),
-        rec("COR19b",
+        IdentityRecord(id="COR19b", anchor=
             "K(m+n) = T(m)*K(n+1) + K(n)*(T(m-1) + T(m-2)) + K(n-1)*T(m-1)",
             evaluate=lambda m, n: (
                 k(m + n),
                 t(m) * k(n + 1) + k(n) * (t(m - 1) + t(m - 2))
                 + k(n - 1) * t(m - 1)),
             **mn),
-        rec("COR19c",
+        IdentityRecord(id="COR19c", anchor=
             "K(m)*K(n+1) + K(n)*(K(m-1) + K(m-2)) + K(m-1)*K(n-1) = "
             "9*T(m+n+2) - 12*T(m+n+1) - 2*T(m+n) + 4*T(m+n-1) + T(m+n-2)",
             evaluate=lambda m, n: (
@@ -295,7 +300,7 @@ def registry() -> list[IdentityRecord]:
                 9 * t(m + n + 2) - 12 * t(m + n + 1) - 2 * t(m + n)
                 + 4 * t(m + n - 1) + t(m + n - 2)),
             **mn),
-        rec("COR19d",
+        IdentityRecord(id="COR19d", anchor=
             "K(m)*K(n+1) + K(n)*(K(m-1) + K(m-2)) + K(m-1)*K(n-1) = "
             "T(m+n) + 4*T(m+n-1) + 10*T(m+n-2) + 12*T(m+n-3) + 9*T(m+n-4)",
             evaluate=lambda m, n: (
@@ -303,7 +308,7 @@ def registry() -> list[IdentityRecord]:
                 t(m + n) + 4 * t(m + n - 1) + 10 * t(m + n - 2)
                 + 12 * t(m + n - 3) + 9 * t(m + n - 4)),
             **mn),
-        rec("COR19e",
+        IdentityRecord(id="COR19e", anchor=
             "K(m)*K(n+1) + K(n)*(K(m-1) + K(m-2)) + K(m-1)*K(n-1) = "
             "T(m+n) - 8*T(m+n+1) + 18*T(m+n+2) - 8*T(m+n+3) + T(m+n+4)",
             evaluate=lambda m, n: (
@@ -311,42 +316,31 @@ def registry() -> list[IdentityRecord]:
                 t(m + n) - 8 * t(m + n + 1) + 18 * t(m + n + 2)
                 - 8 * t(m + n + 3) + t(m + n + 4)),
             **mn),
-        rec("THM20a", "TM(n)^m = TM(m*n)",
+        IdentityRecord(id="THM20a", anchor="TM(n)^m = TM(m*n)",
             evaluate=lambda m, n: (mat_pow(tm(n), m), tm(m * n)),
             **mn),
-        rec("THM20b", "TM(n+1)^m = TM(1)^m * TM(m*n)",
+        IdentityRecord(id="THM20b", anchor="TM(n+1)^m = TM(1)^m * TM(m*n)",
             evaluate=lambda m, n: (mat_pow(tm(n + 1), m),
                                    mat_mul(mat_pow(tm1, m), tm(m * n))),
             **mn),
-        rec("THM20c", "TM(n-r)*TM(n+r) = TM(n)^2 = TM(2)^n",
+        IdentityRecord(id="THM20c", anchor=
+            "TM(n-r)*TM(n+r) = TM(n)^2 = TM(2)^n",
             evaluate=lambda n, r: (
                 (mat_mul(tm(n - r), tm(n + r)), mat_mul(tm(n), tm(n))),
                 (mat_mul(tm(n), tm(n)), mat_pow(tm2, n))),
             **nr),
-        rec("THMFINALa", "KM(n-r)*KM(n+r) = KM(n)^2",
+        IdentityRecord(id="THMFINALa", anchor="KM(n-r)*KM(n+r) = KM(n)^2",
             evaluate=lambda n, r: (mat_mul(km(n - r), km(n + r)),
                                    mat_mul(km(n), km(n))),
             **nr),
-        rec("THMFINALb", "KM(n)^m = KM(0)^m * TM(m*n)",
+        IdentityRecord(id="THMFINALb", anchor="KM(n)^m = KM(0)^m * TM(m*n)",
             evaluate=lambda m, n: (mat_pow(km(n), m),
                                    mat_mul(mat_pow(km0, m), tm(m * n))),
             **mn),
-        rec("SUMTHMa",
-            "sum_{i=0}^{n-1} TM(m*i+j) equals its closed form over "
-            "K(m) - K(-m)",
-            evaluate=sum_eval(MatrixKind.TRIB_MATRIX, tc), **mjn),
-        rec("SUMTHMb",
-            "sum_{i=0}^{n-1} KM(m*i+j) equals its closed form over "
-            "K(m) - K(-m)",
-            evaluate=sum_eval(MatrixKind.LUCAS_MATRIX, kc), **mjn),
-        rec("SUMCORa",
-            "sum_{i=0}^{n-1} T(m*i+j) equals its closed form over "
-            "K(m) - K(-m)",
-            evaluate=sum_eval(SequenceKind.TRIBONACCI, tc), **mjn),
-        rec("SUMCORb",
-            "sum_{i=0}^{n-1} K(m*i+j) equals its closed form over "
-            "K(m) - K(-m)",
-            evaluate=sum_eval(SequenceKind.TRIBONACCI_LUCAS, kc), **mjn),
+        sum_record("SUMTHMa", MatrixKind.TRIB_MATRIX),
+        sum_record("SUMTHMb", MatrixKind.LUCAS_MATRIX),
+        sum_record("SUMCORa", SequenceKind.TRIBONACCI),
+        sum_record("SUMCORb", SequenceKind.TRIBONACCI_LUCAS),
     ]
 
 

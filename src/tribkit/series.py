@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
-from .core import SEEDS, SequenceKind, TermCache, walk
+from .core import SEEDS, SequenceKind, walk
 from .errors import DegenerateDenominator, DivisibilityViolation
 from .matrices import (KIND_SEEDS, ZERO, Mat3, MatrixKind, lucas_fast,
                        term_reader)
@@ -91,23 +91,23 @@ class SumSpec:
             raise ValueError(f"summation requires n >= 1, got n={self.n}")
 
 
-def partial_sum(spec: SumSpec, cache: TermCache | None = None):
+def partial_sum(spec: SumSpec, term: Callable | None = None):
     """Closed-form value of the sum described by `spec`.
 
-    Assembles six boundary terms and divides by K(m) - K(-m).  The
-    terms are read from `cache` when one is passed, else each comes
-    from the log-time kernel, so memory stays proportional to the
-    answer rather than to the top index m*n + j.  The division is
-    exact by theorem; a remainder raises DivisibilityViolation (a bug,
-    not bad input), and a vanishing divisor raises DegenerateDenominator
-    (provably impossible for m >= 1, guarded anyway).
+    Assembles six boundary terms, read by `term` (n -> the term of
+    `spec.kind`; by default the log-time kernel, so memory follows the
+    answer, not the top index m*n + j), and divides by K(m) - K(-m).
+    The division is exact by theorem: a remainder raises
+    DivisibilityViolation (a bug, not bad input), and a zero divisor,
+    impossible for m >= 1, raises DegenerateDenominator.
     """
     m, j, n = spec.m, spec.j, spec.n
     k_m = lucas_fast(m)
     divisor = k_m - lucas_fast(-m)
     if divisor == 0:
         raise DegenerateDenominator(f"K({m}) - K({-m}) = 0")
-    term = term_reader(spec.kind, cache)
+    if term is None:
+        term = term_reader(spec.kind)
     w = 1 - k_m
     top = m * n + j
     numerator = (term(top + m) + term(top - m) + w * term(top)
@@ -122,7 +122,7 @@ def partial_sum(spec: SumSpec, cache: TermCache | None = None):
 
 
 class _SlidingWindow:
-    """Stand-in for a TermCache that keeps only the five latest terms.
+    """A scalar term cache that keeps only the five latest terms.
 
     Any k >= -3; a get may fall at most four below the highest index got
     so far, which covers the rising indices of a strided sum, each laid
@@ -143,20 +143,22 @@ class _SlidingWindow:
         return window[k - self._lo]
 
 
-def partial_sum_bruteforce(spec: SumSpec, cache: TermCache | None = None):
+def partial_sum_bruteforce(spec: SumSpec, term: Callable | None = None):
     """Direct n-term summation; the oracle the closed form is tested against.
 
-    Terms are read from `cache` when one is passed.  Else a window of
+    `term` reads n -> the term of `spec.kind`.  By default a window of
     scalar terms slides up to the top index m*(n-1) + j, so memory stays
     of the order of the answer.
     """
-    if cache is None:
-        cache = _SlidingWindow(KIND_SEEDS[spec.kind][1])
-    return running_bruteforce(spec.kind, cache)(spec.m, spec.j, spec.n)
+    if term is None:
+        term = term_reader(spec.kind,
+                           _SlidingWindow(KIND_SEEDS[spec.kind][1]))
+    return running_bruteforce(spec.kind, term)(spec.m, spec.j, spec.n)
 
 
-def running_bruteforce(kind: AnyKind, cache: TermCache):
-    """(m, j, n) -> the direct sum of `kind` at m*i + j for 0 <= i < n.
+def running_bruteforce(kind: AnyKind, term: Callable):
+    """(m, j, n) -> the direct sum of `kind` at m*i + j for 0 <= i < n,
+    each term read by `term` (n -> the term of `kind`).
 
     The package's one summation loop.  Called at the (m, j) of the call
     before it and an n no smaller, it adds only the terms from there;
@@ -165,7 +167,6 @@ def running_bruteforce(kind: AnyKind, cache: TermCache):
     summation.  The latest ((m, j), n, total) is stored as one tuple,
     so a shared instance always reads a matching triple.
     """
-    term = term_reader(kind, cache)
     zero = ZERO if isinstance(kind, MatrixKind) else 0
     latest = (None, 0, zero)
 

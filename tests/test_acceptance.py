@@ -15,7 +15,7 @@ from tribkit import (GridBounds, IdentityRecord, K_MAT_SEEDS, MatrixKind,
                      compute_roots, binet_constants, gf_coeffs,
                      gf_matrix_coeffs, gf_numerators, k_matrix, lucas_trib,
                      partial_sum, partial_sum_bruteforce, registry, t_matrix,
-                     trib, trib_fast, verify_all, verify_record)
+                     term_reader, trib, trib_fast, verify_all, verify_record)
 from tribkit.cli import main
 
 T = SequenceKind.TRIBONACCI
@@ -132,16 +132,19 @@ def test_criterion_6_summation_closed_forms():
             for j in range(m):
                 for n in range(1, 41):
                     spec = SumSpec(kind, m, j, n)
-                    assert partial_sum(spec, cache) == \
-                        partial_sum_bruteforce(spec, cache), spec
+                    term = term_reader(kind, cache)
+                    assert partial_sum(spec, term) == \
+                        partial_sum_bruteforce(spec, term), spec
                     checked += 1
     for n in range(1, 101):
         t_num = t_cache.get(n + 2) - t_cache.get(n) - 1
         assert t_num % 2 == 0
-        assert partial_sum(SumSpec(T, 1, 0, n), t_cache) == t_num // 2
+        assert partial_sum(SumSpec(T, 1, 0, n),
+                           term_reader(T, t_cache)) == t_num // 2
         k_num = k_cache.get(n + 2) - k_cache.get(n)
         assert k_num % 2 == 0
-        assert partial_sum(SumSpec(K, 1, 0, n), k_cache) == k_num // 2
+        assert partial_sum(SumSpec(K, 1, 0, n),
+                           term_reader(K, k_cache)) == k_num // 2
     _passed(6, f"{checked} closed-form sums matched brute force; "
                "specializations hold on [1, 100]; zero divisibility "
                "violations")

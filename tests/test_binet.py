@@ -1,4 +1,5 @@
 import re
+from functools import partial
 
 import pytest
 from mpmath import mp
@@ -126,6 +127,26 @@ class TestMatrixBinet:
             assert binet_matrix(MatrixKind.LUCAS_MATRIX, n, 256, roots256,
                                 constants256) == k_matrix(n, cache=k_cache)
 
+    @pytest.mark.parametrize("binet,exact", [
+        (binet_trib, trib), (binet_lucas, lucas_trib),
+        (partial(binet_matrix, MatrixKind.TRIB_MATRIX), t_matrix),
+        (partial(binet_matrix, MatrixKind.LUCAS_MATRIX), k_matrix),
+    ], ids=["T", "K", "TM", "KM"])
+    def test_one_retry_at_the_named_precision_succeeds(self, binet, exact):
+        # cancelling terms once made a matrix entry look smaller than the
+        # bits its terms need, so the named precision failed again
+        retried = 0
+        for n in range(-2000, 2001, 97):
+            try:
+                value = binet(n, 256)
+            except PrecisionExhausted as excinfo:
+                bits = int(re.search(r"--precision (\d+)\)",
+                                     str(excinfo))[1])
+                value = binet(n, bits)
+                retried += 1
+            assert value == exact(n), n
+        assert retried >= 30  # most of the grid is beyond 256 bits
+
     def test_roots_or_constants_below_the_precision_raise(self):
         roots64 = compute_roots(64)
         with pytest.raises(ValueError, match="roots computed at 64 bits"):
@@ -166,6 +187,13 @@ class TestConstants:
         assert {"A1^2 - A1", "B1^2 - B1", "C1^2 - C1"} <= labels
         assert {"A1*B1", "B1*A1", "C1*B1", "A2*B2", "B2*C2", "C2*A2"} <= labels
         assert report.worst().deviation < 1e-50
+
+    def test_constant_algebra_refuses_constants_below_the_precision(self):
+        # 64-bit constants at 1024 bits would fail the algebra on their
+        # own rounding, not on the algebra
+        with pytest.raises(ValueError,
+                           match="constants computed at 64 bits"):
+            check_constant_algebra(1024, 1e-250, binet_constants(64))
 
     def test_constant_algebra_fails_at_absurd_epsilon(self, constants256):
         report = check_constant_algebra(256, 1e-120, constants256)

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,9 +8,9 @@ from tribkit import (IDENTITY, Arity, GridBounds, IdentityRecord, MatrixKind,
                      PROFILE_BOUNDS, Profile, SequenceKind, SumSpec,
                      TermCache, UnknownIdentity, format_report_table,
                      VerifyReport, lucas_trib, partial_sum_bruteforce,
-                     registry, report_to_dict, trib, verify, verify_all,
-                     verify_record)
-from tribkit import identities, series
+                     registry, report_to_dict, term_reader, trib, verify,
+                     verify_all, verify_record)
+from tribkit import identities, matrices
 from tribkit.identities import Failure
 
 EXPECTED_IDS = {
@@ -126,6 +127,21 @@ class TestVerify:
         assert all(r.passed for r in reports)
         assert sum(r.cases for r in reports) >= 3000
 
+    def test_each_matrix_term_built_once_per_registry(self, monkeypatch):
+        # every record of a registry, both sides of the sum records too,
+        # reads one memoised reader per kind
+        builds = Counter()
+        real_closed_form = matrices._closed_form
+
+        def counting_closed_form(term, n):
+            builds[term, n] += 1
+            return real_closed_form(term, n)
+
+        monkeypatch.setattr(matrices, "_closed_form", counting_closed_form)
+        assert all(report.passed for report in verify_all(Profile.QUICK))
+        assert len({term for term, _ in builds}) == 2  # TM's and KM's caches
+        assert max(builds.values()) == 1
+
     def test_verify_all_deep(self):
         # grid sizes at signed = 100, pair = 60, counted from each domain
         deep_cases = {
@@ -169,26 +185,22 @@ class TestSumOracle:
         uneven_n = (1, 2, 2, 4, 5, 3, 4, 4, 7, 6, 10, 1)
         uneven = [(m, j, n) for m, j in sorted({p[:2] for p in points})
                   for n in uneven_n]
-        fresh = TermCache(scalar)
+        fresh = term_reader(kind, TermCache(scalar))
         expected = {p: partial_sum_bruteforce(SumSpec(kind, *p), fresh)
                     for p in points}
         reads = 0
-        real_reader = series.term_reader
+        real_oracle = identities.running_bruteforce
 
-        def counting_reader(*args, **kwargs):
-            read = real_reader(*args, **kwargs)
-
+        def counting_oracle(kind, term):
             def counted(n):
                 nonlocal reads
                 reads += 1
-                return read(n)
-            return counted
+                return term(n)
+            return real_oracle(kind, counted)
 
-        # only the oracle's term reads are counted: the closed form is
-        # checked elsewhere, and here it would read six terms a case
-        monkeypatch.setattr(identities, "partial_sum",
-                            lambda spec, cache=None: None)
-        monkeypatch.setattr(series, "term_reader", counting_reader)
+        # only the oracle's reads, through the reader it is handed, are
+        # counted; the closed form reads that reader too, six terms a case
+        monkeypatch.setattr(identities, "running_bruteforce", counting_oracle)
         for order in (shuffled, uneven):
             reads = 0
             record = _sum_record(identity_id)
@@ -208,8 +220,8 @@ class TestSumOracle:
         real = identities.partial_sum
         bad = (3, 1, 7)
 
-        def skewed(spec, cache=None):
-            value = real(spec, cache)
+        def skewed(spec, term=None):
+            value = real(spec, term)
             if (spec.m, spec.j, spec.n) == bad:
                 value = value + unit
             return value
@@ -217,7 +229,8 @@ class TestSumOracle:
         monkeypatch.setattr(identities, "partial_sum", skewed)
         report = verify_record(_sum_record(identity_id),
                                PROFILE_BOUNDS[Profile.QUICK])
-        right = partial_sum_bruteforce(SumSpec(kind, *bad), TermCache(scalar))
+        right = partial_sum_bruteforce(SumSpec(kind, *bad),
+                                       term_reader(kind, TermCache(scalar)))
         assert report.cases == 55 * 10
         assert report.failures == (Failure(bad, right + unit, right),)
 

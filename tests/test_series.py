@@ -9,7 +9,7 @@ from tribkit import (DENOMINATOR, DegenerateDenominator,
                      SequenceKind, SumSpec, T_MAT_SEEDS, gf_coeffs,
                      gf_matrix_coeffs, gf_numerators, gf_stream, k_matrix,
                      lucas_trib, partial_sum, partial_sum_bruteforce,
-                     t_matrix, trib)
+                     t_matrix, term_reader, trib)
 
 T = SequenceKind.TRIBONACCI
 K = SequenceKind.TRIBONACCI_LUCAS
@@ -130,8 +130,9 @@ class TestPartialSums:
                 for j in range(m):
                     for n in range(1, 13):
                         spec = SumSpec(kind, m, j, n)
-                        assert partial_sum(spec, cache) == \
-                            partial_sum_bruteforce(spec, cache), spec
+                        term = term_reader(kind, cache)
+                        assert partial_sum(spec, term) == \
+                            partial_sum_bruteforce(spec, term), spec
 
     @given(m=st.integers(1, 10), j=st.integers(0, 9), n=st.integers(1, 40),
            kind=st.sampled_from([T, K, TM, KM]))
@@ -144,14 +145,19 @@ class TestPartialSums:
         for n in range(1, 101):
             t_num = trib(n + 2, t_cache) - trib(n, t_cache) - 1
             assert t_num % 2 == 0
-            assert partial_sum(SumSpec(T, 1, 0, n), t_cache) == t_num // 2
+            assert partial_sum(SumSpec(T, 1, 0, n),
+                               term_reader(T, t_cache)) == t_num // 2
             k_num = lucas_trib(n + 2, k_cache) - lucas_trib(n, k_cache)
             assert k_num % 2 == 0
-            assert partial_sum(SumSpec(K, 1, 0, n), k_cache) == k_num // 2
+            assert partial_sum(SumSpec(K, 1, 0, n),
+                               term_reader(K, k_cache)) == k_num // 2
 
-    def test_wrong_cache_kind_rejected(self, k_cache):
+    def test_wrong_cache_kind_rejected(self, t_cache, k_cache):
+        # a cache turns into terms in term_reader alone, which checks it
         with pytest.raises(ValueError):
-            partial_sum(SumSpec(T, 1, 0, 3), k_cache)
+            term_reader(T, k_cache)
+        with pytest.raises(ValueError):
+            term_reader(KM, t_cache)
 
     @pytest.mark.parametrize("summer,spec", [
         (partial_sum, SumSpec(TM, 7, 3, 10**5)),
