@@ -194,6 +194,8 @@ def binet_matrix(kind: MatrixKind, n: int,
                  roots: RootTriple | None = None,
                  constants: BinetConstants | None = None) -> Mat3:
     """TM(n) or KM(n) from the matrix power form, rounded entrywise."""
+    if not isinstance(kind, MatrixKind):
+        raise ValueError(f"binet_matrix takes TM or KM, not {kind}")
     r = _given("roots", roots, precision, compute_roots)
     c = _given("constants", constants, precision,
                lambda bits: binet_constants(bits, r))

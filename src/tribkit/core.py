@@ -143,6 +143,22 @@ def walk(seeds, n: int, counter: OpCounter | None = None):
     return value
 
 
+def cache_reader(cache, kind: SequenceKind):
+    """The cache's `get`, once the cache is known to hold `kind`'s terms;
+    the one place a cache is checked before it gives terms."""
+    if cache.kind is not kind:
+        raise ValueError(f"{kind.value} terms wanted; the cache holds "
+                         f"{cache.kind.value} terms")
+    return cache.get
+
+
+def _term(kind: SequenceKind, n: int, cache: TermCache | None,
+          counter: OpCounter | None) -> int:
+    if cache is None:
+        return walk(SEEDS[kind], n, counter)
+    return cache_reader(cache, kind)(n)
+
+
 def trib(n: int, cache: TermCache | None = None,
          counter: OpCounter | None = None) -> int:
     """Tribonacci number T(n), exact for any integer n.
@@ -150,21 +166,13 @@ def trib(n: int, cache: TermCache | None = None,
     Stateless by default; pass a ``TermCache`` to memoize across calls
     (identical results either way).
     """
-    if cache is not None:
-        if cache.kind is not SequenceKind.TRIBONACCI:
-            raise ValueError("cache holds the wrong sequence")
-        return cache.get(n)
-    return walk(SEEDS[SequenceKind.TRIBONACCI], n, counter)
+    return _term(SequenceKind.TRIBONACCI, n, cache, counter)
 
 
 def lucas_trib(n: int, cache: TermCache | None = None,
                counter: OpCounter | None = None) -> int:
     """Tribonacci-Lucas number K(n), exact for any integer n."""
-    if cache is not None:
-        if cache.kind is not SequenceKind.TRIBONACCI_LUCAS:
-            raise ValueError("cache holds the wrong sequence")
-        return cache.get(n)
-    return walk(SEEDS[SequenceKind.TRIBONACCI_LUCAS], n, counter)
+    return _term(SequenceKind.TRIBONACCI_LUCAS, n, cache, counter)
 
 
 _ALT_SEEDS = (0, 1, 1, 2)  # T(0)..T(3)

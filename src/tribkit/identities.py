@@ -4,12 +4,15 @@ Every identity relating T, K, TM and KM that is not already embodied by
 an operation elsewhere (Binet evaluation, generating functions, the
 summation closed form) lives here as an IdentityRecord: a stable id, the
 formula itself as the anchor, a declared index domain, and an evaluator
-returning the two sides.  Verification sweeps a profile-sized grid and
-demands exact equality at every point -- integer identities get no
-tolerance.
+returning the two sides.  A formula's evaluator is its anchor's own
+text, compiled once per process with `^` read as `**`; its only names
+are its indices and the registry's readers T, K, TM and KM, so the
+formula a report prints is the formula that was checked.  Verification
+sweeps a profile-sized grid and demands exact equality at every point
+-- integer identities get no tolerance.
 
-Identities that chain three expressions (X = Y = Z) evaluate both sides
-as tuples compared slotwise, so a failure in either leg surfaces.
+A chain X = Y = Z evaluates each side once, to ((X, Y), (Y, Z)),
+compared slotwise, so a failure in either leg surfaces.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ import functools
 import time
 from dataclasses import dataclass
 from enum import Enum
+from types import CodeType
 from typing import Callable, Iterator
 
 from .core import SequenceKind, TermCache
 from .errors import UnknownIdentity
-from .matrices import (KIND_SEEDS, K_MAT_SEEDS, T_MAT_SEEDS, Mat3, MatrixKind,
-                       decimal_form, mat_mul, mat_pow, term_reader)
+from .matrices import KIND_SEEDS, MatrixKind, decimal_form, term_reader
 from .series import SumSpec, partial_sum, running_bruteforce
 
 
@@ -143,200 +146,137 @@ def _sum_desc(bounds: GridBounds) -> str:
     return f"(m, j, n) with 1 <= m <= {m_hi}, 0 <= j < m, 1 <= n <= {bounds.pair}"
 
 
+@dataclass(frozen=True)
+class Shape:
+    """A record's index names, as its anchor writes them, and its grid."""
+
+    indices: str
+    arity: Arity
+    domain: str
+    grid: Callable[[GridBounds], Iterator[tuple[int, ...]]]
+    describe: Callable[[GridBounds], str]
+
+
+N_ALL = Shape("n", Arity.N, "all integers n", _signed, _signed_desc)
+N_NONNEG = Shape("n", Arity.N, "n >= 0", _nonneg, _nonneg_desc)
+MN = Shape("m, n", Arity.MN, "m, n >= 0", _pair, _pair_desc)
+NR = Shape("n, r", Arity.MNR, "n >= r >= 0", _nr, _nr_desc)
+SUM = Shape("m, j, n", Arity.MNR, "m > j >= 0, n >= 1", _sum_grid, _sum_desc)
+
+
 # registry -----------------------------------------------------------------
+
+# (id, anchor, shape[, note]): each anchor is the formula that is checked
+FORMULAS = (
+    ("EQ3", "T(n) = 2*T(n-1) - T(n-4)", N_ALL),
+    ("TNEG", "T(-n) = T(n-1)^2 - T(n-2)*T(n)", N_NONNEG),
+    ("EQ4", "K(n) = 3*T(n+1) - 2*T(n) - T(n-1)", N_ALL),
+    ("EQ5", "K(n) = T(n) + 2*T(n-1) + 3*T(n-2)", N_ALL),
+    ("EQ6", "K(n) = 4*T(n+1) - T(n) - T(n+2)", N_ALL),
+    ("THM15a", "KM(n) = 3*TM(n+1) - 2*TM(n) - TM(n-1)", N_ALL),
+    ("THM15b", "KM(n) = TM(n) + 2*TM(n-1) + 3*TM(n-2)", N_ALL),
+    ("THM15c", "KM(n) = 4*TM(n+1) - TM(n) - TM(n+2)", N_ALL,
+     "items (c) and (d) of this identity group are the same "
+     "formula with terms reordered; registered once"),
+    ("THM15e", "22*TM(n) = 5*KM(n+2) - 3*KM(n+1) - 4*KM(n)", N_ALL),
+    ("LEM16a", "KM(0)*TM(n) = TM(n)*KM(0) = KM(n)", N_NONNEG),
+    ("LEM16b", "TM(0)*KM(n) = KM(n)*TM(0) = KM(n)", N_NONNEG),
+    ("COR17a", "22*T(n) = K(n) + 5*K(n-1) + 2*K(n+1)", N_ALL),
+    ("COR17b", "22*TM(n) = KM(n) + 5*KM(n-1) + 2*KM(n+1)", N_ALL),
+    ("THM18a", "TM(m)*TM(n) = TM(m+n) = TM(n)*TM(m)", MN),
+    ("THM18b", "TM(m)*KM(n) = KM(n)*TM(m) = KM(m+n)", MN),
+    ("THM18c", "KM(m)*KM(n) = KM(n)*KM(m) = 9*TM(m+n+2) - 12*TM(m+n+1) "
+               "- 2*TM(m+n) + 4*TM(m+n-1) + TM(m+n-2)", MN),
+    ("THM18d", "KM(m)*KM(n) = TM(m+n) + 4*TM(m+n-1) + 10*TM(m+n-2) "
+               "+ 12*TM(m+n-3) + 9*TM(m+n-4)", MN),
+    ("THM18e", "KM(m)*KM(n) = TM(m+n) - 8*TM(m+n+1) + 18*TM(m+n+2) "
+               "- 8*TM(m+n+3) + TM(m+n+4)", MN),
+    ("COR19a", "T(m+n) = T(m)*T(n+1) + T(n)*(T(m-1) + T(m-2)) "
+               "+ T(m-1)*T(n-1)", MN),
+    ("COR19b", "K(m+n) = T(m)*K(n+1) + K(n)*(T(m-1) + T(m-2)) "
+               "+ K(n-1)*T(m-1)", MN),
+    ("COR19c", "K(m)*K(n+1) + K(n)*(K(m-1) + K(m-2)) + K(m-1)*K(n-1) = "
+               "9*T(m+n+2) - 12*T(m+n+1) - 2*T(m+n) + 4*T(m+n-1) + T(m+n-2)",
+     MN),
+    ("COR19d", "K(m)*K(n+1) + K(n)*(K(m-1) + K(m-2)) + K(m-1)*K(n-1) = "
+               "T(m+n) + 4*T(m+n-1) + 10*T(m+n-2) + 12*T(m+n-3) + 9*T(m+n-4)",
+     MN),
+    ("COR19e", "K(m)*K(n+1) + K(n)*(K(m-1) + K(m-2)) + K(m-1)*K(n-1) = "
+               "T(m+n) - 8*T(m+n+1) + 18*T(m+n+2) - 8*T(m+n+3) + T(m+n+4)",
+     MN),
+    ("THM20a", "TM(n)^m = TM(m*n)", MN),
+    ("THM20b", "TM(n+1)^m = TM(1)^m * TM(m*n)", MN),
+    ("THM20c", "TM(n-r)*TM(n+r) = TM(n)^2 = TM(2)^n", NR),
+    ("THMFINALa", "KM(n-r)*KM(n+r) = KM(n)^2", NR),
+    ("THMFINALb", "KM(n)^m = KM(0)^m * TM(m*n)", MN),
+)
+
+READERS = frozenset(kind.value for kind in KIND_SEEDS)  # T, K, TM, KM
+
+
+@functools.cache
+def _compile(id: str, anchor: str, indices: str) -> CodeType:
+    """`lambda <indices>: (left, right)` from the anchor's own text.
+
+    `^` is `**`; a chain A = B = C yields ((A, B), (B, C)), B evaluated
+    once.  Cached, so an anchor is compiled once per process.
+    """
+    sides = anchor.replace("^", "**").split(" = ")
+    if len(sides) == 2:
+        body = "({}, {})".format(*sides)
+    elif len(sides) == 3:
+        body = "(({}, (_mid := {})), (_mid, {}))".format(*sides)
+    else:
+        raise ValueError(f"{id}: an anchor has two or three sides")
+    code = compile(f"lambda {indices}: {body}", f"<{id}>", "eval")
+    unknown = _names(code) - READERS - {"_mid", *indices.split(", ")}
+    if unknown:
+        raise ValueError(f"{id}: its anchor names {', '.join(sorted(unknown))}"
+                         f"; only {', '.join(sorted(READERS))} and "
+                         f"{indices} are allowed")
+    return code
+
+
+def _names(code: CodeType) -> set[str]:
+    """Every name compiled code uses, its nested code's too."""
+    return set(code.co_names + code.co_varnames).union(
+        *(_names(c) for c in code.co_consts if isinstance(c, CodeType)))
+
 
 def registry() -> list[IdentityRecord]:
     """The full static registry; ids are stable and unique.
 
-    Each call builds fresh evaluators over private term caches, so
-    returned registries are independent of each other and safe to use
-    concurrently.  A registry reads each kind through one memoised
-    reader, both sides of the sum records too, so each TM(n) and KM(n)
-    is built once; the direct sums keep a running total
+    Each call binds the compiled anchors to fresh readers over private
+    term caches, so returned registries are independent of each other
+    and safe to use concurrently.  A registry reads each kind through
+    one memoised reader, both sides of the sum records too, so each
+    TM(n) and KM(n) is built once; the direct sums keep a running total
     (`series.running_bruteforce`), one term per step up the n axis.
+    The sum records' anchors are prose, so they keep their evaluator.
     """
     caches = {kind: TermCache(kind) for kind in SequenceKind}
-    readers = {kind: functools.cache(term_reader(kind, caches[scalar]))
+    readers = {kind.value: functools.cache(term_reader(kind, caches[scalar]))
                for kind, (_, scalar) in KIND_SEEDS.items()}
-    t = readers[SequenceKind.TRIBONACCI]
-    k = readers[SequenceKind.TRIBONACCI_LUCAS]
-    tm = readers[MatrixKind.TRIB_MATRIX]
-    km = readers[MatrixKind.LUCAS_MATRIX]
-
-    ident, tm1, tm2 = T_MAT_SEEDS
-    km0 = K_MAT_SEEDS[0]
-
-    def conv_lhs(m: int, n: int) -> int:
-        return k(m) * k(n + 1) + k(n) * (k(m - 1) + k(m - 2)) + k(m - 1) * k(n - 1)
-
-    def km_product(s: int) -> Mat3:
-        return (9 * tm(s + 2) - 12 * tm(s + 1) - 2 * tm(s)
-                + 4 * tm(s - 1) + tm(s - 2))
+    # the anchors' only names: no builtins
+    namespace = {"__builtins__": {}} | readers
 
     def sum_record(id: str, kind) -> IdentityRecord:
-        term = readers[kind]
+        term = readers[kind.value]
         oracle = running_bruteforce(kind, term)
 
         def evaluate(m, j, n):
             return partial_sum(SumSpec(kind, m, j, n), term), oracle(m, j, n)
         return IdentityRecord(
-            id=id, anchor="sum_{i=0}^{n-1} " f"{kind.value}(m*i+j) equals "
-                          "its closed form over K(m) - K(-m)",
-            arity=Arity.MNR, domain="m > j >= 0, n >= 1", evaluate=evaluate,
-            grid=_sum_grid, describe=_sum_desc)
-
-    n_all = dict(arity=Arity.N, domain="all integers n",
-                 grid=_signed, describe=_signed_desc)
-    n_nonneg = dict(arity=Arity.N, domain="n >= 0",
-                    grid=_nonneg, describe=_nonneg_desc)
-    mn = dict(arity=Arity.MN, domain="m, n >= 0",
-              grid=_pair, describe=_pair_desc)
-    nr = dict(arity=Arity.MNR, domain="n >= r >= 0",
-              grid=_nr, describe=_nr_desc)
+            id, "sum_{i=0}^{n-1} " f"{kind.value}(m*i+j) equals its closed "
+                "form over K(m) - K(-m)",
+            SUM.arity, SUM.domain, evaluate, SUM.grid, SUM.describe)
 
     return [
-        IdentityRecord(id="EQ3", anchor="T(n) = 2*T(n-1) - T(n-4)",
-            evaluate=lambda n: (t(n), 2 * t(n - 1) - t(n - 4)), **n_all),
-        IdentityRecord(id="TNEG", anchor="T(-n) = T(n-1)^2 - T(n-2)*T(n)",
-            evaluate=lambda n: (t(-n), t(n - 1) ** 2 - t(n - 2) * t(n)),
-            **n_nonneg),
-        IdentityRecord(id="EQ4", anchor="K(n) = 3*T(n+1) - 2*T(n) - T(n-1)",
-            evaluate=lambda n: (k(n), 3 * t(n + 1) - 2 * t(n) - t(n - 1)),
-            **n_all),
-        IdentityRecord(id="EQ5", anchor="K(n) = T(n) + 2*T(n-1) + 3*T(n-2)",
-            evaluate=lambda n: (k(n), t(n) + 2 * t(n - 1) + 3 * t(n - 2)),
-            **n_all),
-        IdentityRecord(id="EQ6", anchor="K(n) = 4*T(n+1) - T(n) - T(n+2)",
-            evaluate=lambda n: (k(n), 4 * t(n + 1) - t(n) - t(n + 2)),
-            **n_all),
-        IdentityRecord(id="THM15a", anchor=
-            "KM(n) = 3*TM(n+1) - 2*TM(n) - TM(n-1)",
-            evaluate=lambda n: (km(n), 3 * tm(n + 1) - 2 * tm(n) - tm(n - 1)),
-            **n_all),
-        IdentityRecord(id="THM15b", anchor=
-            "KM(n) = TM(n) + 2*TM(n-1) + 3*TM(n-2)",
-            evaluate=lambda n: (km(n), tm(n) + 2 * tm(n - 1) + 3 * tm(n - 2)),
-            **n_all),
-        IdentityRecord(id="THM15c", anchor=
-            "KM(n) = 4*TM(n+1) - TM(n) - TM(n+2)",
-            evaluate=lambda n: (km(n), 4 * tm(n + 1) - tm(n) - tm(n + 2)),
-            note="items (c) and (d) of this identity group are the same "
-                 "formula with terms reordered; registered once",
-            **n_all),
-        IdentityRecord(id="THM15e", anchor=
-            "22*TM(n) = 5*KM(n+2) - 3*KM(n+1) - 4*KM(n)",
-            evaluate=lambda n: (22 * tm(n),
-                                5 * km(n + 2) - 3 * km(n + 1) - 4 * km(n)),
-            **n_all),
-        IdentityRecord(id="LEM16a", anchor="KM(0)*TM(n) = TM(n)*KM(0) = KM(n)",
-            evaluate=lambda n: ((mat_mul(km0, tm(n)), mat_mul(tm(n), km0)),
-                                (km(n), km(n))),
-            **n_nonneg),
-        IdentityRecord(id="LEM16b", anchor="TM(0)*KM(n) = KM(n)*TM(0) = KM(n)",
-            evaluate=lambda n: ((mat_mul(ident, km(n)), mat_mul(km(n), ident)),
-                                (km(n), km(n))),
-            **n_nonneg),
-        IdentityRecord(id="COR17a", anchor=
-            "22*T(n) = K(n) + 5*K(n-1) + 2*K(n+1)",
-            evaluate=lambda n: (22 * t(n), k(n) + 5 * k(n - 1) + 2 * k(n + 1)),
-            **n_all),
-        IdentityRecord(id="COR17b", anchor=
-            "22*TM(n) = KM(n) + 5*KM(n-1) + 2*KM(n+1)",
-            evaluate=lambda n: (22 * tm(n),
-                                km(n) + 5 * km(n - 1) + 2 * km(n + 1)),
-            **n_all),
-        IdentityRecord(id="THM18a", anchor=
-            "TM(m)*TM(n) = TM(m+n) = TM(n)*TM(m)",
-            evaluate=lambda m, n: ((mat_mul(tm(m), tm(n)), mat_mul(tm(n), tm(m))),
-                                   (tm(m + n), tm(m + n))),
-            **mn),
-        IdentityRecord(id="THM18b", anchor=
-            "TM(m)*KM(n) = KM(n)*TM(m) = KM(m+n)",
-            evaluate=lambda m, n: ((mat_mul(tm(m), km(n)), mat_mul(km(n), tm(m))),
-                                   (km(m + n), km(m + n))),
-            **mn),
-        IdentityRecord(id="THM18c", anchor=
-            "KM(m)*KM(n) = KM(n)*KM(m) = 9*TM(m+n+2) - 12*TM(m+n+1) "
-            "- 2*TM(m+n) + 4*TM(m+n-1) + TM(m+n-2)",
-            evaluate=lambda m, n: (
-                (mat_mul(km(m), km(n)), mat_mul(km(n), km(m))),
-                (km_product(m + n), km_product(m + n))),
-            **mn),
-        IdentityRecord(id="THM18d", anchor=
-            "KM(m)*KM(n) = TM(m+n) + 4*TM(m+n-1) + 10*TM(m+n-2) "
-            "+ 12*TM(m+n-3) + 9*TM(m+n-4)",
-            evaluate=lambda m, n: (
-                mat_mul(km(m), km(n)),
-                tm(m + n) + 4 * tm(m + n - 1) + 10 * tm(m + n - 2)
-                + 12 * tm(m + n - 3) + 9 * tm(m + n - 4)),
-            **mn),
-        IdentityRecord(id="THM18e", anchor=
-            "KM(m)*KM(n) = TM(m+n) - 8*TM(m+n+1) + 18*TM(m+n+2) "
-            "- 8*TM(m+n+3) + TM(m+n+4)",
-            evaluate=lambda m, n: (
-                mat_mul(km(m), km(n)),
-                tm(m + n) - 8 * tm(m + n + 1) + 18 * tm(m + n + 2)
-                - 8 * tm(m + n + 3) + tm(m + n + 4)),
-            **mn),
-        IdentityRecord(id="COR19a", anchor=
-            "T(m+n) = T(m)*T(n+1) + T(n)*(T(m-1) + T(m-2)) + T(m-1)*T(n-1)",
-            evaluate=lambda m, n: (
-                t(m + n),
-                t(m) * t(n + 1) + t(n) * (t(m - 1) + t(m - 2))
-                + t(m - 1) * t(n - 1)),
-            **mn),
-        IdentityRecord(id="COR19b", anchor=
-            "K(m+n) = T(m)*K(n+1) + K(n)*(T(m-1) + T(m-2)) + K(n-1)*T(m-1)",
-            evaluate=lambda m, n: (
-                k(m + n),
-                t(m) * k(n + 1) + k(n) * (t(m - 1) + t(m - 2))
-                + k(n - 1) * t(m - 1)),
-            **mn),
-        IdentityRecord(id="COR19c", anchor=
-            "K(m)*K(n+1) + K(n)*(K(m-1) + K(m-2)) + K(m-1)*K(n-1) = "
-            "9*T(m+n+2) - 12*T(m+n+1) - 2*T(m+n) + 4*T(m+n-1) + T(m+n-2)",
-            evaluate=lambda m, n: (
-                conv_lhs(m, n),
-                9 * t(m + n + 2) - 12 * t(m + n + 1) - 2 * t(m + n)
-                + 4 * t(m + n - 1) + t(m + n - 2)),
-            **mn),
-        IdentityRecord(id="COR19d", anchor=
-            "K(m)*K(n+1) + K(n)*(K(m-1) + K(m-2)) + K(m-1)*K(n-1) = "
-            "T(m+n) + 4*T(m+n-1) + 10*T(m+n-2) + 12*T(m+n-3) + 9*T(m+n-4)",
-            evaluate=lambda m, n: (
-                conv_lhs(m, n),
-                t(m + n) + 4 * t(m + n - 1) + 10 * t(m + n - 2)
-                + 12 * t(m + n - 3) + 9 * t(m + n - 4)),
-            **mn),
-        IdentityRecord(id="COR19e", anchor=
-            "K(m)*K(n+1) + K(n)*(K(m-1) + K(m-2)) + K(m-1)*K(n-1) = "
-            "T(m+n) - 8*T(m+n+1) + 18*T(m+n+2) - 8*T(m+n+3) + T(m+n+4)",
-            evaluate=lambda m, n: (
-                conv_lhs(m, n),
-                t(m + n) - 8 * t(m + n + 1) + 18 * t(m + n + 2)
-                - 8 * t(m + n + 3) + t(m + n + 4)),
-            **mn),
-        IdentityRecord(id="THM20a", anchor="TM(n)^m = TM(m*n)",
-            evaluate=lambda m, n: (mat_pow(tm(n), m), tm(m * n)),
-            **mn),
-        IdentityRecord(id="THM20b", anchor="TM(n+1)^m = TM(1)^m * TM(m*n)",
-            evaluate=lambda m, n: (mat_pow(tm(n + 1), m),
-                                   mat_mul(mat_pow(tm1, m), tm(m * n))),
-            **mn),
-        IdentityRecord(id="THM20c", anchor=
-            "TM(n-r)*TM(n+r) = TM(n)^2 = TM(2)^n",
-            evaluate=lambda n, r: (
-                (mat_mul(tm(n - r), tm(n + r)), mat_mul(tm(n), tm(n))),
-                (mat_mul(tm(n), tm(n)), mat_pow(tm2, n))),
-            **nr),
-        IdentityRecord(id="THMFINALa", anchor="KM(n-r)*KM(n+r) = KM(n)^2",
-            evaluate=lambda n, r: (mat_mul(km(n - r), km(n + r)),
-                                   mat_mul(km(n), km(n))),
-            **nr),
-        IdentityRecord(id="THMFINALb", anchor="KM(n)^m = KM(0)^m * TM(m*n)",
-            evaluate=lambda m, n: (mat_pow(km(n), m),
-                                   mat_mul(mat_pow(km0, m), tm(m * n))),
-            **mn),
+        IdentityRecord(id, anchor, shape.arity, shape.domain,
+                       eval(_compile(id, anchor, shape.indices), namespace),
+                       shape.grid, shape.describe, *note)
+        for id, anchor, shape, *note in FORMULAS
+    ] + [
         sum_record("SUMTHMa", MatrixKind.TRIB_MATRIX),
         sum_record("SUMTHMb", MatrixKind.LUCAS_MATRIX),
         sum_record("SUMCORa", SequenceKind.TRIBONACCI),

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .core import SEEDS, SequenceKind, TermCache, to_decimal, walk
+from .core import (SEEDS, SequenceKind, TermCache, cache_reader, to_decimal,
+                   walk)
 from .counters import OpCounter
 from .errors import DivisibilityViolation, NegativeExponent
 
@@ -36,11 +37,6 @@ class Mat3:
     def __post_init__(self):
         if len(self.entries) != 9:
             raise ValueError("Mat3 takes exactly 9 entries")
-
-    @classmethod
-    def from_rows(cls, rows) -> "Mat3":
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return cls((a, b, c, d, e, f, g, h, i))
 
     def rows(self) -> tuple[tuple[int, int, int], ...]:
         e = self.entries
@@ -64,8 +60,15 @@ class Mat3:
             return NotImplemented
         return Mat3(tuple(k * x for x in self.entries))
 
-    def __matmul__(self, other: "Mat3") -> "Mat3":
+    def __mul__(self, other: "Mat3") -> "Mat3":
+        if not isinstance(other, Mat3):
+            return NotImplemented
         return mat_mul(self, other)
+
+    __matmul__ = __mul__
+
+    def __pow__(self, e: int) -> "Mat3":
+        return mat_pow(self, e)
 
     def div_exact(self, d: int) -> "Mat3":
         """Entrywise exact division; any remainder raises."""
@@ -236,12 +239,10 @@ def term_reader(kind, cache: TermCache | None = None,
     seeds, scalar = KIND_SEEDS[kind]
     if cache is None:
         return lambda n: kernel_term(seeds, n, counter)
-    if cache.kind is not scalar:
-        raise ValueError(f"{kind.value} is read from {scalar.value} terms; "
-                         f"the cache holds {cache.kind.value}")
+    get = cache_reader(cache, scalar)
     if isinstance(kind, MatrixKind):
-        return lambda n: _closed_form(cache.get, n)
-    return cache.get
+        return lambda n: _closed_form(get, n)
+    return get
 
 
 def t_matrix(n: int, strategy: MatrixStrategy = MatrixStrategy.CLOSED_FORM,

@@ -4,8 +4,8 @@ from functools import partial
 import pytest
 from mpmath import mp
 
-from tribkit import (MatrixKind, PrecisionExhausted, binet_constants,
-                     binet_lucas, binet_matrix, binet_trib,
+from tribkit import (MatrixKind, PrecisionExhausted, SequenceKind,
+                     binet_constants, binet_lucas, binet_matrix, binet_trib,
                      check_constant_algebra, compute_roots, k_matrix,
                      lucas_trib, radical_roots, t_matrix, trib)
 
@@ -146,6 +146,12 @@ class TestMatrixBinet:
                 retried += 1
             assert value == exact(n), n
         assert retried >= 30  # most of the grid is beyond 256 bits
+
+    @pytest.mark.parametrize("kind", list(SequenceKind))
+    def test_scalar_kind_refused(self, kind):
+        # a kind other than TM once fell through to KM's weights
+        with pytest.raises(ValueError, match=re.escape(str(kind))):
+            binet_matrix(kind, 3)
 
     def test_roots_or_constants_below_the_precision_raise(self):
         roots64 = compute_roots(64)

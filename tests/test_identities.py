@@ -8,8 +8,8 @@ from tribkit import (IDENTITY, Arity, GridBounds, IdentityRecord, MatrixKind,
                      PROFILE_BOUNDS, Profile, SequenceKind, SumSpec,
                      TermCache, UnknownIdentity, format_report_table,
                      VerifyReport, lucas_trib, partial_sum_bruteforce,
-                     registry, report_to_dict, term_reader, trib, verify,
-                     verify_all, verify_record)
+                     registry, report_to_dict, t_matrix, term_reader, trib,
+                     verify, verify_all, verify_record)
 from tribkit import identities, matrices
 from tribkit.identities import Failure
 
@@ -70,6 +70,81 @@ class TestRegistry:
         for identity_id in ("THM18a", "THM20a", "COR19a"):
             points = list(by_id[identity_id].grid(bounds))
             assert all(m >= 0 and n >= 0 for m, n in points)
+
+
+FORMULA_IDS = [
+    "EQ3", "TNEG", "EQ4", "EQ5", "EQ6",
+    "THM15a", "THM15b", "THM15c", "THM15e", "LEM16a", "LEM16b",
+    "COR17a", "COR17b", "THM18a", "THM18b", "THM18c", "THM18d", "THM18e",
+    "COR19a", "COR19b", "COR19c", "COR19d", "COR19e",
+    "THM20a", "THM20b", "THM20c", "THMFINALa", "THMFINALb",
+]
+
+
+def _changed(anchor):
+    """The anchor with the last sign of its last side flipped, or that
+    side doubled when it has no sign: one sign or coefficient changed."""
+    head, eq, last = anchor.rpartition(" = ")
+    at = max(last.rfind(" + "), last.rfind(" - "))
+    if at < 0:
+        return f"{head}{eq}2*{last}"
+    flipped = " - " if last[at + 1] == "+" else " + "
+    return f"{head}{eq}{last[:at]}{flipped}{last[at + 3:]}"
+
+
+def _with_anchor(monkeypatch, identity_id, anchor):
+    """Registry rows with `identity_id`'s anchor replaced."""
+    rows = tuple((identity_id, anchor, *row[2:]) if row[0] == identity_id
+                 else row for row in identities.FORMULAS)
+    monkeypatch.setattr(identities, "FORMULAS", rows)
+
+
+class TestAnchors:
+    """A formula record checks its anchor's own text."""
+
+    @pytest.mark.parametrize("identity_id", FORMULA_IDS)
+    def test_changed_anchor_fails(self, identity_id, monkeypatch):
+        anchor = next(r.anchor for r in registry() if r.id == identity_id)
+        changed = _changed(anchor)
+        assert changed != anchor
+        _with_anchor(monkeypatch, identity_id, changed)
+        record = next(r for r in registry() if r.id == identity_id)
+        assert record.anchor == changed
+        assert not verify_record(record, PROFILE_BOUNDS[Profile.QUICK]).passed
+
+    @pytest.mark.parametrize("side", [
+        "abs(T(n))", "T(m)", "TM(n).entries", "(x := T(n))",
+        "[T(k) for k in (n,)]", "__import__('os')",
+    ])
+    def test_anchor_naming_anything_else_refused(self, side, monkeypatch):
+        _with_anchor(monkeypatch, "EQ3", f"T(n) = {side}")
+        with pytest.raises(ValueError, match="EQ3"):
+            registry()
+
+    def test_chain_evaluates_each_side_once(self, monkeypatch):
+        tm3, tm5, tm7 = t_matrix(3), t_matrix(5), t_matrix(7)
+        square = matrices.mat_mul(tm5, tm5)
+        exponents = []
+        real_pow = matrices.mat_pow
+
+        def counting_pow(a, e, counter=None):
+            exponents.append(e)
+            return real_pow(a, e, counter)
+
+        monkeypatch.setattr(matrices, "mat_pow", counting_pow)
+        record = next(r for r in registry() if r.id == "THM20c")
+        # TM(n-r)*TM(n+r) = TM(n)^2 = TM(2)^n at (n, r) = (5, 2): the legs
+        # pair neighbouring sides and share one TM(n)^2
+        assert record.evaluate(5, 2) == ((matrices.mat_mul(tm3, tm7), square),
+                                         (square, square))
+        assert exponents == [2, 5]
+
+    def test_anchors_compiled_once_per_process(self):
+        registry()
+        misses = identities._compile.cache_info().misses
+        registry()
+        registry()
+        assert identities._compile.cache_info().misses == misses
 
 
 class TestVerify:

@@ -65,6 +65,19 @@ def test_mat_pow_rejects_negative_exponent():
         mat_pow(T_MAT_SEEDS[1], -1)
 
 
+def test_operators_are_mat_mul_and_mat_pow():
+    a, b = t_matrix(5), k_matrix(-3)
+    assert a * b == mat_mul(a, b)
+    assert b * a == mat_mul(b, a)
+    for e in (0, 1, 2, 7):
+        assert a ** e == mat_pow(a, e)
+    with pytest.raises(TypeError):
+        a * 2
+    assert 2 * a == a + a
+    with pytest.raises(NegativeExponent):
+        a ** -1
+
+
 small_mat3 = st.builds(
     Mat3, st.tuples(*[st.integers(min_value=-50, max_value=50)] * 9))
 
