@@ -143,36 +143,18 @@ def walk(seeds, n: int, counter: OpCounter | None = None):
     return value
 
 
-def cache_reader(cache, kind: SequenceKind):
-    """The cache's `get`, once the cache is known to hold `kind`'s terms;
-    the one place a cache is checked before it gives terms."""
-    if cache.kind is not kind:
-        raise ValueError(f"{kind.value} terms wanted; the cache holds "
-                         f"{cache.kind.value} terms")
-    return cache.get
+def trib(n: int, counter: OpCounter | None = None) -> int:
+    """Tribonacci number T(n), exact for any integer n, by `walk`.
 
-
-def _term(kind: SequenceKind, n: int, cache: TermCache | None,
-          counter: OpCounter | None) -> int:
-    if cache is None:
-        return walk(SEEDS[kind], n, counter)
-    return cache_reader(cache, kind)(n)
-
-
-def trib(n: int, cache: TermCache | None = None,
-         counter: OpCounter | None = None) -> int:
-    """Tribonacci number T(n), exact for any integer n.
-
-    Stateless by default; pass a ``TermCache`` to memoize across calls
-    (identical results either way).
+    Stateless; `TermCache(TRIBONACCI).get(n)` gives the same term
+    memoized across calls.
     """
-    return _term(SequenceKind.TRIBONACCI, n, cache, counter)
+    return walk(SEEDS[SequenceKind.TRIBONACCI], n, counter)
 
 
-def lucas_trib(n: int, cache: TermCache | None = None,
-               counter: OpCounter | None = None) -> int:
+def lucas_trib(n: int, counter: OpCounter | None = None) -> int:
     """Tribonacci-Lucas number K(n), exact for any integer n."""
-    return _term(SequenceKind.TRIBONACCI_LUCAS, n, cache, counter)
+    return walk(SEEDS[SequenceKind.TRIBONACCI_LUCAS], n, counter)
 
 
 _ALT_SEEDS = (0, 1, 1, 2)  # T(0)..T(3)
@@ -197,32 +179,27 @@ def trib_alt(n: int) -> int:
     return a
 
 
-def lucas_from_trib(n: int, variant: Conversion,
-                    cache: TermCache | None = None) -> int:
+def lucas_from_trib(n: int, variant: Conversion) -> int:
     """K(n) assembled from Tribonacci terms.
 
     All three variants agree with lucas_trib at every integer n.
     """
-    def t(i: int) -> int:
-        return trib(i, cache)
-
     if variant is Conversion.A:
-        return 3 * t(n + 1) - 2 * t(n) - t(n - 1)
+        return 3 * trib(n + 1) - 2 * trib(n) - trib(n - 1)
     if variant is Conversion.B:
-        return t(n) + 2 * t(n - 1) + 3 * t(n - 2)
+        return trib(n) + 2 * trib(n - 1) + 3 * trib(n - 2)
     if variant is Conversion.C:
-        return 4 * t(n + 1) - t(n) - t(n + 2)
+        return 4 * trib(n + 1) - trib(n) - trib(n + 2)
     raise ValueError(f"unknown conversion variant: {variant!r}")
 
 
-def trib_from_lucas(n: int, cache: TermCache | None = None) -> int:
+def trib_from_lucas(n: int) -> int:
     """T(n) recovered as (K(n) + 5*K(n-1) + 2*K(n+1)) / 22.
 
     The division is exact for every integer n; a nonzero remainder would
     mean a broken evaluator, so it raises rather than truncating.
     """
-    s = (lucas_trib(n, cache) + 5 * lucas_trib(n - 1, cache)
-         + 2 * lucas_trib(n + 1, cache))
+    s = lucas_trib(n) + 5 * lucas_trib(n - 1) + 2 * lucas_trib(n + 1)
     q, r = divmod(s, 22)
     if r:
         raise DivisibilityViolation(f"22 does not divide {s} at n={n}")

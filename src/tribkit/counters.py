@@ -15,10 +15,7 @@ class OpCounter:
     ints is never counted.  `mat_muls` counts the products of a power
     chain: whole 3x3 matrix products in `mat_pow`, and each squaring
     and each step by x or 1/x of the polynomial kernel behind
-    `trib_fast`, `lucas_fast` and `t_matrix`.  `t_matrix(counter=)`
-    counts that kernel plus 45 additions for the read-out
-    a*TM(2) + b*TM(1) + c*I when no cache is passed, the products of
-    MAT_POW, and nothing for ITERATE or a cache.
+    `trib_fast` and `lucas_fast`.
     """
 
     big_adds: int = 0

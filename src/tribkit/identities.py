@@ -222,18 +222,19 @@ def _compile(id: str, anchor: str, indices: str) -> CodeType:
     once.  Cached, so an anchor is compiled once per process.
     """
     sides = anchor.replace("^", "**").split(" = ")
-    if len(sides) == 2:
-        body = "({}, {})".format(*sides)
-    elif len(sides) == 3:
-        body = "(({}, (_mid := {})), (_mid, {}))".format(*sides)
-    else:
+    if len(sides) not in (2, 3):
         raise ValueError(f"{id}: an anchor has two or three sides")
-    code = compile(f"lambda {indices}: {body}", f"<{id}>", "eval")
-    unknown = _names(code) - READERS - {"_mid", *indices.split(", ")}
+    # the sides' own names are checked before the chain binds `_mid`
+    code = compile(f"lambda {indices}: ({', '.join(sides)})", f"<{id}>",
+                   "eval")
+    unknown = _names(code) - READERS - set(indices.split(", "))
     if unknown:
         raise ValueError(f"{id}: its anchor names {', '.join(sorted(unknown))}"
                          f"; only {', '.join(sorted(READERS))} and "
                          f"{indices} are allowed")
+    if len(sides) == 3:
+        body = "(({}, (_mid := {})), (_mid, {}))".format(*sides)
+        code = compile(f"lambda {indices}: {body}", f"<{id}>", "eval")
     return code
 
 

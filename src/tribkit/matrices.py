@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .core import (SEEDS, SequenceKind, TermCache, cache_reader, to_decimal,
-                   walk)
+from .core import SEEDS, SequenceKind, TermCache, to_decimal, walk
 from .counters import OpCounter
 from .errors import DivisibilityViolation, NegativeExponent
 
@@ -47,9 +46,13 @@ class Mat3:
         return self.entries[3 * row + col]
 
     def __add__(self, other: "Mat3") -> "Mat3":
+        if not isinstance(other, Mat3):
+            return NotImplemented
         return Mat3(tuple(x + y for x, y in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Mat3") -> "Mat3":
+        if not isinstance(other, Mat3):
+            return NotImplemented
         return Mat3(tuple(x - y for x, y in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Mat3":
@@ -207,16 +210,13 @@ def _x_power(n: int, counter: OpCounter | None = None) -> tuple[int, int, int]:
     return a, b, c
 
 
-def kernel_term(seeds, n: int, counter: OpCounter | None = None):
+def kernel_term(seeds, n: int):
     """s(n) = a*s(2) + b*s(1) + c*s(0), (a, b, c) = `_x_power(n)`, any n.
 
-    The seeds (s(0), s(1), s(2)) may be ints or matrices.  The counter
-    also gets the read-out: 5 additions per entry (3 small multiples).
+    The seeds (s(0), s(1), s(2)) may be ints or matrices.
     """
-    a, b, c = _x_power(n, counter)
+    a, b, c = _x_power(n)
     s0, s1, s2 = seeds
-    if counter is not None:
-        counter.big_adds += 45 if isinstance(s0, Mat3) else 5
     return a * s2 + b * s1 + c * s0
 
 
@@ -228,61 +228,63 @@ def _closed_form(term: Callable[[int], int], n: int) -> Mat3:
                  tm1, tm2 + tm3, tm2))
 
 
-def term_reader(kind, cache: TermCache | None = None,
-                counter: OpCounter | None = None):
-    """n -> the CLOSED_FORM term of `kind` at any signed n.
+def term_reader(kind, cache: TermCache | None = None):
+    """n -> the term of `kind` at any signed n; the one place a cache
+    turns into terms.
 
     The cache's scalar terms (laid out by `_closed_form` for a matrix
     kind), else the kernel read-out over the kind's seeds: each term on
-    its own in O(log |n|), with no window up to n.
+    its own in O(log |n|), with no window up to n.  A cache of the other
+    sequence raises ValueError.
     """
     seeds, scalar = KIND_SEEDS[kind]
     if cache is None:
-        return lambda n: kernel_term(seeds, n, counter)
-    get = cache_reader(cache, scalar)
+        return lambda n: kernel_term(seeds, n)
+    if cache.kind is not scalar:
+        raise ValueError(f"{scalar.value} terms wanted; the cache holds "
+                         f"{cache.kind.value} terms")
+    get = cache.get
     if isinstance(kind, MatrixKind):
         return lambda n: _closed_form(get, n)
     return get
 
 
-def t_matrix(n: int, strategy: MatrixStrategy = MatrixStrategy.CLOSED_FORM,
-             cache: TermCache | None = None,
-             counter: OpCounter | None = None) -> Mat3:
+def t_matrix(n: int,
+             strategy: MatrixStrategy = MatrixStrategy.CLOSED_FORM) -> Mat3:
     """Tribonacci matrix TM(n) for any integer n; all strategies agree.
 
-    ITERATE walks the matrix recurrence from the seeds.  CLOSED_FORM
-    lays out Tribonacci terms when a cache is passed, else it is the
-    kernel read-out a*TM(2) + b*TM(1) + c*I.  MAT_POW raises TM(1) to
-    the n-th power by matrix products, or the integer inverse TM(-1) to
-    the (-n)-th when n < 0.
+    ITERATE walks the matrix recurrence from the seeds.  CLOSED_FORM is
+    the kernel read-out a*TM(2) + b*TM(1) + c*I.  MAT_POW raises TM(1)
+    to the n-th power by matrix products, or the integer inverse TM(-1)
+    to the (-n)-th when n < 0.  The entry layout of shifted T terms is
+    `term_reader(MatrixKind.TRIB_MATRIX, cache)`.
     """
     if strategy is MatrixStrategy.ITERATE:
         return walk(T_MAT_SEEDS, n)
     if strategy is MatrixStrategy.CLOSED_FORM:
-        return term_reader(MatrixKind.TRIB_MATRIX, cache, counter)(n)
+        return kernel_term(T_MAT_SEEDS, n)
     if strategy is MatrixStrategy.MAT_POW:
         if n < 0:
-            return mat_pow(_TM_INVERSE, -n, counter)
-        return mat_pow(T_MAT_SEEDS[1], n, counter)
+            return mat_pow(_TM_INVERSE, -n)
+        return mat_pow(T_MAT_SEEDS[1], n)
     raise ValueError(f"unsupported strategy for t_matrix: {strategy}")
 
 
-def k_matrix(n: int, strategy: MatrixStrategy = MatrixStrategy.CLOSED_FORM,
-             cache: TermCache | None = None) -> Mat3:
+def k_matrix(n: int,
+             strategy: MatrixStrategy = MatrixStrategy.CLOSED_FORM) -> Mat3:
     """Tribonacci-Lucas matrix KM(n) for any integer n; strategies agree.
 
-    ITERATE and CLOSED_FORM are those of `t_matrix` on KM's seeds (a
-    CLOSED_FORM cache holds Tribonacci-Lucas terms).  FROM_T multiplies
-    KM(0) by the CLOSED_FORM TM(n), which lands exactly on KM(n); it
-    wants a Tribonacci cache or none.
+    ITERATE and CLOSED_FORM are those of `t_matrix` on KM's seeds.
+    FROM_T multiplies KM(0) by `t_matrix(n)`, which lands exactly on
+    KM(n).  The entry layout of shifted K terms is
+    `term_reader(MatrixKind.LUCAS_MATRIX, cache)`.
     """
     if strategy is MatrixStrategy.ITERATE:
         return walk(K_MAT_SEEDS, n)
     if strategy is MatrixStrategy.CLOSED_FORM:
-        return term_reader(MatrixKind.LUCAS_MATRIX, cache)(n)
+        return kernel_term(K_MAT_SEEDS, n)
     if strategy is MatrixStrategy.FROM_T:
-        return mat_mul(K_MAT_SEEDS[0],
-                       t_matrix(n, MatrixStrategy.CLOSED_FORM, cache))
+        return mat_mul(K_MAT_SEEDS[0], t_matrix(n))
     raise ValueError(f"unsupported strategy for k_matrix: {strategy}")
 
 

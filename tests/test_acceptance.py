@@ -67,12 +67,14 @@ def test_criterion_3_strategy_equivalence():
     k_cache = TermCache(K)
     for n in range(-200, 201):
         t_ref = t_matrix(n, MatrixStrategy.ITERATE)
-        assert t_matrix(n, MatrixStrategy.CLOSED_FORM, t_cache) == t_ref
+        assert term_reader(TM, t_cache)(n) == t_ref
+        assert t_matrix(n, MatrixStrategy.CLOSED_FORM) == t_ref
         if n >= 0:
             assert t_matrix(n, MatrixStrategy.MAT_POW) == t_ref
         k_ref = k_matrix(n, MatrixStrategy.ITERATE)
-        assert k_matrix(n, MatrixStrategy.CLOSED_FORM, k_cache) == k_ref
-        assert k_matrix(n, MatrixStrategy.FROM_T, t_cache) == k_ref
+        assert term_reader(KM, k_cache)(n) == k_ref
+        assert k_matrix(n, MatrixStrategy.CLOSED_FORM) == k_ref
+        assert k_matrix(n, MatrixStrategy.FROM_T) == k_ref
     t_cache.get(5000)
     for n in range(0, 5001):
         assert trib_fast(n) == t_cache.get(n)
@@ -109,13 +111,13 @@ def test_criterion_5_binet_recovery():
     t_cache = TermCache(T)
     k_cache = TermCache(K)
     for n in range(-60, 61):
-        assert binet_trib(n, 256, roots) == trib(n, t_cache)
-        assert binet_lucas(n, 256, roots) == lucas_trib(n, k_cache)
+        assert binet_trib(n, 256, roots) == t_cache.get(n)
+        assert binet_lucas(n, 256, roots) == k_cache.get(n)
     for n in range(-30, 31):
         assert binet_matrix(TM, n, 256, roots, constants) == \
-            t_matrix(n, cache=t_cache)
+            term_reader(TM, t_cache)(n)
         assert binet_matrix(KM, n, 256, roots, constants) == \
-            k_matrix(n, cache=k_cache)
+            term_reader(KM, k_cache)(n)
     report = check_constant_algebra(256, 1e-50, constants)
     assert report.passed, report.worst()
     _passed(5, f"exact recovery on both ranges; worst constant-algebra "
@@ -155,9 +157,9 @@ def test_criterion_7_generating_functions():
     k_cache = TermCache(K)
     assert gf_coeffs(T, 64) == [t_cache.get(i) for i in range(64)]
     assert gf_coeffs(K, 64) == [k_cache.get(i) for i in range(64)]
-    assert gf_matrix_coeffs(TM, 64) == [t_matrix(i, cache=t_cache)
+    assert gf_matrix_coeffs(TM, 64) == [term_reader(TM, t_cache)(i)
                                         for i in range(64)]
-    assert gf_matrix_coeffs(KM, 64) == [k_matrix(i, cache=k_cache)
+    assert gf_matrix_coeffs(KM, 64) == [term_reader(KM, k_cache)(i)
                                         for i in range(64)]
     n0, n1, n2 = gf_numerators(KM)
     # the three quoted numerator polynomial entries: 1 + 2x + 3x^2,

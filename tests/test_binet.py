@@ -7,7 +7,8 @@ from mpmath import mp
 from tribkit import (MatrixKind, PrecisionExhausted, SequenceKind,
                      binet_constants, binet_lucas, binet_matrix, binet_trib,
                      check_constant_algebra, compute_roots, k_matrix,
-                     lucas_trib, radical_roots, t_matrix, trib)
+                     lucas_trib, radical_roots, t_matrix, term_reader,
+                     trib)
 
 ALPHA_64 = 1.839286755214161  # real root, double precision reference
 
@@ -68,8 +69,8 @@ class TestScalarBinet:
 
     def test_full_signed_range(self, roots256, t_cache, k_cache):
         for n in range(-60, 61):
-            assert binet_trib(n, 256, roots256) == trib(n, t_cache)
-            assert binet_lucas(n, 256, roots256) == lucas_trib(n, k_cache)
+            assert binet_trib(n, 256, roots256) == t_cache.get(n)
+            assert binet_lucas(n, 256, roots256) == k_cache.get(n)
 
     def test_precision_exhausted_on_large_index(self):
         with pytest.raises(PrecisionExhausted):
@@ -121,11 +122,13 @@ class TestMatrixBinet:
         assert tm15 == t_matrix(15)
 
     def test_signed_range(self, roots256, constants256, t_cache, k_cache):
+        tm = term_reader(MatrixKind.TRIB_MATRIX, t_cache)
+        km = term_reader(MatrixKind.LUCAS_MATRIX, k_cache)
         for n in range(-30, 31):
             assert binet_matrix(MatrixKind.TRIB_MATRIX, n, 256, roots256,
-                                constants256) == t_matrix(n, cache=t_cache)
+                                constants256) == tm(n)
             assert binet_matrix(MatrixKind.LUCAS_MATRIX, n, 256, roots256,
-                                constants256) == k_matrix(n, cache=k_cache)
+                                constants256) == km(n)
 
     @pytest.mark.parametrize("binet,exact", [
         (binet_trib, trib), (binet_lucas, lucas_trib),

@@ -3,8 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tribkit import (Conversion, SequenceKind, TermCache, lucas_from_trib,
-                     lucas_trib, to_decimal, trib, trib_alt, trib_fast,
-                     trib_from_lucas)
+                     lucas_trib, term_reader, to_decimal, trib, trib_alt,
+                     trib_fast, trib_from_lucas)
 
 # published leading terms: value at n for n = 0..12, and at -n for n = 0..12
 T_TABLE = [0, 1, 1, 2, 4, 7, 13, 24, 44, 81, 149, 274, 504]
@@ -70,11 +70,11 @@ def test_lucas_from_trib_examples(n, variant, expected):
     assert lucas_from_trib(n, variant) == expected
 
 
-def test_lucas_from_trib_all_variants_agree(t_cache):
+def test_lucas_from_trib_all_variants_agree():
     for n in range(-200, 201):
         expected = lucas_trib(n)
         for variant in Conversion:
-            assert lucas_from_trib(n, variant, t_cache) == expected
+            assert lucas_from_trib(n, variant) == expected
 
 
 @pytest.mark.parametrize("n,expected", [(2, 1), (0, 0), (9, 81)])
@@ -82,9 +82,9 @@ def test_trib_from_lucas_examples(n, expected):
     assert trib_from_lucas(n) == expected
 
 
-def test_trib_from_lucas_full_range(k_cache):
+def test_trib_from_lucas_full_range():
     for n in range(-200, 201):
-        assert trib_from_lucas(n, k_cache) == trib(n)
+        assert trib_from_lucas(n) == trib(n)
 
 
 @given(st.integers(min_value=-300, max_value=300))
@@ -129,7 +129,7 @@ class TestTermCache:
     def test_wrong_kind_cache_rejected(self):
         cache = TermCache(SequenceKind.TRIBONACCI)
         with pytest.raises(ValueError):
-            lucas_trib(3, cache)
+            term_reader(SequenceKind.TRIBONACCI_LUCAS, cache)
 
 
 class TestToDecimal:

@@ -114,7 +114,7 @@ class TestAnchors:
 
     @pytest.mark.parametrize("side", [
         "abs(T(n))", "T(m)", "TM(n).entries", "(x := T(n))",
-        "[T(k) for k in (n,)]", "__import__('os')",
+        "[T(k) for k in (n,)]", "__import__('os')", "_mid", "_mid = T(n)",
     ])
     def test_anchor_naming_anything_else_refused(self, side, monkeypatch):
         _with_anchor(monkeypatch, "EQ3", f"T(n) = {side}")

@@ -11,6 +11,9 @@ from tribkit import (DivisibilityViolation, IDENTITY, K_MAT_SEEDS, Mat3,
 from tribkit.core import walk
 from tribkit.matrices import KIND_SEEDS, kernel_term, term_reader
 
+TM = MatrixKind.TRIB_MATRIX
+KM = MatrixKind.LUCAS_MATRIX
+
 T_STRATEGIES = (MatrixStrategy.ITERATE, MatrixStrategy.CLOSED_FORM,
                 MatrixStrategy.MAT_POW)
 K_STRATEGIES = (MatrixStrategy.ITERATE, MatrixStrategy.CLOSED_FORM,
@@ -78,6 +81,14 @@ def test_operators_are_mat_mul_and_mat_pow():
         a ** -1
 
 
+def test_sum_with_a_non_matrix_is_type_error():
+    a = t_matrix(3)
+    with pytest.raises(TypeError):
+        a + 1
+    with pytest.raises(TypeError):
+        a - 1
+
+
 small_mat3 = st.builds(
     Mat3, st.tuples(*[st.integers(min_value=-50, max_value=50)] * 9))
 
@@ -100,21 +111,19 @@ def test_mat_pow_matches_repeated_product(a, e):
 def test_strategies_agree_on_signed_range(t_cache, k_cache):
     for n in range(-60, 61):
         reference = t_matrix(n, MatrixStrategy.ITERATE)
-        assert t_matrix(n, MatrixStrategy.CLOSED_FORM, t_cache) == reference
+        assert term_reader(TM, t_cache)(n) == reference
         assert t_matrix(n, MatrixStrategy.MAT_POW) == reference
         reference = k_matrix(n, MatrixStrategy.ITERATE)
-        assert k_matrix(n, MatrixStrategy.CLOSED_FORM, k_cache) == reference
-        assert k_matrix(n, MatrixStrategy.FROM_T, t_cache) == reference
+        assert term_reader(KM, k_cache)(n) == reference
+        assert k_matrix(n, MatrixStrategy.FROM_T) == reference
 
 
 def test_matrix_recurrence_entrywise(t_cache, k_cache):
+    tm = term_reader(TM, t_cache)
+    km = term_reader(KM, k_cache)
     for n in range(-60, 61):
-        assert t_matrix(n, cache=t_cache) == (
-            t_matrix(n - 1, cache=t_cache) + t_matrix(n - 2, cache=t_cache)
-            + t_matrix(n - 3, cache=t_cache))
-        assert k_matrix(n, cache=k_cache) == (
-            k_matrix(n - 1, cache=k_cache) + k_matrix(n - 2, cache=k_cache)
-            + k_matrix(n - 3, cache=k_cache))
+        assert tm(n) == tm(n - 1) + tm(n - 2) + tm(n - 3)
+        assert km(n) == km(n - 1) + km(n - 2) + km(n - 3)
 
 
 def test_negative_index_iterate_example():
@@ -144,8 +153,8 @@ def test_cacheless_strategies_match_iterate(t_cache, k_cache):
 
 
 def test_product_laws(t_cache, k_cache):
-    tm = lambda i: t_matrix(i, cache=t_cache)
-    km = lambda i: k_matrix(i, cache=k_cache)
+    tm = term_reader(TM, t_cache)
+    km = term_reader(KM, k_cache)
     for m in range(0, 41):
         for n in range(0, 41):
             prod = mat_mul(tm(m), tm(n))
@@ -155,8 +164,8 @@ def test_product_laws(t_cache, k_cache):
 
 
 def test_lucas_product_expansion(t_cache, k_cache):
-    tm = lambda i: t_matrix(i, cache=t_cache)
-    km = lambda i: k_matrix(i, cache=k_cache)
+    tm = term_reader(TM, t_cache)
+    km = term_reader(KM, k_cache)
     for m in range(0, 31):
         for n in range(0, 31):
             s = m + n
@@ -166,7 +175,7 @@ def test_lucas_product_expansion(t_cache, k_cache):
 
 
 def test_power_laws(t_cache):
-    tm = lambda i: t_matrix(i, cache=t_cache)
+    tm = term_reader(TM, t_cache)
     for n in range(0, 13):
         for m in range(0, 6):
             assert mat_pow(tm(n), m) == tm(m * n)
@@ -175,8 +184,8 @@ def test_power_laws(t_cache):
 
 
 def test_shifted_square_laws(t_cache, k_cache):
-    tm = lambda i: t_matrix(i, cache=t_cache)
-    km = lambda i: k_matrix(i, cache=k_cache)
+    tm = term_reader(TM, t_cache)
+    km = term_reader(KM, k_cache)
     for n in range(0, 31):
         tm_sq = mat_mul(tm(n), tm(n))
         km_sq = mat_mul(km(n), km(n))
@@ -187,8 +196,8 @@ def test_shifted_square_laws(t_cache, k_cache):
 
 
 def test_lucas_power_via_base_matrix(t_cache, k_cache):
-    tm = lambda i: t_matrix(i, cache=t_cache)
-    km = lambda i: k_matrix(i, cache=k_cache)
+    tm = term_reader(TM, t_cache)
+    km = term_reader(KM, k_cache)
     for n in range(0, 13):
         for m in range(0, 5):
             assert mat_pow(km(n), m) == mat_mul(
@@ -196,8 +205,8 @@ def test_lucas_power_via_base_matrix(t_cache, k_cache):
 
 
 def test_interrelations(t_cache, k_cache):
-    tm = lambda i: t_matrix(i, cache=t_cache)
-    km = lambda i: k_matrix(i, cache=k_cache)
+    tm = term_reader(TM, t_cache)
+    km = term_reader(KM, k_cache)
     for n in range(-40, 41):
         assert km(n) == 3 * tm(n + 1) - 2 * tm(n) - tm(n - 1)
         assert km(n) == tm(n) + 2 * tm(n - 1) + 3 * tm(n - 2)
@@ -212,7 +221,7 @@ def test_from_t_strategy_scalar_cell():
 
 def test_from_t_rejects_lucas_cache(k_cache):
     with pytest.raises(ValueError):
-        k_matrix(5, MatrixStrategy.FROM_T, k_cache)
+        term_reader(TM, k_cache)
 
 
 @pytest.mark.parametrize("n,expected", [(10, 149), (0, 0)])
@@ -223,7 +232,7 @@ def test_trib_fast_examples(n, expected):
 def test_trib_fast_matches_iteration(t_cache):
     assert trib_fast(100) == trib(100)
     for n in range(-2000, 2001):
-        assert trib_fast(n) == trib(n, t_cache) == tm_pow(n).entry(1, 0)
+        assert trib_fast(n) == t_cache.get(n) == tm_pow(n).entry(1, 0)
     for n in (10**5, -10**5):
         assert trib_fast(n) == trib(n) == tm_pow(n).entry(1, 0)
 
@@ -241,7 +250,7 @@ def test_lucas_fast_matches_iteration(k_cache):
         return mat_mul(K_MAT_SEEDS[0], tm_pow(n)).entry(1, 0)
 
     for n in range(-2000, 2001):
-        assert lucas_fast(n) == lucas_trib(n, k_cache) == km_pow(n)
+        assert lucas_fast(n) == k_cache.get(n) == km_pow(n)
     for n in (10**5, -10**5):
         assert lucas_fast(n) == lucas_trib(n) == km_pow(n)
 

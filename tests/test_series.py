@@ -46,11 +46,11 @@ class TestGeneratingFunctions:
         assert gf_matrix_coeffs(KM, 3) == list(K_MAT_SEEDS)
 
     def test_matrix_coefficients_match_terms(self, t_cache, k_cache):
-        assert gf_matrix_coeffs(TM, 10) == [t_matrix(i, cache=t_cache)
+        assert gf_matrix_coeffs(TM, 10) == [term_reader(TM, t_cache)(i)
                                             for i in range(10)]
-        assert gf_matrix_coeffs(TM, 64) == [t_matrix(i, cache=t_cache)
+        assert gf_matrix_coeffs(TM, 64) == [term_reader(TM, t_cache)(i)
                                             for i in range(64)]
-        assert gf_matrix_coeffs(KM, 64) == [k_matrix(i, cache=k_cache)
+        assert gf_matrix_coeffs(KM, 64) == [term_reader(KM, k_cache)(i)
                                             for i in range(64)]
 
     def test_numerators_reconcile_with_printed_polynomials(self):
@@ -143,11 +143,11 @@ class TestPartialSums:
 
     def test_first_terms_specializations(self, t_cache, k_cache):
         for n in range(1, 101):
-            t_num = trib(n + 2, t_cache) - trib(n, t_cache) - 1
+            t_num = t_cache.get(n + 2) - t_cache.get(n) - 1
             assert t_num % 2 == 0
             assert partial_sum(SumSpec(T, 1, 0, n),
                                term_reader(T, t_cache)) == t_num // 2
-            k_num = lucas_trib(n + 2, k_cache) - lucas_trib(n, k_cache)
+            k_num = k_cache.get(n + 2) - k_cache.get(n)
             assert k_num % 2 == 0
             assert partial_sum(SumSpec(K, 1, 0, n),
                                term_reader(K, k_cache)) == k_num // 2
