@@ -54,9 +54,10 @@ def run_bench(kind: SequenceKind, ns: list[int], strategies: list[str],
               precision: int = DEFAULT_PRECISION) -> list[BenchResult]:
     """Benchmark each strategy at each index.
 
-    Per index: every strategy runs once as a warm-up and the warm-up
-    values must agree (StrategyMismatch otherwise); each strategy is
-    then timed on a second run with a fresh operation counter.  Process
+    Per index: each strategy is timed on one run with a fresh operation
+    counter, and the values of those same runs must agree
+    (StrategyMismatch otherwise).  No untimed warm-up precedes them, so
+    a strategy's first run at an index is the one reported.  Process
     startup never lands inside the timed region.
     """
     unknown = [s for s in strategies if s not in STRATEGIES]
@@ -68,22 +69,21 @@ def run_bench(kind: SequenceKind, ns: list[int], strategies: list[str],
         raise ValueError("no indices selected")
     results = []
     for n in ns:
-        warm = {name: STRATEGIES[name](kind, n, precision, None)
-                for name in strategies}
-        if len(set(warm.values())) > 1:
-            details = ", ".join(
-                f"{name}={to_decimal(value)}"
-                for name, value in sorted(warm.items()))
-            raise StrategyMismatch(
-                f"strategies disagree at {kind.value}({n}): {details}")
+        values = {}
         for name in strategies:
             counter = OpCounter()
             start = time.perf_counter()
-            STRATEGIES[name](kind, n, precision, counter)
+            values[name] = STRATEGIES[name](kind, n, precision, counter)
             elapsed = time.perf_counter() - start
             results.append(BenchResult(
                 strategy=name, kind=kind, n=n, elapsed_s=elapsed,
                 big_adds=counter.big_adds, big_muls=counter.big_muls,
                 mat_muls=counter.mat_muls,
                 precision=precision if name == "binet" else None))
+        if len(set(values.values())) > 1:
+            details = ", ".join(
+                f"{name}={to_decimal(value)}"
+                for name, value in sorted(values.items()))
+            raise StrategyMismatch(
+                f"strategies disagree at {kind.value}({n}): {details}")
     return results

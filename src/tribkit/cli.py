@@ -25,7 +25,8 @@ from .core import SequenceKind
 from .errors import PrecisionExhausted, StrategyMismatch, UnknownIdentity
 from .identities import (PROFILE_BOUNDS, Profile, format_report_table,
                          registry, report_to_dict, verify_record)
-from .matrices import Mat3, MatrixKind, decimal_form, k_matrix, t_matrix
+from .matrices import (DECIMAL_CROSSOVER, Mat3, MatrixKind, decimal_form,
+                       decimal_term, k_matrix, t_matrix)
 from .series import SumSpec, gf_stream, partial_sum, partial_sum_bruteforce
 
 EXIT_OK = 0
@@ -207,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=_SCALAR_CHOICES)
     p.add_argument("n", type=int)
     p.add_argument("--strategy", choices=tuple(STRATEGIES),
-                   default="iterate")
+                   default="matpow")
 
     p = command("matrix", cmd_matrix, "nth matrix term TM(n) or KM(n)")
     p.add_argument("kind", choices=_SCALAR_CHOICES)
@@ -242,8 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_term(args) -> Output:
-    value = STRATEGIES[args.strategy](KINDS[args.kind], args.n,
-                                      args.precision, None)
+    kind = KINDS[args.kind]
+    # T(-n) has about half the digits of T(n), so the decimal route pays
+    # from twice the crossover on the negative side
+    if args.strategy == "matpow" and (args.n >= DECIMAL_CROSSOVER or
+                                      args.n <= -2 * DECIMAL_CROSSOVER):
+        value = decimal_term(kind, args.n)
+    else:
+        value = STRATEGIES[args.strategy](kind, args.n, args.precision, None)
     return Value({"kind": args.kind, "n": args.n,
                   "strategy": args.strategy}, value)
 

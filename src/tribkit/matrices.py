@@ -9,10 +9,13 @@ b*x + c modulo x^3 - x^2 - x - 1 (Fiduccia, SIAM J. Comput. 14(1),
 TM(n) and KM(n) are shifted T and K terms, laid out in `_closed_form`;
 row 2, column 1 (1-based) of TM(n) holds T(n).  `mat_pow` (TM(1)**n by
 matrix products) and FROM_T (KM(0) @ TM(n)) are independent oracles.
+`decimal_term` runs the same kernel on decimal.Decimal, for answers that
+are only printed.
 """
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -85,12 +88,17 @@ class Mat3:
 
 
 def decimal_form(value):
-    """An int as its decimal string, a Mat3 as rows of those and a tuple
-    as a list of its items' forms; every output format writes these."""
+    """An int or integral Decimal as its decimal string, a Mat3 as rows
+    of those and a tuple as a list of its items' forms; every output
+    format writes these."""
     if isinstance(value, Mat3):
         return [[to_decimal(x) for x in row] for row in value.rows()]
     if isinstance(value, tuple):
         return [decimal_form(item) for item in value]
+    if isinstance(value, decimal.Decimal):
+        # `decimal_term` keeps exponent 0, so str() is the digits alone,
+        # in linear time; never int(), which is quadratic
+        return str(value)
     return to_decimal(value)
 
 
@@ -172,7 +180,8 @@ def mat_pow(a: Mat3, e: int, counter: OpCounter | None = None) -> Mat3:
     return acc
 
 
-def _x_power(n: int, counter: OpCounter | None = None) -> tuple[int, int, int]:
+def _x_power(n: int, counter: OpCounter | None = None,
+             one=1) -> tuple[int, int, int]:
     """(a, b, c) with x**n = a*x^2 + b*x + c modulo x^3 - x^2 - x - 1.
 
     Any signed n.  Left-to-right binary powering of x, or of
@@ -180,22 +189,44 @@ def _x_power(n: int, counter: OpCounter | None = None) -> tuple[int, int, int]:
     multiplications (a 3x3 matrix product costs 27); a step by x or
     x**-1 costs only additions.  `kernel_term` reads a term off them.
 
+    Only `*`, `+` and `-` touch the coefficients, so they are of the
+    type of `one`, the unit: ints by default, or `decimal.Decimal` under
+    `EXACT` for `decimal_term`.
+
     The counter gets one mat_muls per squaring or step of the chain,
-    the 6 multiplications of each squaring, and every addition, with a
-    doubling counted as one.
+    the 6 multiplications of each squaring, and every addition or
+    subtraction.
     """
+    zero = one - one
     if n == 0:
-        return 0, 0, 1
-    a, b, c = (0, 1, 0) if n > 0 else (1, -1, -1)
+        return zero, zero, one
+    a, b, c = (zero, one, zero) if n > 0 else (one, -one, -one)
     squarings = steps = 0
     for bit in bin(abs(n))[3:]:  # bits below the most significant one
         # (a x^2 + b x + c)^2 reduced by x^3 = x^2 + x + 1 and
         # x^4 = 2x^2 + 2x + 1, each cross term 2uv taken as
-        # (u + v)^2 - u^2 - v^2: CPython squares faster than it multiplies
-        aa, bb, cc = a * a, b * b, c * c
-        p, q, r = a + b, a + c, b + c
-        p, q, r = p * p, q * q, r * r
-        a, b, c = p + q - cc, aa + p + r - 2 * bb - cc, p - bb + cc
+        # (u + v)^2 - u^2 - v^2: CPython squares faster than it
+        # multiplies.  Each square is folded in as soon as it is made,
+        # so few big temporaries are alive at once
+        p = a + b
+        p *= p
+        q = a + c
+        q *= q
+        r = b + c
+        r *= r
+        c *= c
+        q += p
+        q -= c  # x^2: (a+b)^2 + (a+c)^2 - c^2
+        r += p
+        r -= c
+        p += c
+        a *= a
+        r += a
+        b *= b
+        p -= b  # 1: (a+b)^2 - b^2 + c^2
+        r -= b
+        r -= b  # x: a^2 + (a+b)^2 + (b+c)^2 - 2b^2 - c^2
+        a, b, c = q, r, p
         squarings += 1
         if bit == "1":
             steps += 1
@@ -218,6 +249,44 @@ def kernel_term(seeds, n: int):
     a, b, c = _x_power(n)
     s0, s1, s2 = seeds
     return a * s2 + b * s1 + c * s0
+
+
+# The decimal route: the kernel run on decimal.Decimal, whose answer is
+# already decimal text (`str()` is linear), where turning a big int
+# answer into text costs about as much as computing it.  libmpdec
+# multiplies large numbers with a number-theoretic transform.  Its
+# context keeps every digit, and a result that would round, overflow or
+# be invalid raises instead.
+EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                        Emin=decimal.MIN_EMIN,
+                        traps=[decimal.Inexact, decimal.Overflow,
+                               decimal.InvalidOperation])
+# n from which `term --strategy matpow` takes the decimal route, where
+# the two routes cost about the same; on the negative side it is taken
+# from -2 * DECIMAL_CROSSOVER, since backwards the terms grow only like
+# sqrt(1.839...)**|n|, and T(-2m) has as many digits as T(m).  Best of
+# 5 (2 vCPUs, CPython 3.11; BENCH_terms.json has the split between
+# kernel and text):
+#   n         int kernel + to_decimal   Decimal kernel + str
+#   T 10^4           0.25 ms                  0.47 ms
+#   T 3*10^4         1.9                      3.9
+#   T 10^5          11.0                     11.7
+#   T 3*10^5        78                       45
+#   T 10^6         320                       92
+#   T -10^5          5.1                      5.5
+#   T -2*10^5       13.7                     11.4
+#   T -10^6        142                       51
+DECIMAL_CROSSOVER = 10**5
+
+
+def decimal_term(kind: SequenceKind, n: int) -> decimal.Decimal:
+    """T(n) or K(n), any signed n, as an integral Decimal under `EXACT`,
+    for printing only: `int()` of a big Decimal is quadratic in its
+    digits."""
+    s0, s1, s2 = SEEDS[kind]
+    with decimal.localcontext(EXACT):
+        a, b, c = _x_power(n, one=decimal.Decimal(1))
+        return a * s2 + b * s1 + c * s0
 
 
 def _closed_form(term: Callable[[int], int], n: int) -> Mat3:

@@ -1,4 +1,5 @@
 import contextlib
+import decimal
 import json
 import shlex
 import tracemalloc
@@ -6,13 +7,26 @@ from pathlib import Path
 
 import pytest
 
+import tribkit.cli as cli
+import tribkit.matrices as matrices
+from tribkit import lucas_fast, to_decimal, trib_fast
 from tribkit.cli import main
+from tribkit.matrices import DECIMAL_CROSSOVER
 
 
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class Discard:
+    """A stdout that counts what is written and keeps none of it."""
+
+    written = 0
+
+    def write(self, text):
+        self.written += len(text)  # ASCII: one byte a character
 
 
 class TestTerm:
@@ -34,12 +48,19 @@ class TestTerm:
         code, out, _ = run(["term", "T", "7", "--format", "json"], capsys)
         assert code == 0
         assert json.loads(out) == {"kind": "T", "n": 7,
-                                   "strategy": "iterate", "value": "24"}
+                                   "strategy": "matpow", "value": "24"}
 
     def test_csv(self, capsys):
         code, out, _ = run(["term", "K", "5", "--format", "csv"], capsys)
         assert code == 0
-        assert out.splitlines() == ["kind,n,strategy,value", "K,5,iterate,21"]
+        assert out.splitlines() == ["kind,n,strategy,value", "K,5,matpow,21"]
+
+    def test_iterate_still_named(self, capsys):
+        code, out, _ = run(["term", "K", "5", "--strategy", "iterate",
+                            "--format", "csv"], capsys)
+        assert code == 0
+        assert out.splitlines() == ["kind,n,strategy,value",
+                                    "K,5,iterate,21"]
 
     def test_parse_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -147,12 +168,6 @@ class TestGf:
     def test_listing_streams(self, fmt):
         # memory of about one term: holding the listing, in any format,
         # would take several times the bytes written
-        class Discard:
-            written = 0
-
-            def write(self, text):
-                self.written += len(text)  # ASCII: one byte a character
-
         sink = Discard()
         tracemalloc.start()
         try:
@@ -356,6 +371,82 @@ class TestBigAnswers:
         assert out == ""
         value = partial_sum(SumSpec(SequenceKind.TRIBONACCI, 1, 0, 20000))
         assert unlimited_str(value + 1) in err
+
+
+class TestDecimalRoute:
+    """`term --strategy matpow` from n = DECIMAL_CROSSOVER up and from
+    n = -2 * DECIMAL_CROSSOVER down runs the kernel on decimal.Decimal;
+    the int route is its oracle."""
+
+    EDGES = [DECIMAL_CROSSOVER - 1, DECIMAL_CROSSOVER,
+             DECIMAL_CROSSOVER + 1, -DECIMAL_CROSSOVER,
+             1 - 2 * DECIMAL_CROSSOVER, -2 * DECIMAL_CROSSOVER]
+
+    @pytest.mark.parametrize("n", EDGES)
+    @pytest.mark.parametrize("kind", ["T", "K"])
+    def test_term_at_the_crossover(self, kind, n, capsys):
+        code, out, _ = run(["term", kind, str(n)], capsys)
+        assert code == 0
+        fast = trib_fast if kind == "T" else lucas_fast
+        assert out == to_decimal(fast(n)) + "\n"
+
+    @pytest.mark.parametrize("argv,routed", [
+        (["term", "T", str(DECIMAL_CROSSOVER - 1)], False),
+        (["term", "K", str(DECIMAL_CROSSOVER)], True),
+        (["term", "K", str(-DECIMAL_CROSSOVER)], False),
+        (["term", "T", str(1 - 2 * DECIMAL_CROSSOVER)], False),
+        (["term", "T", str(-2 * DECIMAL_CROSSOVER)], True),
+        (["term", "T", str(DECIMAL_CROSSOVER), "--strategy", "iterate"],
+         False),
+        (["matrix", "K", str(DECIMAL_CROSSOVER)], False),
+    ])
+    def test_route_starts_at_the_crossover(self, argv, routed, capsys,
+                                           monkeypatch):
+        calls = []
+
+        def spy(kind, n):
+            calls.append(n)
+            return matrices.decimal_term(kind, n)
+
+        monkeypatch.setattr(cli, "decimal_term", spy)
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert calls == ([int(argv[2])] if routed else [])
+
+    def test_million(self, capsys):
+        code, out, _ = run(["term", "T", "1000000", "--format", "json"],
+                           capsys)
+        assert code == 0
+        value = json.loads(out)["value"]
+        assert len(value) == 264649
+        assert value == to_decimal(trib_fast(10**6))
+
+    @pytest.mark.parametrize("argv", [
+        ["term", "T", str(DECIMAL_CROSSOVER)],
+        ["term", "K", str(-2 * DECIMAL_CROSSOVER)],
+    ])
+    def test_refuses_to_round(self, argv, capsys, monkeypatch):
+        narrow = matrices.EXACT.copy()
+        narrow.prec = 50
+        monkeypatch.setattr(matrices, "EXACT", narrow)
+        with pytest.raises(decimal.Inexact):
+            main(argv)
+        assert capsys.readouterr().out == ""
+
+    def test_million_memory_of_the_answer(self):
+        # the answer's digits and the kernel's temporaries, never a
+        # second copy of every digit (such as a digit tuple of it)
+        sink = Discard()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["term", "T", "1000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.written == 264650
+        assert peak <= 8 * sink.written
 
 
 def _entries(fmt, out):

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import pytest
@@ -9,7 +10,9 @@ from tribkit import (DivisibilityViolation, IDENTITY, K_MAT_SEEDS, Mat3,
                      SequenceKind, T_MAT_SEEDS, k_matrix, lucas_fast,
                      lucas_trib, mat_mul, mat_pow, t_matrix, trib, trib_fast)
 from tribkit.core import walk
-from tribkit.matrices import KIND_SEEDS, kernel_term, term_reader
+from tribkit.bench import STRATEGIES
+from tribkit.matrices import (DECIMAL_CROSSOVER, KIND_SEEDS, decimal_form,
+                              decimal_term, kernel_term, term_reader)
 
 TM = MatrixKind.TRIB_MATRIX
 KM = MatrixKind.LUCAS_MATRIX
@@ -265,3 +268,27 @@ def test_div_exact():
 def test_mat3_shape_guard():
     with pytest.raises(ValueError):
         Mat3((1, 2, 3))
+
+
+# The decimal route is a second arithmetic: its text must be the int
+# kernel's, digit for digit.
+@pytest.mark.parametrize("kind", SequenceKind)
+def test_decimal_route_matches_int_route(kind):
+    int_term = term_reader(kind)
+    for n in range(-300, 301):
+        value = decimal_term(kind, n)
+        assert type(value) is decimal.Decimal
+        assert decimal_form(value) == decimal_form(int_term(n)), n
+
+
+@pytest.mark.parametrize("n", [7, -7])
+def test_bench_strategies_return_int(n):
+    for kind in SequenceKind:
+        for name, run in STRATEGIES.items():
+            assert type(run(kind, n, 256, None)) is int, name
+
+
+@pytest.mark.parametrize("n", [DECIMAL_CROSSOVER, -DECIMAL_CROSSOVER])
+def test_fast_terms_stay_int_past_the_crossover(n):
+    assert type(trib_fast(n)) is int
+    assert type(lucas_fast(n)) is int
