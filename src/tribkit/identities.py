@@ -251,8 +251,10 @@ def registry() -> list[IdentityRecord]:
     term caches, so returned registries are independent of each other
     and safe to use concurrently.  A registry reads each kind through
     one memoised reader, both sides of the sum records too, so each
-    TM(n) and KM(n) is built once; the direct sums keep a running total
-    (`series.running_bruteforce`), one term per step up the n axis.
+    TM(n) and KM(n) is built once; the closed forms read their divisor
+    K(m) - K(-m) through the K reader, so each K(+-m) is built once; the
+    direct sums keep a running total (`series.running_bruteforce`), one
+    term per step up the n axis.
     The sum records' anchors are prose, so they keep their evaluator.
     """
     caches = {kind: TermCache(kind) for kind in SequenceKind}
@@ -262,11 +264,12 @@ def registry() -> list[IdentityRecord]:
     namespace = {"__builtins__": {}} | readers
 
     def sum_record(id: str, kind) -> IdentityRecord:
-        term = readers[kind.value]
+        term, k_term = readers[kind.value], readers["K"]
         oracle = running_bruteforce(kind, term)
 
         def evaluate(m, j, n):
-            return partial_sum(SumSpec(kind, m, j, n), term), oracle(m, j, n)
+            return (partial_sum(SumSpec(kind, m, j, n), term, k_term),
+                    oracle(m, j, n))
         return IdentityRecord(
             id, "sum_{i=0}^{n-1} " f"{kind.value}(m*i+j) equals its closed "
                 "form over K(m) - K(-m)",

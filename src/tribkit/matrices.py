@@ -48,15 +48,24 @@ class Mat3:
         """Entry at 0-based (row, col)."""
         return self.entries[3 * row + col]
 
+    # The entrywise operators are unrolled over the nine entries: the
+    # verifier calls them at every case, and on its small entries a
+    # generator through tuple() costs more than the arithmetic.
     def __add__(self, other: "Mat3") -> "Mat3":
         if not isinstance(other, Mat3):
             return NotImplemented
-        return Mat3(tuple(x + y for x, y in zip(self.entries, other.entries)))
+        a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.entries
+        b1, b2, b3, b4, b5, b6, b7, b8, b9 = other.entries
+        return Mat3((a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6,
+                     a7 + b7, a8 + b8, a9 + b9))
 
     def __sub__(self, other: "Mat3") -> "Mat3":
         if not isinstance(other, Mat3):
             return NotImplemented
-        return Mat3(tuple(x - y for x, y in zip(self.entries, other.entries)))
+        a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.entries
+        b1, b2, b3, b4, b5, b6, b7, b8, b9 = other.entries
+        return Mat3((a1 - b1, a2 - b2, a3 - b3, a4 - b4, a5 - b5, a6 - b6,
+                     a7 - b7, a8 - b8, a9 - b9))
 
     def __neg__(self) -> "Mat3":
         return Mat3(tuple(-x for x in self.entries))
@@ -64,7 +73,9 @@ class Mat3:
     def __rmul__(self, k: int) -> "Mat3":
         if not isinstance(k, int):
             return NotImplemented
-        return Mat3(tuple(k * x for x in self.entries))
+        a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.entries
+        return Mat3((k * a1, k * a2, k * a3, k * a4, k * a5, k * a6, k * a7,
+                     k * a8, k * a9))
 
     def __mul__(self, other: "Mat3") -> "Mat3":
         if not isinstance(other, Mat3):
@@ -77,14 +88,24 @@ class Mat3:
         return mat_pow(self, e)
 
     def div_exact(self, d: int) -> "Mat3":
-        """Entrywise exact division; any remainder raises."""
-        out = []
-        for x in self.entries:
-            q, r = divmod(x, d)
-            if r:
-                raise DivisibilityViolation(f"{d} does not divide entry {x}")
-            out.append(q)
-        return Mat3(tuple(out))
+        """Entrywise exact division; a remainder raises, naming the first
+        entry that leaves one."""
+        a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.entries
+        q1, r1 = divmod(a1, d)
+        q2, r2 = divmod(a2, d)
+        q3, r3 = divmod(a3, d)
+        q4, r4 = divmod(a4, d)
+        q5, r5 = divmod(a5, d)
+        q6, r6 = divmod(a6, d)
+        q7, r7 = divmod(a7, d)
+        q8, r8 = divmod(a8, d)
+        q9, r9 = divmod(a9, d)
+        if r1 or r2 or r3 or r4 or r5 or r6 or r7 or r8 or r9:
+            i, x = next((i, x) for i, x in enumerate(self.entries) if x % d)
+            raise DivisibilityViolation(
+                f"{d} does not divide entry {x} at row {i // 3 + 1}, "
+                f"column {i % 3 + 1}")
+        return Mat3((q1, q2, q3, q4, q5, q6, q7, q8, q9))
 
 
 def decimal_form(value):

@@ -91,19 +91,23 @@ class SumSpec:
             raise ValueError(f"summation requires n >= 1, got n={self.n}")
 
 
-def partial_sum(spec: SumSpec, term: Callable | None = None):
+def partial_sum(spec: SumSpec, term: Callable | None = None,
+                k_term: Callable | None = None):
     """Closed-form value of the sum described by `spec`.
 
     Assembles six boundary terms, read by `term` (n -> the term of
     `spec.kind`; by default the log-time kernel, so memory follows the
-    answer, not the top index m*n + j), and divides by K(m) - K(-m).
+    answer, not the top index m*n + j), and divides by K(m) - K(-m),
+    read by `k_term` (n -> K(n); by default `lucas_fast`).
     The division is exact by theorem: a remainder raises
     DivisibilityViolation (a bug, not bad input), and a zero divisor,
     impossible for m >= 1, raises DegenerateDenominator.
     """
     m, j, n = spec.m, spec.j, spec.n
-    k_m = lucas_fast(m)
-    divisor = k_m - lucas_fast(-m)
+    if k_term is None:
+        k_term = lucas_fast
+    k_m = k_term(m)
+    divisor = k_m - k_term(-m)
     if divisor == 0:
         raise DegenerateDenominator(f"K({m}) - K({-m}) = 0")
     if term is None:

@@ -295,8 +295,8 @@ class TestSumOracle:
         real = identities.partial_sum
         bad = (3, 1, 7)
 
-        def skewed(spec, term=None):
-            value = real(spec, term)
+        def skewed(spec, term=None, k_term=None):
+            value = real(spec, term, k_term)
             if (spec.m, spec.j, spec.n) == bad:
                 value = value + unit
             return value

@@ -90,6 +90,44 @@ def test_sum_with_a_non_matrix_is_type_error():
         a + 1
     with pytest.raises(TypeError):
         a - 1
+    with pytest.raises(TypeError):
+        2.5 * a
+
+
+big_entry = st.integers(min_value=-2**4000, max_value=2**4000)
+big_mat3 = st.builds(Mat3, st.tuples(*[big_entry] * 9))
+
+
+@given(a=big_mat3, b=big_mat3,
+       k=st.one_of(st.integers(-3, 3), big_entry,
+                   st.sampled_from([0, -1, 2**4000, -2**4000])))
+def test_entrywise_operators_match_reference(a, b, k):
+    pairs = list(zip(a.entries, b.entries))
+    assert (a + b).entries == tuple(x + y for x, y in pairs)
+    assert (a - b).entries == tuple(x - y for x, y in pairs)
+    assert (k * a).entries == tuple(k * x for x in a.entries)
+    assert (-a).entries == tuple(-x for x in a.entries)
+
+
+@given(q=big_mat3, d=st.one_of(st.integers(1, 50), st.integers(-50, -1),
+                               big_entry.filter(bool)))
+def test_div_exact_matches_reference(q, d):
+    product = Mat3(tuple(d * x for x in q.entries))
+    assert product.div_exact(d) == q
+    assert product.div_exact(d).entries == tuple(
+        x // d for x in product.entries)
+
+
+@pytest.mark.parametrize("position", range(9))
+def test_div_exact_names_the_entry_with_a_remainder(position):
+    entries = [22 * (i + 2) for i in range(9)]
+    entries[position] += 5
+    bad = entries[position]
+    row, col = divmod(position, 3)
+    with pytest.raises(DivisibilityViolation,
+                       match=rf"entry {bad} at row {row + 1}, "
+                             rf"column {col + 1}$"):
+        Mat3(tuple(entries)).div_exact(22)
 
 
 small_mat3 = st.builds(

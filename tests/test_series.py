@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tribkit import (DENOMINATOR, DegenerateDenominator,
+from tribkit import (DENOMINATOR, PROFILE_BOUNDS, DegenerateDenominator,
                      DivisibilityViolation, K_MAT_SEEDS, Mat3, MatrixKind,
-                     SequenceKind, SumSpec, T_MAT_SEEDS, gf_coeffs,
+                     Profile, SequenceKind, SumSpec, T_MAT_SEEDS, gf_coeffs,
                      gf_matrix_coeffs, gf_numerators, gf_stream, k_matrix,
-                     lucas_trib, partial_sum, partial_sum_bruteforce,
-                     t_matrix, term_reader, trib)
+                     lucas_fast, lucas_trib, partial_sum,
+                     partial_sum_bruteforce, registry, t_matrix, term_reader,
+                     trib, verify_record)
 
 T = SequenceKind.TRIBONACCI
 K = SequenceKind.TRIBONACCI_LUCAS
@@ -180,7 +181,7 @@ class TestGuards:
     def test_degenerate_denominator(self, monkeypatch):
         import tribkit.series as series
         monkeypatch.setattr(series, "lucas_fast",
-                            lambda n, cache=None, counter=None: 7)
+                            lambda n, counter=None: 7)
         with pytest.raises(DegenerateDenominator):
             series.partial_sum(SumSpec(T, 1, 0, 3))
 
@@ -188,7 +189,55 @@ class TestGuards:
         # force divisor 4 while the numerator stays a genuine T-combination
         import tribkit.series as series
         monkeypatch.setattr(series, "lucas_fast",
-                            lambda n, cache=None, counter=None:
-                            5 if n >= 0 else 1)
+                            lambda n, counter=None: 5 if n >= 0 else 1)
         with pytest.raises(DivisibilityViolation):
             series.partial_sum(SumSpec(T, 1, 0, 2))
+
+
+class TestDivisorReader:
+    """`partial_sum` reads K(m) and K(-m) through the K reader it is
+    handed, or `lucas_fast` when it is handed none."""
+
+    @pytest.mark.parametrize("kind", [T, K, TM, KM], ids=lambda k: k.value)
+    def test_injected_reader_agrees_with_default(self, kind, k_cache):
+        k_term = term_reader(K, k_cache)
+        for m in range(1, 11):
+            for j in range(m):
+                for n in range(1, 6):
+                    spec = SumSpec(kind, m, j, n)
+                    assert partial_sum(spec, None, k_term) == \
+                        partial_sum(spec), spec
+
+    @pytest.mark.parametrize("kind", [T, K, TM, KM], ids=lambda k: k.value)
+    def test_reader_off_by_one_at_minus_m_raises(self, kind):
+        # K(-m) one too small makes the divisor K(m) - K(-m) one too large;
+        # only an injected reader that is really read can cause the raise
+        def off_by_one(n):
+            return lucas_fast(n) - (n == -3)
+
+        with pytest.raises(DivisibilityViolation):
+            partial_sum(SumSpec(kind, 3, 1, 4), None, off_by_one)
+        assert partial_sum(SumSpec(kind, 3, 1, 4), None, lucas_fast) == \
+            partial_sum_bruteforce(SumSpec(kind, 3, 1, 4))
+
+    def test_registry_sums_never_call_lucas_fast(self, monkeypatch):
+        import tribkit.series as series
+        calls = 0
+        real = series.lucas_fast
+
+        def counting(n, counter=None):
+            nonlocal calls
+            calls += 1
+            return real(n, counter)
+
+        monkeypatch.setattr(series, "lucas_fast", counting)
+        sums = [r for r in registry() if r.id.startswith("SUM")]
+        reports = [verify_record(r, PROFILE_BOUNDS[Profile.STANDARD])
+                   for r in sums]
+        assert len(reports) == 4
+        assert all(report.passed for report in reports)
+        assert sum(report.cases for report in reports) == 4 * 55 * 30
+        assert calls == 0
+        # the same patch does see a call made without a K reader
+        partial_sum(SumSpec(T, 1, 0, 1))
+        assert calls == 2
