@@ -24,7 +24,7 @@ def _run_matpow(kind, n, precision, counter):
 
 def _run_binet(kind, n, precision, counter):
     fn = binet_trib if kind is SequenceKind.TRIBONACCI else binet_lucas
-    return fn(n, precision)
+    return fn(n, precision, counter=counter)
 
 
 # name -> callable(kind, n, precision, counter) -> int; each runner looks

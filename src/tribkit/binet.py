@@ -19,6 +19,17 @@ magnitude at that point; measured, that makes the safe range
 n <~ (p - 2) / log2(alpha), about 288 at the default 256 bits, and about
 twice that magnitude for negative n.  Both rejection paths (magnitude
 and the 0.25 window) raise PrecisionExhausted; no range is hard-coded.
+
+Root powers: `_power` raises a root to any signed n by binary powering
+at the working precision, about log2|n| squarings, and a negative n
+takes one reciprocal.  mpmath's own `**` on a complex root switches to
+exp(n*log(z)) once n times its bits reaches 10 000, which pays for a
+log, an atan, an exp and an AGM at full precision.  Each rounded
+product adds a relative error of one unit, and the squarings after it
+scale that by at most |n|, so the chain loses about log2|n| + 1 bits,
+which the guard bits cover across the safe range.  gamma is the
+conjugate of beta, so the gamma term is the conjugate of the beta term
+and costs no power of its own.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
+from .counters import OpCounter
 from .errors import PrecisionExhausted
 from .matrices import K_MAT_SEEDS, T_MAT_SEEDS, Mat3, MatrixKind
 
@@ -78,20 +90,37 @@ def _given(name: str, given, precision: int, compute):
 def compute_roots(precision: int = DEFAULT_PRECISION) -> RootTriple:
     """Newton's method for alpha, then quadratic deflation for beta, gamma.
 
-    beta + gamma = 1 - alpha and beta * gamma = 1/alpha follow from the
-    symmetric functions of the roots, so the conjugate pair costs one
-    square root.  beta is the root with positive imaginary part.
+    Newton doubles the correct bits each step, so the steps run at
+    doubling precisions, from 64 bits, where it iterates to convergence,
+    up to half the working precision; one final step runs at the full
+    working precision.  beta + gamma = 1 - alpha and beta * gamma =
+    1/alpha follow from the symmetric functions of the roots, so the
+    conjugate pair costs one square root.  beta is the root with
+    positive imaginary part.
     """
     _require_precision(precision)
-    with mp.workprec(precision + _GUARD_BITS):
+    working = precision + _GUARD_BITS
+    ladder = []  # precisions of the doubling steps, highest first
+    bits = working
+    while bits > 128:
+        bits = bits // 2 + 8  # a few bits over half, for the step's loss
+        ladder.append(bits)
+
+    def newton_step(x):
+        return (x**3 - x**2 - x - 1) / (3 * x**2 - 2 * x - 1)
+
+    with mp.workprec(64):
         x = mpf(2)
-        tol = mpf(2) ** (4 - (precision + _GUARD_BITS))
         for _ in range(64):  # quadratic convergence; 64 is far more than enough
-            step = (x**3 - x**2 - x - 1) / (3 * x**2 - 2 * x - 1)
+            step = newton_step(x)
             x -= step
-            if abs(step) < tol:
+            if abs(step) < mpf(2) ** -60:
                 break
-        alpha = x
+    for bits in reversed(ladder):
+        with mp.workprec(bits):
+            x -= newton_step(x)
+    with mp.workprec(working):
+        alpha = x - newton_step(x)
         half_sum = (1 - alpha) / 2
         half_imag = mp.sqrt(4 / alpha - (1 - alpha) ** 2) / 2
         return RootTriple(alpha=mpc(alpha),
@@ -141,24 +170,66 @@ def _round_to_int(z, terms, context: str, precision: int) -> int:
     return int(nearest)
 
 
+def _power(z, n: int, counter: OpCounter | None = None):
+    """z**n at the working precision, any signed n, by left-to-right
+    binary powering; n < 0 takes one reciprocal of z**-n.
+
+    The counter gets one mat_muls and one big_muls for each product of
+    the chain, the reciprocal included; a complex product counts as one.
+    """
+    if n == 0:
+        return z ** 0
+    acc = z
+    products = 0
+    for bit in bin(abs(n))[3:]:  # bits below the most significant one
+        acc *= acc
+        products += 1
+        if bit == "1":
+            acc *= z
+            products += 1
+    if n < 0:
+        acc = 1 / acc
+        products += 1
+    if counter is not None:
+        counter.mat_muls += products
+        counter.big_muls += products
+    return acc
+
+
 def binet_trib(n: int, precision: int = DEFAULT_PRECISION,
-               roots: RootTriple | None = None) -> int:
-    """T(n) from the three-root power form, rounded to an exact int."""
+               roots: RootTriple | None = None,
+               counter: OpCounter | None = None) -> int:
+    """T(n) from the three-root power form, rounded to an exact int.
+
+    The counter gets the products of `_power`, and the two weights
+    (two differences and a product each), the two divisions by them and
+    the sum of the three terms.
+    """
     r = _given("roots", roots, precision, compute_roots)
     with mp.workprec(precision + _GUARD_BITS):
         a, b, g = r.alpha, r.beta, r.gamma
-        terms = (a ** (n + 1) / ((a - b) * (a - g)),
-                 b ** (n + 1) / ((b - a) * (b - g)),
-                 g ** (n + 1) / ((g - a) * (g - b)))
+        real = _power(a.real, n + 1, counter) / ((a - b) * (a - g))
+        pair = _power(b, n + 1, counter) / ((b - a) * (b - g))
+        if counter is not None:
+            counter.big_adds += 6
+            counter.big_muls += 4
+        terms = (real, pair, pair.conjugate())
         return _round_to_int(sum(terms), terms, f"binet_trib({n})", precision)
 
 
 def binet_lucas(n: int, precision: int = DEFAULT_PRECISION,
-                roots: RootTriple | None = None) -> int:
-    """K(n) as the plain power sum alpha**n + beta**n + gamma**n."""
+                roots: RootTriple | None = None,
+                counter: OpCounter | None = None) -> int:
+    """K(n) as the plain power sum alpha**n + beta**n + gamma**n.
+
+    The counter gets the products of `_power` and the two additions.
+    """
     r = _given("roots", roots, precision, compute_roots)
     with mp.workprec(precision + _GUARD_BITS):
-        terms = (r.alpha**n, r.beta**n, r.gamma**n)
+        pair = _power(r.beta, n, counter)
+        terms = (_power(r.alpha.real, n, counter), pair, pair.conjugate())
+        if counter is not None:
+            counter.big_adds += 2
         return _round_to_int(sum(terms), terms, f"binet_lucas({n})", precision)
 
 
@@ -204,7 +275,9 @@ def binet_matrix(kind: MatrixKind, n: int,
     else:
         weights = (c.a2, c.b2, c.c2)
     with mp.workprec(precision + _GUARD_BITS):
-        terms = [x**n * w for x, w in zip((r.alpha, r.beta, r.gamma), weights)]
+        beta_power = _power(r.beta, n)
+        powers = (_power(r.alpha.real, n), beta_power, beta_power.conjugate())
+        terms = [x * w for x, w in zip(powers, weights)]
         context = f"binet_matrix({kind.value}, {n})"
         # mp.matrix iterates row by row, as Mat3 lays its entries out
         return Mat3(tuple(_round_to_int(x, terms, context, precision)

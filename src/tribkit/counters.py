@@ -13,9 +13,12 @@ class OpCounter:
     additions/multiplications they actually perform (a doubling or a
     small multiple counts as one addition); index bookkeeping on machine
     ints is never counted.  `mat_muls` counts the products of a power
-    chain: whole 3x3 matrix products in `mat_pow`, and each squaring
-    and each step by x or 1/x of the polynomial kernel behind
-    `trib_fast` and `lucas_fast`.
+    chain: whole 3x3 matrix products in `mat_pow`, each squaring and
+    each step by x or 1/x of the polynomial kernel behind `trib_fast`
+    and `lucas_fast`, and its read-out level; and each product of the
+    root powers in `binet_trib` and `binet_lucas`, where a product of
+    two arbitrary-precision numbers, real or complex, counts as one
+    multiplication.
     """
 
     big_adds: int = 0

@@ -2,15 +2,16 @@
 
 T(n), K(n), TM(n) and KM(n) are one third-order recurrence started from
 four seed triples (`KIND_SEEDS`; TM(0) = I), so every route to a term
-depends on the seeds alone: `walk` slides a window from them, and the
-kernel read-out s(n) = a*s(2) + b*s(1) + c*s(0), with x**n = a*x^2 +
-b*x + c modulo x^3 - x^2 - x - 1 (Fiduccia, SIAM J. Comput. 14(1),
-1985), takes O(log |n|) squarings at any signed n.  The entries of
-TM(n) and KM(n) are shifted T and K terms, laid out in `_closed_form`;
-row 2, column 1 (1-based) of TM(n) holds T(n).  `mat_pow` (TM(1)**n by
-matrix products) and FROM_T (KM(0) @ TM(n)) are independent oracles.
-`decimal_term` runs the same kernel on decimal.Decimal, for answers that
-are only printed.
+depends on the seeds alone: `walk` slides a window from them, and
+`kernel_term` powers x modulo x^3 - x^2 - x - 1 (Fiduccia, SIAM J.
+Comput. 14(1), 1985) in O(log |n|) squarings at any signed n.  A scalar
+term stops the chain at x**(n/2) and reads s(n) off one quadratic form
+in its coefficients; a matrix term reads s(n) = a*s(2) + b*s(1) +
+c*s(0) off x**n = a*x^2 + b*x + c.  The entries of TM(n) and KM(n) are
+shifted T and K terms, laid out in `_closed_form`; row 2, column 1
+(1-based) of TM(n) holds T(n).  `mat_pow` (TM(1)**n by matrix products)
+and FROM_T (KM(0) @ TM(n)) are independent oracles.  `decimal_term` runs
+the same kernel on decimal.Decimal, for answers that are only printed.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from math import gcd
 from typing import Callable
 
 from .core import SEEDS, SequenceKind, TermCache, to_decimal, walk
@@ -262,14 +265,89 @@ def _x_power(n: int, counter: OpCounter | None = None,
     return a, b, c
 
 
-def kernel_term(seeds, n: int):
-    """s(n) = a*s(2) + b*s(1) + c*s(0), (a, b, c) = `_x_power(n)`, any n.
+@lru_cache(maxsize=32)
+def _square_forms(seeds: tuple[int, int, int], f: int):
+    """(d, forms): d*s(2k + f) is the sum of w*(l . p)**2 over (w, *l)
+    in forms, p = (c, b, a) the coefficients of x**k, any k.
 
-    The seeds (s(0), s(1), s(2)) may be ints or matrices.
+    s(2k + f) = s(k + k + f) = sum of p_i*p_j*s(i + j + f) over i, j in
+    {0, 1, 2}: a quadratic form whose matrix H holds the terms
+    s(f - 0) .. s(f + 4), read by `walk`.  Lagrange's reduction splits
+    it into squares: for an integer vector u with h = u.H.u != 0 (a unit
+    vector, or the sum of two when the diagonal of H is zero),
+    h*(p.H.p) = (u.H.p)**2 + p.H'.p with H' = h*H - (H u)(H u)^T of rank
+    one less.  Every weight and coefficient is an integer, and d is the
+    product of the pivots h, reduced with the weights by their gcd.
     """
-    a, b, c = _x_power(n)
-    s0, s1, s2 = seeds
-    return a * s2 + b * s1 + c * s0
+    h = [[walk(seeds, i + j + f) for j in range(3)] for i in range(3)]
+    d, forms = 1, []
+    while any(map(any, h)):
+        t = next((t for t in range(3) if h[t][t]), None)
+        if t is None:  # a zero diagonal: pivot on two unit vectors' sum
+            s, t = next((s, t) for s in range(3) for t in range(3) if h[s][t])
+            u = [int(i in (s, t)) for i in range(3)]
+        else:
+            u = [int(i == t) for i in range(3)]
+        line = [sum(x * y for x, y in zip(row, u)) for row in h]
+        pivot = sum(x * y for x, y in zip(u, line))
+        h = [[pivot * x - li * lj for x, lj in zip(row, line)]
+             for row, li in zip(h, line)]
+        # so far p.H.p = (sum of w*(l . p)**2) / d; the new square
+        # enters over d*pivot
+        forms = [(w * pivot, l) for w, l in forms]
+        g = gcd(*line)
+        forms.append((g * g, [x // g for x in line]))
+        d *= pivot
+    g = gcd(d, *(w for w, _ in forms))
+    if d < 0:
+        g = -g
+    return d // g, tuple((w // g, *line) for w, line in forms)
+
+
+def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
+    """s(n) at any signed n from the seeds (s(0), s(1), s(2)), ints or
+    matrices, by O(log |n|) squarings of `_x_power`.
+
+    Matrix seeds read s(n) = a*s(2) + b*s(1) + c*s(0) off the whole
+    x**n = a*x^2 + b*x + c.  Int seeds stop the chain a level below the
+    top: with n = 2k + f, or -2k + f when n < 0, and f in {-1, 0, 1},
+    x**(+-k) has coefficients p = (c, b, a), and s(n) is the quadratic
+    form sum of p_i*p_j*s(i + j + f), which `_square_forms` writes as
+    three weighted squares over one exact division.  So the top level
+    costs 3 big squarings instead of 6; each square is folded into the
+    total as soon as it is made, and the total is of the size of the
+    answer.  For T with f = 0, T(2k) = (2a + b + c)**2 - (a + c)**2 +
+    a**2.
+
+    `counter` and `one` go to `_x_power`; the read-out counts as one
+    more mat_muls, and its squares as big_muls.
+    """
+    if isinstance(seeds[0], Mat3):
+        a, b, c = _x_power(n, counter)
+        s0, s1, s2 = seeds
+        return a * s2 + b * s1 + c * s0
+    k, f = divmod(abs(n), 2)
+    if n < 0:
+        k, f = -k, -f
+    a, b, c = _x_power(k, counter, one)
+    d, forms = _square_forms(seeds, f)
+    total = one - one
+    for w, l0, l1, l2 in forms:
+        v = l0 * c + l1 * b + l2 * a
+        v *= v
+        v *= w
+        total += v
+    value, remainder = divmod(total, d)
+    if remainder:
+        raise DivisibilityViolation(
+            f"{d} does not divide the read-out of s({n}) from seeds {seeds}")
+    if counter is not None:
+        counter.mat_muls += 1
+        counter.big_muls += len(forms)
+        # per square: 3 small multiples, 2 additions, the weight and
+        # the fold; then the division
+        counter.big_adds += 7 * len(forms) + 1
+    return value
 
 
 # The decimal route: the kernel run on decimal.Decimal, whose answer is
@@ -286,17 +364,19 @@ EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
 # the two routes cost about the same; on the negative side it is taken
 # from -2 * DECIMAL_CROSSOVER, since backwards the terms grow only like
 # sqrt(1.839...)**|n|, and T(-2m) has as many digits as T(m).  Best of
-# 5 (2 vCPUs, CPython 3.11; BENCH_terms.json has the split between
-# kernel and text):
+# 5 in each of 3 interpreters, both routes with the read-out of
+# `kernel_term` (2 vCPUs, CPython 3.11; BENCH_terms_readout.json has the
+# split between kernel and text):
 #   n         int kernel + to_decimal   Decimal kernel + str
-#   T 10^4           0.25 ms                  0.47 ms
-#   T 3*10^4         1.9                      3.9
-#   T 10^5          11.0                     11.7
-#   T 3*10^5        78                       45
-#   T 10^6         320                       92
-#   T -10^5          5.1                      5.5
-#   T -2*10^5       13.7                     11.4
-#   T -10^6        142                       51
+#   T 10^4           0.17 ms                  0.26 ms
+#   T 3*10^4         1.5                      2.2
+#   T 7*10^4         5.8                      6.4
+#   T 10^5           7.0                      5.4
+#   T 3*10^5        39                       20
+#   T 10^6         173                       47
+#   T -10^5          3.6                      3.8
+#   T -2*10^5        7.0                      5.4
+#   T -10^6         64                       22
 DECIMAL_CROSSOVER = 10**5
 
 
@@ -304,10 +384,8 @@ def decimal_term(kind: SequenceKind, n: int) -> decimal.Decimal:
     """T(n) or K(n), any signed n, as an integral Decimal under `EXACT`,
     for printing only: `int()` of a big Decimal is quadratic in its
     digits."""
-    s0, s1, s2 = SEEDS[kind]
     with decimal.localcontext(EXACT):
-        a, b, c = _x_power(n, one=decimal.Decimal(1))
-        return a * s2 + b * s1 + c * s0
+        return kernel_term(SEEDS[kind], n, one=decimal.Decimal(1))
 
 
 def _closed_form(term: Callable[[int], int], n: int) -> Mat3:
@@ -379,19 +457,14 @@ def k_matrix(n: int,
 
 
 def trib_fast(n: int, counter: OpCounter | None = None) -> int:
-    """T(n) = a + b from TM(1)**n in 3-coefficient form, any signed n.
+    """T(n) by `kernel_term` on the T seeds, any signed n.
 
-    O(log |n|) squarings of 6 big multiplications each.
+    O(log |n|) squarings of 6 big multiplications each, and 3 at the
+    top.
     """
-    a, b, _ = _x_power(n, counter)
-    if counter is not None:
-        counter.big_adds += 1
-    return a + b
+    return kernel_term(SEEDS[SequenceKind.TRIBONACCI], n, counter)
 
 
 def lucas_fast(n: int, counter: OpCounter | None = None) -> int:
-    """K(n) = 3a + b + 3c from TM(1)**n in 3-coefficient form, any signed n."""
-    a, b, c = _x_power(n, counter)
-    if counter is not None:
-        counter.big_adds += 3
-    return 3 * (a + c) + b
+    """K(n) by `kernel_term` on the K seeds, any signed n."""
+    return kernel_term(SEEDS[SequenceKind.TRIBONACCI_LUCAS], n, counter)

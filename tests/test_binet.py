@@ -4,11 +4,11 @@ from functools import partial
 import pytest
 from mpmath import mp
 
-from tribkit import (MatrixKind, PrecisionExhausted, SequenceKind,
-                     binet_constants, binet_lucas, binet_matrix, binet_trib,
-                     check_constant_algebra, compute_roots, k_matrix,
-                     lucas_trib, radical_roots, t_matrix, term_reader,
-                     trib)
+from tribkit import (MatrixKind, OpCounter, PrecisionExhausted,
+                     SequenceKind, binet_constants, binet_lucas,
+                     binet_matrix, binet_trib, check_constant_algebra,
+                     compute_roots, k_matrix, lucas_trib, radical_roots,
+                     t_matrix, term_reader, trib)
 
 ALPHA_64 = 1.839286755214161  # real root, double precision reference
 
@@ -50,6 +50,20 @@ class TestRoots:
             assert abs(rad.alpha - roots256.alpha) < bound
             assert abs(rad.beta - roots256.beta) < bound
             assert abs(rad.gamma - roots256.gamma) < bound
+
+    @pytest.mark.parametrize("bits", [64, 100, 129, 1024, 8192])
+    def test_doubling_precision_newton(self, bits):
+        # every height of the precision ladder, and none, ends at a root
+        # as good as the radical construction's
+        roots = compute_roots(bits)
+        rad = radical_roots(bits)
+        with mp.workprec(bits + 64):
+            bound = mp.mpf(2) ** (16 - bits)
+            for root, other in ((roots.alpha, rad.alpha),
+                                (roots.beta, rad.beta),
+                                (roots.gamma, rad.gamma)):
+                assert _residual(root) < bound
+                assert abs(root - other) < bound
 
     def test_precision_floor(self):
         with pytest.raises(ValueError):
@@ -107,6 +121,62 @@ class TestScalarBinet:
     def test_roots_above_the_precision_pass(self):
         assert binet_trib(100, 256, compute_roots(512)) == trib(100)
         assert binet_lucas(100, 256, compute_roots(512)) == lucas_trib(100)
+
+
+# The first index at which Binet gives up, and the bits its error names,
+# as measured with mpmath's own powers before the roots were powered by
+# squaring: (bits, sign) -> (T, K, bits named).
+FIRST_EXHAUSTED = {
+    (256, 1): (291, 289, 257),
+    (256, -1): (-581, -576, 257),
+    (1024, 1): (1165, 1163, 1025),
+    (1024, -1): (-2329, -2324, 1025),
+    (4096, 1): (4659, 4657, 4097),
+    (4096, -1): (-9316, -9313, 4097),
+    (8192, 1): (9318, 9316, 8193),
+    (8192, -1): (-18636, -18631, 8193),
+}
+BINET = {"T": (binet_trib, trib), "K": (binet_lucas, lucas_trib)}
+
+
+class TestPowerChain:
+    @pytest.mark.parametrize("bits", [1024, 4096, 8192])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("kind", ["T", "K"])
+    def test_top_of_the_safe_range(self, kind, sign, bits):
+        binet, exact = BINET[kind]
+        first = FIRST_EXHAUSTED[bits, sign][kind == "K"]
+        roots = compute_roots(bits)
+        for n in (first - sign, first - 2 * sign):
+            assert binet(n, bits, roots) == exact(n), n
+
+    @pytest.mark.parametrize("bits", [256, 1024])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("kind", ["T", "K"])
+    def test_first_exhausted_index_is_pinned(self, kind, sign, bits):
+        binet, _ = BINET[kind]
+        *firsts, named = FIRST_EXHAUSTED[bits, sign]
+        first = firsts[kind == "K"]
+        roots = compute_roots(bits)
+        for n in range(0, first, sign):
+            binet(n, bits, roots)  # raises if it gives up early
+        with pytest.raises(PrecisionExhausted,
+                           match=rf"\(--precision {named}\)$"):
+            binet(first, bits, roots)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 100, -1, -2, -100, 255, -256])
+    def test_counter_credits_the_chain(self, n, roots256):
+        def chain(e):  # squarings, steps by the root, one reciprocal
+            e_bits = bin(abs(e))[3:]
+            return (len(e_bits) + e_bits.count("1") + (e < 0)) if e else 0
+
+        for binet, e, adds, extra_muls in ((binet_trib, n + 1, 6, 4),
+                                           (binet_lucas, n, 2, 0)):
+            counter = OpCounter()
+            binet(n, 256, roots256, counter)
+            assert counter.mat_muls == 2 * chain(e)  # alpha and beta
+            assert counter.big_muls == 2 * chain(e) + extra_muls
+            assert counter.big_adds == adds
 
 
 class TestMatrixBinet:

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from tribkit import (DivisibilityViolation, IDENTITY, K_MAT_SEEDS, Mat3,
                      MatrixKind, MatrixStrategy, NegativeExponent, OpCounter,
                      SequenceKind, T_MAT_SEEDS, k_matrix, lucas_fast,
-                     lucas_trib, mat_mul, mat_pow, t_matrix, trib, trib_fast)
-from tribkit.core import walk
+                     lucas_trib, mat_mul, mat_pow, matrices, t_matrix,
+                     to_decimal, trib, trib_fast)
+from tribkit.core import SEEDS, walk
 from tribkit.bench import STRATEGIES
 from tribkit.matrices import (DECIMAL_CROSSOVER, KIND_SEEDS, decimal_form,
                               decimal_term, kernel_term, term_reader)
@@ -284,6 +285,9 @@ def test_trib_fast_multiplication_bound():
         trib_fast(n, counter)
         assert counter.mat_muls <= 2 * math.ceil(math.log2(abs(n))) + 2
         assert counter.big_adds < 1000  # no O(|n|) walk at either sign
+        # 6 squares a squaring up to x**(n/2), then the 3 of the read-out
+        squarings = (abs(n) // 2).bit_length() - 1
+        assert counter.big_muls == 6 * squarings + 3
 
 
 def test_lucas_fast_matches_iteration(k_cache):
@@ -309,14 +313,74 @@ def test_mat3_shape_guard():
 
 
 # The decimal route is a second arithmetic: its text must be the int
-# kernel's, digit for digit.
+# kernel's, digit for digit, and both share the read-out, so both are
+# also held to the walk, which shares no arithmetic with them.
 @pytest.mark.parametrize("kind", SequenceKind)
 def test_decimal_route_matches_int_route(kind):
     int_term = term_reader(kind)
     for n in range(-300, 301):
         value = decimal_term(kind, n)
         assert type(value) is decimal.Decimal
-        assert decimal_form(value) == decimal_form(int_term(n)), n
+        expected = str(walk(SEEDS[kind], n))
+        assert decimal_form(value) == decimal_form(int_term(n)) == expected, n
+
+
+@pytest.mark.parametrize("n", [10**5 - 1, 10**5 + 1, 2 * 10**5 - 1,
+                               2 * 10**5 + 1, 1 - 10**5, -1 - 10**5,
+                               1 - 2 * 10**5, -1 - 2 * 10**5])
+def test_read_out_matches_mat_pow(n):
+    tm = tm_pow(n)
+    t, k = tm.entry(1, 0), (3 * tm.entry(0, 0) - 2 * tm.entry(1, 0)
+                            - tm.entry(1, 2))  # K(n) = 3T(n+1) - 2T(n) - T(n-1)
+    assert trib_fast(n) == t
+    assert lucas_fast(n) == k
+    assert decimal_form(decimal_term(SequenceKind.TRIBONACCI, n)) == \
+        to_decimal(t)
+    assert decimal_form(decimal_term(SequenceKind.TRIBONACCI_LUCAS, n)) == \
+        to_decimal(k)
+
+
+@pytest.mark.parametrize("f", [-1, 0, 1])
+@pytest.mark.parametrize("kind", SequenceKind)
+def test_read_out_weight_off_by_one_fails(kind, f, monkeypatch):
+    forms_of = matrices._square_forms
+    d, forms = forms_of(SEEDS[kind], f)
+    assert len(forms) == 3  # the form has rank 3
+    for i in range(len(forms)):
+        skewed = list(forms)
+        skewed[i] = (forms[i][0] + 1, *forms[i][1:])
+
+        def square_forms(seeds, g, skewed=tuple(skewed)):
+            return (d, skewed) if g == f else forms_of(seeds, g)
+
+        monkeypatch.setattr(matrices, "_square_forms", square_forms)
+        wrong = 0
+        for n in range(-40, 41):
+            try:
+                wrong += kernel_term(SEEDS[kind], n) != walk(SEEDS[kind], n)
+            except DivisibilityViolation:
+                wrong += 1
+        assert wrong > 0, (kind, f, i)
+
+
+def test_square_forms_are_derived_from_the_seeds():
+    # d*s(2k + f) = sum of w*(l . p)**2 for every p, here on a grid; the
+    # form of (1, -1, 1) at f = 0 has a zero diagonal after one square
+    for seeds in (SEEDS[SequenceKind.TRIBONACCI],
+                  SEEDS[SequenceKind.TRIBONACCI_LUCAS], (0, 0, 0),
+                  (0, 0, 1), (5, -3, 2), (1, -1, 1)):
+        for f in (-1, 0, 1):
+            d, forms = matrices._square_forms(seeds, f)
+            assert d > 0
+            for p in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -3, 5),
+                      (-7, 1, 4)):
+                quadratic = sum(p[i] * p[j] * walk(seeds, i + j + f)
+                                for i in range(3) for j in range(3))
+                squares = sum(w * sum(x * y for x, y in zip(line, p)) ** 2
+                              for w, *line in forms)
+                assert d * quadratic == squares, (seeds, f, p)
+        for n in range(-30, 31):
+            assert kernel_term(seeds, n) == walk(seeds, n), (seeds, n)
 
 
 @pytest.mark.parametrize("n", [7, -7])
