@@ -7,12 +7,13 @@ within a few dozen indices).
 
 Each command states its answer once, as an Output that writes itself in
 each format; `emit` writes the one asked for, a listing item by item.
+An answer past the index `decimal_route` gives is computed on
+decimal.Decimal, so it is already decimal text.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -25,9 +26,10 @@ from .core import SequenceKind
 from .errors import PrecisionExhausted, StrategyMismatch, UnknownIdentity
 from .identities import (PROFILE_BOUNDS, Profile, format_report_table,
                          registry, report_to_dict, verify_record)
-from .matrices import (DECIMAL_CROSSOVER, Mat3, MatrixKind, decimal_form,
+from .matrices import (Mat3, MatrixKind, decimal_form, decimal_route,
                        decimal_term, k_matrix, t_matrix)
-from .series import SumSpec, gf_stream, partial_sum, partial_sum_bruteforce
+from .series import (SumSpec, decimal_sum, gf_stream, partial_sum,
+                     partial_sum_bruteforce)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -43,7 +45,7 @@ _BENCH_FIELDS = ("strategy", "kind", "n", "elapsed_ms", "big_adds",
 
 class Output:
     """A command's answer, stated once: `plain(write)`, `json(write)` and
-    `csv(writer)` each render it in one format."""
+    `csv(write)` each render it in one format."""
 
     code = EXIT_OK
 
@@ -53,20 +55,42 @@ def _text(value) -> str:
     return doc if isinstance(doc, str) else "\n".join(map(" ".join, doc))
 
 
-def _write_cells(writer, fields: dict, value, extra: dict, header: bool):
-    """CSV rows of an int or Mat3 between `fields` and `extra`; matrix
-    cells carry 1-based row and column, matching the prose convention."""
+def _csv_field(x) -> str:
+    """A field as csv.writer writes it: None is empty, and a field holding
+    a comma or a quote is quoted, its quotes doubled.  A line break is
+    refused: csv.writer quotes "\n" but writes "\r" raw."""
+    if x is None:
+        return ""
+    text = x if isinstance(x, str) else str(x)
+    if "\r" in text or "\n" in text:
+        raise ValueError(f"a CSV field holds a line break: {text!r}")
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_join(fields) -> str:
+    return ",".join([_csv_field(x) for x in fields])
+
+
+def _write_cells(write, fields: dict, value, extra: dict, header: bool):
+    """CSV rows of an int or Mat3 between `fields` and `extra`, one write
+    per row; matrix cells carry 1-based row and column, matching the
+    prose convention."""
     doc = decimal_form(value)
-    if isinstance(doc, str):
-        columns, cells = ["value"], [[doc]]
-    else:
-        columns = ["row", "col", "value"]
-        cells = [[r + 1, c + 1, x] for r, row in enumerate(doc)
-                 for c, x in enumerate(row)]
+    scalar = isinstance(doc, str)
     if header:
-        writer.writerow([*fields, *columns, *extra])
-    writer.writerows([*fields.values(), *cell, *extra.values()]
-                     for cell in cells)
+        columns = ("value",) if scalar else ("row", "col", "value")
+        write(_csv_join([*fields, *columns, *extra]) + "\n")
+    head = _csv_join(fields.values()) + "," if fields else ""
+    tail = "," + _csv_join(extra.values()) + "\n" if extra else "\n"
+    if scalar:
+        write(head + doc + tail)
+        return
+    # decimal text and indices never need quoting
+    for r, row in enumerate(doc, 1):
+        for c, x in enumerate(row, 1):
+            write(f"{head}{r},{c},{x}{tail}")
 
 
 @dataclass(frozen=True)
@@ -90,8 +114,8 @@ class Value(Output):
             doc = {**self.fields, "value": doc, **self.extra}
         write(json.dumps(doc) + "\n")
 
-    def csv(self, writer):
-        _write_cells(writer, self.fields, self.value, self.extra, True)
+    def csv(self, write):
+        _write_cells(write, self.fields, self.value, self.extra, True)
 
 
 @dataclass(frozen=True)
@@ -117,9 +141,9 @@ class Listing(Output):
             write((", " if i else "") + json.dumps(decimal_form(value)))
         write("]\n")
 
-    def csv(self, writer):
+    def csv(self, write):
         for i, value in enumerate(self.values):
-            _write_cells(writer, {**self.fields, "i": i}, value, {}, i == 0)
+            _write_cells(write, {**self.fields, "i": i}, value, {}, i == 0)
 
 
 @dataclass(frozen=True)
@@ -136,12 +160,12 @@ class Reports(Output):
     def json(self, write):
         write(json.dumps([report_to_dict(r) for r in self.reports]) + "\n")
 
-    def csv(self, writer):
-        writer.writerow(["id", "status", "cases", "failures", "elapsed_ms"])
-        writer.writerows(
-            [r.identity_id, "pass" if r.passed else "fail", r.cases,
-             len(r.failures), round(r.elapsed_s * 1000, 3)]
-            for r in self.reports)
+    def csv(self, write):
+        write("id,status,cases,failures,elapsed_ms\n")
+        for r in self.reports:
+            write(_csv_join([r.identity_id, "pass" if r.passed else "fail",
+                             r.cases, len(r.failures),
+                             round(r.elapsed_s * 1000, 3)]) + "\n")
 
 
 @dataclass(frozen=True)
@@ -159,19 +183,16 @@ class BenchRows(Output):
     def json(self, write):
         write(json.dumps(self.rows) + "\n")
 
-    def csv(self, writer):
-        writer.writerow(_BENCH_FIELDS)
-        # csv writes None (no precision) as an empty field
-        writer.writerows(row.values() for row in self.rows)
+    def csv(self, write):
+        write(_csv_join(_BENCH_FIELDS) + "\n")
+        for row in self.rows:  # None (no precision) is an empty field
+            write(_csv_join(row.values()) + "\n")
 
 
 def emit(out: Output, fmt: str) -> None:
     """Write `out` to stdout in `fmt` alone; a listing is drawn only as it
     is written, so it is never held whole."""
-    if fmt == "csv":
-        out.csv(csv.writer(sys.stdout, lineterminator="\n"))
-    else:
-        getattr(out, fmt)(sys.stdout.write)
+    getattr(out, fmt)(sys.stdout.write)
 
 
 def _bits(text: str) -> int:
@@ -244,10 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_term(args) -> Output:
     kind = KINDS[args.kind]
-    # T(-n) has about half the digits of T(n), so the decimal route pays
-    # from twice the crossover on the negative side
-    if args.strategy == "matpow" and (args.n >= DECIMAL_CROSSOVER or
-                                      args.n <= -2 * DECIMAL_CROSSOVER):
+    if args.strategy == "matpow" and decimal_route(kind, args.n):
         value = decimal_term(kind, args.n)
     else:
         value = STRATEGIES[args.strategy](kind, args.n, args.precision, None)
@@ -256,16 +274,23 @@ def cmd_term(args) -> Output:
 
 
 def cmd_matrix(args) -> Output:
-    fn = t_matrix if args.kind == "T" else k_matrix
-    return Value({"kind": args.kind, "n": args.n}, fn(args.n), bare=True)
+    kind = KINDS[args.kind + "M"]
+    if decimal_route(kind, args.n):
+        value = decimal_term(kind, args.n)
+    else:
+        value = (t_matrix if args.kind == "T" else k_matrix)(args.n)
+    return Value({"kind": args.kind, "n": args.n}, value, bare=True)
 
 
 def cmd_sum(args) -> Output:
     spec = SumSpec(KINDS[args.kind], args.m, args.j, args.n)
-    value = partial_sum(spec)
     fields = {"kind": args.kind, "m": args.m, "j": args.j, "n": args.n}
     if not args.check:
-        return Value(fields, value)
+        route = (decimal_sum if decimal_route(spec.kind, spec.top)
+                 else partial_sum)
+        return Value(fields, route(spec))
+    # the oracle is an int, and int() of a Decimal is quadratic
+    value = partial_sum(spec)
     oracle = partial_sum_bruteforce(spec)
     if value != oracle:
         raise StrategyMismatch(

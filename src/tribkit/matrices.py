@@ -11,7 +11,8 @@ c*s(0) off x**n = a*x^2 + b*x + c.  The entries of TM(n) and KM(n) are
 shifted T and K terms, laid out in `_closed_form`; row 2, column 1
 (1-based) of TM(n) holds T(n).  `mat_pow` (TM(1)**n by matrix products)
 and FROM_T (KM(0) @ TM(n)) are independent oracles.  `decimal_term` runs
-the same kernel on decimal.Decimal, for answers that are only printed.
+the same kernel on decimal.Decimal, for answers that are only printed,
+from the index `decimal_route` gives.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from .errors import DivisibilityViolation, NegativeExponent
 @dataclass(frozen=True)
 class Mat3:
     """Immutable 3x3 integer matrix, entries row-major.
+
+    The entries are ints, or integral Decimals on the decimal route
+    (`decimal_term`), where only `+`, `-` and `div_exact` meet them.
 
     Code indexes rows and columns from 0; prose and reports use the
     1-based convention, under which the scalar-bearing cell "row 2,
@@ -116,14 +120,21 @@ def decimal_form(value):
     of those and a tuple as a list of its items' forms; every output
     format writes these."""
     if isinstance(value, Mat3):
-        return [[to_decimal(x) for x in row] for row in value.rows()]
+        text = (_decimal_text if isinstance(value.entries[0], decimal.Decimal)
+                else to_decimal)
+        return [[text(x) for x in row] for row in value.rows()]
     if isinstance(value, tuple):
         return [decimal_form(item) for item in value]
     if isinstance(value, decimal.Decimal):
-        # `decimal_term` keeps exponent 0, so str() is the digits alone,
-        # in linear time; never int(), which is quadratic
-        return str(value)
+        return _decimal_text(value)
     return to_decimal(value)
+
+
+def _decimal_text(x: decimal.Decimal) -> str:
+    # the decimal route keeps exponent 0, so str() is the digits alone,
+    # in linear time; never int(), which is quadratic.  A Decimal zero
+    # may carry a sign, which an int never shows
+    return str(x) if x else "0"
 
 
 IDENTITY = Mat3((1, 0, 0, 0, 1, 0, 0, 0, 1))
@@ -265,7 +276,11 @@ def _x_power(n: int, counter: OpCounter | None = None,
     return a, b, c
 
 
-@lru_cache(maxsize=32)
+# A sum adds the forms of its u seeds (`series.partial_sum`), one key per
+# (kind, m, f): a sweep of both scalar kinds over m in 1..10 and every
+# j < m holds 45 keys, T's and K's own included; a key takes about 60 us
+# to build
+@lru_cache(maxsize=64)
 def _square_forms(seeds: tuple[int, int, int], f: int):
     """(d, forms): d*s(2k + f) is the sum of w*(l . p)**2 over (w, *l)
     in forms, p = (c, b, a) the coefficients of x**k, any k.
@@ -323,9 +338,10 @@ def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
     more mat_muls, and its squares as big_muls.
     """
     if isinstance(seeds[0], Mat3):
-        a, b, c = _x_power(n, counter)
-        s0, s1, s2 = seeds
-        return a * s2 + b * s1 + c * s0
+        # laid out entry by entry, so the coefficients may be Decimals
+        a, b, c = _x_power(n, counter, one)
+        return Mat3(tuple(a * x2 + b * x1 + c * x0 for x0, x1, x2 in zip(
+            seeds[0].entries, seeds[1].entries, seeds[2].entries)))
     k, f = divmod(abs(n), 2)
     if n < 0:
         k, f = -k, -f
@@ -360,13 +376,16 @@ EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
                         Emin=decimal.MIN_EMIN,
                         traps=[decimal.Inexact, decimal.Overflow,
                                decimal.InvalidOperation])
-# n from which `term --strategy matpow` takes the decimal route, where
-# the two routes cost about the same; on the negative side it is taken
-# from -2 * DECIMAL_CROSSOVER, since backwards the terms grow only like
-# sqrt(1.839...)**|n|, and T(-2m) has as many digits as T(m).  Best of
-# 5 in each of 3 interpreters, both routes with the read-out of
-# `kernel_term` (2 vCPUs, CPython 3.11; BENCH_terms_readout.json has the
-# split between kernel and text):
+# Index from which an answer takes the decimal route, where the two
+# routes cost about the same; on the negative side it is taken from
+# -2 * the crossover, since backwards the terms grow only like
+# sqrt(1.839...)**|n|, and T(-2m) has as many digits as T(m).  A scalar
+# answer prints one term, a matrix answer nine, so text overtakes the
+# arithmetic at a smaller index there.  Best of 5 in each of 3
+# interpreters, both routes with the read-out of `kernel_term` (2 vCPUs,
+# CPython 3.11; the matrix row best of 150 in one interpreter;
+# BENCH_terms_readout.json and BENCH_sums_output.json have the split
+# between kernel and text):
 #   n         int kernel + to_decimal   Decimal kernel + str
 #   T 10^4           0.17 ms                  0.26 ms
 #   T 3*10^4         1.5                      2.2
@@ -377,15 +396,26 @@ EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
 #   T -10^5          3.6                      3.8
 #   T -2*10^5        7.0                      5.4
 #   T -10^6         64                       22
+#   TM, KM 2*10^3    0.08                     0.07
 DECIMAL_CROSSOVER = 10**5
+MATRIX_DECIMAL_CROSSOVER = 2 * 10**3
 
 
-def decimal_term(kind: SequenceKind, n: int) -> decimal.Decimal:
-    """T(n) or K(n), any signed n, as an integral Decimal under `EXACT`,
-    for printing only: `int()` of a big Decimal is quadratic in its
-    digits."""
+def decimal_route(kind, n: int) -> bool:
+    """Whether an answer of `kind` at index n (a term's, or a sum's top
+    index) is cheaper printed from the decimal route (`decimal_term`,
+    `series.decimal_sum`) than from the int kernel and `to_decimal`."""
+    start = (MATRIX_DECIMAL_CROSSOVER if isinstance(kind, MatrixKind)
+             else DECIMAL_CROSSOVER)
+    return n >= start or n <= -2 * start
+
+
+def decimal_term(kind, n: int):
+    """The term of any kind at any signed n, an integral Decimal or a Mat3
+    of them, computed under `EXACT`, for printing only: `int()` of a big
+    Decimal is quadratic in its digits."""
     with decimal.localcontext(EXACT):
-        return kernel_term(SEEDS[kind], n, one=decimal.Decimal(1))
+        return kernel_term(KIND_SEEDS[kind][0], n, one=decimal.Decimal(1))
 
 
 def _closed_form(term: Callable[[int], int], n: int) -> Mat3:

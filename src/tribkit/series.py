@@ -10,14 +10,16 @@ force summer is kept alongside as the oracle.
 
 from __future__ import annotations
 
+import decimal
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
+from . import matrices
 from .core import SEEDS, SequenceKind, walk
 from .errors import DegenerateDenominator, DivisibilityViolation
-from .matrices import (KIND_SEEDS, ZERO, Mat3, MatrixKind, lucas_fast,
-                       term_reader)
+from .matrices import (KIND_SEEDS, ZERO, Mat3, MatrixKind, kernel_term,
+                       lucas_fast, term_reader)
 
 AnyKind = Union[SequenceKind, MatrixKind]
 
@@ -90,16 +92,26 @@ class SumSpec:
         if self.n < 1:
             raise ValueError(f"summation requires n >= 1, got n={self.n}")
 
+    @property
+    def top(self) -> int:
+        """m*n + j, the index at which the closed form reads u, and at
+        which `matrices.decimal_route` chooses the sum's route."""
+        return self.m * self.n + self.j
+
 
 def partial_sum(spec: SumSpec, term: Callable | None = None,
-                k_term: Callable | None = None):
+                k_term: Callable | None = None, one=1):
     """Closed-form value of the sum described by `spec`.
 
-    Assembles six boundary terms, read by `term` (n -> the term of
-    `spec.kind`; by default the log-time kernel, so memory follows the
-    answer, not the top index m*n + j), and divides by K(m) - K(-m),
-    read by `k_term` (n -> K(n); by default `lucas_fast`).
-    The division is exact by theorem: a remainder raises
+    The sum is (u(m*n + j) - u(j)) / (K(m) - K(-m)) with
+    u(i) = s(i + m) + s(i - m) + (1 - K(m))*s(i), s the terms of
+    `spec.kind`.  Handed `term` (n -> the term of `spec.kind`), it
+    reads u's six boundary terms through it.  Else u, which obeys the
+    recurrence of s, is one kernel read-out from its own seeds
+    (`_u_seeds`) at the top index m*n + j, with a unit of `one`
+    (`decimal_sum`), so memory follows the answer, not the top index.
+    The divisor is read by `k_term` (n -> K(n); by default
+    `lucas_fast`).  The division is exact by theorem: a remainder raises
     DivisibilityViolation (a bug, not bad input), and a zero divisor,
     impossible for m >= 1, raises DegenerateDenominator.
     """
@@ -110,12 +122,14 @@ def partial_sum(spec: SumSpec, term: Callable | None = None,
     divisor = k_m - k_term(-m)
     if divisor == 0:
         raise DegenerateDenominator(f"K({m}) - K({-m}) = 0")
-    if term is None:
-        term = term_reader(spec.kind)
     w = 1 - k_m
-    top = m * n + j
-    numerator = (term(top + m) + term(top - m) + w * term(top)
-                 - term(m + j) - term(j - m) - w * term(j))
+    top = spec.top
+    if term is None:
+        u = _u_seeds(KIND_SEEDS[spec.kind][0], m, w)
+        numerator = kernel_term(u, top, one=one) - kernel_term(u, j)
+    else:
+        numerator = (term(top + m) + term(top - m) + w * term(top)
+                     - term(m + j) - term(j - m) - w * term(j))
     if isinstance(numerator, Mat3):
         return numerator.div_exact(divisor)
     q, r = divmod(numerator, divisor)
@@ -123,6 +137,20 @@ def partial_sum(spec: SumSpec, term: Callable | None = None,
         raise DivisibilityViolation(
             f"{divisor} does not divide closed-form numerator for {spec}")
     return q
+
+
+def _u_seeds(seeds, m: int, w: int):
+    """(u(0), u(1), u(2)) for u(i) = s(i + m) + s(i - m) + w*s(i), s the
+    sequence of `seeds`, ints or matrices."""
+    return tuple(kernel_term(seeds, i + m) + kernel_term(seeds, i - m)
+                 + w * seeds[i] for i in range(3))
+
+
+def decimal_sum(spec: SumSpec):
+    """`partial_sum` on the decimal route: an integral Decimal, or a Mat3
+    of them, computed under `matrices.EXACT`, for printing only."""
+    with decimal.localcontext(matrices.EXACT):
+        return partial_sum(spec, one=decimal.Decimal(1))
 
 
 class _SlidingWindow:

@@ -1,18 +1,25 @@
 import contextlib
+import csv
 import decimal
+import io
 import json
 import shlex
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tribkit.cli as cli
 import tribkit.matrices as matrices
-from tribkit import (MatrixStrategy, lucas_fast, t_matrix, to_decimal,
-                     trib_fast)
+from tribkit import (PROFILE_BOUNDS, MatrixKind, MatrixStrategy, Profile,
+                     SequenceKind, SumSpec, k_matrix, lucas_fast, lucas_trib,
+                     partial_sum, partial_sum_bruteforce, registry, t_matrix,
+                     to_decimal, trib, trib_fast, verify_record)
 from tribkit.cli import main
-from tribkit.matrices import DECIMAL_CROSSOVER
+from tribkit.matrices import (DECIMAL_CROSSOVER, MATRIX_DECIMAL_CROSSOVER,
+                              decimal_form)
 
 
 def run(argv, capsys):
@@ -376,8 +383,10 @@ class TestBigAnswers:
 
 class TestDecimalRoute:
     """`term --strategy matpow` from n = DECIMAL_CROSSOVER up and from
-    n = -2 * DECIMAL_CROSSOVER down runs the kernel on decimal.Decimal;
-    the int route is its oracle."""
+    n = -2 * DECIMAL_CROSSOVER down runs the kernel on decimal.Decimal,
+    and `matrix` and `sum` without --check from MATRIX_DECIMAL_CROSSOVER
+    for a matrix answer (for a sum, at its top index m*n + j); the int
+    route is its oracle."""
 
     EDGES = [DECIMAL_CROSSOVER - 1, DECIMAL_CROSSOVER,
              DECIMAL_CROSSOVER + 1, -DECIMAL_CROSSOVER,
@@ -399,7 +408,10 @@ class TestDecimalRoute:
         (["term", "T", str(-2 * DECIMAL_CROSSOVER)], True),
         (["term", "T", str(DECIMAL_CROSSOVER), "--strategy", "iterate"],
          False),
-        (["matrix", "K", str(DECIMAL_CROSSOVER)], False),
+        (["matrix", "K", str(MATRIX_DECIMAL_CROSSOVER - 1)], False),
+        (["matrix", "K", str(MATRIX_DECIMAL_CROSSOVER)], True),
+        (["matrix", "T", str(1 - 2 * MATRIX_DECIMAL_CROSSOVER)], False),
+        (["matrix", "T", str(-2 * MATRIX_DECIMAL_CROSSOVER)], True),
     ])
     def test_route_starts_at_the_crossover(self, argv, routed, capsys,
                                            monkeypatch):
@@ -424,9 +436,68 @@ class TestDecimalRoute:
         tm = t_matrix(10**6, MatrixStrategy.MAT_POW)
         assert value == to_decimal(tm.entry(1, 0))
 
+    @pytest.mark.parametrize("kind,m,j,top,routed", [
+        ("T", 3, 1, DECIMAL_CROSSOVER - 1, False),
+        ("T", 3, 1, DECIMAL_CROSSOVER, True),
+        ("TM", 7, 3, MATRIX_DECIMAL_CROSSOVER - 1, False),
+        ("KM", 7, 3, MATRIX_DECIMAL_CROSSOVER, True),
+    ])
+    def test_sum_routes_by_its_top_index(self, kind, m, j, top, routed,
+                                         capsys, monkeypatch):
+        # n is the last count whose top index m*n + j stays below `top`,
+        # and one more when the route starts there
+        n = (top - j - 1) // m + routed
+        real, calls = cli.decimal_sum, []
+
+        def spy(spec):
+            calls.append(spec.m * spec.n + spec.j)
+            return real(spec)
+
+        monkeypatch.setattr(cli, "decimal_sum", spy)
+        argv = ["sum", kind, str(m), str(j), str(n)]
+        assert main(argv) == 0
+        assert len(calls) == routed
+        # --check compares with the int oracle, so it stays on ints
+        assert main([*argv, "--check"]) == 0
+        capsys.readouterr()
+        assert len(calls) == routed
+
+    @pytest.mark.parametrize("kind", ["T", "K"])
+    def test_matrix_text_on_both_routes(self, kind, capsys, monkeypatch):
+        # every n in [-300, 300] and +-5*10^4, each on both routes: the
+        # same text, and a zero entry is "0", never "-0"
+        scalar = trib if kind == "T" else lucas_trib
+        for n in [*range(-300, 301), 5 * 10**4, -5 * 10**4]:
+            outs = []
+            for routed in (True, False):
+                monkeypatch.setattr(cli, "decimal_route",
+                                    lambda kind, n, routed=routed: routed)
+                outs.append(run(["matrix", kind, str(n)], capsys)[1])
+            assert outs[0] == outs[1], n
+            assert "-0 " not in outs[0] and "-0\n" not in outs[0], n
+            if abs(n) <= 300:  # the row 2, column 1 entry is s(n)
+                assert outs[0].split()[3] == str(scalar(n)), n
+
+    @pytest.mark.parametrize("kind", ["TM", "KM"])
+    def test_matrix_sum_text_on_both_routes(self, kind, capsys,
+                                            monkeypatch):
+        cases = [(m, j, n) for m in range(1, 7) for j in range(m)
+                 for n in range(1, 41)] + [(7, 3, 14285)]  # top 99 998
+        for m, j, n in cases:
+            outs = []
+            for routed in (True, False):
+                monkeypatch.setattr(cli, "decimal_route",
+                                    lambda kind, n, routed=routed: routed)
+                outs.append(run(["sum", kind, str(m), str(j), str(n)],
+                                capsys)[1])
+            assert outs[0] == outs[1], (m, j, n)
+            assert "-0" not in outs[0].split(), (m, j, n)
+
     @pytest.mark.parametrize("argv", [
         ["term", "T", str(DECIMAL_CROSSOVER)],
         ["term", "K", str(-2 * DECIMAL_CROSSOVER)],
+        ["matrix", "K", "50000"],
+        ["sum", "KM", "7", "3", "14285"],
     ])
     def test_refuses_to_round(self, argv, capsys, monkeypatch):
         narrow = matrices.EXACT.copy()
@@ -451,6 +522,19 @@ class TestDecimalRoute:
         assert sink.written == 264650
         assert peak <= 8 * sink.written
 
+    def test_matrix_sum_memory_of_the_answer(self):
+        sink = Discard()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["sum", "KM", "10", "3", "9999"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.written > 9 * 25000  # nine entries near K(99 993)
+        assert peak <= 8 * sink.written
+
 
 def _entries(fmt, out):
     """The nine entries of a matrix answer, row-major, as printed."""
@@ -461,6 +545,117 @@ def _entries(fmt, out):
         grid = payload["value"] if isinstance(payload, dict) else payload
         return [x for row in grid for x in row]
     return [line.split(",")[-1] for line in out.splitlines()[1:]]
+
+
+def _csv_writer_text(rows):
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def _cells(fields, value):
+    """The CSV rows of one answer, as the csv module's rows."""
+    doc = decimal_form(value)
+    if isinstance(doc, str):
+        return [[*fields, doc]]
+    return [[*fields, r + 1, c + 1, x] for r, row in enumerate(doc)
+            for c, x in enumerate(row)]
+
+
+class TestCsv:
+    """CSV is written without the csv module, one `write` per row, byte
+    for byte as csv.writer(lineterminator="\n") writes the same rows."""
+
+    @given(st.lists(st.one_of(
+        st.none(), st.integers(), st.floats(allow_nan=False),
+        st.text(alphabet='a1-, ".')), min_size=2, max_size=6))
+    def test_join_matches_csv_writer(self, fields):
+        assert cli._csv_join(fields) + "\n" == _csv_writer_text([fields])
+
+    @pytest.mark.parametrize("argv,rows", [
+        (["term", "K", "-13"],
+         [["kind", "n", "strategy", "value"],
+          ["K", -13, "matpow", lucas_trib(-13)]]),
+        (["matrix", "T", "-4"],
+         [["kind", "n", "row", "col", "value"],
+          *_cells(["T", -4], t_matrix(-4))]),
+        (["matrix", "K", "3000"],  # the decimal route
+         [["kind", "n", "row", "col", "value"],
+          *_cells(["K", 3000], k_matrix(3000))]),
+        (["sum", "TM", "2", "1", "4", "--check"],
+         [["kind", "m", "j", "n", "row", "col", "value", "check"],
+          *[[*row, "ok"] for row in _cells(
+              ["TM", 2, 1, 4], partial_sum(SumSpec(MatrixKind.TRIB_MATRIX,
+                                                   2, 1, 4)))]]),
+        (["sum", "K", "3", "2", "5", "--check"],
+         [["kind", "m", "j", "n", "value", "check"],
+          ["K", 3, 2, 5, partial_sum_bruteforce(
+              SumSpec(SequenceKind.TRIBONACCI_LUCAS, 3, 2, 5)), "ok"]]),
+        (["gf", "T", "12"],
+         [["kind", "i", "value"], *[["T", i, trib(i)] for i in range(12)]]),
+        (["gf", "KM", "4"],
+         [["kind", "i", "row", "col", "value"],
+          *[row for i in range(4) for row in _cells(["KM", i],
+                                                     k_matrix(i))]]),
+    ], ids=["term", "matrix", "matrix-decimal", "sum-check-matrix",
+            "sum-check", "gf", "gf-matrix"])
+    def test_shapes_match_csv_writer(self, argv, rows, capsys):
+        code, out, _ = run([*argv, "--format", "csv"], capsys)
+        assert code == 0
+        assert out == _csv_writer_text(rows)
+
+    def test_reports_match_csv_writer(self):
+        records = [r for r in registry() if r.id in ("EQ4", "SUMTHMa")]
+        reports = [verify_record(r, PROFILE_BOUNDS[Profile.QUICK])
+                   for r in records]
+        written = []
+        cli.Reports(reports, 0).csv(written.append)
+        assert len(written) == 3  # a write per row
+        assert "".join(written) == _csv_writer_text(
+            [["id", "status", "cases", "failures", "elapsed_ms"]]
+            + [[r.identity_id, "pass", r.cases, 0,
+                round(r.elapsed_s * 1000, 3)] for r in reports])
+
+    def test_bench_rows_match_csv_writer(self):
+        rows = [dict(zip(cli._BENCH_FIELDS, values)) for values in (
+            ("iterate", "T", 1000, 0.125, 1996, 0, 0, None),
+            ("binet", "K", 50, 2.5, 0, 8, 0, 256))]
+        written = []
+        cli.BenchRows(rows).csv(written.append)
+        assert written[1] == "iterate,T,1000,0.125,1996,0,0,\n"
+        assert "".join(written) == _csv_writer_text(
+            [cli._BENCH_FIELDS, *(row.values() for row in rows)])
+
+    @pytest.mark.parametrize("label", ["a,b", 'say "x"', '"', ","])
+    def test_field_needing_quotes_is_quoted(self, label):
+        written = []
+        cli.Value({"kind": label, "n": 1}, t_matrix(1)).csv(written.append)
+        assert "".join(written) == _csv_writer_text(
+            [["kind", "n", "row", "col", "value"],
+             *_cells([label, 1], t_matrix(1))])
+        # and the csv module reads the label back whole
+        rows = list(csv.reader(io.StringIO("".join(written))))
+        assert {row[0] for row in rows[1:]} == {label}
+
+    @pytest.mark.parametrize("label", ["two\nlines", "a\rb", "\r\n"])
+    def test_field_with_a_line_break_is_refused(self, label):
+        written = []
+        with pytest.raises(ValueError, match="line break"):
+            cli.Value({"kind": label, "n": 1}, 5).csv(written.append)
+        assert not any(label in text for text in written)
+
+    def test_reader_gives_the_json_values(self, capsys):
+        code, out, _ = run(["gf", "TM", "300", "--format", "json"], capsys)
+        assert code == 0
+        expected = [x for value in json.loads(out) for row in value
+                    for x in row]
+        code, out, _ = run(["gf", "TM", "300", "--format", "csv"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 300 * 9
+        assert [row["value"] for row in rows] == expected
+        assert rows[9] == {"kind": "TM", "i": "1", "row": "1", "col": "1",
+                           "value": "1"}
 
 
 class TestReadme:

@@ -325,6 +325,27 @@ def test_decimal_route_matches_int_route(kind):
         assert decimal_form(value) == decimal_form(int_term(n)) == expected, n
 
 
+@pytest.mark.parametrize("kind", [TM, KM], ids=lambda k: k.value)
+def test_matrix_decimal_route_matches_int_route(kind):
+    seeds = KIND_SEEDS[kind][0]
+    int_term = term_reader(kind)
+    for n in [*range(-300, 301), 5 * 10**4, -5 * 10**4]:
+        value = decimal_term(kind, n)
+        assert {type(x) for x in value.entries} == {decimal.Decimal}
+        text = decimal_form(value)
+        assert text == decimal_form(int_term(n)), n
+        if abs(n) <= 300:
+            assert text == decimal_form(walk(seeds, n)), n
+
+
+def test_decimal_zero_prints_unsigned():
+    # libmpdec keeps the sign of a zero product: -1 * 0 is -0
+    minus_zero = decimal.Decimal(-1) * 0
+    assert str(minus_zero) == "-0"
+    assert decimal_form(minus_zero) == "0"
+    assert decimal_form(Mat3((minus_zero,) * 9)) == [["0"] * 3] * 3
+
+
 @pytest.mark.parametrize("n", [10**5 - 1, 10**5 + 1, 2 * 10**5 - 1,
                                2 * 10**5 + 1, 1 - 10**5, -1 - 10**5,
                                1 - 2 * 10**5, -1 - 2 * 10**5])

@@ -177,6 +177,72 @@ class TestPartialSums:
         assert peak < 32 * 2**20
 
 
+class TestOneChain:
+    """With no term reader, `partial_sum` reads its numerator u(top) - u(j)
+    off one kernel chain over u's own seeds."""
+
+    @pytest.mark.parametrize("kind", [T, K, TM, KM], ids=lambda k: k.value)
+    def test_matches_bruteforce(self, kind):
+        for m in range(1, 7):
+            for j in range(m):
+                for n in range(1, 41):
+                    spec = SumSpec(kind, m, j, n)
+                    assert partial_sum(spec) == \
+                        partial_sum_bruteforce(spec), spec
+
+    @pytest.mark.parametrize("kind", [T, K, TM, KM], ids=lambda k: k.value)
+    def test_matches_six_readers_at_powers_of_two(self, kind):
+        # the top index m*n + j at 2^k - 1 and 2^k + 1, both parities of
+        # the read-out and a last chain step either way
+        six_readers = term_reader(kind)
+        for k in range(2, 18):
+            for top in (2**k - 1, 2**k + 1):
+                m = 1 + k % 5
+                spec = SumSpec(kind, m, top % m, top // m)
+                assert partial_sum(spec) == \
+                    partial_sum(spec, six_readers), spec
+
+    @pytest.mark.parametrize("kind", [T, K, TM, KM], ids=lambda k: k.value)
+    def test_one_chain_reaches_the_top(self, kind, monkeypatch):
+        import tribkit.matrices as matrices
+        lengths = []
+        real = matrices._x_power
+
+        def counting(n, counter=None, one=1):
+            lengths.append(abs(n))
+            return real(n, counter, one)
+
+        monkeypatch.setattr(matrices, "_x_power", counting)
+        m, j, n = 7, 3, 1500
+        partial_sum(SumSpec(kind, m, j, n))
+        # one chain to x^top, or to x^(top/2) for a scalar read-out; the
+        # others (u's seeds s(i +- m), the divisor, u(j)) go no further
+        # than m + 2
+        assert sorted(lengths)[-2] <= m + 2
+        assert lengths.count(max(lengths)) == 1
+        assert max(lengths) >= (m * n + j) // 2
+
+    @pytest.mark.parametrize("kind", [T, K, TM, KM], ids=lambda k: k.value)
+    def test_seed_off_by_one_fails(self, kind, monkeypatch):
+        import tribkit.series as series
+        real = series._u_seeds
+        spec = SumSpec(kind, 3, 1, 20)
+        expected = partial_sum_bruteforce(spec)
+        one = Mat3((0, 0, 0, 1, 0, 0, 0, 0, 0)) if kind in (TM, KM) else 1
+        for i in range(3):
+            def off_by_one(seeds, m, w, i=i):
+                u = list(real(seeds, m, w))
+                u[i] = u[i] + one
+                return tuple(u)
+
+            monkeypatch.setattr(series, "_u_seeds", off_by_one)
+            try:
+                value = partial_sum(spec)
+            except DivisibilityViolation:
+                continue
+            assert value != expected, i
+
+
 class TestGuards:
     def test_degenerate_denominator(self, monkeypatch):
         import tribkit.series as series
