@@ -11,9 +11,8 @@ from .binet import (BinetConstants, ConstantAlgebraReport, DEFAULT_PRECISION,
                     RootTriple, binet_constants, binet_lucas, binet_matrix,
                     binet_trib, check_constant_algebra, compute_roots,
                     radical_roots)
-from .core import (Conversion, SEEDS, SequenceKind, TermCache,
-                   lucas_from_trib, lucas_trib, to_decimal, trib, trib_alt,
-                   trib_from_lucas)
+from .core import (SEEDS, SequenceKind, TermCache, lucas_trib, to_decimal,
+                   trib, trib_alt)
 from .counters import OpCounter
 from .errors import (DegenerateDenominator, DivisibilityViolation,
                      NegativeExponent, PrecisionExhausted, StrategyMismatch,
@@ -24,9 +23,8 @@ from .identities import (Arity, GridBounds, IdentityRecord, PROFILE_BOUNDS,
 from .matrices import (IDENTITY, K_MAT_SEEDS, Mat3, MatrixKind, MatrixStrategy,
                        T_MAT_SEEDS, ZERO, k_matrix, lucas_fast, mat_mul,
                        mat_pow, t_matrix, term_reader, trib_fast)
-from .series import (DENOMINATOR, SumSpec, gf_coeffs, gf_matrix_coeffs,
-                     gf_numerators, gf_stream, partial_sum,
-                     partial_sum_bruteforce)
+from .series import (SumSpec, gf_coeffs, gf_matrix_coeffs, gf_numerators,
+                     gf_stream, partial_sum, partial_sum_bruteforce)
 
 __version__ = "0.1.0"
 
@@ -35,9 +33,7 @@ __all__ = [
     "BenchResult",
     "BinetConstants",
     "ConstantAlgebraReport",
-    "Conversion",
     "DEFAULT_PRECISION",
-    "DENOMINATOR",
     "DegenerateDenominator",
     "DivisibilityViolation",
     "GridBounds",
@@ -75,7 +71,6 @@ __all__ = [
     "gf_stream",
     "k_matrix",
     "lucas_fast",
-    "lucas_from_trib",
     "lucas_trib",
     "mat_mul",
     "mat_pow",
@@ -91,7 +86,6 @@ __all__ = [
     "trib",
     "trib_alt",
     "trib_fast",
-    "trib_from_lucas",
     "verify",
     "verify_all",
     "verify_record",

@@ -17,7 +17,6 @@ import threading
 from enum import Enum
 
 from .counters import OpCounter
-from .errors import DivisibilityViolation
 
 
 class SequenceKind(Enum):
@@ -25,14 +24,6 @@ class SequenceKind(Enum):
 
     TRIBONACCI = "T"
     TRIBONACCI_LUCAS = "K"
-
-
-class Conversion(Enum):
-    """The three ways to assemble K(n) from nearby Tribonacci terms."""
-
-    A = "A"  # K(n) = 3*T(n+1) - 2*T(n) - T(n-1)
-    B = "B"  # K(n) = T(n) + 2*T(n-1) + 3*T(n-2)
-    C = "C"  # K(n) = 4*T(n+1) - T(n) - T(n+2)
 
 
 SEEDS: dict[SequenceKind, tuple[int, int, int]] = {
@@ -90,21 +81,32 @@ class TermCache:
         return self._fwd[i] if i >= 0 else self._bwd[-i - 1]
 
 
-def to_decimal(value: int) -> str:
-    """Decimal text of an int of any size.
+# The one context of exact decimal arithmetic: `to_decimal` and the
+# decimal route (`matrices.decimal_term`, `series.decimal_sum`) compute
+# under it.  It keeps every digit, and a result that would round,
+# overflow or be invalid raises instead.
+EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                        Emin=decimal.MIN_EMIN,
+                        traps=[decimal.Inexact, decimal.Overflow,
+                               decimal.InvalidOperation])
 
-    str() serves values within the interpreter's int-to-str digit limit.
-    Longer ones are rebuilt from binary halves as a decimal.Decimal,
-    whose sub-quadratic multiplication makes this faster than str()
-    would be, and which prints with no limit.  The limit itself is left
-    alone.
+
+def to_decimal(value) -> str:
+    """Decimal text of an int of any size, or of an integral Decimal.
+
+    str() serves ints within the interpreter's int-to-str digit limit,
+    and Decimals: the decimal route keeps them at exponent 0, so str()
+    is the digits alone, in linear time (never int(), which is
+    quadratic).  A zero prints as 0, since a Decimal zero may carry a
+    sign, which an int never shows.  Longer ints are rebuilt from binary
+    halves as a Decimal under `EXACT`, whose sub-quadratic
+    multiplication makes this faster than str() would be, and which
+    prints with no limit.  The limit itself is left alone.
     """
     try:
-        return str(value)
+        return str(value) if value else "0"
     except ValueError:
         pass
-    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
-                          traps=[decimal.Inexact])
     powers: dict[int, decimal.Decimal] = {}
 
     def build(x: int, bits: int) -> decimal.Decimal:
@@ -112,10 +114,10 @@ def to_decimal(value: int) -> str:
             return decimal.Decimal(x)
         low = bits >> 1
         if low not in powers:
-            powers[low] = ctx.power(2, low)
+            powers[low] = EXACT.power(2, low)
         high = x >> low
-        return ctx.fma(build(high, bits - low), powers[low],
-                       build(x - (high << low), low))
+        return EXACT.fma(build(high, bits - low), powers[low],
+                         build(x - (high << low), low))
 
     digits = str(build(abs(value), value.bit_length()))
     return "-" + digits if value < 0 else digits
@@ -177,30 +179,3 @@ def trib_alt(n: int) -> int:
     for _ in range(-n):
         a, b, c, d = 2 * c - d, a, b, c
     return a
-
-
-def lucas_from_trib(n: int, variant: Conversion) -> int:
-    """K(n) assembled from Tribonacci terms.
-
-    All three variants agree with lucas_trib at every integer n.
-    """
-    if variant is Conversion.A:
-        return 3 * trib(n + 1) - 2 * trib(n) - trib(n - 1)
-    if variant is Conversion.B:
-        return trib(n) + 2 * trib(n - 1) + 3 * trib(n - 2)
-    if variant is Conversion.C:
-        return 4 * trib(n + 1) - trib(n) - trib(n + 2)
-    raise ValueError(f"unknown conversion variant: {variant!r}")
-
-
-def trib_from_lucas(n: int) -> int:
-    """T(n) recovered as (K(n) + 5*K(n-1) + 2*K(n+1)) / 22.
-
-    The division is exact for every integer n; a nonzero remainder would
-    mean a broken evaluator, so it raises rather than truncating.
-    """
-    s = lucas_trib(n) + 5 * lucas_trib(n - 1) + 2 * lucas_trib(n + 1)
-    q, r = divmod(s, 22)
-    if r:
-        raise DivisibilityViolation(f"22 does not divide {s} at n={n}")
-    return q

@@ -133,17 +133,21 @@ def _nr_desc(bounds: GridBounds) -> str:
     return f"(n, r) with 0 <= r <= n <= {bounds.pair}"
 
 
+def _sum_m_hi(bounds: GridBounds) -> int:
+    """The largest stride m a sum grid sweeps."""
+    return min(10, bounds.pair)
+
+
 def _sum_grid(bounds: GridBounds):
-    m_hi = min(10, bounds.pair)
     return ((m, j, n)
-            for m in range(1, m_hi + 1)
+            for m in range(1, _sum_m_hi(bounds) + 1)
             for j in range(m)
             for n in range(1, bounds.pair + 1))
 
 
 def _sum_desc(bounds: GridBounds) -> str:
-    m_hi = min(10, bounds.pair)
-    return f"(m, j, n) with 1 <= m <= {m_hi}, 0 <= j < m, 1 <= n <= {bounds.pair}"
+    return (f"(m, j, n) with 1 <= m <= {_sum_m_hi(bounds)}, 0 <= j < m, "
+            f"1 <= n <= {bounds.pair}")
 
 
 @dataclass(frozen=True)

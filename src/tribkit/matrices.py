@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Callable
 
-from .core import SEEDS, SequenceKind, TermCache, to_decimal, walk
+from .core import EXACT, SEEDS, SequenceKind, TermCache, to_decimal, walk
 from .counters import OpCounter
 from .errors import DivisibilityViolation, NegativeExponent
 
@@ -116,25 +116,14 @@ class Mat3:
 
 
 def decimal_form(value):
-    """An int or integral Decimal as its decimal string, a Mat3 as rows
-    of those and a tuple as a list of its items' forms; every output
-    format writes these."""
+    """An int or integral Decimal as its decimal string (`to_decimal`), a
+    Mat3 as rows of those and a tuple as a list of its items' forms;
+    every output format writes these."""
     if isinstance(value, Mat3):
-        text = (_decimal_text if isinstance(value.entries[0], decimal.Decimal)
-                else to_decimal)
-        return [[text(x) for x in row] for row in value.rows()]
+        return [[to_decimal(x) for x in row] for row in value.rows()]
     if isinstance(value, tuple):
         return [decimal_form(item) for item in value]
-    if isinstance(value, decimal.Decimal):
-        return _decimal_text(value)
     return to_decimal(value)
-
-
-def _decimal_text(x: decimal.Decimal) -> str:
-    # the decimal route keeps exponent 0, so str() is the digits alone,
-    # in linear time; never int(), which is quadratic.  A Decimal zero
-    # may carry a sign, which an int never shows
-    return str(x) if x else "0"
 
 
 IDENTITY = Mat3((1, 0, 0, 0, 1, 0, 0, 0, 1))
@@ -366,16 +355,11 @@ def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
     return value
 
 
-# The decimal route: the kernel run on decimal.Decimal, whose answer is
-# already decimal text (`str()` is linear), where turning a big int
-# answer into text costs about as much as computing it.  libmpdec
-# multiplies large numbers with a number-theoretic transform.  Its
-# context keeps every digit, and a result that would round, overflow or
-# be invalid raises instead.
-EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
-                        Emin=decimal.MIN_EMIN,
-                        traps=[decimal.Inexact, decimal.Overflow,
-                               decimal.InvalidOperation])
+# The decimal route: the kernel run on decimal.Decimal under `EXACT`,
+# whose answer is already decimal text (`str()` is linear), where
+# turning a big int answer into text costs about as much as computing
+# it.  libmpdec multiplies large numbers with a number-theoretic
+# transform.
 # Index from which an answer takes the decimal route, where the two
 # routes cost about the same; on the negative side it is taken from
 # -2 * the crossover, since backwards the terms grow only like
@@ -426,18 +410,14 @@ def _closed_form(term: Callable[[int], int], n: int) -> Mat3:
                  tm1, tm2 + tm3, tm2))
 
 
-def term_reader(kind, cache: TermCache | None = None):
-    """n -> the term of `kind` at any signed n; the one place a cache
-    turns into terms.
+def term_reader(kind, cache: TermCache):
+    """n -> the term of `kind` at any signed n, read from `cache`; the one
+    place a cache turns into terms.
 
-    The cache's scalar terms (laid out by `_closed_form` for a matrix
-    kind), else the kernel read-out over the kind's seeds: each term on
-    its own in O(log |n|), with no window up to n.  A cache of the other
-    sequence raises ValueError.
+    The cache's scalar terms, laid out by `_closed_form` for a matrix
+    kind.  A cache of the other sequence raises ValueError.
     """
-    seeds, scalar = KIND_SEEDS[kind]
-    if cache is None:
-        return lambda n: kernel_term(seeds, n)
+    scalar = KIND_SEEDS[kind][1]
     if cache.kind is not scalar:
         raise ValueError(f"{scalar.value} terms wanted; the cache holds "
                          f"{cache.kind.value} terms")

@@ -23,9 +23,6 @@ from .matrices import (KIND_SEEDS, ZERO, Mat3, MatrixKind, kernel_term,
 
 AnyKind = Union[SequenceKind, MatrixKind]
 
-# 1 - x - x^2 - x^3, constant term first
-DENOMINATOR = (1, -1, -1, -1)
-
 
 def gf_numerators(kind: AnyKind):
     """Numerator coefficients (constant, x, x^2) of the rational series.

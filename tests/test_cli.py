@@ -1,8 +1,10 @@
 import contextlib
 import csv
 import decimal
+import importlib
 import io
 import json
+import re
 import shlex
 import tracemalloc
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tribkit
 import tribkit.cli as cli
 import tribkit.matrices as matrices
 from tribkit import (PROFILE_BOUNDS, MatrixKind, MatrixStrategy, Profile,
@@ -658,17 +661,43 @@ class TestCsv:
                            "value": "1"}
 
 
+README = (Path(__file__).parent.parent / "README.md").read_text()
+
+
 class TestReadme:
     def test_cli_examples_exit_0(self, capsys):
-        readme = (Path(__file__).parent.parent / "README.md").read_text()
-        block = readme.split("## CLI", 1)[1].split("```text\n", 1)[1]
+        block = README.split("## CLI", 1)[1].split("```text\n", 1)[1]
         lines = block.split("```", 1)[0].splitlines()
         assert len(lines) >= 13
+        shown = 0
         for line in lines:
             argv = shlex.split(line, comments=True)
             assert argv[0] == "tribkit", line
             assert main(argv[1:]) == 0, line
-            capsys.readouterr()
+            first = capsys.readouterr().out.split("\n", 1)[0]
+            # a comment that starts with numbers or a JSON list, up to an
+            # " = " that explains it, is the output's first line
+            comment = line.partition("#")[2].strip().split(" = ", 1)[0]
+            if re.fullmatch(r"-?\d+( -?\d+)*|\[.*\]", comment):
+                assert first == comment, line
+                shown += 1
+        assert shown == 5
+
+    def test_module_table_names_exist(self):
+        table = README.split("## What is in the box", 1)[1].split("\n\n")[1]
+        rows = re.findall(r"^\| `(tribkit\.\w+)` +\|(.*)\|$", table, re.M)
+        assert len(rows) == 7
+        for module_name, contents in rows:
+            module = importlib.import_module(module_name)
+            for name in re.findall(r"`([A-Za-z_]\w*)(?:\(.*?\))?`", contents):
+                assert hasattr(module, name), (module_name, name)
+
+
+def test_public_surface():
+    namespace = {}
+    exec("from tribkit import *", namespace)
+    assert len(tribkit.__all__) == len(set(tribkit.__all__))
+    assert set(tribkit.__all__) <= namespace.keys()
 
 
 class TestDeterminism:

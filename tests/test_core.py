@@ -1,10 +1,13 @@
+import decimal
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tribkit import (Conversion, SequenceKind, TermCache, lucas_from_trib,
-                     lucas_trib, term_reader, to_decimal, trib, trib_alt,
-                     trib_fast, trib_from_lucas)
+import tribkit.matrices as matrices
+from tribkit import (GridBounds, SequenceKind, TermCache, lucas_trib,
+                     registry, term_reader, to_decimal, trib, trib_alt,
+                     trib_fast, verify_record)
 
 # published leading terms: value at n for n = 0..12, and at -n for n = 0..12
 T_TABLE = [0, 1, 1, 2, 4, 7, 13, 24, 44, 81, 149, 274, 504]
@@ -61,36 +64,31 @@ def test_negative_index_closed_identity():
         assert trib(-n) == trib(n - 1) ** 2 - trib(n - 2) * trib(n)
 
 
-@pytest.mark.parametrize("n,variant,expected", [
-    (3, Conversion.A, 7),
-    (0, Conversion.B, 3),
-    (6, Conversion.C, 39),
+# The K <-> T conversions are stated once, as registry records: EQ4, EQ5
+# and EQ6 assemble K(n) from T terms, and COR17a recovers 22*T(n) from K
+# terms, which holds only if 22 divides that sum exactly.
+def conversion_record(id):
+    return next(record for record in registry() if record.id == id)
+
+
+@pytest.mark.parametrize("id,n,expected", [
+    ("EQ4", 3, 7),
+    ("EQ5", 0, 3),
+    ("EQ6", 6, 39),
+    ("COR17a", 2, 22 * 1),
+    ("COR17a", 0, 22 * 0),
+    ("COR17a", 9, 22 * 81),
 ])
-def test_lucas_from_trib_examples(n, variant, expected):
-    assert lucas_from_trib(n, variant) == expected
+def test_conversion_record_examples(id, n, expected):
+    assert conversion_record(id).evaluate(n) == (expected, expected)
 
 
-def test_lucas_from_trib_all_variants_agree():
-    for n in range(-200, 201):
-        expected = lucas_trib(n)
-        for variant in Conversion:
-            assert lucas_from_trib(n, variant) == expected
-
-
-@pytest.mark.parametrize("n,expected", [(2, 1), (0, 0), (9, 81)])
-def test_trib_from_lucas_examples(n, expected):
-    assert trib_from_lucas(n) == expected
-
-
-def test_trib_from_lucas_full_range():
-    for n in range(-200, 201):
-        assert trib_from_lucas(n) == trib(n)
-
-
-@given(st.integers(min_value=-300, max_value=300))
-def test_conversions_roundtrip_property(n):
-    assert lucas_from_trib(n, Conversion.B) == lucas_trib(n)
-    assert trib_from_lucas(n) == trib(n)
+@pytest.mark.parametrize("id", ["EQ4", "EQ5", "EQ6", "COR17a"])
+def test_conversion_records_on_signed_grid(id):
+    report = verify_record(conversion_record(id),
+                           GridBounds(signed=300, pair=0))
+    assert report.cases == 601
+    assert report.passed, report.failures[:3]
 
 
 class TestTermCache:
@@ -143,3 +141,22 @@ class TestToDecimal:
     def test_large_term(self, unlimited_str):
         value = trib_fast(300000)
         assert to_decimal(value) == unlimited_str(value)
+
+    @pytest.mark.parametrize("text,expected", [
+        ("12345678901234567890", "12345678901234567890"),
+        ("-987", "-987"),
+        ("-0", "0"),  # libmpdec keeps the sign of a zero, an int never does
+    ])
+    def test_integral_decimal(self, text, expected):
+        assert to_decimal(decimal.Decimal(text)) == expected
+
+    def test_ignores_the_ambient_context(self, unlimited_str, monkeypatch):
+        # past the int-to-str limit the text is built under the one exact
+        # context of core; neither a narrow current context nor a narrowed
+        # decimal route may round it
+        narrow = matrices.EXACT.copy()
+        narrow.prec = 50
+        monkeypatch.setattr(matrices, "EXACT", narrow)
+        value = -(7 ** 20000)
+        with decimal.localcontext(decimal.Context(prec=5)):
+            assert to_decimal(value) == unlimited_str(value)

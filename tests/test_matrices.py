@@ -317,7 +317,8 @@ def test_mat3_shape_guard():
 # also held to the walk, which shares no arithmetic with them.
 @pytest.mark.parametrize("kind", SequenceKind)
 def test_decimal_route_matches_int_route(kind):
-    int_term = term_reader(kind)
+    seeds = KIND_SEEDS[kind][0]
+    int_term = lambda n: kernel_term(seeds, n)
     for n in range(-300, 301):
         value = decimal_term(kind, n)
         assert type(value) is decimal.Decimal
@@ -328,7 +329,7 @@ def test_decimal_route_matches_int_route(kind):
 @pytest.mark.parametrize("kind", [TM, KM], ids=lambda k: k.value)
 def test_matrix_decimal_route_matches_int_route(kind):
     seeds = KIND_SEEDS[kind][0]
-    int_term = term_reader(kind)
+    int_term = lambda n: kernel_term(seeds, n)
     for n in [*range(-300, 301), 5 * 10**4, -5 * 10**4]:
         value = decimal_term(kind, n)
         assert {type(x) for x in value.entries} == {decimal.Decimal}

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tribkit import (DENOMINATOR, PROFILE_BOUNDS, DegenerateDenominator,
+from tribkit import (PROFILE_BOUNDS, DegenerateDenominator,
                      DivisibilityViolation, K_MAT_SEEDS, Mat3, MatrixKind,
                      Profile, SequenceKind, SumSpec, T_MAT_SEEDS, gf_coeffs,
                      gf_matrix_coeffs, gf_numerators, gf_stream, k_matrix,
                      lucas_fast, lucas_trib, partial_sum,
                      partial_sum_bruteforce, registry, t_matrix, term_reader,
                      trib, verify_record)
+from tribkit.matrices import KIND_SEEDS, kernel_term
 
 T = SequenceKind.TRIBONACCI
 K = SequenceKind.TRIBONACCI_LUCAS
@@ -74,7 +75,12 @@ class TestGeneratingFunctions:
             gf_stream(KM, -1)
 
     def test_rational_carries_fixed_denominator(self):
-        assert DENOMINATOR == (1, -1, -1, -1)
+        # past its numerator (degree 2) every series obeys the common
+        # denominator 1 - x - x^2 - x^3
+        for kind in (T, K, TM, KM):
+            c = list(gf_stream(kind, 64))
+            for i in range(3, 64):
+                assert c[i] == c[i - 1] + c[i - 2] + c[i - 3], (kind, i)
         assert gf_coeffs(K, 4) == [3, 1, 3, 7]
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4, 64])
@@ -194,13 +200,13 @@ class TestOneChain:
     def test_matches_six_readers_at_powers_of_two(self, kind):
         # the top index m*n + j at 2^k - 1 and 2^k + 1, both parities of
         # the read-out and a last chain step either way
-        six_readers = term_reader(kind)
+        seeds = KIND_SEEDS[kind][0]
         for k in range(2, 18):
             for top in (2**k - 1, 2**k + 1):
                 m = 1 + k % 5
                 spec = SumSpec(kind, m, top % m, top // m)
-                assert partial_sum(spec) == \
-                    partial_sum(spec, six_readers), spec
+                assert partial_sum(spec) == partial_sum(
+                    spec, lambda n: kernel_term(seeds, n)), spec
 
     @pytest.mark.parametrize("kind", [T, K, TM, KM], ids=lambda k: k.value)
     def test_one_chain_reaches_the_top(self, kind, monkeypatch):
