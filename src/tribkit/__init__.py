@@ -17,19 +17,18 @@ from .counters import OpCounter
 from .errors import (DegenerateDenominator, DivisibilityViolation,
                      NegativeExponent, PrecisionExhausted, StrategyMismatch,
                      UnknownIdentity)
-from .identities import (Arity, GridBounds, IdentityRecord, PROFILE_BOUNDS,
-                         Profile, VerifyReport, format_report_table, registry,
+from .identities import (GridBounds, IdentityRecord, PROFILE_BOUNDS, Profile,
+                         VerifyReport, format_report_table, registry,
                          report_to_dict, verify, verify_all, verify_record)
-from .matrices import (IDENTITY, K_MAT_SEEDS, Mat3, MatrixKind, MatrixStrategy,
-                       T_MAT_SEEDS, ZERO, k_matrix, lucas_fast, mat_mul,
-                       mat_pow, t_matrix, term_reader, trib_fast)
+from .matrices import (IDENTITY, K_MAT_SEEDS, Mat3, MatrixKind, T_MAT_SEEDS,
+                       ZERO, k_matrix, lucas_fast, mat_mul, mat_pow, t_matrix,
+                       term_reader, trib_fast)
 from .series import (SumSpec, gf_coeffs, gf_matrix_coeffs, gf_numerators,
                      gf_stream, partial_sum, partial_sum_bruteforce)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arity",
     "BenchResult",
     "BinetConstants",
     "ConstantAlgebraReport",
@@ -42,7 +41,6 @@ __all__ = [
     "K_MAT_SEEDS",
     "Mat3",
     "MatrixKind",
-    "MatrixStrategy",
     "NegativeExponent",
     "OpCounter",
     "PROFILE_BOUNDS",

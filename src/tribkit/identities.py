@@ -3,13 +3,13 @@
 Every identity relating T, K, TM and KM that is not already embodied by
 an operation elsewhere (Binet evaluation, generating functions, the
 summation closed form) lives here as an IdentityRecord: a stable id, the
-formula itself as the anchor, a declared index domain, and an evaluator
-returning the two sides.  A formula's evaluator is its anchor's own
-text, compiled once per process with `^` read as `**`; its only names
-are its indices and the registry's readers T, K, TM and KM, so the
-formula a report prints is the formula that was checked.  Verification
-sweeps a profile-sized grid and demands exact equality at every point
--- integer identities get no tolerance.
+formula itself as the anchor, a Shape (index names, declared domain and
+grid), and an evaluator returning the two sides.  A formula's evaluator
+is its anchor's own text, compiled once per process with `^` read as
+`**`; its only names are its indices and the registry's readers T, K,
+TM and KM, so the formula a report prints is the formula that was
+checked.  Verification sweeps a profile-sized grid and demands exact
+equality at every point -- integer identities get no tolerance.
 
 A chain X = Y = Z evaluates each side once, to ((X, Y), (Y, Z)),
 compared slotwise, so a failure in either leg surfaces.
@@ -28,12 +28,6 @@ from .core import SequenceKind, TermCache
 from .errors import UnknownIdentity
 from .matrices import KIND_SEEDS, MatrixKind, decimal_form, term_reader
 from .series import SumSpec, partial_sum, running_bruteforce
-
-
-class Arity(Enum):
-    N = "n"        # one index
-    MN = "m,n"     # two independent indices
-    MNR = "multi"  # indices tied by a constraint (n >= r, or m > j >= 0)
 
 
 class Profile(Enum):
@@ -55,25 +49,6 @@ PROFILE_BOUNDS: dict[Profile, GridBounds] = {
     Profile.STANDARD: GridBounds(signed=40, pair=30),
     Profile.DEEP: GridBounds(signed=100, pair=60),
 }
-
-
-@dataclass(frozen=True)
-class IdentityRecord:
-    """One verifiable identity.
-
-    `anchor` is the formula in plain notation; `evaluate` maps an index
-    tuple to (left, right), both the same kind of value (int, Mat3, or a
-    tuple of those for chained equalities).
-    """
-
-    id: str
-    anchor: str
-    arity: Arity
-    domain: str
-    evaluate: Callable[..., tuple]
-    grid: Callable[[GridBounds], Iterator[tuple[int, ...]]]
-    describe: Callable[[GridBounds], str]
-    note: str | None = None
 
 
 @dataclass(frozen=True)
@@ -152,20 +127,35 @@ def _sum_desc(bounds: GridBounds) -> str:
 
 @dataclass(frozen=True)
 class Shape:
-    """A record's index names, as its anchor writes them, and its grid."""
+    """A record's index names, as its anchor writes them, domain and grid."""
 
     indices: str
-    arity: Arity
     domain: str
     grid: Callable[[GridBounds], Iterator[tuple[int, ...]]]
     describe: Callable[[GridBounds], str]
 
 
-N_ALL = Shape("n", Arity.N, "all integers n", _signed, _signed_desc)
-N_NONNEG = Shape("n", Arity.N, "n >= 0", _nonneg, _nonneg_desc)
-MN = Shape("m, n", Arity.MN, "m, n >= 0", _pair, _pair_desc)
-NR = Shape("n, r", Arity.MNR, "n >= r >= 0", _nr, _nr_desc)
-SUM = Shape("m, j, n", Arity.MNR, "m > j >= 0, n >= 1", _sum_grid, _sum_desc)
+N_ALL = Shape("n", "all integers n", _signed, _signed_desc)
+N_NONNEG = Shape("n", "n >= 0", _nonneg, _nonneg_desc)
+MN = Shape("m, n", "m, n >= 0", _pair, _pair_desc)
+NR = Shape("n, r", "n >= r >= 0", _nr, _nr_desc)
+SUM = Shape("m, j, n", "m > j >= 0, n >= 1", _sum_grid, _sum_desc)
+
+
+@dataclass(frozen=True)
+class IdentityRecord:
+    """One verifiable identity.
+
+    `anchor` is the formula in plain notation; `evaluate` maps a point of
+    `shape`'s grid to (left, right), both the same kind of value (int,
+    Mat3, or a tuple of those for chained equalities).
+    """
+
+    id: str
+    anchor: str
+    shape: Shape
+    evaluate: Callable[..., tuple]
+    note: str | None = None
 
 
 # registry -----------------------------------------------------------------
@@ -277,12 +267,12 @@ def registry() -> list[IdentityRecord]:
         return IdentityRecord(
             id, "sum_{i=0}^{n-1} " f"{kind.value}(m*i+j) equals its closed "
                 "form over K(m) - K(-m)",
-            SUM.arity, SUM.domain, evaluate, SUM.grid, SUM.describe)
+            SUM, evaluate)
 
     return [
-        IdentityRecord(id, anchor, shape.arity, shape.domain,
+        IdentityRecord(id, anchor, shape,
                        eval(_compile(id, anchor, shape.indices), namespace),
-                       shape.grid, shape.describe, *note)
+                       *note)
         for id, anchor, shape, *note in FORMULAS
     ] + [
         sum_record("SUMTHMa", MatrixKind.TRIB_MATRIX),
@@ -300,15 +290,16 @@ def verify_record(record: IdentityRecord, bounds: GridBounds) -> VerifyReport:
     start = time.perf_counter()
     cases = 0
     failures = []
-    for indices in record.grid(bounds):
+    for indices in record.shape.grid(bounds):
         left, right = record.evaluate(*indices)
         cases += 1
         if left != right:
             failures.append(Failure(tuple(indices), left, right))
     elapsed = time.perf_counter() - start
+    described = record.shape.describe(bounds)
     if not cases:
-        raise ValueError(f"{record.id}: no case in {record.describe(bounds)}")
-    return VerifyReport(record.id, record.anchor, record.describe(bounds),
+        raise ValueError(f"{record.id}: no case in {described}")
+    return VerifyReport(record.id, record.anchor, described,
                         cases, tuple(failures), elapsed, record.note)
 
 

@@ -9,10 +9,10 @@ term stops the chain at x**(n/2) and reads s(n) off one quadratic form
 in its coefficients; a matrix term reads s(n) = a*s(2) + b*s(1) +
 c*s(0) off x**n = a*x^2 + b*x + c.  The entries of TM(n) and KM(n) are
 shifted T and K terms, laid out in `_closed_form`; row 2, column 1
-(1-based) of TM(n) holds T(n).  `mat_pow` (TM(1)**n by matrix products)
-and FROM_T (KM(0) @ TM(n)) are independent oracles.  `decimal_term` runs
-the same kernel on decimal.Decimal, for answers that are only printed,
-from the index `decimal_route` gives.
+(1-based) of TM(n) holds T(n).  `walk`, `mat_pow` (TM(1)**n by matrix
+products) and KM(0) @ TM(n) are independent oracles, called by name.
+`decimal_term` runs the same kernel on decimal.Decimal, for answers
+that are only printed, from the index `decimal_route` gives.
 """
 
 from __future__ import annotations
@@ -139,8 +139,6 @@ K_MAT_SEEDS: tuple[Mat3, Mat3, Mat3] = (
     Mat3((3, 4, 1, 1, 2, 3, 3, -2, -1)),
     Mat3((7, 4, 3, 3, 4, 1, 1, 2, 3)),
 )
-# TM(-1); det TM(1) = 1, so the inverse has integer entries
-_TM_INVERSE = Mat3((0, 1, 0, 0, 0, 1, 1, -1, -1))
 
 
 class MatrixKind(Enum):
@@ -154,15 +152,6 @@ class MatrixKind(Enum):
 KIND_SEEDS = {kind: (SEEDS[kind], kind) for kind in SequenceKind} | {
     MatrixKind.TRIB_MATRIX: (T_MAT_SEEDS, SequenceKind.TRIBONACCI),
     MatrixKind.LUCAS_MATRIX: (K_MAT_SEEDS, SequenceKind.TRIBONACCI_LUCAS)}
-
-
-class MatrixStrategy(Enum):
-    """Interchangeable evaluation routes for a matrix term."""
-
-    ITERATE = "iterate"
-    CLOSED_FORM = "closed-form"
-    MAT_POW = "matpow"
-    FROM_T = "from-t"
 
 
 def mat_mul(a: Mat3, b: Mat3, counter: OpCounter | None = None) -> Mat3:
@@ -427,43 +416,24 @@ def term_reader(kind, cache: TermCache):
     return get
 
 
-def t_matrix(n: int,
-             strategy: MatrixStrategy = MatrixStrategy.CLOSED_FORM) -> Mat3:
-    """Tribonacci matrix TM(n) for any integer n; all strategies agree.
+def t_matrix(n: int) -> Mat3:
+    """Tribonacci matrix TM(n) at any signed n, by `kernel_term`.
 
-    ITERATE walks the matrix recurrence from the seeds.  CLOSED_FORM is
-    the kernel read-out a*TM(2) + b*TM(1) + c*I.  MAT_POW raises TM(1)
-    to the n-th power by matrix products, or the integer inverse TM(-1)
-    to the (-n)-th when n < 0.  The entry layout of shifted T terms is
+    Oracles: `walk(T_MAT_SEEDS, n)`, and `mat_pow(T_MAT_SEEDS[1], n)` or
+    the integer TM(-1) to the power -n.  Its entries are laid out by
     `term_reader(MatrixKind.TRIB_MATRIX, cache)`.
     """
-    if strategy is MatrixStrategy.ITERATE:
-        return walk(T_MAT_SEEDS, n)
-    if strategy is MatrixStrategy.CLOSED_FORM:
-        return kernel_term(T_MAT_SEEDS, n)
-    if strategy is MatrixStrategy.MAT_POW:
-        if n < 0:
-            return mat_pow(_TM_INVERSE, -n)
-        return mat_pow(T_MAT_SEEDS[1], n)
-    raise ValueError(f"unsupported strategy for t_matrix: {strategy}")
+    return kernel_term(T_MAT_SEEDS, n)
 
 
-def k_matrix(n: int,
-             strategy: MatrixStrategy = MatrixStrategy.CLOSED_FORM) -> Mat3:
-    """Tribonacci-Lucas matrix KM(n) for any integer n; strategies agree.
+def k_matrix(n: int) -> Mat3:
+    """Tribonacci-Lucas matrix KM(n) at any signed n, by `kernel_term`.
 
-    ITERATE and CLOSED_FORM are those of `t_matrix` on KM's seeds.
-    FROM_T multiplies KM(0) by `t_matrix(n)`, which lands exactly on
-    KM(n).  The entry layout of shifted K terms is
+    Oracles: `walk(K_MAT_SEEDS, n)`, and `K_MAT_SEEDS[0] * t_matrix(n)`
+    (LEM16a).  Its entries are laid out by
     `term_reader(MatrixKind.LUCAS_MATRIX, cache)`.
     """
-    if strategy is MatrixStrategy.ITERATE:
-        return walk(K_MAT_SEEDS, n)
-    if strategy is MatrixStrategy.CLOSED_FORM:
-        return kernel_term(K_MAT_SEEDS, n)
-    if strategy is MatrixStrategy.FROM_T:
-        return mat_mul(K_MAT_SEEDS[0], t_matrix(n))
-    raise ValueError(f"unsupported strategy for k_matrix: {strategy}")
+    return kernel_term(K_MAT_SEEDS, n)
 
 
 def trib_fast(n: int, counter: OpCounter | None = None) -> int:

@@ -4,19 +4,21 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; `pytest` alone still enforces everything.
 """
 
+import dataclasses
 import json
 import math
 import time
 
-from tribkit import (GridBounds, IdentityRecord, K_MAT_SEEDS, MatrixKind,
-                     MatrixStrategy, OpCounter, Profile, SequenceKind,
-                     SumSpec, T_MAT_SEEDS, TermCache, binet_lucas,
-                     binet_matrix, binet_trib, check_constant_algebra,
-                     compute_roots, binet_constants, gf_coeffs,
-                     gf_matrix_coeffs, gf_numerators, k_matrix, lucas_trib,
-                     partial_sum, partial_sum_bruteforce, registry, t_matrix,
-                     term_reader, trib, trib_fast, verify_all, verify_record)
+from tribkit import (GridBounds, K_MAT_SEEDS, MatrixKind, OpCounter, Profile,
+                     SequenceKind, SumSpec, T_MAT_SEEDS, TermCache,
+                     binet_lucas, binet_matrix, binet_trib,
+                     check_constant_algebra, compute_roots, binet_constants,
+                     gf_coeffs, gf_matrix_coeffs, gf_numerators, k_matrix,
+                     lucas_trib, mat_mul, mat_pow, partial_sum,
+                     partial_sum_bruteforce, registry, t_matrix, term_reader,
+                     trib, trib_fast, verify_all, verify_record)
 from tribkit.cli import main
+from tribkit.core import walk
 
 T = SequenceKind.TRIBONACCI
 K = SequenceKind.TRIBONACCI_LUCAS
@@ -49,16 +51,17 @@ def test_criterion_1_golden_tables():
 
 
 def test_criterion_2_initial_matrices():
-    t_strategies = (MatrixStrategy.ITERATE, MatrixStrategy.CLOSED_FORM,
-                    MatrixStrategy.MAT_POW)
-    k_strategies = (MatrixStrategy.ITERATE, MatrixStrategy.CLOSED_FORM,
-                    MatrixStrategy.FROM_T)
+    # the kernel and its oracles: the walk, matrix powers, KM(0) @ TM(n)
+    t_routes = (lambda n: walk(T_MAT_SEEDS, n), t_matrix,
+                lambda n: mat_pow(T_MAT_SEEDS[1], n))
+    k_routes = (lambda n: walk(K_MAT_SEEDS, n), k_matrix,
+                lambda n: mat_mul(K_MAT_SEEDS[0], t_matrix(n)))
     for n in range(3):
-        for strategy in t_strategies:
-            assert t_matrix(n, strategy) == T_MAT_SEEDS[n]
-        for strategy in k_strategies:
-            assert k_matrix(n, strategy) == K_MAT_SEEDS[n]
-    _passed(2, "six defining matrices reproduced entrywise by every strategy")
+        for route in t_routes:
+            assert route(n) == T_MAT_SEEDS[n]
+        for route in k_routes:
+            assert route(n) == K_MAT_SEEDS[n]
+    _passed(2, "six defining matrices reproduced entrywise by every route")
 
 
 def test_criterion_3_strategy_equivalence():
@@ -66,21 +69,21 @@ def test_criterion_3_strategy_equivalence():
     t_cache = TermCache(T)
     k_cache = TermCache(K)
     for n in range(-200, 201):
-        t_ref = t_matrix(n, MatrixStrategy.ITERATE)
+        t_ref = walk(T_MAT_SEEDS, n)
         assert term_reader(TM, t_cache)(n) == t_ref
-        assert t_matrix(n, MatrixStrategy.CLOSED_FORM) == t_ref
+        assert t_matrix(n) == t_ref
         if n >= 0:
-            assert t_matrix(n, MatrixStrategy.MAT_POW) == t_ref
-        k_ref = k_matrix(n, MatrixStrategy.ITERATE)
+            assert mat_pow(T_MAT_SEEDS[1], n) == t_ref
+        k_ref = walk(K_MAT_SEEDS, n)
         assert term_reader(KM, k_cache)(n) == k_ref
-        assert k_matrix(n, MatrixStrategy.CLOSED_FORM) == k_ref
-        assert k_matrix(n, MatrixStrategy.FROM_T) == k_ref
+        assert k_matrix(n) == k_ref
+        assert mat_mul(K_MAT_SEEDS[0], t_matrix(n)) == k_ref
     t_cache.get(5000)
     for n in range(0, 5001):
         assert trib_fast(n) == t_cache.get(n)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
-    _passed(3, f"strategies agree on [-200, 200]; trib_fast matches on "
+    _passed(3, f"routes agree on [-200, 200]; trib_fast matches on "
                f"[0, 5000] ({elapsed:.1f} s)")
 
 
@@ -194,12 +197,10 @@ def test_criterion_8_performance(capsys):
 
 def test_criterion_9_negative_controls(capsys, monkeypatch):
     base = next(r for r in registry() if r.id == "EQ4")
-    corrupted = IdentityRecord(
-        id="EQ4-corrupt", anchor=base.anchor, arity=base.arity,
-        domain=base.domain,
+    corrupted = dataclasses.replace(
+        base, id="EQ4-corrupt",
         evaluate=lambda n: (lucas_trib(n),
-                            3 * trib(n + 1) - 2 * trib(n) + trib(n - 1)),
-        grid=base.grid, describe=base.describe)
+                            3 * trib(n + 1) - 2 * trib(n) + trib(n - 1)))
     report = verify_record(corrupted, GridBounds(signed=10, pair=10))
     assert not report.passed
     assert len(report.failures) > 0

@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 import tribkit
 import tribkit.cli as cli
 import tribkit.matrices as matrices
-from tribkit import (PROFILE_BOUNDS, MatrixKind, MatrixStrategy, Profile,
-                     SequenceKind, SumSpec, k_matrix, lucas_fast, lucas_trib,
-                     partial_sum, partial_sum_bruteforce, registry, t_matrix,
-                     to_decimal, trib, trib_fast, verify_record)
+from tribkit import (PROFILE_BOUNDS, MatrixKind, Profile, SequenceKind,
+                     SumSpec, T_MAT_SEEDS, k_matrix, lucas_fast, lucas_trib,
+                     mat_pow, partial_sum, partial_sum_bruteforce, registry,
+                     t_matrix, to_decimal, trib, trib_fast, verify_record)
 from tribkit.cli import main
 from tribkit.matrices import (DECIMAL_CROSSOVER, MATRIX_DECIMAL_CROSSOVER,
                               decimal_form)
@@ -436,7 +436,7 @@ class TestDecimalRoute:
         value = json.loads(out)["value"]
         assert len(value) == 264649
         # by matrix products: the int kernel shares the route's read-out
-        tm = t_matrix(10**6, MatrixStrategy.MAT_POW)
+        tm = mat_pow(T_MAT_SEEDS[1], 10**6)
         assert value == to_decimal(tm.entry(1, 0))
 
     @pytest.mark.parametrize("kind,m,j,top,routed", [

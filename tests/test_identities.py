@@ -1,12 +1,13 @@
+import dataclasses
 import json
 import random
 from collections import Counter
 
 import pytest
 
-from tribkit import (IDENTITY, Arity, GridBounds, IdentityRecord, MatrixKind,
-                     PROFILE_BOUNDS, Profile, SequenceKind, SumSpec,
-                     TermCache, UnknownIdentity, format_report_table,
+from tribkit import (IDENTITY, GridBounds, MatrixKind, PROFILE_BOUNDS,
+                     Profile, SequenceKind, SumSpec, TermCache,
+                     UnknownIdentity, format_report_table,
                      VerifyReport, lucas_trib, partial_sum_bruteforce,
                      registry, report_to_dict, t_matrix, term_reader, trib,
                      verify, verify_all, verify_record)
@@ -36,12 +37,28 @@ class TestRegistry:
 
     def test_declared_arities(self):
         by_id = {r.id: r for r in registry()}
-        assert by_id["EQ4"].arity is Arity.N
-        assert by_id["THM20a"].arity is Arity.MN
-        assert by_id["THM20a"].domain == "m, n >= 0"
-        assert by_id["THMFINALa"].arity is Arity.MNR
-        assert by_id["THMFINALa"].domain == "n >= r >= 0"
-        assert by_id["SUMCORa"].arity is Arity.MNR
+        assert by_id["EQ4"].shape.indices == "n"
+        assert by_id["EQ4"].shape.domain == "all integers n"
+        assert by_id["THM20a"].shape.indices == "m, n"
+        assert by_id["THM20a"].shape.domain == "m, n >= 0"
+        assert by_id["THMFINALa"].shape.indices == "n, r"
+        assert by_id["THMFINALa"].shape.domain == "n >= r >= 0"
+        assert by_id["SUMCORa"].shape.indices == "m, j, n"
+        assert by_id["SUMCORa"].shape.domain == "m > j >= 0, n >= 1"
+
+    def test_shape_matches_evaluator(self):
+        # a shape names the indices its anchor's evaluator takes, in
+        # order, and its grid yields points of that length
+        quick = PROFILE_BOUNDS[Profile.QUICK]
+        records = registry()
+        assert len(records) == 32
+        for record in records:
+            code = record.evaluate.__code__
+            params = code.co_varnames[:code.co_argcount]
+            assert record.shape.indices == ", ".join(params), record.id
+            points = list(record.shape.grid(quick))
+            assert points, record.id
+            assert all(len(p) == len(params) for p in points), record.id
 
     def test_duplicate_statement_noted_once(self):
         by_id = {r.id: r for r in registry()}
@@ -51,7 +68,8 @@ class TestRegistry:
 
     def test_evaluators_return_matching_kinds(self):
         for record in registry():
-            indices = next(iter(record.grid(GridBounds(signed=5, pair=5))))
+            indices = next(iter(record.shape.grid(
+                GridBounds(signed=5, pair=5))))
             left, right = record.evaluate(*indices)
             assert type(left) is type(right)
 
@@ -61,14 +79,14 @@ class TestRegistry:
         signed_ids = ["EQ3", "EQ4", "EQ5", "EQ6", "THM15a", "THM15e",
                       "COR17a", "COR17b"]
         for identity_id in signed_ids:
-            points = list(by_id[identity_id].grid(bounds))
+            points = list(by_id[identity_id].shape.grid(bounds))
             assert (-5,) in points and (5,) in points
         # stated for non-negative indices only: swept non-negatively
         for identity_id in ("LEM16a", "LEM16b", "TNEG"):
-            points = list(by_id[identity_id].grid(bounds))
+            points = list(by_id[identity_id].shape.grid(bounds))
             assert min(p[0] for p in points) == 0
         for identity_id in ("THM18a", "THM20a", "COR19a"):
-            points = list(by_id[identity_id].grid(bounds))
+            points = list(by_id[identity_id].shape.grid(bounds))
             assert all(m >= 0 and n >= 0 for m, n in points)
 
 
@@ -171,7 +189,7 @@ class TestVerify:
         with pytest.raises(ValueError) as excinfo:
             verify(identity_id, bounds)
         assert str(excinfo.value) == \
-            f"{identity_id}: no case in {record.describe(bounds)}"
+            f"{identity_id}: no case in {record.shape.describe(bounds)}"
 
     def test_deterministic(self):
         first = verify("EQ4")
@@ -181,13 +199,11 @@ class TestVerify:
 
     def test_negative_control_corrupted_evaluator(self):
         base = next(r for r in registry() if r.id == "EQ4")
-        corrupted = IdentityRecord(
-            id="EQ4-corrupt", anchor=base.anchor, arity=base.arity,
-            domain=base.domain,
+        corrupted = dataclasses.replace(
+            base, id="EQ4-corrupt",
             # sign of the last term flipped
             evaluate=lambda n: (lucas_trib(n),
-                                3 * trib(n + 1) - 2 * trib(n) + trib(n - 1)),
-            grid=base.grid, describe=base.describe)
+                                3 * trib(n + 1) - 2 * trib(n) + trib(n - 1)))
         report = verify_record(corrupted, GridBounds(signed=10, pair=10))
         assert not report.passed
         assert report.failures
@@ -227,7 +243,7 @@ class TestVerify:
             "m > j >= 0, n >= 1": 55 * 60,  # 55 (m, j) with m <= 10
         }
         reports = verify_all(Profile.DEEP)
-        domains = {r.id: r.domain for r in registry()}
+        domains = {r.id: r.shape.domain for r in registry()}
         assert [r.identity_id for r in reports] == list(domains)
         for report in reports:
             assert report.passed, report.identity_id
@@ -254,7 +270,7 @@ class TestSumOracle:
     def test_call_order_does_not_matter(self, identity_id, monkeypatch):
         kind, scalar, _ = SUM_RECORDS[identity_id]
         quick = PROFILE_BOUNDS[Profile.QUICK]
-        points = list(_sum_record(identity_id).grid(quick))
+        points = list(_sum_record(identity_id).shape.grid(quick))
         shuffled = random.Random(20180101).sample(points, len(points))
         # per (m, j): steps up, repeats, skips forwards and backwards
         uneven_n = (1, 2, 2, 4, 5, 3, 4, 4, 7, 6, 10, 1)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tribkit import (DivisibilityViolation, IDENTITY, K_MAT_SEEDS, Mat3,
-                     MatrixKind, MatrixStrategy, NegativeExponent, OpCounter,
+                     MatrixKind, NegativeExponent, OpCounter,
                      SequenceKind, T_MAT_SEEDS, k_matrix, lucas_fast,
                      lucas_trib, mat_mul, mat_pow, matrices, t_matrix,
                      to_decimal, trib, trib_fast)
@@ -17,11 +17,6 @@ from tribkit.matrices import (DECIMAL_CROSSOVER, KIND_SEEDS, decimal_form,
 
 TM = MatrixKind.TRIB_MATRIX
 KM = MatrixKind.LUCAS_MATRIX
-
-T_STRATEGIES = (MatrixStrategy.ITERATE, MatrixStrategy.CLOSED_FORM,
-                MatrixStrategy.MAT_POW)
-K_STRATEGIES = (MatrixStrategy.ITERATE, MatrixStrategy.CLOSED_FORM,
-                MatrixStrategy.FROM_T)
 
 # TM(10), assembled from the published terms T(7)..T(11)
 TM_10 = Mat3((274, 230, 149, 149, 125, 81, 81, 68, 44))
@@ -36,15 +31,25 @@ def tm_pow(n):
     return mat_pow(T_MAT_SEEDS[1], n) if n >= 0 else mat_pow(TM_INV, -n)
 
 
+def km_from_t(n):
+    """KM(n) as KM(0) @ TM(n) (LEM16a)."""
+    return mat_mul(K_MAT_SEEDS[0], t_matrix(n))
+
+
+# the kernel and its independent oracles, called by name
+T_ROUTES = (lambda n: walk(T_MAT_SEEDS, n), t_matrix, tm_pow)
+K_ROUTES = (lambda n: walk(K_MAT_SEEDS, n), k_matrix, km_from_t)
+
+
 def test_seed_matrices_all_strategies():
-    for strategy in T_STRATEGIES:
-        assert t_matrix(0, strategy) == IDENTITY
-        assert t_matrix(1, strategy) == T_MAT_SEEDS[1]
-        assert t_matrix(2, strategy) == T_MAT_SEEDS[2]
-    for strategy in K_STRATEGIES:
-        assert k_matrix(0, strategy) == K_MAT_SEEDS[0]
-        assert k_matrix(1, strategy) == K_MAT_SEEDS[1]
-        assert k_matrix(2, strategy) == K_MAT_SEEDS[2]
+    for route in T_ROUTES:
+        assert route(0) == IDENTITY
+        assert route(1) == T_MAT_SEEDS[1]
+        assert route(2) == T_MAT_SEEDS[2]
+    for route in K_ROUTES:
+        assert route(0) == K_MAT_SEEDS[0]
+        assert route(1) == K_MAT_SEEDS[1]
+        assert route(2) == K_MAT_SEEDS[2]
 
 
 def test_mat_mul_examples():
@@ -64,7 +69,7 @@ def test_mat_pow_examples():
     assert mat_pow(T_MAT_SEEDS[1], 1) == T_MAT_SEEDS[1]
     assert mat_pow(T_MAT_SEEDS[1], 2) == T_MAT_SEEDS[2]
     assert mat_pow(T_MAT_SEEDS[2], 5) == TM_10
-    assert TM_10 == t_matrix(10, MatrixStrategy.ITERATE)
+    assert TM_10 == walk(T_MAT_SEEDS, 10)
 
 
 def test_mat_pow_rejects_negative_exponent():
@@ -152,12 +157,12 @@ def test_mat_pow_matches_repeated_product(a, e):
 
 def test_strategies_agree_on_signed_range(t_cache, k_cache):
     for n in range(-60, 61):
-        reference = t_matrix(n, MatrixStrategy.ITERATE)
+        reference = walk(T_MAT_SEEDS, n)
         assert term_reader(TM, t_cache)(n) == reference
-        assert t_matrix(n, MatrixStrategy.MAT_POW) == reference
-        reference = k_matrix(n, MatrixStrategy.ITERATE)
+        assert tm_pow(n) == reference
+        reference = walk(K_MAT_SEEDS, n)
         assert term_reader(KM, k_cache)(n) == reference
-        assert k_matrix(n, MatrixStrategy.FROM_T) == reference
+        assert km_from_t(n) == reference
 
 
 def test_matrix_recurrence_entrywise(t_cache, k_cache):
@@ -169,7 +174,7 @@ def test_matrix_recurrence_entrywise(t_cache, k_cache):
 
 
 def test_negative_index_iterate_example():
-    assert t_matrix(-3, MatrixStrategy.ITERATE) == TM_NEG3
+    assert walk(T_MAT_SEEDS, -3) == TM_NEG3
 
 
 def test_cacheless_strategies_match_iterate(t_cache, k_cache):
@@ -186,12 +191,10 @@ def test_cacheless_strategies_match_iterate(t_cache, k_cache):
         for n in ns:
             assert walk(seeds, n) == kernel_term(seeds, n) == read(n), (kind, n)
     for n in ns:
-        assert t_matrix(n) == t_matrix(n, MatrixStrategy.ITERATE)
-        assert k_matrix(n) == k_matrix(n, MatrixStrategy.FROM_T) == k_matrix(
-            n, MatrixStrategy.ITERATE)
+        assert t_matrix(n) == walk(T_MAT_SEEDS, n)
+        assert k_matrix(n) == km_from_t(n) == walk(K_MAT_SEEDS, n)
     for n in range(-200, 0):
-        assert t_matrix(n, MatrixStrategy.MAT_POW) == t_matrix(
-            n, MatrixStrategy.ITERATE)
+        assert tm_pow(n) == walk(T_MAT_SEEDS, n)
 
 
 def test_product_laws(t_cache, k_cache):
@@ -258,7 +261,7 @@ def test_interrelations(t_cache, k_cache):
 
 
 def test_from_t_strategy_scalar_cell():
-    assert k_matrix(5, MatrixStrategy.FROM_T).entry(1, 0) == 21
+    assert km_from_t(5).entry(1, 0) == 21
 
 
 def test_from_t_rejects_lucas_cache(k_cache):
