@@ -1,9 +1,9 @@
 """Command-line front end: term, matrix, sum, gf, verify, bench.
 
 Exit codes: 0 success, 2 usage/parse/constraint error, 3 precision
-exhausted, 4 cross-strategy value mismatch.  Big integers are emitted as
-decimal strings in JSON (never floats -- values outgrow 64-bit parsers
-within a few dozen indices).
+exhausted, 4 cross-strategy value mismatch, 5 out of memory.  Big
+integers are emitted as decimal strings in JSON (never floats -- values
+outgrow 64-bit parsers within a few dozen indices).
 
 Each command states its answer once, as an Output that writes itself in
 each format; `emit` writes the one asked for, a listing item by item.
@@ -35,6 +35,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
 EXIT_MISMATCH = 4
+EXIT_MEMORY = 5
 
 # command-line kind -> sequence, e.g. "T", "KM"
 KINDS = {kind.value: kind for kind in (*SequenceKind, *MatrixKind)}
@@ -335,6 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         out = args.handler(args)
+        emit(out, args.format)
     except PrecisionExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECISION
@@ -347,7 +349,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    emit(out, args.format)
+    except MemoryError:
+        print("error: out of memory; ask for a smaller index, count or "
+              "profile", file=sys.stderr)
+        return EXIT_MEMORY
     return out.code
 
 

@@ -5,11 +5,19 @@ an operation elsewhere (Binet evaluation, generating functions, the
 summation closed form) lives here as an IdentityRecord: a stable id, the
 formula itself as the anchor, a Shape (index names, declared domain and
 grid), and an evaluator returning the two sides.  A formula's evaluator
-is its anchor's own text, compiled once per process with `^` read as
-`**`; its only names are its indices and the registry's readers T, K,
-TM and KM, so the formula a report prints is the formula that was
-checked.  Verification sweeps a profile-sized grid and demands exact
-equality at every point -- integer identities get no tolerance.
+is its anchor's own text, compiled once per process with `^` read as a
+call of the registry's power reader; its only names are its indices and
+the registry's readers T, K, TM and KM, so the formula a report prints
+is the formula that was checked.  Verification sweeps a profile-sized
+grid and demands exact equality at every point -- integer identities get
+no tolerance.
+
+A registry memoises powers: its reader keeps the latest power of each
+matrix base and steps it by one product when the exponent grows by one,
+as the sweeps walk m upwards.  Such a power is the left side of THM20a,
+built only by products of the registry's own TM(n) or KM(n), never by
+the kernel that builds the right side, so the two sides stay
+independent.
 
 A chain X = Y = Z evaluates each side once, to ((X, Y), (Y, Z)),
 compared slotwise, so a failure in either leg surfaces.
@@ -17,6 +25,7 @@ compared slotwise, so a failure in either leg surfaces.
 
 from __future__ import annotations
 
+import ast
 import functools
 import time
 from dataclasses import dataclass
@@ -212,13 +221,15 @@ READERS = frozenset(kind.value for kind in KIND_SEEDS)  # T, K, TM, KM
 def _compile(id: str, anchor: str, indices: str) -> CodeType:
     """`lambda <indices>: (left, right)` from the anchor's own text.
 
-    `^` is `**`; a chain A = B = C yields ((A, B), (B, C)), B evaluated
-    once.  Cached, so an anchor is compiled once per process.
+    `^` is a call `_pow(base, e)` of the registry's power reader; a chain
+    A = B = C yields ((A, B), (B, C)), B evaluated once.  Cached, so an
+    anchor is compiled once per process.
     """
     sides = anchor.replace("^", "**").split(" = ")
     if len(sides) not in (2, 3):
         raise ValueError(f"{id}: an anchor has two or three sides")
-    # the sides' own names are checked before the chain binds `_mid`
+    # the sides' own names are checked before the chain binds `_mid` and
+    # `^` becomes `_pow`
     code = compile(f"lambda {indices}: ({', '.join(sides)})", f"<{id}>",
                    "eval")
     unknown = _names(code) - READERS - set(indices.split(", "))
@@ -226,10 +237,43 @@ def _compile(id: str, anchor: str, indices: str) -> CodeType:
         raise ValueError(f"{id}: its anchor names {', '.join(sorted(unknown))}"
                          f"; only {', '.join(sorted(READERS))} and "
                          f"{indices} are allowed")
-    if len(sides) == 3:
-        body = "(({}, (_mid := {})), (_mid, {}))".format(*sides)
-        code = compile(f"lambda {indices}: {body}", f"<{id}>", "eval")
-    return code
+    body = (", ".join(sides) if len(sides) == 2
+            else "({}, (_mid := {})), (_mid, {})".format(*sides))
+    tree = _PowerCalls().visit(ast.parse(f"lambda {indices}: ({body})",
+                                         mode="eval"))
+    return compile(ast.fix_missing_locations(tree), f"<{id}>", "eval")
+
+
+class _PowerCalls(ast.NodeTransformer):
+    """Rewrites every `base ** e` into `_pow(base, e)`."""
+
+    def visit_BinOp(self, node: ast.BinOp) -> ast.expr:
+        self.generic_visit(node)
+        if not isinstance(node.op, ast.Pow):
+            return node
+        return ast.Call(ast.Name("_pow", ast.Load()), [node.left, node.right],
+                        [])
+
+
+def _power_reader() -> Callable[[object, int], object]:
+    """(base, e) -> base ** e, continuing the latest power of a matrix base.
+
+    One entry per base, keyed by its value: the latest (e, power).  The
+    same e costs nothing, and e one past it costs one product,
+    `power * base`; any other e, and an int base, is `base ** e`.
+    """
+    latest = {}
+
+    def power(base, e):
+        if isinstance(base, int):
+            return base ** e
+        e0, value = latest.get(base, (None, None))
+        if e0 == e:
+            return value
+        value = value * base if e0 == e - 1 else base ** e
+        latest[base] = e, value
+        return value
+    return power
 
 
 def _names(code: CodeType) -> set[str]:
@@ -249,13 +293,16 @@ def registry() -> list[IdentityRecord]:
     K(m) - K(-m) through the K reader, so each K(+-m) is built once; the
     direct sums keep a running total (`series.running_bruteforce`), one
     term per step up the n axis.
+    Each registry binds its anchors' `^` to its own power reader
+    (`_power_reader`), so it memoises powers of its readers' matrices,
+    and no registry sees another's.
     The sum records' anchors are prose, so they keep their evaluator.
     """
     caches = {kind: TermCache(kind) for kind in SequenceKind}
     readers = {kind.value: functools.cache(term_reader(kind, caches[scalar]))
                for kind, (_, scalar) in KIND_SEEDS.items()}
     # the anchors' only names: no builtins
-    namespace = {"__builtins__": {}} | readers
+    namespace = {"__builtins__": {}, "_pow": _power_reader()} | readers
 
     def sum_record(id: str, kind) -> IdentityRecord:
         term, k_term = readers[kind.value], readers["K"]

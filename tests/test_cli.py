@@ -85,6 +85,21 @@ class TestTerm:
         assert code == 3
         assert "precision" in err
 
+    @pytest.mark.parametrize("name,argv", [
+        ("decimal_term", ["term", "T", "1000000"]),  # in the handler
+        ("decimal_form", ["term", "T", "7"]),        # in emit
+    ])
+    def test_out_of_memory_exits_5(self, name, argv, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, name, exhausted)
+        code, out, err = run(argv, capsys)
+        assert code == cli.EXIT_MEMORY == 5
+        assert out == ""
+        assert err.startswith("error: out of memory")
+        assert err.count("\n") == 1
+
     def test_env_var_precision(self, capsys, monkeypatch):
         monkeypatch.setenv("TRIBKIT_PRECISION", "64")
         code, _, _ = run(["term", "T", "200", "--strategy", "binet"], capsys)

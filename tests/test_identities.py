@@ -133,6 +133,7 @@ class TestAnchors:
     @pytest.mark.parametrize("side", [
         "abs(T(n))", "T(m)", "TM(n).entries", "(x := T(n))",
         "[T(k) for k in (n,)]", "__import__('os')", "_mid", "_mid = T(n)",
+        "_pow(T(n), 2)",
     ])
     def test_anchor_naming_anything_else_refused(self, side, monkeypatch):
         _with_anchor(monkeypatch, "EQ3", f"T(n) = {side}")
@@ -163,6 +164,96 @@ class TestAnchors:
         registry()
         registry()
         assert identities._compile.cache_info().misses == misses
+
+
+def _count_ops(patch):
+    """Counts of `mat_mul` and `mat_pow` calls from now on; a product
+    inside `mat_pow` counts as a `mat_mul`."""
+    ops = Counter(mat_mul=0, mat_pow=0)
+    real_mul, real_pow = matrices.mat_mul, matrices.mat_pow
+
+    def counting_mul(a, b, counter=None):
+        ops["mat_mul"] += 1
+        return real_mul(a, b, counter)
+
+    def counting_pow(a, e, counter=None):
+        ops["mat_pow"] += 1
+        return real_pow(a, e, counter)
+
+    patch.setattr(matrices, "mat_mul", counting_mul)
+    patch.setattr(matrices, "mat_pow", counting_pow)
+    return ops
+
+
+def _standard_sweep(records, identity_id):
+    record = next(r for r in records if r.id == identity_id)
+    return verify_record(record, PROFILE_BOUNDS[Profile.STANDARD])
+
+
+class TestPowers:
+    """`^` continues the registry's latest power of its base."""
+
+    # one Standard sweep of a fresh registry; a fresh mat_pow at every
+    # case makes 961 / 4309, 1922 / 9579, 1922 / 9579, 992 / 3704 and
+    # 496 / 992
+    @pytest.mark.parametrize("identity_id,pows,products", [
+        ("THM20a", 31, 930),      # e = 0 once per base, then one a step
+        ("THM20b", 31, 1891),     # TM(1)^m read once per m
+        ("THMFINALb", 31, 1891),  # KM(0)^m read once per m
+        ("THM20c", 31, 556),
+        ("THMFINALa", 31, 527),
+    ])
+    def test_op_counts(self, identity_id, pows, products, monkeypatch):
+        records = registry()
+        ops = _count_ops(monkeypatch)
+        assert _standard_sweep(records, identity_id).passed
+        assert ops == {"mat_pow": pows, "mat_mul": products}
+
+    def test_negative_control_power_one_product_short(self, monkeypatch):
+        # THM20a's TM(n0)^m0 comes back as TM(n0)^(m0-1); every later m
+        # of n0 builds on it and fails too, nothing else does.  TM(0) is
+        # the identity, whose powers would hide the error: m0, n0 >= 1.
+        m0, n0 = 4, 3
+        base, short = t_matrix(n0), t_matrix(n0 * (m0 - 1))
+        real_mul = matrices.mat_mul
+        skipped = []
+
+        def short_mul(a, b, counter=None):
+            if (a, b) == (short, base) and not skipped:  # once only
+                skipped.append((a, b))
+                return a
+            return real_mul(a, b, counter)
+
+        monkeypatch.setattr(matrices, "mat_mul", short_mul)
+        report = _standard_sweep(registry(), "THM20a")
+        assert report.cases == 961
+        assert report.failures == tuple(
+            Failure((m, n0), t_matrix(n0 * (m - 1)), t_matrix(n0 * m))
+            for m in range(m0, 31))
+
+    def test_registries_share_no_powers(self, monkeypatch):
+        # the first registry holds every TM(n)^0, TM(n0)'s wrong; the
+        # second, built alongside it, sweeps as a fresh registry does
+        first, second = registry(), registry()
+        n0, base = 3, t_matrix(3)
+        real_pow = matrices.mat_pow
+
+        def wrong_pow(a, e, counter=None):
+            return a if (a, e) == (base, 0) else real_pow(a, e, counter)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(matrices, "mat_pow", wrong_pow)
+            thm20a = next(r for r in first if r.id == "THM20a")
+            for n in range(31):
+                thm20a.evaluate(0, n)
+        with monkeypatch.context() as patch:
+            ops = _count_ops(patch)
+            assert _standard_sweep(second, "THM20a").passed
+            assert ops == {"mat_pow": 31, "mat_mul": 930}
+        # the first registry still continues its own wrong power
+        report = _standard_sweep(first, "THM20a")
+        assert [f.indices for f in report.failures] == \
+            [(m, n0) for m in range(31)]
 
 
 class TestVerify:
