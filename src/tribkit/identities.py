@@ -19,6 +19,18 @@ built only by products of the registry's own TM(n) or KM(n), never by
 the kernel that builds the right side, so the two sides stay
 independent.
 
+A registry memoises a side that reads one form: when every reader
+argument of a side is one affine form f of two or more indices plus a
+constant, as the right sides of THM18c-e and COR19c-e read only m+n,
+the side is evaluated once per value of f, keyed by (record id and
+side, f).  Its memo holds one entry per value of f that the sweeps
+meet: 121 on Deep, against 3721 grid points.  A side keyed by the
+whole grid point is not memoised: one record's sweep meets each point
+once, so its memo would never hit, and one shared between records
+would hold an entry per point, of memory the sweep otherwise frees.
+Bare reads are memoised by the readers, and `^` sides continued by
+the power reader.
+
 A chain X = Y = Z evaluates each side once, to ((X, Y), (Y, Z)),
 compared slotwise, so a failure in either leg surfaces.
 """
@@ -221,27 +233,90 @@ READERS = frozenset(kind.value for kind in KIND_SEEDS)  # T, K, TM, KM
 def _compile(id: str, anchor: str, indices: str) -> CodeType:
     """`lambda <indices>: (left, right)` from the anchor's own text.
 
-    `^` is a call `_pow(base, e)` of the registry's power reader; a chain
-    A = B = C yields ((A, B), (B, C)), B evaluated once.  Cached, so an
-    anchor is compiled once per process.
+    `^` is a call `_pow(base, e)` of the registry's power reader; a side
+    that `_one_form` finds one affine form f of is `_memo(key, f,
+    lambda: side)`; a chain A = B = C yields ((A, B), (B, C)), B
+    evaluated once.  Cached, so an anchor is compiled once per process.
     """
     sides = anchor.replace("^", "**").split(" = ")
     if len(sides) not in (2, 3):
         raise ValueError(f"{id}: an anchor has two or three sides")
-    # the sides' own names are checked before the chain binds `_mid` and
-    # `^` becomes `_pow`
+    # the sides' own names are checked before the chain binds `_mid`,
+    # a side becomes `_memo(...)` and `^` becomes `_pow`
     code = compile(f"lambda {indices}: ({', '.join(sides)})", f"<{id}>",
                    "eval")
-    unknown = _names(code) - READERS - set(indices.split(", "))
+    names = indices.split(", ")
+    unknown = _names(code) - READERS - set(names)
     if unknown:
         raise ValueError(f"{id}: its anchor names {', '.join(sorted(unknown))}"
                          f"; only {', '.join(sorted(READERS))} and "
                          f"{indices} are allowed")
+    for i, side in enumerate(sides):
+        form = _one_form(side, names)
+        if form is not None:
+            sides[i] = f"_memo({f'{id}.{i}'!r}, {form}, lambda: {side})"
     body = (", ".join(sides) if len(sides) == 2
             else "({}, (_mid := {})), (_mid, {})".format(*sides))
     tree = _PowerCalls().visit(ast.parse(f"lambda {indices}: ({body})",
                                          mode="eval"))
     return compile(ast.fix_missing_locations(tree), f"<{id}>", "eval")
+
+
+def _one_form(side: str, indices: list[str]) -> str | None:
+    """The text of f when every reader argument in `side` is one affine
+    form f of two or more indices plus a constant, and no index appears
+    outside them; else None.
+
+    None too for a bare reader call, which its reader memoises, and for
+    a side with `**`, whose powers the power reader continues.
+    """
+    tree = ast.parse(side, mode="eval").body
+    if isinstance(tree, ast.Call) or any(
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            for node in ast.walk(tree)):
+        return None
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    if any(len(call.args) != 1 or call.keywords for call in calls):
+        return None
+    args = [call.args[0] for call in calls]
+    forms = {_affine(arg, indices) for arg in args}
+    if len(forms) != 1 or None in forms:
+        return None
+
+    def uses(node):
+        return sum(isinstance(x, ast.Name) and x.id in indices
+                   for x in ast.walk(node))
+    if uses(tree) != sum(map(uses, args)):
+        return None
+    terms = [name if c == 1 else "-" + name if c == -1 else f"{c}*{name}"
+             for c, name in zip(forms.pop(), indices) if c]
+    if len(terms) < 2:
+        return None
+    return " + ".join(terms).replace("+ -", "- ")
+
+
+def _affine(node: ast.expr, indices: list[str]) -> tuple[int, ...] | None:
+    """The indices' coefficients in an integer affine expression of them
+    (its constant dropped), or None when it is not one."""
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return (0,) * len(indices)
+    if isinstance(node, ast.Name) and node.id in indices:
+        return tuple(int(name == node.id) for name in indices)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        inner = _affine(node.operand, indices)
+        return None if inner is None else tuple(-x for x in inner)
+    if not isinstance(node, ast.BinOp):
+        return None
+    left, right = _affine(node.left, indices), _affine(node.right, indices)
+    if left is None or right is None:
+        return None
+    if isinstance(node.op, ast.Add):
+        return tuple(x + y for x, y in zip(left, right))
+    if isinstance(node.op, ast.Sub):
+        return tuple(x - y for x, y in zip(left, right))
+    if isinstance(node.op, ast.Mult) and isinstance(node.left, ast.Constant):
+        return tuple(node.left.value * y for y in right)
+    return None
 
 
 class _PowerCalls(ast.NodeTransformer):
@@ -276,6 +351,22 @@ def _power_reader() -> Callable[[object, int], object]:
     return power
 
 
+def _form_memo() -> Callable[[str, int, Callable[[], object]], object]:
+    """(key, f, side) -> side(), evaluated once per (key, f) value.
+
+    `key` names a record's side, `f` is the value of its one form: one
+    entry per value of the form that a sweep meets.
+    """
+    values = {}
+
+    def memo(key, f, side):
+        value = values.get((key, f))
+        if value is None:
+            value = values[key, f] = side()
+        return value
+    return memo
+
+
 def _names(code: CodeType) -> set[str]:
     """Every name compiled code uses, its nested code's too."""
     return set(code.co_names + code.co_varnames).union(
@@ -294,15 +385,16 @@ def registry() -> list[IdentityRecord]:
     direct sums keep a running total (`series.running_bruteforce`), one
     term per step up the n axis.
     Each registry binds its anchors' `^` to its own power reader
-    (`_power_reader`), so it memoises powers of its readers' matrices,
-    and no registry sees another's.
+    (`_power_reader`) and their one-form sides to its own memo
+    (`_form_memo`), so no registry sees another's powers or sides.
     The sum records' anchors are prose, so they keep their evaluator.
     """
     caches = {kind: TermCache(kind) for kind in SequenceKind}
     readers = {kind.value: functools.cache(term_reader(kind, caches[scalar]))
                for kind, (_, scalar) in KIND_SEEDS.items()}
     # the anchors' only names: no builtins
-    namespace = {"__builtins__": {}, "_pow": _power_reader()} | readers
+    namespace = {"__builtins__": {}, "_pow": _power_reader(),
+                 "_memo": _form_memo()} | readers
 
     def sum_record(id: str, kind) -> IdentityRecord:
         term, k_term = readers[kind.value], readers["K"]

@@ -29,7 +29,7 @@ from .counters import OpCounter
 from .errors import DivisibilityViolation, NegativeExponent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mat3:
     """Immutable 3x3 integer matrix, entries row-major.
 
@@ -39,6 +39,10 @@ class Mat3:
     Code indexes rows and columns from 0; prose and reports use the
     1-based convention, under which the scalar-bearing cell "row 2,
     column 1" is ``entry(1, 0)``.
+
+    `Mat3(entries)` checks that there are nine entries; the operators
+    and `mat_mul`, whose tuples have nine by construction, build their
+    results by `_mat3` instead.
     """
 
     entries: tuple[int, ...]
@@ -63,26 +67,27 @@ class Mat3:
             return NotImplemented
         a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.entries
         b1, b2, b3, b4, b5, b6, b7, b8, b9 = other.entries
-        return Mat3((a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6,
-                     a7 + b7, a8 + b8, a9 + b9))
+        return _mat3((a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6,
+                      a7 + b7, a8 + b8, a9 + b9))
 
     def __sub__(self, other: "Mat3") -> "Mat3":
         if not isinstance(other, Mat3):
             return NotImplemented
         a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.entries
         b1, b2, b3, b4, b5, b6, b7, b8, b9 = other.entries
-        return Mat3((a1 - b1, a2 - b2, a3 - b3, a4 - b4, a5 - b5, a6 - b6,
-                     a7 - b7, a8 - b8, a9 - b9))
+        return _mat3((a1 - b1, a2 - b2, a3 - b3, a4 - b4, a5 - b5, a6 - b6,
+                      a7 - b7, a8 - b8, a9 - b9))
 
     def __neg__(self) -> "Mat3":
-        return Mat3(tuple(-x for x in self.entries))
+        a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.entries
+        return _mat3((-a1, -a2, -a3, -a4, -a5, -a6, -a7, -a8, -a9))
 
     def __rmul__(self, k: int) -> "Mat3":
         if not isinstance(k, int):
             return NotImplemented
         a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.entries
-        return Mat3((k * a1, k * a2, k * a3, k * a4, k * a5, k * a6, k * a7,
-                     k * a8, k * a9))
+        return _mat3((k * a1, k * a2, k * a3, k * a4, k * a5, k * a6,
+                      k * a7, k * a8, k * a9))
 
     def __mul__(self, other: "Mat3") -> "Mat3":
         if not isinstance(other, Mat3):
@@ -112,7 +117,20 @@ class Mat3:
             raise DivisibilityViolation(
                 f"{d} does not divide entry {x} at row {i // 3 + 1}, "
                 f"column {i % 3 + 1}")
-        return Mat3((q1, q2, q3, q4, q5, q6, q7, q8, q9))
+        return _mat3((q1, q2, q3, q4, q5, q6, q7, q8, q9))
+
+
+_new = object.__new__
+_set_entries = Mat3.entries.__set__  # the slot's setter, past __setattr__
+
+
+def _mat3(entries: tuple) -> Mat3:
+    """A Mat3 of `entries`, nine by construction, set straight into its
+    slot: the dataclass constructor is about half the cost of an
+    operator on small entries."""
+    m = _new(Mat3)
+    _set_entries(m, entries)
+    return m
 
 
 def decimal_form(value):
@@ -162,7 +180,7 @@ def mat_mul(a: Mat3, b: Mat3, counter: OpCounter | None = None) -> Mat3:
         counter.mat_muls += 1
         counter.big_muls += 27
         counter.big_adds += 18
-    return Mat3((
+    return _mat3((
         a11 * b11 + a12 * b21 + a13 * b31,
         a11 * b12 + a12 * b22 + a13 * b32,
         a11 * b13 + a12 * b23 + a13 * b33,

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import random
 from collections import Counter
@@ -133,7 +134,7 @@ class TestAnchors:
     @pytest.mark.parametrize("side", [
         "abs(T(n))", "T(m)", "TM(n).entries", "(x := T(n))",
         "[T(k) for k in (n,)]", "__import__('os')", "_mid", "_mid = T(n)",
-        "_pow(T(n), 2)",
+        "_pow(T(n), 2)", "_memo('EQ3.1', n, lambda: T(n))",
     ])
     def test_anchor_naming_anything_else_refused(self, side, monkeypatch):
         _with_anchor(monkeypatch, "EQ3", f"T(n) = {side}")
@@ -254,6 +255,107 @@ class TestPowers:
         report = _standard_sweep(first, "THM20a")
         assert [f.indices for f in report.failures] == \
             [(m, n0) for m in range(31)]
+
+
+def _right_side(identity_id):
+    anchor = next(r.anchor for r in registry() if r.id == identity_id)
+    return anchor.rpartition(" = ")[2]
+
+
+def _scalings(patch):
+    """Counts of `k * Mat3` products from now on."""
+    count = Counter()
+    real_rmul = matrices.Mat3.__rmul__
+
+    def counting_rmul(self, k):
+        count["rmul"] += 1
+        return real_rmul(self, k)
+
+    patch.setattr(matrices.Mat3, "__rmul__", counting_rmul)
+    return count
+
+
+class TestFormMemo:
+    """A side that reads only one form of two or more indices is
+    evaluated once per value of that form."""
+
+    def test_memoised_sides(self):
+        # exactly the right sides of THM18c-e and COR19c-e, all m + n
+        found = {}
+        for id, anchor, shape, *_ in identities.FORMULAS:
+            sides = anchor.replace("^", "**").split(" = ")
+            for i, side in enumerate(sides):
+                form = identities._one_form(side, shape.indices.split(", "))
+                if form is not None:
+                    found[id] = (i == len(sides) - 1, form)
+        assert found == dict.fromkeys(
+            ["THM18c", "THM18d", "THM18e", "COR19c", "COR19d", "COR19e"],
+            (True, "m + n"))
+
+    @pytest.mark.parametrize("side,indices,form", [
+        ("TM(m+n)", "m, n", None),                      # a bare read
+        ("2*TM(m*n) - TM(m*n)", "m, n", None),          # not affine
+        ("3*TM(n+1) - 2*TM(n) - TM(n-1)", "n", None),   # THM15a: one index
+        ("TM(m+n)**2", "m, n", None),                   # a `^` side
+        ("TM(m+n) + TM(m-n)", "m, n", None),            # two forms
+        ("2*TM(m+n) + KM(0)", "m, n", None),            # a constant read
+        ("m*TM(m+n)", "m, n", None),                    # an index outside
+        ("TM(m+n) - 2*TM()", "m, n", None),             # a call without one
+        ("TM(m+n) - 2*TM(m+n, m)", "m, n", None),       # argument
+        ("TM(m+n) - 2*TM(n=m+n)", "m, n", None),
+        ("TM(2*m+n) - TM(2*m+n+1)", "m, n", "2*m + n"),
+        ("T(n-r+1) - 2*T(n-r)", "n, r", "n - r"),
+        ("T(3-m-2*n) + T(-m-2*n)", "m, n", "-m - 2*n"),
+    ])
+    def test_form_finder(self, side, indices, form):
+        assert identities._one_form(side, indices.split(", ")) == form
+
+    # a fresh sweep evaluates each side 3721 times; its form m + n takes
+    # 121 values on Deep
+    @pytest.mark.parametrize("identity_id", ["THM18c", "THM18d", "THM18e"])
+    def test_right_side_evaluated_once_per_form_value(self, identity_id,
+                                                      monkeypatch):
+        records = registry()
+        record = next(r for r in records if r.id == identity_id)
+        scalings = _scalings(monkeypatch)
+        report = verify_record(record, PROFILE_BOUNDS[Profile.DEEP])
+        assert report.passed and report.cases == 61 * 61
+        per_side = _right_side(identity_id).count("*TM(")
+        assert per_side >= 3
+        assert scalings["rmul"] == 121 * per_side
+
+    def test_negative_control_wrong_form(self, monkeypatch):
+        # keyed by m alone, a side returns its value at (m, 0) for every n
+        real_one_form = identities._one_form
+        monkeypatch.setattr(
+            identities, "_one_form",
+            lambda side, indices: real_one_form(side, indices)
+            and indices[0])
+        monkeypatch.setattr(identities, "_compile",
+                            functools.cache(identities._compile.__wrapped__))
+        report = _standard_sweep(registry(), "THM18c")
+        assert report.cases == 961
+        assert [f.indices for f in report.failures] == \
+            [(m, n) for m in range(31) for n in range(1, 31)]
+
+    def test_registries_share_no_memo(self, monkeypatch):
+        # the first registry holds THM18c's right side wrong at every
+        # m + n <= 30; the second, built alongside it, sweeps as a fresh
+        # registry does
+        first, second = registry(), registry()
+        with monkeypatch.context() as patch:
+            patch.setattr(matrices.Mat3, "__rmul__", lambda self, k: self)
+            thm18c = next(r for r in first if r.id == "THM18c")
+            for n in range(31):
+                thm18c.evaluate(0, n)
+        with monkeypatch.context() as patch:
+            scalings = _scalings(patch)
+            assert _standard_sweep(second, "THM18c").passed
+            assert scalings["rmul"] == 61 * 4
+        # the first registry still reads its own wrong values
+        report = _standard_sweep(first, "THM18c")
+        assert [f.indices for f in report.failures] == \
+            [(m, n) for m in range(31) for n in range(31) if m + n <= 30]
 
 
 class TestVerify:

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import math
 
@@ -313,6 +314,49 @@ def test_div_exact():
 def test_mat3_shape_guard():
     with pytest.raises(ValueError):
         Mat3((1, 2, 3))
+
+
+# every way an operator builds a Mat3
+OPERATORS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "neg": lambda a, b: -a,
+    "rmul": lambda a, b: 7 * a,
+    "mul": lambda a, b: a * b,
+    "matmul": lambda a, b: a @ b,
+    "pow": lambda a, b: a ** 3,
+    "mat_mul": mat_mul,
+    "div_exact": lambda a, b: (22 * a).div_exact(22),
+}
+
+
+@pytest.mark.parametrize("op", OPERATORS)
+def test_operator_results_are_plain_mat3s(op, monkeypatch):
+    a, b = t_matrix(5), k_matrix(-3)
+    built = []
+    monkeypatch.setattr(Mat3, "__post_init__", lambda self: built.append(1))
+    result = OPERATORS[op](a, b)
+    # the result skipped the dataclass constructor and its check ...
+    assert built == []
+    monkeypatch.undo()
+    # ... and is what the constructor gives for its entries
+    assert type(result) is Mat3 and len(result.entries) == 9
+    assert result == Mat3(result.entries)
+    assert hash(result) == hash(Mat3(result.entries))
+
+
+def test_mat3_immutable_and_repr():
+    a = -t_matrix(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.entries = IDENTITY.entries
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del a.entries
+    # no other attribute either; a frozen dataclass with slots raises
+    # TypeError here on CPython 3.10 and 3.11
+    with pytest.raises((AttributeError, TypeError)):
+        a.extra = 1
+    assert a.entries == (-2, -2, -1, -1, -1, -1, -1, 0, 0)
+    assert repr(a) == "Mat3(entries=(-2, -2, -1, -1, -1, -1, -1, 0, 0))"
 
 
 # The decimal route is a second arithmetic: its text must be the int
