@@ -30,13 +30,17 @@ scale that by at most |n|, so the chain loses about log2|n| + 1 bits,
 which the guard bits cover across the safe range.  gamma is the
 conjugate of beta, so the gamma term is the conjugate of the beta term
 and costs no power of its own.
+
+Loading: each function that evaluates imports mpmath when it runs, so
+mpmath is loaded on the first Binet evaluation, not with this module.
+Every process imports `tribkit.binet` (the CLI's strategy table names
+its functions), and mpmath is about a fifth of a process's startup,
+which the exact routes never use (BENCH_startup.json).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from mpmath import mp, mpc, mpf
 
 from .counters import OpCounter
 from .errors import PrecisionExhausted
@@ -98,6 +102,8 @@ def compute_roots(precision: int = DEFAULT_PRECISION) -> RootTriple:
     conjugate pair costs one square root.  beta is the root with
     positive imaginary part.
     """
+    from mpmath import mp, mpc, mpf
+
     _require_precision(precision)
     working = precision + _GUARD_BITS
     ladder = []  # precisions of the doubling steps, highest first
@@ -136,6 +142,8 @@ def radical_roots(precision: int = DEFAULT_PRECISION) -> RootTriple:
     root of unity.  Kept separate from compute_roots so the two
     constructions can be compared as a cross-check.
     """
+    from mpmath import mp, mpc, mpf
+
     _require_precision(precision)
     with mp.workprec(precision + _GUARD_BITS):
         omega = mp.expjpi(mpf(2) / 3)  # exp(2*pi*i/3)
@@ -149,6 +157,8 @@ def radical_roots(precision: int = DEFAULT_PRECISION) -> RootTriple:
 
 def _round_to_int(z, terms, context: str, precision: int) -> int:
     """`z`, a sum of `terms` or an entry of their sum, as an exact int."""
+    from mpmath import mp
+
     real, imag = z.real, z.imag
     # A float of magnitude >= 2**(p-2) cannot resolve quarter-integers at
     # all: it is integral at ulp granularity and would "round cleanly" to
@@ -205,6 +215,8 @@ def binet_trib(n: int, precision: int = DEFAULT_PRECISION,
     (two differences and a product each), the two divisions by them and
     the sum of the three terms.
     """
+    from mpmath import mp
+
     r = _given("roots", roots, precision, compute_roots)
     with mp.workprec(precision + _GUARD_BITS):
         a, b, g = r.alpha, r.beta, r.gamma
@@ -224,6 +236,8 @@ def binet_lucas(n: int, precision: int = DEFAULT_PRECISION,
 
     The counter gets the products of `_power` and the two additions.
     """
+    from mpmath import mp
+
     r = _given("roots", roots, precision, compute_roots)
     with mp.workprec(precision + _GUARD_BITS):
         pair = _power(r.beta, n, counter)
@@ -242,6 +256,8 @@ def binet_constants(precision: int = DEFAULT_PRECISION,
     family.  The six results satisfy A1+B1+C1 = I and A2+B2+C2 = KM(0)
     up to working precision.
     """
+    from mpmath import mp
+
     r = _given("roots", roots, precision, compute_roots)
     with mp.workprec(precision + _GUARD_BITS):
         def constant(x, y, z, seeds):
@@ -265,6 +281,8 @@ def binet_matrix(kind: MatrixKind, n: int,
                  roots: RootTriple | None = None,
                  constants: BinetConstants | None = None) -> Mat3:
     """TM(n) or KM(n) from the matrix power form, rounded entrywise."""
+    from mpmath import mp
+
     if not isinstance(kind, MatrixKind):
         raise ValueError(f"binet_matrix takes TM or KM, not {kind}")
     r = _given("roots", roots, precision, compute_roots)
@@ -317,6 +335,8 @@ def check_constant_algebra(precision: int = DEFAULT_PRECISION,
     products within {A2, B2, C2}, reporting each max entrywise deviation.
     Failures become report rows; constants held at fewer bits raise.
     """
+    from mpmath import mp
+
     c = _given("constants", constants, precision, binet_constants)
     with mp.workprec(precision + _GUARD_BITS):
         family1 = {"A1": c.a1, "B1": c.b1, "C1": c.c1}

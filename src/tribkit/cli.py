@@ -222,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--precision", type=_bits,
                            default=os.environ.get("TRIBKIT_PRECISION",
                                                   DEFAULT_PRECISION),
-                           help="working precision in bits "
-                                "(default: TRIBKIT_PRECISION or 256)")
+                           help="working precision in bits (default: "
+                                f"TRIBKIT_PRECISION or {DEFAULT_PRECISION})")
         return p
 
     p = command("term", cmd_term, "nth term of T or K", precision=True)

@@ -29,7 +29,7 @@ from .counters import OpCounter
 from .errors import DivisibilityViolation, NegativeExponent
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Mat3:
     """Immutable 3x3 integer matrix, entries row-major.
 
@@ -45,11 +45,21 @@ class Mat3:
     results by `_mat3` instead.
     """
 
+    # Declared here, not by `slots=True`: that rebuilds the class and
+    # leaves the frozen `__setattr__` naming the old one, so setting any
+    # other attribute would raise TypeError, not FrozenInstanceError.
+    __slots__ = ("entries",)
+
     entries: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.entries) != 9:
             raise ValueError("Mat3 takes exactly 9 entries")
+
+    def __reduce__(self):
+        # copy and pickle would restore the slot through the frozen
+        # __setattr__; rebuild through the constructor instead
+        return Mat3, (self.entries,)
 
     def rows(self) -> tuple[tuple[int, int, int], ...]:
         e = self.entries
