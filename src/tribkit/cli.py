@@ -9,11 +9,18 @@ Each command states its answer once, as an Output that writes itself in
 each format; `emit` writes the one asked for, a listing item by item.
 An answer past the index `decimal_route` gives is computed on
 decimal.Decimal, so it is already decimal text.
+
+`main` parses with a tree built once per process for each value of
+TRIBKIT_PRECISION (the default of `--precision`, and the only input to
+the tree that can change while a process runs), so a later in-process
+call pays only for `parse_args`; it runs `cmd_<command>` as bound in
+this module when it is called.  `build_parser()` returns a fresh tree.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -205,38 +212,46 @@ def _bits(text: str) -> int:
             "(check --precision and TRIBKIT_PRECISION)") from None
 
 
+def _precision_default():
+    # argparse runs a string default through `type` as well
+    return os.environ.get("TRIBKIT_PRECISION", DEFAULT_PRECISION)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh argument tree; what a caller does to it never reaches
+    `main`."""
+    return _build_parser(_precision_default())
+
+
+def _build_parser(precision_default) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tribkit",
         description="Exact Tribonacci / Tribonacci-Lucas computation, "
                     "matrix sequences, sums, series and identity checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help, precision=False):
+    def command(name, help, precision=False):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler)
         p.add_argument("--format", choices=("plain", "json", "csv"),
                        default="plain", help="output format")
         if precision:
-            # argparse runs a string default through `type` as well
             p.add_argument("--precision", type=_bits,
-                           default=os.environ.get("TRIBKIT_PRECISION",
-                                                  DEFAULT_PRECISION),
+                           default=precision_default,
                            help="working precision in bits (default: "
                                 f"TRIBKIT_PRECISION or {DEFAULT_PRECISION})")
         return p
 
-    p = command("term", cmd_term, "nth term of T or K", precision=True)
+    p = command("term", "nth term of T or K", precision=True)
     p.add_argument("kind", choices=_SCALAR_CHOICES)
     p.add_argument("n", type=int)
     p.add_argument("--strategy", choices=tuple(STRATEGIES),
                    default="matpow")
 
-    p = command("matrix", cmd_matrix, "nth matrix term TM(n) or KM(n)")
+    p = command("matrix", "nth matrix term TM(n) or KM(n)")
     p.add_argument("kind", choices=_SCALAR_CHOICES)
     p.add_argument("n", type=int)
 
-    p = command("sum", cmd_sum, "closed-form sum of n terms at m*i + j")
+    p = command("sum", "closed-form sum of n terms at m*i + j")
     p.add_argument("kind", choices=sorted(KINDS))
     p.add_argument("m", type=int)
     p.add_argument("j", type=int)
@@ -244,17 +259,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true",
                    help="also run the brute-force oracle and compare")
 
-    p = command("gf", cmd_gf, "leading generating-function coefficients")
+    p = command("gf", "leading generating-function coefficients")
     p.add_argument("kind", choices=sorted(KINDS))
     p.add_argument("count", type=int)
 
-    p = command("verify", cmd_verify, "run identity verification")
+    p = command("verify", "run identity verification")
     p.add_argument("ids", nargs="*", help="identity ids (default: all)")
     p.add_argument("--profile", choices=[pr.value for pr in Profile],
                    default=Profile.STANDARD.value)
 
-    p = command("bench", cmd_bench, "compare nth-term strategies",
-                precision=True)
+    p = command("bench", "compare nth-term strategies", precision=True)
     p.add_argument("--n", required=True,
                    help="comma-separated indices, e.g. 1000,100000")
     p.add_argument("--strategies", default="iterate,matpow",
@@ -262,6 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=_SCALAR_CHOICES, default="T")
 
     return parser
+
+
+# main's trees, keyed by the default of --precision; bounded, as an
+# embedder may set TRIBKIT_PRECISION to any number of values
+_shared_parser = functools.lru_cache(maxsize=8)(_build_parser)
 
 
 def cmd_term(args) -> Output:
@@ -333,9 +352,10 @@ def cmd_bench(args) -> Output:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser(_precision_default()).parse_args(argv)
     try:
-        out = args.handler(args)
+        # looked up per call, so a rebound cmd_* is the one that runs
+        out = globals()["cmd_" + args.command](args)
         emit(out, args.format)
     except PrecisionExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)

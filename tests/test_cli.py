@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import decimal
@@ -332,6 +333,138 @@ class TestFlags:
         code, out, _ = run(["gf", "T", "3"], capsys)
         assert code == 0
         assert out.strip() == "0 1 1"
+
+
+class TestSharedParser:
+    """`main` parses with one tree per value of TRIBKIT_PRECISION, and no
+    parse leaves anything on it for the next call."""
+
+    ONE_OF_EACH = [
+        ["term", "T", "40"],
+        ["term", "K", "-9", "--strategy", "binet"],
+        ["matrix", "K", "9", "--format", "json"],
+        ["sum", "T", "3", "1", "7", "--check"],
+        ["gf", "KM", "4", "--format", "csv"],
+        ["verify", "EQ4", "--profile", "quick"],
+        ["bench", "--n", "10", "--strategies", "iterate,matpow"],
+    ]
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.delenv("TRIBKIT_PRECISION", raising=False)
+        cli._shared_parser.cache_clear()
+        yield
+        cli._shared_parser.cache_clear()
+
+    @staticmethod
+    def count_parsers(monkeypatch) -> list:
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        return built
+
+    @staticmethod
+    def precision(capsys) -> int:
+        """The bits a Binet row of `bench` ran at, as main parsed them."""
+        code, out, _ = run(["bench", "--n", "10", "--strategies", "binet",
+                            "--format", "json"], capsys)
+        assert code == 0
+        return json.loads(out)[0]["precision"]
+
+    def test_one_tree_for_many_calls(self, capsys, monkeypatch):
+        built = self.count_parsers(monkeypatch)
+        cli.build_parser()
+        per_tree = len(built)  # the root and one per command
+        assert per_tree == 7
+        built.clear()
+        for _ in range(3):
+            for argv in self.ONE_OF_EACH:
+                assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert len(built) == per_tree
+        assert cli._shared_parser.cache_info().misses == 1
+
+    def test_env_precision_between_calls(self, capsys, monkeypatch):
+        built = self.count_parsers(monkeypatch)
+        states = [None, "64", "512", None, "64"]
+        for value in states:
+            if value is None:
+                monkeypatch.delenv("TRIBKIT_PRECISION", raising=False)
+            else:
+                monkeypatch.setenv("TRIBKIT_PRECISION", value)
+            expected = int(value or cli.DEFAULT_PRECISION)
+            assert self.precision(capsys) == expected
+            fresh = cli.build_parser().parse_args(["term", "T", "5"])
+            assert fresh.precision == expected
+        # 3 values in the memo, 5 fresh trees for the comparison
+        assert len(built) == (3 + len(states)) * 7
+        assert cli._shared_parser.cache_info().misses == 3
+
+    @pytest.mark.parametrize("first", [None, "64"])
+    def test_corrupt_env_precision_after_valid_call(self, first, capsys,
+                                                    monkeypatch):
+        if first is not None:
+            monkeypatch.setenv("TRIBKIT_PRECISION", first)
+        assert self.precision(capsys) == int(first or cli.DEFAULT_PRECISION)
+        monkeypatch.setenv("TRIBKIT_PRECISION", "abc")
+        for argv in (["term", "T", "5", "--strategy", "binet"],
+                     ["bench", "--n", "10", "--strategies", "binet"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "TRIBKIT_PRECISION" in capsys.readouterr().err
+        # commands without --precision do not read it
+        assert run(["gf", "T", "3"], capsys)[:2] == (0, "0 1 1\n")
+        monkeypatch.setenv("TRIBKIT_PRECISION", "64")
+        assert self.precision(capsys) == 64
+
+    def test_check_does_not_carry_over(self, capsys):
+        code, checked, _ = run(["sum", "T", "3", "1", "7", "--check"],
+                               capsys)
+        assert code == 0
+        assert checked.splitlines()[1] == (
+            "check: closed form matches brute force")
+        code, out, _ = run(["sum", "T", "3", "1", "7"], capsys)
+        assert code == 0
+        assert out == checked.splitlines()[0] + "\n"
+
+    def test_precision_flag_does_not_carry_over(self, capsys):
+        code, out, _ = run(["bench", "--n", "10", "--strategies", "binet",
+                            "--precision", "64", "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)[0]["precision"] == 64
+        assert self.precision(capsys) == cli.DEFAULT_PRECISION
+
+    def test_ids_do_not_carry_over(self, capsys):
+        code, out, _ = run(["verify", "EQ3", "--profile", "quick",
+                            "--format", "json"], capsys)
+        assert code == 0
+        assert [r["id"] for r in json.loads(out)] == ["EQ3"]
+        code, out, _ = run(["verify", "--profile", "quick",
+                            "--format", "json"], capsys)
+        assert code == 0
+        assert ([r["id"] for r in json.loads(out)]
+                == [record.id for record in registry()])
+        assert len(json.loads(out)) == 32
+
+    def test_rebound_handler_runs(self, capsys, monkeypatch):
+        assert run(["gf", "T", "3"], capsys)[:2] == (0, "0 1 1\n")
+        monkeypatch.setattr(cli, "cmd_gf", lambda args: cli.Value({}, 42))
+        assert run(["gf", "T", "3"], capsys)[:2] == (0, "42\n")
+
+    def test_build_parser_is_fresh(self, capsys):
+        tree = cli.build_parser()
+        assert tree is not cli.build_parser()
+        assert run(["term", "T", "7"], capsys)[:2] == (0, "24\n")
+        assert tree is not cli._shared_parser(cli._precision_default())
+        # a caller's change to its own tree does not reach main
+        tree.add_argument("--only-in-that-tree", required=True)
+        assert run(["term", "T", "7"], capsys)[:2] == (0, "24\n")
 
 
 class TestBigAnswers:
