@@ -10,14 +10,18 @@ class OpCounter:
     """Tallies of arbitrary-precision arithmetic operations.
 
     Evaluators that accept a counter credit it with the big-integer
-    additions/multiplications they actually perform (a doubling or a
-    small multiple counts as one addition); index bookkeeping on machine
-    ints is never counted.  `mat_muls` counts the products of a power
-    chain: whole 3x3 matrix products in `mat_pow`, each squaring and
-    each step by x or 1/x of the polynomial kernel behind `trib_fast`
-    and `lucas_fast`, and its read-out level; and each product of the
-    root powers in `binet_trib` and `binet_lucas`, where a product of
-    two arbitrary-precision numbers, real or complex, counts as one
+    additions/multiplications they actually perform (a doubling, a
+    small multiple or an exact division by a small int counts as one
+    addition); index bookkeeping on machine ints is never counted.  A
+    squaring of the polynomial kernel counts 6 big multiplications
+    below `matrices.FIVE_SQUARES_FROM` and 5 from there on; its
+    read-out counts one per square or product, 2 for T and 3 for K.
+    `mat_muls` counts the products of a power chain: whole 3x3 matrix
+    products in `mat_pow`, each squaring and each step by x or 1/x of
+    the polynomial kernel behind `trib_fast` and `lucas_fast`, and its
+    read-out level; and each product of the root powers in
+    `binet_trib` and `binet_lucas`, where a product of two
+    arbitrary-precision numbers, real or complex, counts as one
     multiplication.
     """
 

@@ -4,12 +4,14 @@ T(n), K(n), TM(n) and KM(n) are one third-order recurrence started from
 four seed triples (`KIND_SEEDS`; TM(0) = I), so every route to a term
 depends on the seeds alone: `walk` slides a window from them, and
 `kernel_term` powers x modulo x^3 - x^2 - x - 1 (Fiduccia, SIAM J.
-Comput. 14(1), 1985) in O(log |n|) squarings at any signed n.  A scalar
-term stops the chain at x**(n/2) and reads s(n) off one quadratic form
-in its coefficients; a matrix term reads s(n) = a*s(2) + b*s(1) +
-c*s(0) off x**n = a*x^2 + b*x + c.  The entries of TM(n) and KM(n) are
-shifted T and K terms, laid out in `_closed_form`; row 2, column 1
-(1-based) of TM(n) holds T(n).  `walk`, `mat_pow` (TM(1)**n by matrix
+Comput. 14(1), 1985) in O(log |n|) squarings at any signed n, each of
+six big squares, or of five (Toom-3; Bodrato and Zanoni, ISSAC 2007)
+once the coefficients are large.  A scalar term stops the chain at
+x**(n/2) and reads s(n) off one quadratic form in its coefficients, as
+weighted squares and products of linear forms; a matrix term reads
+s(n) = a*s(2) + b*s(1) + c*s(0) off x**n = a*x^2 + b*x + c.  The
+entries of TM(n) and KM(n) are shifted T and K terms, laid out in
+`_closed_form`; row 2, column 1 (1-based) of TM(n) holds T(n).  `walk`, `mat_pow` (TM(1)**n by matrix
 products) and KM(0) @ TM(n) are independent oracles, called by name.
 `decimal_term` runs the same kernel on decimal.Decimal, for answers
 that are only printed, from the index `decimal_route` gives.
@@ -221,64 +223,133 @@ def mat_pow(a: Mat3, e: int, counter: OpCounter | None = None) -> Mat3:
     return acc
 
 
+# Exponent from which a squaring of `_x_power` takes five big squares
+# instead of six: a squaring of x**e, e >= FIVE_SQUARES_FROM, evaluates
+# a*x^2 + b*x + c at five points and interpolates, which costs two exact
+# divisions and 13 more additions, so it wins only once squares
+# dominate.  Five squares against six at the squaring of x**e: the chain
+# to x**(2e) with the constant at e, less the same chain with none
+# (medians of 5, each best over 0.15 s, 0.6 s from e = 65536; 2 vCPUs,
+# CPython 3.11; BENCH_five_squares.json):
+#   e          int (us)    Decimal (us)
+#   512          +0.5         +1.0
+#   1024         +0.8         +0.6
+#   1536         +0.9         -0.4
+#   2048         +0.9         -2.1
+#   3072         +0.6         -7.2
+#   4096         -0.3        -16
+#   8192         -8.6        -76
+#   65536      -388         -251
+#   262144    -3943        -1565
+# A scalar on the decimal route (from n = 10^5) squares some x**e with e
+# in [2048, 4096), so the switch sits where Decimal starts to win.
+FIVE_SQUARES_FROM = 2048
+
+
 def _x_power(n: int, counter: OpCounter | None = None,
              one=1) -> tuple[int, int, int]:
     """(a, b, c) with x**n = a*x^2 + b*x + c modulo x^3 - x^2 - x - 1.
 
     Any signed n.  Left-to-right binary powering of x, or of
-    x**-1 = x^2 - x - 1 when n < 0.  A squaring costs 6 big
-    multiplications (a 3x3 matrix product costs 27); a step by x or
-    x**-1 costs only additions.  `kernel_term` reads a term off them.
+    x**-1 = x^2 - x - 1 when n < 0; a step by x or x**-1 costs only
+    additions.  A squaring of x**e costs 6 big multiplications (a 3x3
+    matrix product costs 27), or 5 from e = FIVE_SQUARES_FROM on: the
+    square of a*x^2 + b*x + c has five coefficients, interpolated from
+    its values at 0, 1, -1, 2 and infinity (Toom-3) with two exact
+    divisions, by 2 and by 6, whose remainders raise
+    DivisibilityViolation.  `kernel_term` reads a term off them.
 
-    Only `*`, `+` and `-` touch the coefficients, so they are of the
-    type of `one`, the unit: ints by default, or `decimal.Decimal` under
-    `EXACT` for `decimal_term`.
+    Only `*`, `+`, `-` and `divmod` touch the coefficients, so they are
+    of the type of `one`, the unit: ints by default, or
+    `decimal.Decimal` under `EXACT` for `decimal_term`.
 
     The counter gets one mat_muls per squaring or step of the chain,
-    the 6 multiplications of each squaring, and every addition or
-    subtraction.
+    the 6 or 5 multiplications of each squaring, and every addition,
+    subtraction, small multiple or exact division.
     """
     zero = one - one
     if n == 0:
         return zero, zero, one
     a, b, c = (zero, one, zero) if n > 0 else (one, -one, -one)
-    squarings = steps = 0
-    for bit in bin(abs(n))[3:]:  # bits below the most significant one
-        # (a x^2 + b x + c)^2 reduced by x^3 = x^2 + x + 1 and
-        # x^4 = 2x^2 + 2x + 1, each cross term 2uv taken as
-        # (u + v)^2 - u^2 - v^2: CPython squares faster than it
-        # multiplies.  Each square is folded in as soon as it is made,
-        # so few big temporaries are alive at once
-        p = a + b
-        p *= p
-        q = a + c
-        q *= q
-        r = b + c
-        r *= r
-        c *= c
-        q += p
-        q -= c  # x^2: (a+b)^2 + (a+c)^2 - c^2
-        r += p
-        r -= c
-        p += c
-        a *= a
-        r += a
-        b *= b
-        p -= b  # 1: (a+b)^2 - b^2 + c^2
-        r -= b
-        r -= b  # x: a^2 + (a+b)^2 + (b+c)^2 - 2b^2 - c^2
-        a, b, c = q, r, p
-        squarings += 1
+    bits = bin(abs(n))[3:]  # bits below the most significant one
+    five_from = FIVE_SQUARES_FROM
+    e = 1  # x**e is squared next
+    for bit in bits:
+        if e < five_from:
+            # (a x^2 + b x + c)^2 reduced by x^3 = x^2 + x + 1 and
+            # x^4 = 2x^2 + 2x + 1, each cross term 2uv taken as
+            # (u + v)^2 - u^2 - v^2: CPython squares faster than it
+            # multiplies.  Each square is folded in as soon as it is
+            # made, so few big temporaries are alive at once
+            p = a + b
+            p *= p
+            q = a + c
+            q *= q
+            r = b + c
+            r *= r
+            c *= c
+            q += p
+            q -= c  # x^2: (a+b)^2 + (a+c)^2 - c^2
+            r += p
+            r -= c
+            p += c
+            a *= a
+            r += a
+            b *= b
+            p -= b  # 1: (a+b)^2 - b^2 + c^2
+            r -= b
+            r -= b  # x: a^2 + (a+b)^2 + (b+c)^2 - 2b^2 - c^2
+            a, b, c = q, r, p
+        else:
+            # The square r4 x^4 + r3 x^3 + r2 x^2 + r1 x + r0 from its
+            # values at 0, 1, -1, 2 and infinity, P(t) = a t^2 + b t + c:
+            # r0 = c^2, r4 = a^2, (P(1)^2 - P(-1)^2)/2 = r1 + r3 and
+            # P(2)^2 = r0 + 2 r1 + 4 r2 + 8 r3 + 16 r4, folded into
+            # a' = r2 + r3 + 2 r4, b' = r1 + r3 + 2 r4, c' = r0 + r3 + r4
+            p = a + c
+            q = p - b  # P(-1)
+            p += b  # P(1)
+            t = 2 * (p + a) - c  # P(2) = 4a + 2b + c
+            p *= p
+            q *= q
+            q = p - q
+            q, rem2 = divmod(q, 2)  # r1 + r3
+            p -= q  # r0 + r2 + r4
+            a *= a
+            c *= c
+            p -= c
+            p -= a  # r2
+            t *= t
+            t -= c
+            t -= 16 * a
+            t -= 4 * p
+            t -= 2 * q
+            t, rem6 = divmod(t, 6)  # r3
+            if rem2 or rem6:
+                raise DivisibilityViolation(
+                    f"a squaring on the way to x**{n} does not "
+                    f"interpolate exactly")
+            p += t
+            t += a
+            a += a
+            p += a  # x^2
+            b = q + a  # x
+            c += t  # 1
+            a = p
+        e += e
         if bit == "1":
-            steps += 1
+            e += 1
             if n > 0:
                 a, b, c = a + b, a + c, a
             else:
                 a, b, c = c, a - c, b - c
     if counter is not None:
+        fives = max((abs(n) // five_from).bit_length() - 1, 0)
+        squarings, steps = len(bits), bits.count("1")
         counter.mat_muls += squarings + steps
-        counter.big_muls += 6 * squarings
-        counter.big_adds += 12 * squarings + (2 if n > 0 else 3) * steps
+        counter.big_muls += 6 * squarings - fives
+        counter.big_adds += (12 * squarings + 13 * fives
+                             + (2 if n > 0 else 3) * steps)
     return a, b, c
 
 
@@ -288,8 +359,9 @@ def _x_power(n: int, counter: OpCounter | None = None,
 # to build
 @lru_cache(maxsize=64)
 def _square_forms(seeds: tuple[int, int, int], f: int):
-    """(d, forms): d*s(2k + f) is the sum of w*(l . p)**2 over (w, *l)
-    in forms, p = (c, b, a) the coefficients of x**k, any k.
+    """(d, forms): d*s(2k + f) is the sum of w*(l . p)*(m . p) over
+    (w, *l, m) in forms, p = (c, b, a) the coefficients of x**k, any k;
+    m is None for a square (m = l).
 
     s(2k + f) = s(k + k + f) = sum of p_i*p_j*s(i + j + f) over i, j in
     {0, 1, 2}: a quadratic form whose matrix H holds the terms
@@ -297,8 +369,11 @@ def _square_forms(seeds: tuple[int, int, int], f: int):
     it into squares: for an integer vector u with h = u.H.u != 0 (a unit
     vector, or the sum of two when the diagonal of H is zero),
     h*(p.H.p) = (u.H.p)**2 + p.H'.p with H' = h*H - (H u)(H u)^T of rank
-    one less.  Every weight and coefficient is an integer, and d is the
-    product of the pivots h, reduced with the weights by their gcd.
+    one less.  Two squares of opposite weights are then one product,
+    w*(l . p)**2 - w*(m . p)**2 = w*((l - m) . p)*((l + m) . p), one big
+    multiplication instead of two.  Every weight and coefficient is an
+    integer, and d is the product of the pivots h, reduced with the
+    weights by their gcd.
     """
     h = [[walk(seeds, i + j + f) for j in range(3)] for i in range(3)]
     d, forms = 1, []
@@ -319,10 +394,24 @@ def _square_forms(seeds: tuple[int, int, int], f: int):
         g = gcd(*line)
         forms.append((g * g, [x // g for x in line]))
         d *= pivot
-    g = gcd(d, *(w for w, _ in forms))
+    terms = []
+    while forms:
+        w, l = forms.pop(0)
+        j = next((j for j, (v, _) in enumerate(forms) if v == -w), None)
+        if j is None:
+            terms.append((w, l, None))
+            continue
+        m = forms.pop(j)[1]
+        # the lines are independent, so neither factor is zero
+        lo = [x - y for x, y in zip(l, m)]
+        hi = [x + y for x, y in zip(l, m)]
+        g_lo, g_hi = gcd(*lo), gcd(*hi)
+        terms.append((w * g_lo * g_hi, [x // g_lo for x in lo],
+                      tuple(x // g_hi for x in hi)))
+    g = gcd(d, *(w for w, _, _ in terms))
     if d < 0:
         g = -g
-    return d // g, tuple((w // g, *line) for w, line in forms)
+    return d // g, tuple((w // g, *l, m) for w, l, m in terms)
 
 
 def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
@@ -334,14 +423,15 @@ def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
     top: with n = 2k + f, or -2k + f when n < 0, and f in {-1, 0, 1},
     x**(+-k) has coefficients p = (c, b, a), and s(n) is the quadratic
     form sum of p_i*p_j*s(i + j + f), which `_square_forms` writes as
-    three weighted squares over one exact division.  So the top level
-    costs 3 big squarings instead of 6; each square is folded into the
-    total as soon as it is made, and the total is of the size of the
-    answer.  For T with f = 0, T(2k) = (2a + b + c)**2 - (a + c)**2 +
-    a**2.
+    weighted squares and products of linear forms over one exact
+    division.  So the top level costs 3 big multiplications instead of
+    6, and 2 for T, whose forms pair two opposite squares into one
+    product at every f; each is folded into the total as soon as it is
+    made, and the total is of the size of the answer.  For T with
+    f = 0, T(2k) = (a + b)*(3a + b + 2c) + a**2.
 
     `counter` and `one` go to `_x_power`; the read-out counts as one
-    more mat_muls, and its squares as big_muls.
+    more mat_muls, and its squares and products as big_muls.
     """
     if isinstance(seeds[0], Mat3):
         # laid out entry by entry, so the coefficients may be Decimals
@@ -354,21 +444,30 @@ def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
     a, b, c = _x_power(k, counter, one)
     d, forms = _square_forms(seeds, f)
     total = one - one
-    for w, l0, l1, l2 in forms:
+    for w, l0, l1, l2, m in forms:
         v = l0 * c + l1 * b + l2 * a
-        v *= v
+        if m is None:
+            v *= v
+        else:
+            m0, m1, m2 = m
+            v *= m0 * c + m1 * b + m2 * a
         v *= w
         total += v
-    value, remainder = divmod(total, d)
-    if remainder:
-        raise DivisibilityViolation(
-            f"{d} does not divide the read-out of s({n}) from seeds {seeds}")
+    if d == 1:  # T's forms: no division, nothing to check
+        value = total
+    else:
+        value, remainder = divmod(total, d)
+        if remainder:
+            raise DivisibilityViolation(
+                f"{d} does not divide the read-out of s({n}) from seeds "
+                f"{seeds}")
     if counter is not None:
         counter.mat_muls += 1
         counter.big_muls += len(forms)
-        # per square: 3 small multiples, 2 additions, the weight and
-        # the fold; then the division
-        counter.big_adds += 7 * len(forms) + 1
+        # per linear form: 3 small multiples and 2 additions; per square
+        # or product: the weight and the fold; then any division
+        lines = sum(1 + (m is not None) for *_, m in forms)
+        counter.big_adds += 5 * lines + 2 * len(forms) + (d != 1)
     return value
 
 
@@ -382,22 +481,26 @@ def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
 # -2 * the crossover, since backwards the terms grow only like
 # sqrt(1.839...)**|n|, and T(-2m) has as many digits as T(m).  A scalar
 # answer prints one term, a matrix answer nine, so text overtakes the
-# arithmetic at a smaller index there.  Best of 5 in each of 3
-# interpreters, both routes with the read-out of `kernel_term` (2 vCPUs,
-# CPython 3.11; the matrix row best of 150 in one interpreter;
-# BENCH_terms_readout.json and BENCH_sums_output.json have the split
-# between kernel and text):
+# arithmetic at a smaller index there.  Medians of 3 rounds in one
+# interpreter, each best of 5 (20 below 10^5, 150 for TM and KM at 1500
+# and 2*10^3), both routes with five squares a squaring and the
+# read-out of `kernel_term` (2 vCPUs, CPython 3.11;
+# BENCH_five_squares.json):
 #   n         int kernel + to_decimal   Decimal kernel + str
-#   T 10^4           0.17 ms                  0.26 ms
-#   T 3*10^4         1.5                      2.2
-#   T 7*10^4         5.8                      6.4
-#   T 10^5           7.0                      5.4
-#   T 3*10^5        39                       20
-#   T 10^6         173                       47
-#   T -10^5          3.6                      3.8
-#   T -2*10^5        7.0                      5.4
-#   T -10^6         64                       22
-#   TM, KM 2*10^3    0.08                     0.07
+#   T 10^4           0.15 ms                  0.16 ms
+#   T 3*10^4         0.98                     1.12
+#   T 7*10^4         3.7                      3.4
+#   T 10^5           5.0                      3.5
+#   T 3*10^5        24                       11
+#   T 10^6         113                       30
+#   T -10^5          2.0                      1.8
+#   T -2*10^5        5.0                      3.4
+#   T -10^6         45                       14
+#   TM 1500          0.025                    0.028
+#   TM, KM 2*10^3    0.038                    0.034
+# From 4*10^4 to 7*10^4 the two routes are within 10% of each other (T a
+# little cheaper on Decimal, K on int; medians of 7), so any crossover
+# in [7*10^4, 10^5] fits, and it stays at 10^5.
 DECIMAL_CROSSOVER = 10**5
 MATRIX_DECIMAL_CROSSOVER = 2 * 10**3
 
@@ -467,12 +570,13 @@ def k_matrix(n: int) -> Mat3:
 def trib_fast(n: int, counter: OpCounter | None = None) -> int:
     """T(n) by `kernel_term` on the T seeds, any signed n.
 
-    O(log |n|) squarings of 6 big multiplications each, and 3 at the
-    top.
+    O(log |n|) squarings of 6 big multiplications each, 5 from x**2048
+    on (`FIVE_SQUARES_FROM`), and at the top one product and one square.
     """
     return kernel_term(SEEDS[SequenceKind.TRIBONACCI], n, counter)
 
 
 def lucas_fast(n: int, counter: OpCounter | None = None) -> int:
-    """K(n) by `kernel_term` on the K seeds, any signed n."""
+    """K(n) by `kernel_term` on the K seeds, any signed n: the squarings
+    of `trib_fast`, and three squares at the top."""
     return kernel_term(SEEDS[SequenceKind.TRIBONACCI_LUCAS], n, counter)

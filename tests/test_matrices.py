@@ -1,8 +1,12 @@
+import __future__
 import copy
 import dataclasses
 import decimal
+import functools
+import inspect
 import math
 import pickle
+import textwrap
 
 import pytest
 from hypothesis import given
@@ -15,8 +19,9 @@ from tribkit import (DivisibilityViolation, IDENTITY, K_MAT_SEEDS, Mat3,
                      to_decimal, trib, trib_fast)
 from tribkit.core import SEEDS, walk
 from tribkit.bench import STRATEGIES
-from tribkit.matrices import (DECIMAL_CROSSOVER, KIND_SEEDS, decimal_form,
-                              decimal_term, kernel_term, term_reader)
+from tribkit.matrices import (DECIMAL_CROSSOVER, FIVE_SQUARES_FROM,
+                              KIND_SEEDS, decimal_form, decimal_term,
+                              kernel_term, term_reader)
 
 TM = MatrixKind.TRIB_MATRIX
 KM = MatrixKind.LUCAS_MATRIX
@@ -286,14 +291,23 @@ def test_trib_fast_matches_iteration(t_cache):
 
 
 def test_trib_fast_multiplication_bound():
-    for n in (5, 10, 149, 1000, 65536, 10**6, -5, -1000, -10**5):
-        counter = OpCounter()
-        trib_fast(n, counter)
-        assert counter.mat_muls <= 2 * math.ceil(math.log2(abs(n))) + 2
-        assert counter.big_adds < 1000  # no O(|n|) walk at either sign
-        # 6 squares a squaring up to x**(n/2), then the 3 of the read-out
-        squarings = (abs(n) // 2).bit_length() - 1
-        assert counter.big_muls == 6 * squarings + 3
+    # T's read-out pairs two opposite squares into one product; K's is
+    # three squares
+    for run, read_out in ((trib_fast, 2), (lucas_fast, 3)):
+        for n in (5, 10, 149, 1000, 8191, 8192, 65536, 10**6, -5, -1000,
+                  -10**5):
+            counter = OpCounter()
+            run(n, counter)
+            assert counter.mat_muls <= 2 * math.ceil(math.log2(abs(n))) + 2
+            assert counter.big_adds < 1000  # no O(|n|) walk at either sign
+            # a squaring of x**e up to x**(n/2): 6 squares, or 5 from
+            # e = FIVE_SQUARES_FROM on; then the read-out
+            k = abs(n) // 2
+            squarings = k.bit_length() - 1
+            fives = sum(k >> s >= FIVE_SQUARES_FROM
+                        for s in range(1, squarings + 1))
+            assert counter.big_muls == \
+                6 * (squarings - fives) + 5 * fives + read_out, (run, n)
 
 
 def test_lucas_fast_matches_iteration(k_cache):
@@ -419,12 +433,43 @@ def test_read_out_matches_mat_pow(n):
         to_decimal(k)
 
 
+def form_terms(forms):
+    """The read-out's terms as (w, l, m), m = l for a square."""
+    return [(w, tuple(l), tuple(l) if m is None else m)
+            for w, *l, m in forms]
+
+
+def form_value(forms, p):
+    """Sum of w*(l . p)*(m . p) over the read-out's terms."""
+    return sum(w * sum(x * y for x, y in zip(l, p))
+               * sum(x * y for x, y in zip(m, p))
+               for w, l, m in form_terms(forms))
+
+
+def form_lines(forms):
+    """The distinct linear forms of the read-out's terms."""
+    lines = []
+    for _, l, m in form_terms(forms):
+        lines += [l] if m == l else [l, m]
+    return lines
+
+
+def det3(rows):
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 @pytest.mark.parametrize("f", [-1, 0, 1])
 @pytest.mark.parametrize("kind", SequenceKind)
 def test_read_out_weight_off_by_one_fails(kind, f, monkeypatch):
     forms_of = matrices._square_forms
     d, forms = forms_of(SEEDS[kind], f)
-    assert len(forms) == 3  # the form has rank 3
+    lines = form_lines(forms)
+    assert len(lines) == 3 and det3(lines) != 0  # the form has rank 3
+    # T's read-out is one product and one square, K's three squares
+    products = sum(m is not None for *_, m in forms)
+    assert (products, len(forms)) == (
+        (1, 2) if kind is SequenceKind.TRIBONACCI else (0, 3))
     for i in range(len(forms)):
         skewed = list(forms)
         skewed[i] = (forms[i][0] + 1, *forms[i][1:])
@@ -443,21 +488,22 @@ def test_read_out_weight_off_by_one_fails(kind, f, monkeypatch):
 
 
 def test_square_forms_are_derived_from_the_seeds():
-    # d*s(2k + f) = sum of w*(l . p)**2 for every p, here on a grid; the
-    # form of (1, -1, 1) at f = 0 has a zero diagonal after one square
+    # d*s(2k + f) = sum of w*(l . p)*(m . p) for every p, here on a grid;
+    # the form of (1, -1, 1) at f = 0 has a zero diagonal after one square
     for seeds in (SEEDS[SequenceKind.TRIBONACCI],
                   SEEDS[SequenceKind.TRIBONACCI_LUCAS], (0, 0, 0),
                   (0, 0, 1), (5, -3, 2), (1, -1, 1)):
         for f in (-1, 0, 1):
             d, forms = matrices._square_forms(seeds, f)
             assert d > 0
+            for w, *l, m in forms:
+                # a square is one line; a product two different ones
+                assert m is None or (m != tuple(l) and any(l) and any(m))
             for p in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -3, 5),
                       (-7, 1, 4)):
                 quadratic = sum(p[i] * p[j] * walk(seeds, i + j + f)
                                 for i in range(3) for j in range(3))
-                squares = sum(w * sum(x * y for x, y in zip(line, p)) ** 2
-                              for w, *line in forms)
-                assert d * quadratic == squares, (seeds, f, p)
+                assert d * quadratic == form_value(forms, p), (seeds, f, p)
         for n in range(-30, 31):
             assert kernel_term(seeds, n) == walk(seeds, n), (seeds, n)
 
@@ -473,3 +519,136 @@ def test_bench_strategies_return_int(n):
 def test_fast_terms_stay_int_past_the_crossover(n):
     assert type(trib_fast(n)) is int
     assert type(lucas_fast(n)) is int
+
+
+@functools.lru_cache(maxsize=None)
+def tm_power(n):
+    """TM(1)**n by matrix products, shared by the five-square tests."""
+    return tm_pow(n)
+
+
+def tm_of(abc):
+    """a*TM(2) + b*TM(1) + c*I: the matrix of x**n = a*x^2 + b*x + c.
+    TM(2), TM(1) and I are independent, so it fixes (a, b, c)."""
+    a, b, c = (int(x) for x in abc)
+    return a * T_MAT_SEEDS[2] + b * T_MAT_SEEDS[1] + c * IDENTITY
+
+
+def x_power_on(unit, n, counter=None):
+    if unit == "int":
+        return matrices._x_power(n, counter)
+    with decimal.localcontext(matrices.EXACT):
+        abc = matrices._x_power(n, counter, decimal.Decimal(1))
+    assert {type(x) for x in abc} == {decimal.Decimal}
+    return abc
+
+
+def mutated_x_power(monkeypatch, old, new):
+    """`_x_power` compiled from its own source with `old` replaced by
+    `new`, patched into the module; returns the copy's globals."""
+    source = textwrap.dedent(inspect.getsource(matrices._x_power))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(matrices))
+    exec(compile(source.replace(old, new), matrices.__file__, "exec",
+                 __future__.annotations.compiler_flag), namespace)
+    monkeypatch.setattr(matrices, "_x_power", namespace["_x_power"])
+    return namespace
+
+
+class TestFiveSquares:
+    """A squaring of x**e takes five big squares (Toom-3: values at 0, 1,
+    -1, 2 and infinity, two exact divisions) from e = FIVE_SQUARES_FROM
+    on, six below; both steps give the same (a, b, c) on both units."""
+
+    SIGNED = range(-1000, 1001)
+
+    @pytest.fixture(params=[1, 10**12], ids=["all-five", "all-six"])
+    def switch(self, request, monkeypatch):
+        monkeypatch.setattr(matrices, "FIVE_SQUARES_FROM", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("unit", ["int", "Decimal"])
+    def test_x_power_matches_matrix_powers(self, switch, unit):
+        for n in self.SIGNED:
+            counter = OpCounter()
+            assert tm_of(x_power_on(unit, n, counter)) == tm_power(n), n
+            squarings = abs(n).bit_length() - 1 if n else 0
+            per_squaring = 5 if switch == 1 else 6
+            assert counter.big_muls == per_squaring * squarings, n
+
+    @pytest.mark.parametrize("unit", ["int", "Decimal"])
+    def test_kernel_term_matches_oracles(self, switch, unit, t_cache,
+                                         k_cache):
+        scalars = {SequenceKind.TRIBONACCI: t_cache.get,
+                   SequenceKind.TRIBONACCI_LUCAS: k_cache.get}
+        matrices_of = {TM: tm_power,
+                       KM: lambda n: mat_mul(K_MAT_SEEDS[0], tm_power(n))}
+        for kind, oracle in {**scalars, **matrices_of}.items():
+            for n in self.SIGNED:
+                if unit == "int":
+                    value = kernel_term(KIND_SEEDS[kind][0], n)
+                    assert value == oracle(n), (kind, n)
+                else:
+                    value = decimal_term(kind, n)
+                    assert decimal_form(value) == \
+                        decimal_form(oracle(n)), (kind, n)
+        for n in (-30, -1, 0, 1, 30):
+            assert t_cache.get(n) == walk(SEEDS[SequenceKind.TRIBONACCI], n)
+            assert tm_power(n) == walk(T_MAT_SEEDS, n)
+
+    @pytest.mark.parametrize("unit", ["int", "Decimal"])
+    def test_switch_point(self, unit):
+        # x**(2e) and x**(2e + 1) square x**e last: six squares at
+        # e = C - 1, five at e = C and C + 1
+        C = FIVE_SQUARES_FROM
+        for e in (C - 1, C, C + 1):
+            for n in (2 * e, 2 * e + 1, -2 * e, -2 * e - 1):
+                counter = OpCounter()
+                abc = x_power_on(unit, n, counter)
+                assert tm_of(abc) == tm_power(n), n
+                squarings = abs(n).bit_length() - 1
+                assert counter.big_muls == 6 * squarings - (e >= C), n
+            # and the read-out one level above: s(4e + f) squares x**e
+            # last on the way to x**(2e) or x**(2e + 1)
+            for n in (4 * e, 4 * e + 3, -4 * e, -4 * e - 3):
+                for kind in SequenceKind:
+                    seeds = SEEDS[kind]
+                    expected = walk(seeds, n)
+                    if unit == "int":
+                        assert kernel_term(seeds, n) == expected, (kind, n)
+                    else:
+                        assert decimal_form(decimal_term(kind, n)) == \
+                            to_decimal(expected), (kind, n)
+                assert tm_power(n).entry(1, 0) == \
+                    walk(SEEDS[SequenceKind.TRIBONACCI], n)
+
+    # each mutation of the five-square step must show at exactly the
+    # indices whose chain takes one: k = |n| // 2 >= 2C, x**(k >> 1)
+    # being the last square
+    @pytest.mark.parametrize("old,new,outcome", [
+        # the evaluation point 2 moved to 3: P(3) = 9a + 3b + c
+        ("t = 2 * (p + a) - c", "t = 3 * (p + 2 * a) - 2 * c", "either"),
+        # P(2)**2 perturbed: off by 1 it is no multiple of 6 ...
+        ("t *= t", "t = t * t + 1", "raises"),
+        # ... off by 6, r3 is off by one
+        ("t *= t", "t = t * t + 6", "wrong"),
+    ], ids=["point-3", "square-plus-1", "square-plus-6"])
+    @pytest.mark.parametrize("kind", SequenceKind)
+    def test_mutation_fails_exactly_where_used(self, kind, old, new, outcome,
+                                               monkeypatch):
+        C = 64
+        mutated_x_power(monkeypatch, old, new)["FIVE_SQUARES_FROM"] = C
+        seeds = SEEDS[kind]
+        raised, wrong = set(), set()
+        for n in self.SIGNED:
+            try:
+                if kernel_term(seeds, n) != walk(seeds, n):
+                    wrong.add(n)
+            except DivisibilityViolation:
+                raised.add(n)
+        expected = {n for n in self.SIGNED if abs(n) // 2 >= 2 * C}
+        assert raised | wrong == expected
+        if outcome == "raises":
+            assert raised == expected
+        elif outcome == "wrong":
+            assert wrong == expected
