@@ -232,15 +232,15 @@ def mat_pow(a: Mat3, e: int, counter: OpCounter | None = None) -> Mat3:
 # (medians of 5, each best over 0.15 s, 0.6 s from e = 65536; 2 vCPUs,
 # CPython 3.11; BENCH_five_squares.json):
 #   e          int (us)    Decimal (us)
-#   512          +0.5         +1.0
-#   1024         +0.8         +0.6
-#   1536         +0.9         -0.4
+#   512          +0.6         +1.0
+#   1024         +0.8         +0.7
+#   1536         +1.0         -0.5
 #   2048         +0.9         -2.1
-#   3072         +0.6         -7.2
+#   3072         +0.6         -7.4
 #   4096         -0.3        -16
-#   8192         -8.6        -76
-#   65536      -388         -251
-#   262144    -3943        -1565
+#   8192         -8.5        -76
+#   65536      -391         -243
+#   262144    -4095        -1737
 # A scalar on the decimal route (from n = 10^5) squares some x**e with e
 # in [2048, 4096), so the switch sits where Decimal starts to win.
 FIVE_SQUARES_FROM = 2048
@@ -438,9 +438,12 @@ def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
         a, b, c = _x_power(n, counter, one)
         return Mat3(tuple(a * x2 + b * x1 + c * x0 for x0, x1, x2 in zip(
             seeds[0].entries, seeds[1].entries, seeds[2].entries)))
-    k, f = divmod(abs(n), 2)
-    if n < 0:
-        k, f = -k, -f
+    # n = 2k + f by shifts, cheaper than divmod(abs(n), 2) at the small
+    # indices most calls have
+    if n >= 0:
+        k, f = n >> 1, n & 1
+    else:
+        k, f = -(-n >> 1), -(-n & 1)
     a, b, c = _x_power(k, counter, one)
     d, forms = _square_forms(seeds, f)
     total = one - one
@@ -487,17 +490,17 @@ def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
 # read-out of `kernel_term` (2 vCPUs, CPython 3.11;
 # BENCH_five_squares.json):
 #   n         int kernel + to_decimal   Decimal kernel + str
-#   T 10^4           0.15 ms                  0.16 ms
-#   T 3*10^4         0.98                     1.12
-#   T 7*10^4         3.7                      3.4
-#   T 10^5           5.0                      3.5
-#   T 3*10^5        24                       11
-#   T 10^6         113                       30
-#   T -10^5          2.0                      1.8
-#   T -2*10^5        5.0                      3.4
-#   T -10^6         45                       14
-#   TM 1500          0.025                    0.028
-#   TM, KM 2*10^3    0.038                    0.034
+#   T 10^4           0.12 ms                  0.15 ms
+#   T 3*10^4         0.98                     1.14
+#   T 7*10^4         3.8                      3.7
+#   T 10^5           5.7                      3.8
+#   T 3*10^5        28                       13
+#   T 10^6         133                       35
+#   T -10^5          2.3                      2.2
+#   T -2*10^5        6.0                      4.0
+#   T -10^6         51                       16
+#   TM 1500          0.029                    0.030
+#   TM, KM 2*10^3    0.041                    0.036
 # From 4*10^4 to 7*10^4 the two routes are within 10% of each other (T a
 # little cheaper on Decimal, K on int; medians of 7), so any crossover
 # in [7*10^4, 10^5] fits, and it stays at 10^5.
