@@ -456,7 +456,7 @@ def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
             v *= m0 * c + m1 * b + m2 * a
         v *= w
         total += v
-    if d == 1:  # T's forms: no division, nothing to check
+    if d == 1:  # T's forms, and K's at f = 1: nothing to divide or check
         value = total
     else:
         value, remainder = divmod(total, d)
