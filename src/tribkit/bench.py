@@ -58,7 +58,8 @@ def run_bench(kind: SequenceKind, ns: list[int], strategies: list[str],
     counter, and the values of those same runs must agree
     (StrategyMismatch otherwise).  No untimed warm-up precedes them, so
     a strategy's first run at an index is the one reported.  Process
-    startup never lands inside the timed region.
+    startup never lands inside the timed region, nor does the import of
+    mpmath, which Binet evaluation loads on its first run.
     """
     unknown = [s for s in strategies if s not in STRATEGIES]
     if unknown:
@@ -67,6 +68,8 @@ def run_bench(kind: SequenceKind, ns: list[int], strategies: list[str],
         raise ValueError("no strategies selected")
     if not ns:
         raise ValueError("no indices selected")
+    if "binet" in strategies:
+        import mpmath  # noqa: F401 -- loaded here, before the first timer
     results = []
     for n in ns:
         values = {}

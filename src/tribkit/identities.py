@@ -1,16 +1,17 @@
 """Registry of machine-checkable identities and the grid verifier.
 
 Every identity relating T, K, TM and KM that is not already embodied by
-an operation elsewhere (Binet evaluation, generating functions, the
-summation closed form) lives here as an IdentityRecord: a stable id, the
-formula itself as the anchor, a Shape (index names, declared domain and
-grid), and an evaluator returning the two sides.  A formula's evaluator
-is its anchor's own text, compiled once per process with `^` read as a
-call of the registry's power reader; its only names are its indices and
-the registry's readers T, K, TM and KM, so the formula a report prints
-is the formula that was checked.  Verification sweeps a profile-sized
-grid and demands exact equality at every point -- integer identities get
-no tolerance.
+an operation elsewhere (Binet evaluation, generating functions) lives
+here as an IdentityRecord: a stable id, the formula itself as the
+anchor, a Shape (index names, declared domain and grid), and an
+evaluator returning the two sides.  A formula's evaluator is its
+anchor's own text, compiled once per process with `^` read as a call of
+the registry's power reader and `/` as exact division over the
+rationals (`_quotient`); its only names are its indices and the
+registry's readers T, K, TM and KM, and S_T, S_K, S_TM and S_KM, the
+direct strided sums, so the formula a report prints is the formula that
+was checked.  Verification sweeps a profile-sized grid and demands
+exact equality at every point -- integer identities get no tolerance.
 
 A registry memoises powers: its reader keeps the latest power of each
 matrix base and steps it by one product when the exponent grows by one,
@@ -46,9 +47,9 @@ from types import CodeType
 from typing import Callable, Iterator
 
 from .core import SequenceKind, TermCache
-from .errors import UnknownIdentity
-from .matrices import KIND_SEEDS, MatrixKind, decimal_form, term_reader
-from .series import SumSpec, partial_sum, running_bruteforce
+from .errors import DivisibilityViolation, UnknownIdentity
+from .matrices import KIND_SEEDS, Mat3, decimal_form, term_reader
+from .series import running_bruteforce
 
 
 class Profile(Enum):
@@ -224,25 +225,31 @@ FORMULAS = (
     ("THM20c", "TM(n-r)*TM(n+r) = TM(n)^2 = TM(2)^n", NR),
     ("THMFINALa", "KM(n-r)*KM(n+r) = KM(n)^2", NR),
     ("THMFINALb", "KM(n)^m = KM(0)^m * TM(m*n)", MN),
-)
+) + tuple(  # S_X(m, j, n): the sum of X(m*i + j) for 0 <= i < n
+    (id, f"S_{x}(m, j, n) = ({x}(m*n+j+m) + {x}(m*n+j-m) + (1-K(m))*{x}(m*n+j)"
+         f" - {x}(j+m) - {x}(j-m) - (1-K(m))*{x}(j)) / (K(m) - K(-m))", SUM)
+    for id, x in (("SUMTHMa", "TM"), ("SUMTHMb", "KM"), ("SUMCORa", "T"),
+                  ("SUMCORb", "K")))
 
-READERS = frozenset(kind.value for kind in KIND_SEEDS)  # T, K, TM, KM
+READERS = frozenset(name for kind in KIND_SEEDS  # T, K, TM, KM, S_T, ...
+                    for name in (kind.value, f"S_{kind.value}"))
 
 
 @functools.cache
 def _compile(id: str, anchor: str, indices: str) -> CodeType:
     """`lambda <indices>: (left, right)` from the anchor's own text.
 
-    `^` is a call `_pow(base, e)` of the registry's power reader; a side
-    that `_one_form` finds one affine form f of is `_memo(key, f,
-    lambda: side)`; a chain A = B = C yields ((A, B), (B, C)), B
-    evaluated once.  Cached, so an anchor is compiled once per process.
+    `^` is a call `_pow(base, e)` of the registry's power reader, `/` a
+    call `_div(a, d)` of `_quotient`; a side that `_one_form` finds one
+    affine form f of is `_memo(key, f, lambda: side)`; a chain A = B = C
+    yields ((A, B), (B, C)), B evaluated once.  Cached, so an anchor is
+    compiled once per process.
     """
     sides = anchor.replace("^", "**").split(" = ")
     if len(sides) not in (2, 3):
         raise ValueError(f"{id}: an anchor has two or three sides")
     # the sides' own names are checked before the chain binds `_mid`,
-    # a side becomes `_memo(...)` and `^` becomes `_pow`
+    # a side becomes `_memo(...)`, `^` becomes `_pow` and `/` `_div`
     code = compile(f"lambda {indices}: ({', '.join(sides)})", f"<{id}>",
                    "eval")
     names = indices.split(", ")
@@ -257,8 +264,8 @@ def _compile(id: str, anchor: str, indices: str) -> CodeType:
             sides[i] = f"_memo({f'{id}.{i}'!r}, {form}, lambda: {side})"
     body = (", ".join(sides) if len(sides) == 2
             else "({}, (_mid := {})), (_mid, {})".format(*sides))
-    tree = _PowerCalls().visit(ast.parse(f"lambda {indices}: ({body})",
-                                         mode="eval"))
+    tree = _ReaderCalls().visit(ast.parse(f"lambda {indices}: ({body})",
+                                          mode="eval"))
     return compile(ast.fix_missing_locations(tree), f"<{id}>", "eval")
 
 
@@ -319,15 +326,34 @@ def _affine(node: ast.expr, indices: list[str]) -> tuple[int, ...] | None:
     return None
 
 
-class _PowerCalls(ast.NodeTransformer):
-    """Rewrites every `base ** e` into `_pow(base, e)`."""
+class _ReaderCalls(ast.NodeTransformer):
+    """Rewrites every `base ** e` into `_pow(base, e)` and every `a / d`
+    into `_div(a, d)`."""
 
     def visit_BinOp(self, node: ast.BinOp) -> ast.expr:
         self.generic_visit(node)
-        if not isinstance(node.op, ast.Pow):
+        name = {ast.Pow: "_pow", ast.Div: "_div"}.get(type(node.op))
+        if name is None:
             return node
-        return ast.Call(ast.Name("_pow", ast.Load()), [node.left, node.right],
+        return ast.Call(ast.Name(name, ast.Load()), [node.left, node.right],
                         [])
+
+
+def _quotient(numerator, divisor: int):
+    """numerator / divisor over the rationals, entrywise for a Mat3: an
+    int where the divisor divides, else a `fractions.Fraction`, imported
+    only then, which equals no int; never a float."""
+    if isinstance(numerator, Mat3):
+        try:
+            return numerator.div_exact(divisor)
+        except DivisibilityViolation:
+            return Mat3(tuple(_quotient(x, divisor)
+                              for x in numerator.entries))
+    q, r = divmod(numerator, divisor)
+    if not r:
+        return q
+    from fractions import Fraction
+    return Fraction(numerator, divisor)
 
 
 def _power_reader() -> Callable[[object, int], object]:
@@ -380,44 +406,26 @@ def registry() -> list[IdentityRecord]:
     term caches, so returned registries are independent of each other
     and safe to use concurrently.  A registry reads each kind through
     one memoised reader, both sides of the sum records too, so each
-    TM(n) and KM(n) is built once; the closed forms read their divisor
-    K(m) - K(-m) through the K reader, so each K(+-m) is built once; the
-    direct sums keep a running total (`series.running_bruteforce`), one
-    term per step up the n axis.
+    TM(n) and KM(n) is built once, and each K(+-m) of a closed form's
+    divisor too; S_<kind> keeps a running total of its kind's reads
+    (`series.running_bruteforce`), one term per step up the n axis.
     Each registry binds its anchors' `^` to its own power reader
     (`_power_reader`) and their one-form sides to its own memo
     (`_form_memo`), so no registry sees another's powers or sides.
-    The sum records' anchors are prose, so they keep their evaluator.
     """
     caches = {kind: TermCache(kind) for kind in SequenceKind}
     readers = {kind.value: functools.cache(term_reader(kind, caches[scalar]))
                for kind, (_, scalar) in KIND_SEEDS.items()}
+    sums = {f"S_{kind.value}": running_bruteforce(kind, readers[kind.value])
+            for kind in KIND_SEEDS}
     # the anchors' only names: no builtins
     namespace = {"__builtins__": {}, "_pow": _power_reader(),
-                 "_memo": _form_memo()} | readers
-
-    def sum_record(id: str, kind) -> IdentityRecord:
-        term, k_term = readers[kind.value], readers["K"]
-        oracle = running_bruteforce(kind, term)
-
-        def evaluate(m, j, n):
-            return (partial_sum(SumSpec(kind, m, j, n), term, k_term),
-                    oracle(m, j, n))
-        return IdentityRecord(
-            id, "sum_{i=0}^{n-1} " f"{kind.value}(m*i+j) equals its closed "
-                "form over K(m) - K(-m)",
-            SUM, evaluate)
-
+                 "_memo": _form_memo(), "_div": _quotient} | readers | sums
     return [
         IdentityRecord(id, anchor, shape,
                        eval(_compile(id, anchor, shape.indices), namespace),
                        *note)
         for id, anchor, shape, *note in FORMULAS
-    ] + [
-        sum_record("SUMTHMa", MatrixKind.TRIB_MATRIX),
-        sum_record("SUMTHMb", MatrixKind.LUCAS_MATRIX),
-        sum_record("SUMCORa", SequenceKind.TRIBONACCI),
-        sum_record("SUMCORb", SequenceKind.TRIBONACCI_LUCAS),
     ]
 
 

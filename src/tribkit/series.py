@@ -96,37 +96,26 @@ class SumSpec:
         return self.m * self.n + self.j
 
 
-def partial_sum(spec: SumSpec, term: Callable | None = None,
-                k_term: Callable | None = None, one=1):
+def partial_sum(spec: SumSpec, one=1):
     """Closed-form value of the sum described by `spec`.
 
     The sum is (u(m*n + j) - u(j)) / (K(m) - K(-m)) with
     u(i) = s(i + m) + s(i - m) + (1 - K(m))*s(i), s the terms of
-    `spec.kind`.  Handed `term` (n -> the term of `spec.kind`), it
-    reads u's six boundary terms through it.  Else u, which obeys the
-    recurrence of s, is one kernel read-out from its own seeds
-    (`_u_seeds`) at the top index m*n + j, with a unit of `one`
-    (`decimal_sum`), so memory follows the answer, not the top index.
-    The divisor is read by `k_term` (n -> K(n); by default
-    `lucas_fast`).  The division is exact by theorem: a remainder raises
+    `spec.kind`.  u obeys the recurrence of s, so u(m*n + j) is one
+    kernel read-out from u's own seeds (`_u_seeds`) at the top index,
+    with a unit of `one` (`decimal_sum`), and memory follows the answer,
+    not the top index.  The divisor is read by `lucas_fast`.  The
+    division is exact by theorem: a remainder raises
     DivisibilityViolation (a bug, not bad input), and a zero divisor,
     impossible for m >= 1, raises DegenerateDenominator.
     """
     m, j, n = spec.m, spec.j, spec.n
-    if k_term is None:
-        k_term = lucas_fast
-    k_m = k_term(m)
-    divisor = k_m - k_term(-m)
+    k_m = lucas_fast(m)
+    divisor = k_m - lucas_fast(-m)
     if divisor == 0:
         raise DegenerateDenominator(f"K({m}) - K({-m}) = 0")
-    w = 1 - k_m
-    top = spec.top
-    if term is None:
-        u = _u_seeds(KIND_SEEDS[spec.kind][0], m, w)
-        numerator = kernel_term(u, top, one=one) - kernel_term(u, j)
-    else:
-        numerator = (term(top + m) + term(top - m) + w * term(top)
-                     - term(m + j) - term(j - m) - w * term(j))
+    u = _u_seeds(KIND_SEEDS[spec.kind][0], m, 1 - k_m)
+    numerator = kernel_term(u, spec.top, one=one) - kernel_term(u, j)
     if isinstance(numerator, Mat3):
         return numerator.div_exact(divisor)
     q, r = divmod(numerator, divisor)
@@ -172,16 +161,13 @@ class _SlidingWindow:
         return window[k - self._lo]
 
 
-def partial_sum_bruteforce(spec: SumSpec, term: Callable | None = None):
+def partial_sum_bruteforce(spec: SumSpec):
     """Direct n-term summation; the oracle the closed form is tested against.
 
-    `term` reads n -> the term of `spec.kind`.  By default a window of
-    scalar terms slides up to the top index m*(n-1) + j, so memory stays
-    of the order of the answer.
+    A window of scalar terms slides up to the top index m*(n-1) + j, so
+    memory stays of the order of the answer.
     """
-    if term is None:
-        term = term_reader(spec.kind,
-                           _SlidingWindow(KIND_SEEDS[spec.kind][1]))
+    term = term_reader(spec.kind, _SlidingWindow(KIND_SEEDS[spec.kind][1]))
     return running_bruteforce(spec.kind, term)(spec.m, spec.j, spec.n)
 
 

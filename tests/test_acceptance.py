@@ -130,26 +130,22 @@ def test_criterion_5_binet_recovery():
 def test_criterion_6_summation_closed_forms():
     t_cache = TermCache(T)
     k_cache = TermCache(K)
-    caches = {T: t_cache, K: k_cache, TM: t_cache, KM: k_cache}
     checked = 0
-    for kind, cache in caches.items():
+    for kind in (T, K, TM, KM):
         for m in range(1, 11):
             for j in range(m):
                 for n in range(1, 41):
                     spec = SumSpec(kind, m, j, n)
-                    term = term_reader(kind, cache)
-                    assert partial_sum(spec, term) == \
-                        partial_sum_bruteforce(spec, term), spec
+                    assert partial_sum(spec) == \
+                        partial_sum_bruteforce(spec), spec
                     checked += 1
     for n in range(1, 101):
         t_num = t_cache.get(n + 2) - t_cache.get(n) - 1
         assert t_num % 2 == 0
-        assert partial_sum(SumSpec(T, 1, 0, n),
-                           term_reader(T, t_cache)) == t_num // 2
+        assert partial_sum(SumSpec(T, 1, 0, n)) == t_num // 2
         k_num = k_cache.get(n + 2) - k_cache.get(n)
         assert k_num % 2 == 0
-        assert partial_sum(SumSpec(K, 1, 0, n),
-                           term_reader(K, k_cache)) == k_num // 2
+        assert partial_sum(SumSpec(K, 1, 0, n)) == k_num // 2
     _passed(6, f"{checked} closed-form sums matched brute force; "
                "specializations hold on [1, 100]; zero divisibility "
                "violations")

@@ -3,16 +3,18 @@ import functools
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from tribkit import (IDENTITY, GridBounds, MatrixKind, PROFILE_BOUNDS,
-                     Profile, SequenceKind, SumSpec, TermCache,
+from tribkit import (IDENTITY, GridBounds, Mat3, MatrixKind, PROFILE_BOUNDS,
+                     Profile, SequenceKind, SumSpec, T_MAT_SEEDS, TermCache,
                      UnknownIdentity, format_report_table,
                      VerifyReport, lucas_trib, partial_sum_bruteforce,
-                     registry, report_to_dict, t_matrix, term_reader, trib,
+                     registry, report_to_dict, t_matrix, trib,
                      verify, verify_all, verify_record)
 from tribkit import identities, matrices
+from tribkit.core import walk
 from tribkit.identities import Failure
 
 EXPECTED_IDS = {
@@ -135,6 +137,7 @@ class TestAnchors:
         "abs(T(n))", "T(m)", "TM(n).entries", "(x := T(n))",
         "[T(k) for k in (n,)]", "__import__('os')", "_mid", "_mid = T(n)",
         "_pow(T(n), 2)", "_memo('EQ3.1', n, lambda: T(n))",
+        "_div(T(n), 1)",
     ])
     def test_anchor_naming_anything_else_refused(self, side, monkeypatch):
         _with_anchor(monkeypatch, "EQ3", f"T(n) = {side}")
@@ -444,11 +447,10 @@ class TestVerify:
                 report.identity_id
 
 
-# identity id -> (kind summed, scalar sequence its terms come from, unit)
+# identity id -> the kind it sums
 SUM_RECORDS = {
-    "SUMTHMa": (MatrixKind.TRIB_MATRIX, SequenceKind.TRIBONACCI, IDENTITY),
-    "SUMCORb": (SequenceKind.TRIBONACCI_LUCAS,
-                SequenceKind.TRIBONACCI_LUCAS, 1),
+    "SUMTHMa": MatrixKind.TRIB_MATRIX,
+    "SUMCORb": SequenceKind.TRIBONACCI_LUCAS,
 }
 
 
@@ -461,7 +463,7 @@ class TestSumOracle:
 
     @pytest.mark.parametrize("identity_id", sorted(SUM_RECORDS))
     def test_call_order_does_not_matter(self, identity_id, monkeypatch):
-        kind, scalar, _ = SUM_RECORDS[identity_id]
+        kind = SUM_RECORDS[identity_id]
         quick = PROFILE_BOUNDS[Profile.QUICK]
         points = list(_sum_record(identity_id).shape.grid(quick))
         shuffled = random.Random(20180101).sample(points, len(points))
@@ -469,8 +471,7 @@ class TestSumOracle:
         uneven_n = (1, 2, 2, 4, 5, 3, 4, 4, 7, 6, 10, 1)
         uneven = [(m, j, n) for m, j in sorted({p[:2] for p in points})
                   for n in uneven_n]
-        fresh = term_reader(kind, TermCache(scalar))
-        expected = {p: partial_sum_bruteforce(SumSpec(kind, *p), fresh)
+        expected = {p: partial_sum_bruteforce(SumSpec(kind, *p))
                     for p in points}
         reads = 0
         real_oracle = identities.running_bruteforce
@@ -483,7 +484,7 @@ class TestSumOracle:
             return real_oracle(kind, counted)
 
         # only the oracle's reads, through the reader it is handed, are
-        # counted; the closed form reads that reader too, six terms a case
+        # counted; the closed form reads the reader itself, six terms a case
         monkeypatch.setattr(identities, "running_bruteforce", counting_oracle)
         for order in (shuffled, uneven):
             reads = 0
@@ -496,27 +497,6 @@ class TestSumOracle:
             assert reads == order[0][2] + sum(
                 n - prev[2] if prev[:2] == (m, j) and prev[2] <= n else n
                 for prev, (m, j, n) in zip(order, order[1:]))
-
-    @pytest.mark.parametrize("identity_id", sorted(SUM_RECORDS))
-    def test_negative_control_one_wrong_point(self, identity_id,
-                                              monkeypatch):
-        kind, scalar, unit = SUM_RECORDS[identity_id]
-        real = identities.partial_sum
-        bad = (3, 1, 7)
-
-        def skewed(spec, term=None, k_term=None):
-            value = real(spec, term, k_term)
-            if (spec.m, spec.j, spec.n) == bad:
-                value = value + unit
-            return value
-
-        monkeypatch.setattr(identities, "partial_sum", skewed)
-        report = verify_record(_sum_record(identity_id),
-                               PROFILE_BOUNDS[Profile.QUICK])
-        right = partial_sum_bruteforce(SumSpec(kind, *bad),
-                                       term_reader(kind, TermCache(scalar)))
-        assert report.cases == 55 * 10
-        assert report.failures == (Failure(bad, right + unit, right),)
 
     def test_cache_reads_linear_in_n(self, monkeypatch):
         # 3300 cases; re-summing from i = 0 at every n reads 602 250 terms
@@ -535,6 +515,127 @@ class TestSumOracle:
         assert report.cases == 3300
         assert reads < 200_000
 
+
+# identity id -> (kind summed, i -> its term by `trib`, `lucas_trib` or a
+# walk from its seed matrices, none of them the registry's readers)
+COMPILED_SUMS = {
+    "SUMCORa": (SequenceKind.TRIBONACCI, trib),
+    "SUMTHMa": (MatrixKind.TRIB_MATRIX, lambda i: walk(T_MAT_SEEDS, i)),
+}
+
+MUTATIONS = {
+    # the closed form without its - s(j-m)
+    "drop-s(j-m)": lambda anchor, kind: anchor.replace(f" - {kind.value}(j-m)",
+                                                     ""),
+    # the divisor read at K(m+1)
+    "divisor-at-m+1": lambda anchor, kind: anchor.replace(
+        "/ (K(m) - K(-m))", "/ (K(m+1) - K(-m-1))"),
+}
+
+
+def _rational(value, divisor):
+    """value / divisor as Fractions, entrywise for a Mat3."""
+    if isinstance(value, Mat3):
+        return Mat3(tuple(Fraction(x, divisor) for x in value.entries))
+    return Fraction(value, divisor)
+
+
+def _mutated(term, mutation, m, j, n):
+    """The mutated closed form at (m, j, n), evaluated over Fractions."""
+    top, w = m * n + j, 1 - lucas_trib(m)
+    numerator = (term(top + m) + term(top - m) + w * term(top)
+                 - term(j + m) - w * term(j))
+    if mutation != "drop-s(j-m)":
+        numerator = numerator - term(j - m)
+    d = m + 1 if mutation == "divisor-at-m+1" else m
+    return _rational(numerator, lucas_trib(d) - lucas_trib(-d))
+
+
+def _entries(value):
+    return value.entries if isinstance(value, Mat3) else (value,)
+
+
+class TestCompiledSums:
+    """A sum record's closed form is its anchor, `/` an exact division
+    over the rationals."""
+
+    # Quick sweeps 550 cases; s(j-m) = 0 at j - m in {-1, -4} for T, and
+    # the sum is 0 only at T(0), j = 0, n = 1; no TM term is zero
+    @pytest.mark.parametrize("identity_id,mutation,failed", [
+        ("SUMCORa", "drop-s(j-m)", 380),
+        ("SUMCORa", "divisor-at-m+1", 540),
+        ("SUMTHMa", "drop-s(j-m)", 550),
+        ("SUMTHMa", "divisor-at-m+1", 550),
+    ])
+    def test_negative_control_mutated_closed_form(self, identity_id,
+                                                  mutation, failed,
+                                                  monkeypatch):
+        kind, term = COMPILED_SUMS[identity_id]
+        anchor = next(a for id, a, *_ in identities.FORMULAS
+                      if id == identity_id)
+        changed = MUTATIONS[mutation](anchor, kind)
+        assert changed != anchor
+        _with_anchor(monkeypatch, identity_id, changed)
+        record = next(r for r in registry() if r.id == identity_id)
+        report = verify_record(record, PROFILE_BOUNDS[Profile.QUICK])
+        assert report.cases == 550
+        expected = []
+        for m, j, n in record.shape.grid(PROFILE_BOUNDS[Profile.QUICK]):
+            left = sum((term(m * i + j) for i in range(1, n)), term(j))
+            right = _mutated(term, mutation, m, j, n)
+            if left != right:
+                expected.append(Failure((m, j, n), left, right))
+        assert report.failures == tuple(expected)
+        assert len(expected) == failed
+        # an integral quotient is an int, any other a Fraction
+        for failure in report.failures:
+            assert all(type(x) is (int if x == int(x) else Fraction)
+                       for x in _entries(failure.right)), failure
+
+    def test_quotient_is_exact(self):
+        quotient = identities._quotient
+        assert type(quotient(-12, 4)) is int and quotient(-12, 4) == -3
+        assert type(quotient(7, -2)) is Fraction
+        assert quotient(7, -2) == Fraction(-7, 2)
+        assert quotient(Mat3((2, 4, 6, 8, 10, 12, 14, 16, 18)), 2) == \
+            Mat3((1, 2, 3, 4, 5, 6, 7, 8, 9))
+        mixed = quotient(Mat3((2, 3, 0, 0, 0, 0, 0, 0, 4)), 2)
+        assert [type(x) for x in mixed.entries] == \
+            [int, Fraction] + [int] * 7
+        assert mixed.entries[:2] == (1, Fraction(3, 2))
+
+    def test_sum_sides_never_floats(self):
+        for record in registry():
+            if record.shape.indices != "m, j, n":
+                continue
+            for point in record.shape.grid(PROFILE_BOUNDS[Profile.QUICK]):
+                left, right = record.evaluate(*point)
+                assert left == right
+                assert all(type(x) is int
+                           for x in _entries(left) + _entries(right))
+
+    def test_sum_sides_unmemoised(self):
+        sums = [(id, anchor) for id, anchor, shape, *_ in identities.FORMULAS
+                if shape.indices == "m, j, n"]
+        assert [id for id, _ in sums] == \
+            ["SUMTHMa", "SUMTHMb", "SUMCORa", "SUMCORb"]
+        for id, anchor in sums:
+            left, right = anchor.split(" = ")
+            assert left.startswith("S_"), id
+            for side in (left, right):
+                assert identities._one_form(side, ["m", "j", "n"]) is None
+
+    def test_fraction_failure_reported_as_ratio(self):
+        half = Fraction(7, 2)
+        report = VerifyReport("X", "x = y / 2", "n in [0, 0]", 2,
+                              (Failure((0,), 3, half),
+                               Failure((1,), IDENTITY,
+                                       Mat3((half,) + (0,) * 8))), 0.0)
+        payload = report_to_dict(report)
+        assert payload["failures"][0]["right"] == "7/2"
+        assert payload["failures"][1]["right"] == \
+            [["7/2", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]
+        json.dumps(payload)
 
 
 class TestReports:

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -130,16 +131,14 @@ class TestPartialSums:
         assert partial_sum_bruteforce(spec) == (
             T_MAT_SEEDS[0] + T_MAT_SEEDS[1] + T_MAT_SEEDS[2])
 
-    def test_closed_form_matches_bruteforce_small_grid(self, t_cache, k_cache):
-        caches = {T: t_cache, K: k_cache, TM: t_cache, KM: k_cache}
-        for kind, cache in caches.items():
+    def test_closed_form_matches_bruteforce_small_grid(self):
+        for kind in (T, K, TM, KM):
             for m in range(1, 7):
                 for j in range(m):
                     for n in range(1, 13):
                         spec = SumSpec(kind, m, j, n)
-                        term = term_reader(kind, cache)
-                        assert partial_sum(spec, term) == \
-                            partial_sum_bruteforce(spec, term), spec
+                        assert partial_sum(spec) == \
+                            partial_sum_bruteforce(spec), spec
 
     @given(m=st.integers(1, 10), j=st.integers(0, 9), n=st.integers(1, 40),
            kind=st.sampled_from([T, K, TM, KM]))
@@ -152,12 +151,10 @@ class TestPartialSums:
         for n in range(1, 101):
             t_num = t_cache.get(n + 2) - t_cache.get(n) - 1
             assert t_num % 2 == 0
-            assert partial_sum(SumSpec(T, 1, 0, n),
-                               term_reader(T, t_cache)) == t_num // 2
+            assert partial_sum(SumSpec(T, 1, 0, n)) == t_num // 2
             k_num = k_cache.get(n + 2) - k_cache.get(n)
             assert k_num % 2 == 0
-            assert partial_sum(SumSpec(K, 1, 0, n),
-                               term_reader(K, k_cache)) == k_num // 2
+            assert partial_sum(SumSpec(K, 1, 0, n)) == k_num // 2
 
     def test_wrong_cache_kind_rejected(self, t_cache, k_cache):
         # a cache turns into terms in term_reader alone, which checks it
@@ -184,8 +181,8 @@ class TestPartialSums:
 
 
 class TestOneChain:
-    """With no term reader, `partial_sum` reads its numerator u(top) - u(j)
-    off one kernel chain over u's own seeds."""
+    """`partial_sum` reads its numerator u(top) - u(j) off one kernel
+    chain over u's own seeds."""
 
     @pytest.mark.parametrize("kind", [T, K, TM, KM], ids=lambda k: k.value)
     def test_matches_bruteforce(self, kind):
@@ -199,14 +196,26 @@ class TestOneChain:
     @pytest.mark.parametrize("kind", [T, K, TM, KM], ids=lambda k: k.value)
     def test_matches_six_readers_at_powers_of_two(self, kind):
         # the top index m*n + j at 2^k - 1 and 2^k + 1, both parities of
-        # the read-out and a last chain step either way
+        # the read-out and a last chain step either way; the reference
+        # reads u's six boundary terms off the sequence's own seeds
         seeds = KIND_SEEDS[kind][0]
+
+        def s(i):
+            return kernel_term(seeds, i)
+
         for k in range(2, 18):
             for top in (2**k - 1, 2**k + 1):
                 m = 1 + k % 5
-                spec = SumSpec(kind, m, top % m, top // m)
-                assert partial_sum(spec) == partial_sum(
-                    spec, lambda n: kernel_term(seeds, n)), spec
+                j = top % m
+                w = 1 - lucas_fast(m)
+                numerator = (s(top + m) + s(top - m) + w * s(top)
+                             - s(j + m) - s(j - m) - w * s(j))
+                divisor = lucas_fast(m) - lucas_fast(-m)
+                expected = (numerator.div_exact(divisor)
+                            if isinstance(numerator, Mat3)
+                            else numerator // divisor)
+                assert partial_sum(SumSpec(kind, m, j, top // m)) == \
+                    expected, (m, top)
 
     @pytest.mark.parametrize("kind", [T, K, TM, KM], ids=lambda k: k.value)
     def test_one_chain_reaches_the_top(self, kind, monkeypatch):
@@ -267,49 +276,41 @@ class TestGuards:
 
 
 class TestDivisorReader:
-    """`partial_sum` reads K(m) and K(-m) through the K reader it is
-    handed, or `lucas_fast` when it is handed none."""
+    """`partial_sum` reads K(m) and K(-m) by `lucas_fast`; the registry's
+    sum records never call it."""
 
     @pytest.mark.parametrize("kind", [T, K, TM, KM], ids=lambda k: k.value)
-    def test_injected_reader_agrees_with_default(self, kind, k_cache):
-        k_term = term_reader(K, k_cache)
-        for m in range(1, 11):
-            for j in range(m):
-                for n in range(1, 6):
-                    spec = SumSpec(kind, m, j, n)
-                    assert partial_sum(spec, None, k_term) == \
-                        partial_sum(spec), spec
-
-    @pytest.mark.parametrize("kind", [T, K, TM, KM], ids=lambda k: k.value)
-    def test_reader_off_by_one_at_minus_m_raises(self, kind):
-        # K(-m) one too small makes the divisor K(m) - K(-m) one too large;
-        # only an injected reader that is really read can cause the raise
-        def off_by_one(n):
-            return lucas_fast(n) - (n == -3)
-
+    def test_reader_off_by_one_at_minus_m_raises(self, kind, monkeypatch):
+        # K(-m) one too small makes the divisor K(m) - K(-m) one too large
+        import tribkit.series as series
+        monkeypatch.setattr(series, "lucas_fast",
+                            lambda n, counter=None: lucas_fast(n) - (n == -3))
         with pytest.raises(DivisibilityViolation):
-            partial_sum(SumSpec(kind, 3, 1, 4), None, off_by_one)
-        assert partial_sum(SumSpec(kind, 3, 1, 4), None, lucas_fast) == \
-            partial_sum_bruteforce(SumSpec(kind, 3, 1, 4))
+            series.partial_sum(SumSpec(kind, 3, 1, 4))
 
     def test_registry_sums_never_call_lucas_fast(self, monkeypatch):
+        import tribkit.matrices as matrices
         import tribkit.series as series
-        calls = 0
-        real = series.lucas_fast
+        real_sum = series.partial_sum
+        calls = Counter()
 
-        def counting(n, counter=None):
-            nonlocal calls
-            calls += 1
-            return real(n, counter)
+        def counting(name, real):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(series, "lucas_fast", counting)
+        for module, name in ((series, "partial_sum"), (series, "lucas_fast"),
+                             (matrices, "lucas_fast")):
+            monkeypatch.setattr(module, name,
+                                counting(name, getattr(module, name)))
         sums = [r for r in registry() if r.id.startswith("SUM")]
         reports = [verify_record(r, PROFILE_BOUNDS[Profile.STANDARD])
                    for r in sums]
         assert len(reports) == 4
         assert all(report.passed for report in reports)
         assert sum(report.cases for report in reports) == 4 * 55 * 30
-        assert calls == 0
-        # the same patch does see a call made without a K reader
-        partial_sum(SumSpec(T, 1, 0, 1))
-        assert calls == 2
+        assert calls == {}
+        # the same patch does see the calls of `partial_sum`
+        real_sum(SumSpec(T, 1, 0, 1))
+        assert calls == {"lucas_fast": 2}

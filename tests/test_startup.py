@@ -98,3 +98,19 @@ def test_cli_import_binds_binet_functions():
         "print(json.dumps([n for n in ('compute_roots', 'binet_trib', "
         "'binet_lucas') if callable(getattr(binet, n, None))]))")
     assert names == ["compute_roots", "binet_trib", "binet_lucas"]
+
+
+def test_bench_times_no_mpmath_import():
+    # every timer call of a binet run finds mpmath loaded already
+    loaded = fresh(
+        "import json, sys, tribkit.bench as bench\n"
+        "from tribkit import SequenceKind\n"
+        "real, seen = bench.time.perf_counter, []\n"
+        "def timer():\n"
+        "    seen.append('mpmath' in sys.modules)\n"
+        "    return real()\n"
+        "bench.time.perf_counter = timer\n"
+        "bench.run_bench(SequenceKind.TRIBONACCI, [5], ['binet', 'iterate'])\n"
+        "bench.time.perf_counter = real\n"
+        "print(json.dumps(seen))")
+    assert loaded == [True] * 4
