@@ -10,11 +10,10 @@ each format; `emit` writes the one asked for, a listing item by item.
 An answer past the index `decimal_route` gives is computed on
 decimal.Decimal, so it is already decimal text.
 
-`main` parses with a tree built once per process for each value of
-TRIBKIT_PRECISION (the default of `--precision`, and the only input to
-the tree that can change while a process runs), so a later in-process
-call pays only for `parse_args`; it runs `cmd_<command>` as bound in
-this module when it is called.  `build_parser()` returns a fresh tree.
+`main` parses with one tree per process, so a later in-process call
+pays only for `parse_args`; it runs `cmd_<command>` as bound in this
+module when it is called.  `build_parser()` returns a fresh tree.  Only
+a run that evaluates Binet reads TRIBKIT_PRECISION.
 """
 
 from __future__ import annotations
@@ -208,22 +207,12 @@ def _bits(text: str) -> int:
         return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"{text!r} is not a number of bits "
-            "(check --precision and TRIBKIT_PRECISION)") from None
-
-
-def _precision_default():
-    # argparse runs a string default through `type` as well
-    return os.environ.get("TRIBKIT_PRECISION", DEFAULT_PRECISION)
+            f"{text!r} is not a number of bits") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
     """A fresh argument tree; what a caller does to it never reaches
     `main`."""
-    return _build_parser(_precision_default())
-
-
-def _build_parser(precision_default) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tribkit",
         description="Exact Tribonacci / Tribonacci-Lucas computation, "
@@ -236,7 +225,6 @@ def _build_parser(precision_default) -> argparse.ArgumentParser:
                        default="plain", help="output format")
         if precision:
             p.add_argument("--precision", type=_bits,
-                           default=precision_default,
                            help="working precision in bits (default: "
                                 f"TRIBKIT_PRECISION or {DEFAULT_PRECISION})")
         return p
@@ -278,9 +266,21 @@ def _build_parser(precision_default) -> argparse.ArgumentParser:
     return parser
 
 
-# main's trees, keyed by the default of --precision; bounded, as an
-# embedder may set TRIBKIT_PRECISION to any number of values
-_shared_parser = functools.lru_cache(maxsize=8)(_build_parser)
+# main's tree, one per process
+_shared_parser = functools.cache(build_parser)
+
+
+def _precision(args, strategies) -> int:
+    """--precision, else TRIBKIT_PRECISION if Binet runs, else the default."""
+    if args.precision is not None:
+        return args.precision
+    text = os.environ.get("TRIBKIT_PRECISION")
+    if text is None or "binet" not in strategies:
+        return DEFAULT_PRECISION
+    try:
+        return _bits(text)
+    except argparse.ArgumentTypeError as exc:
+        _shared_parser().error(f"TRIBKIT_PRECISION: {exc}")
 
 
 def cmd_term(args) -> Output:
@@ -288,7 +288,8 @@ def cmd_term(args) -> Output:
     if args.strategy == "matpow" and decimal_route(kind, args.n):
         value = decimal_term(kind, args.n)
     else:
-        value = STRATEGIES[args.strategy](kind, args.n, args.precision, None)
+        value = STRATEGIES[args.strategy](
+            kind, args.n, _precision(args, [args.strategy]), None)
     return Value({"kind": args.kind, "n": args.n,
                   "strategy": args.strategy}, value)
 
@@ -344,7 +345,8 @@ def cmd_bench(args) -> Output:
         raise ValueError(f"--n takes comma-separated integers, "
                          f"got {args.n!r}") from None
     strategies = [part for part in args.strategies.split(",") if part]
-    results = run_bench(KINDS[args.kind], ns, strategies, args.precision)
+    results = run_bench(KINDS[args.kind], ns, strategies,
+                        _precision(args, strategies))
     return BenchRows([dict(zip(_BENCH_FIELDS, (
         r.strategy, args.kind, r.n, round(r.elapsed_s * 1000, 3),
         r.big_adds, r.big_muls, r.mat_muls, r.precision)))
@@ -352,7 +354,7 @@ def cmd_bench(args) -> Output:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _shared_parser(_precision_default()).parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         # looked up per call, so a rebound cmd_* is the one that runs
         out = globals()["cmd_" + args.command](args)

@@ -92,7 +92,8 @@ EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
 
 
 def to_decimal(value) -> str:
-    """Decimal text of an int of any size, or of an integral Decimal.
+    """Decimal text of an int of any size, of an integral Decimal, or of
+    a non-integral Fraction as n/d.
 
     str() serves ints within the interpreter's int-to-str digit limit,
     and Decimals: the decimal route keeps them at exponent 0, so str()
@@ -107,6 +108,8 @@ def to_decimal(value) -> str:
         return str(value) if value else "0"
     except ValueError:
         pass
+    if not isinstance(value, int):  # a Fraction: each term past the limit
+        return f"{to_decimal(value.numerator)}/{to_decimal(value.denominator)}"
     powers: dict[int, decimal.Decimal] = {}
 
     def build(x: int, bits: int) -> decimal.Decimal:

@@ -3,15 +3,17 @@
 Every identity relating T, K, TM and KM that is not already embodied by
 an operation elsewhere (Binet evaluation, generating functions) lives
 here as an IdentityRecord: a stable id, the formula itself as the
-anchor, a Shape (index names, declared domain and grid), and an
+anchor, a Shape (index names, declared domain and sweep), and an
 evaluator returning the two sides.  A formula's evaluator is its
 anchor's own text, compiled once per process with `^` read as a call of
 the registry's power reader and `/` as exact division over the
 rationals (`_quotient`); its only names are its indices and the
 registry's readers T, K, TM and KM, and S_T, S_K, S_TM and S_KM, the
 direct strided sums, so the formula a report prints is the formula that
-was checked.  Verification sweeps a profile-sized grid and demands
-exact equality at every point -- integer identities get no tolerance.
+was checked.  Verification sweeps a profile-sized grid, whose points
+and bounds text come from one call of the shape's sweep, and demands
+exact equality at every point -- integer identities get no tolerance;
+a quotient by zero equals no side, so it fails its points.
 
 A registry memoises powers: its reader keeps the latest power of each
 matrix base and steps it by one product when the exponent grows by one,
@@ -24,13 +26,13 @@ A registry memoises a side that reads one form: when every reader
 argument of a side is one affine form f of two or more indices plus a
 constant, as the right sides of THM18c-e and COR19c-e read only m+n,
 the side is evaluated once per value of f, keyed by (record id and
-side, f).  Its memo holds one entry per value of f that the sweeps
-meet: 121 on Deep, against 3721 grid points.  A side keyed by the
-whole grid point is not memoised: one record's sweep meets each point
-once, so its memo would never hit, and one shared between records
-would hold an entry per point, of memory the sweep otherwise frees.
-Bare reads are memoised by the readers, and `^` sides continued by
-the power reader.
+side, its first reader argument, whose value f determines).  Its memo
+holds one entry per value of f that the sweeps meet: 121 on Deep,
+against 3721 grid points.  A side keyed by the whole grid point is not
+memoised: one record's sweep meets each point once, so its memo would
+never hit, and one shared between records would hold an entry per
+point, of memory the sweep otherwise frees.  Bare reads are memoised by
+the readers, and `^` sides continued by the power reader.
 
 A chain X = Y = Z evaluates each side once, to ((X, Y), (Y, Z)),
 compared slotwise, so a failure in either leg surfaces.
@@ -46,7 +48,7 @@ from enum import Enum
 from types import CodeType
 from typing import Callable, Iterator
 
-from .core import SequenceKind, TermCache
+from .core import SequenceKind, TermCache, to_decimal
 from .errors import DivisibilityViolation, UnknownIdentity
 from .matrices import KIND_SEEDS, Mat3, decimal_form, term_reader
 from .series import running_bruteforce
@@ -98,70 +100,49 @@ class VerifyReport:
 # grid shapes --------------------------------------------------------------
 
 def _signed(bounds: GridBounds):
-    return ((n,) for n in range(-bounds.signed, bounds.signed + 1))
-
-
-def _signed_desc(bounds: GridBounds) -> str:
-    return f"n in [{-bounds.signed}, {bounds.signed}]"
+    s = bounds.signed
+    return f"n in [{-s}, {s}]", ((n,) for n in range(-s, s + 1))
 
 
 def _nonneg(bounds: GridBounds):
-    return ((n,) for n in range(bounds.signed + 1))
-
-
-def _nonneg_desc(bounds: GridBounds) -> str:
-    return f"n in [0, {bounds.signed}]"
+    s = bounds.signed
+    return f"n in [0, {s}]", ((n,) for n in range(s + 1))
 
 
 def _pair(bounds: GridBounds):
-    hi = bounds.pair + 1
-    return ((m, n) for m in range(hi) for n in range(hi))
-
-
-def _pair_desc(bounds: GridBounds) -> str:
-    return f"(m, n) in [0, {bounds.pair}]^2"
+    p = bounds.pair
+    return (f"(m, n) in [0, {p}]^2",
+            ((m, n) for m in range(p + 1) for n in range(p + 1)))
 
 
 def _nr(bounds: GridBounds):
-    return ((n, r) for n in range(bounds.pair + 1) for r in range(n + 1))
+    p = bounds.pair
+    return (f"(n, r) with 0 <= r <= n <= {p}",
+            ((n, r) for n in range(p + 1) for r in range(n + 1)))
 
 
-def _nr_desc(bounds: GridBounds) -> str:
-    return f"(n, r) with 0 <= r <= n <= {bounds.pair}"
-
-
-def _sum_m_hi(bounds: GridBounds) -> int:
-    """The largest stride m a sum grid sweeps."""
-    return min(10, bounds.pair)
-
-
-def _sum_grid(bounds: GridBounds):
-    return ((m, j, n)
-            for m in range(1, _sum_m_hi(bounds) + 1)
-            for j in range(m)
-            for n in range(1, bounds.pair + 1))
-
-
-def _sum_desc(bounds: GridBounds) -> str:
-    return (f"(m, j, n) with 1 <= m <= {_sum_m_hi(bounds)}, 0 <= j < m, "
-            f"1 <= n <= {bounds.pair}")
+def _sum(bounds: GridBounds):
+    p, m_hi = bounds.pair, min(10, bounds.pair)  # strides up to 10
+    return (f"(m, j, n) with 1 <= m <= {m_hi}, 0 <= j < m, 1 <= n <= {p}",
+            ((m, j, n) for m in range(1, m_hi + 1) for j in range(m)
+             for n in range(1, p + 1)))
 
 
 @dataclass(frozen=True)
 class Shape:
-    """A record's index names, as its anchor writes them, domain and grid."""
+    """A record's index names, as its anchor writes them, domain and
+    sweep: bounds -> (their description, the grid's points)."""
 
     indices: str
     domain: str
-    grid: Callable[[GridBounds], Iterator[tuple[int, ...]]]
-    describe: Callable[[GridBounds], str]
+    sweep: Callable[[GridBounds], tuple[str, Iterator[tuple[int, ...]]]]
 
 
-N_ALL = Shape("n", "all integers n", _signed, _signed_desc)
-N_NONNEG = Shape("n", "n >= 0", _nonneg, _nonneg_desc)
-MN = Shape("m, n", "m, n >= 0", _pair, _pair_desc)
-NR = Shape("n, r", "n >= r >= 0", _nr, _nr_desc)
-SUM = Shape("m, j, n", "m > j >= 0, n >= 1", _sum_grid, _sum_desc)
+N_ALL = Shape("n", "all integers n", _signed)
+N_NONNEG = Shape("n", "n >= 0", _nonneg)
+MN = Shape("m, n", "m, n >= 0", _pair)
+NR = Shape("n, r", "n >= r >= 0", _nr)
+SUM = Shape("m, j, n", "m > j >= 0, n >= 1", _sum)
 
 
 @dataclass(frozen=True)
@@ -241,9 +222,9 @@ def _compile(id: str, anchor: str, indices: str) -> CodeType:
 
     `^` is a call `_pow(base, e)` of the registry's power reader, `/` a
     call `_div(a, d)` of `_quotient`; a side that `_one_form` finds one
-    affine form f of is `_memo(key, f, lambda: side)`; a chain A = B = C
-    yields ((A, B), (B, C)), B evaluated once.  Cached, so an anchor is
-    compiled once per process.
+    affine form of is `_memo(key, a, lambda: side)`, `a` its first
+    reader argument; a chain A = B = C yields ((A, B), (B, C)), B
+    evaluated once.  Cached, so an anchor is compiled once per process.
     """
     sides = anchor.replace("^", "**").split(" = ")
     if len(sides) not in (2, 3):
@@ -270,9 +251,9 @@ def _compile(id: str, anchor: str, indices: str) -> CodeType:
 
 
 def _one_form(side: str, indices: list[str]) -> str | None:
-    """The text of f when every reader argument in `side` is one affine
-    form f of two or more indices plus a constant, and no index appears
-    outside them; else None.
+    """The text of the first reader argument in `side` when every reader
+    argument is one affine form f of two or more indices plus a constant,
+    and no index appears outside them, else None; its value fixes f's.
 
     None too for a bare reader call, which its reader memoises, and for
     a side with `**`, whose powers the power reader continues.
@@ -287,7 +268,7 @@ def _one_form(side: str, indices: list[str]) -> str | None:
         return None
     args = [call.args[0] for call in calls]
     forms = {_affine(arg, indices) for arg in args}
-    if len(forms) != 1 or None in forms:
+    if len(forms) != 1 or None in forms or sum(map(bool, forms.pop())) < 2:
         return None
 
     def uses(node):
@@ -295,11 +276,8 @@ def _one_form(side: str, indices: list[str]) -> str | None:
                    for x in ast.walk(node))
     if uses(tree) != sum(map(uses, args)):
         return None
-    terms = [name if c == 1 else "-" + name if c == -1 else f"{c}*{name}"
-             for c, name in zip(forms.pop(), indices) if c]
-    if len(terms) < 2:
-        return None
-    return " + ".join(terms).replace("+ -", "- ")
+    first = min(args, key=lambda arg: arg.col_offset)
+    return ast.get_source_segment(side, first)
 
 
 def _affine(node: ast.expr, indices: list[str]) -> tuple[int, ...] | None:
@@ -339,16 +317,29 @@ class _ReaderCalls(ast.NodeTransformer):
                         [])
 
 
+class _Undefined(str):
+    """A quotient by zero as its text, n/0, which equals nothing: a side
+    holding one fails its point."""
+
+    def __eq__(self, other):
+        return False
+
+    def __ne__(self, other):
+        return True
+
+
 def _quotient(numerator, divisor: int):
     """numerator / divisor over the rationals, entrywise for a Mat3: an
-    int where the divisor divides, else a `fractions.Fraction`, imported
-    only then, which equals no int; never a float."""
+    int where the divisor divides, an `_Undefined` by zero, else a
+    `Fraction` (imported only then) that equals no int; never a float."""
     if isinstance(numerator, Mat3):
         try:
             return numerator.div_exact(divisor)
-        except DivisibilityViolation:
+        except (DivisibilityViolation, ZeroDivisionError):
             return Mat3(tuple(_quotient(x, divisor)
                               for x in numerator.entries))
+    if not divisor:
+        return _Undefined(f"{to_decimal(numerator)}/0")
     q, r = divmod(numerator, divisor)
     if not r:
         return q
@@ -380,8 +371,9 @@ def _power_reader() -> Callable[[object, int], object]:
 def _form_memo() -> Callable[[str, int, Callable[[], object]], object]:
     """(key, f, side) -> side(), evaluated once per (key, f) value.
 
-    `key` names a record's side, `f` is the value of its one form: one
-    entry per value of the form that a sweep meets.
+    `key` names a record's side, `f` is the value of its first reader
+    argument, which its one form's value determines: one entry per
+    value of the form that a sweep meets.
     """
     values = {}
 
@@ -435,15 +427,15 @@ def verify_record(record: IdentityRecord, bounds: GridBounds) -> VerifyReport:
     """Sweep one identity over its grid, demanding exact equality.  A
     grid with no case raises ValueError: an empty sweep proves nothing."""
     start = time.perf_counter()
+    described, points = record.shape.sweep(bounds)
     cases = 0
     failures = []
-    for indices in record.shape.grid(bounds):
+    for indices in points:
         left, right = record.evaluate(*indices)
         cases += 1
         if left != right:
             failures.append(Failure(tuple(indices), left, right))
     elapsed = time.perf_counter() - start
-    described = record.shape.describe(bounds)
     if not cases:
         raise ValueError(f"{record.id}: no case in {described}")
     return VerifyReport(record.id, record.anchor, described,

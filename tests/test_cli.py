@@ -327,6 +327,23 @@ class TestFlags:
         assert excinfo.value.code == 2
         assert "TRIBKIT_PRECISION" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,lines", [
+        (["term", "T", "5"], ["7"]),
+        (["term", "T", "5", "--strategy", "iterate"], ["7"]),
+        (["bench", "--n", "5", "--strategies", "iterate,matpow",
+          "--format", "csv"], [",".join(cli._BENCH_FIELDS), "iterate,T,5,",
+                               "matpow,T,5,"]),
+    ])
+    def test_bad_env_precision_ignored_by_exact_runs(self, argv, lines,
+                                                     capsys, monkeypatch):
+        # only a run that evaluates Binet reads TRIBKIT_PRECISION
+        monkeypatch.setenv("TRIBKIT_PRECISION", "abc")
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        printed = out.splitlines()
+        assert len(printed) == len(lines)
+        assert all(p.startswith(x) for p, x in zip(printed, lines))
+
     def test_bad_env_precision_ignored_without_flag(self, capsys,
                                                     monkeypatch):
         monkeypatch.setenv("TRIBKIT_PRECISION", "abc")
@@ -336,8 +353,8 @@ class TestFlags:
 
 
 class TestSharedParser:
-    """`main` parses with one tree per value of TRIBKIT_PRECISION, and no
-    parse leaves anything on it for the next call."""
+    """`main` parses with one tree per process, whatever TRIBKIT_PRECISION
+    holds, and no parse leaves anything on it for the next call."""
 
     ONE_OF_EACH = [
         ["term", "T", "40"],
@@ -399,11 +416,12 @@ class TestSharedParser:
                 monkeypatch.setenv("TRIBKIT_PRECISION", value)
             expected = int(value or cli.DEFAULT_PRECISION)
             assert self.precision(capsys) == expected
+            # the variable is no default of the tree: a Binet run reads it
             fresh = cli.build_parser().parse_args(["term", "T", "5"])
-            assert fresh.precision == expected
-        # 3 values in the memo, 5 fresh trees for the comparison
-        assert len(built) == (3 + len(states)) * 7
-        assert cli._shared_parser.cache_info().misses == 3
+            assert fresh.precision is None
+        # one tree for main, 5 fresh trees for the comparison
+        assert len(built) == (1 + len(states)) * 7
+        assert cli._shared_parser.cache_info().misses == 1
 
     @pytest.mark.parametrize("first", [None, "64"])
     def test_corrupt_env_precision_after_valid_call(self, first, capsys,
@@ -461,7 +479,7 @@ class TestSharedParser:
         tree = cli.build_parser()
         assert tree is not cli.build_parser()
         assert run(["term", "T", "7"], capsys)[:2] == (0, "24\n")
-        assert tree is not cli._shared_parser(cli._precision_default())
+        assert tree is not cli._shared_parser()
         # a caller's change to its own tree does not reach main
         tree.add_argument("--only-in-that-tree", required=True)
         assert run(["term", "T", "7"], capsys)[:2] == (0, "24\n")

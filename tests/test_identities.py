@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from tribkit import (IDENTITY, GridBounds, Mat3, MatrixKind, PROFILE_BOUNDS,
                      registry, report_to_dict, t_matrix, trib,
                      verify, verify_all, verify_record)
 from tribkit import identities, matrices
+from tribkit.cli import main
 from tribkit.core import walk
 from tribkit.identities import Failure
 
@@ -51,7 +53,7 @@ class TestRegistry:
 
     def test_shape_matches_evaluator(self):
         # a shape names the indices its anchor's evaluator takes, in
-        # order, and its grid yields points of that length
+        # order, and its sweep yields points of that length
         quick = PROFILE_BOUNDS[Profile.QUICK]
         records = registry()
         assert len(records) == 32
@@ -59,7 +61,7 @@ class TestRegistry:
             code = record.evaluate.__code__
             params = code.co_varnames[:code.co_argcount]
             assert record.shape.indices == ", ".join(params), record.id
-            points = list(record.shape.grid(quick))
+            points = list(record.shape.sweep(quick)[1])
             assert points, record.id
             assert all(len(p) == len(params) for p in points), record.id
 
@@ -71,8 +73,8 @@ class TestRegistry:
 
     def test_evaluators_return_matching_kinds(self):
         for record in registry():
-            indices = next(iter(record.shape.grid(
-                GridBounds(signed=5, pair=5))))
+            indices = next(record.shape.sweep(
+                GridBounds(signed=5, pair=5))[1])
             left, right = record.evaluate(*indices)
             assert type(left) is type(right)
 
@@ -82,24 +84,71 @@ class TestRegistry:
         signed_ids = ["EQ3", "EQ4", "EQ5", "EQ6", "THM15a", "THM15e",
                       "COR17a", "COR17b"]
         for identity_id in signed_ids:
-            points = list(by_id[identity_id].shape.grid(bounds))
+            points = list(by_id[identity_id].shape.sweep(bounds)[1])
             assert (-5,) in points and (5,) in points
         # stated for non-negative indices only: swept non-negatively
         for identity_id in ("LEM16a", "LEM16b", "TNEG"):
-            points = list(by_id[identity_id].shape.grid(bounds))
+            points = list(by_id[identity_id].shape.sweep(bounds)[1])
             assert min(p[0] for p in points) == 0
         for identity_id in ("THM18a", "THM20a", "COR19a"):
-            points = list(by_id[identity_id].shape.grid(bounds))
+            points = list(by_id[identity_id].shape.sweep(bounds)[1])
             assert all(m >= 0 and n >= 0 for m, n in points)
 
 
-FORMULA_IDS = [
-    "EQ3", "TNEG", "EQ4", "EQ5", "EQ6",
-    "THM15a", "THM15b", "THM15c", "THM15e", "LEM16a", "LEM16b",
-    "COR17a", "COR17b", "THM18a", "THM18b", "THM18c", "THM18d", "THM18e",
-    "COR19a", "COR19b", "COR19c", "COR19d", "COR19e",
-    "THM20a", "THM20b", "THM20c", "THMFINALa", "THMFINALb",
-]
+# every record, in registry order
+ALL_IDS = [row[0] for row in identities.FORMULAS]
+
+# each shape's bounds text at Quick, Standard and Deep
+PROFILE_BOUNDS_TEXT = {
+    identities.N_ALL: ("n in [-10, 10]", "n in [-40, 40]",
+                       "n in [-100, 100]"),
+    identities.N_NONNEG: ("n in [0, 10]", "n in [0, 40]", "n in [0, 100]"),
+    identities.MN: ("(m, n) in [0, 10]^2", "(m, n) in [0, 30]^2",
+                    "(m, n) in [0, 60]^2"),
+    identities.NR: ("(n, r) with 0 <= r <= n <= 10",
+                    "(n, r) with 0 <= r <= n <= 30",
+                    "(n, r) with 0 <= r <= n <= 60"),
+    identities.SUM: tuple(
+        f"(m, j, n) with 1 <= m <= 10, 0 <= j < m, 1 <= n <= {n}"
+        for n in (10, 30, 60)),
+}
+
+# shape -> the numbers its bounds text should state, read off the points
+# (the 2 of "^2" left out)
+EXTREMES = {
+    identities.N_ALL: lambda ps: [min(ps)[0], max(ps)[0]],
+    identities.N_NONNEG: lambda ps: [min(ps)[0], max(ps)[0]],
+    identities.MN: lambda ps: [min(map(min, ps)), max(map(max, ps))],
+    identities.NR: lambda ps: [min(r for _, r in ps), max(n for n, _ in ps)],
+    identities.SUM: lambda ps: [
+        min(m for m, _, _ in ps), max(m for m, _, _ in ps),
+        min(j for _, j, _ in ps), min(n for _, _, n in ps),
+        max(n for _, _, n in ps)],
+}
+
+
+class TestSweeps:
+    """A shape's sweep states its bounds once, as text and as points."""
+
+    @pytest.mark.parametrize("shape", list(PROFILE_BOUNDS_TEXT),
+                             ids=lambda shape: shape.domain)
+    def test_profile_bounds_text(self, shape):
+        texts = tuple(shape.sweep(PROFILE_BOUNDS[profile])[0]
+                      for profile in Profile)
+        assert texts == PROFILE_BOUNDS_TEXT[shape]
+
+    @pytest.mark.parametrize("bounds", [
+        GridBounds(signed=1, pair=1), GridBounds(signed=3, pair=7),
+        GridBounds(signed=25, pair=13), GridBounds(signed=0, pair=2),
+    ])
+    @pytest.mark.parametrize("shape", list(EXTREMES),
+                             ids=lambda shape: shape.domain)
+    def test_text_states_extremes_of_points(self, shape, bounds):
+        described, points = shape.sweep(bounds)
+        points = list(points)
+        stated = [int(x) for x in re.findall(r"-?\d+",
+                                             described.replace("^2", ""))]
+        assert stated == EXTREMES[shape](points), described
 
 
 def _changed(anchor):
@@ -123,7 +172,7 @@ def _with_anchor(monkeypatch, identity_id, anchor):
 class TestAnchors:
     """A formula record checks its anchor's own text."""
 
-    @pytest.mark.parametrize("identity_id", FORMULA_IDS)
+    @pytest.mark.parametrize("identity_id", ALL_IDS)
     def test_changed_anchor_fails(self, identity_id, monkeypatch):
         anchor = next(r.anchor for r in registry() if r.id == identity_id)
         changed = _changed(anchor)
@@ -143,6 +192,31 @@ class TestAnchors:
         _with_anchor(monkeypatch, "EQ3", f"T(n) = {side}")
         with pytest.raises(ValueError, match="EQ3"):
             registry()
+
+    def test_zero_divisor_fails_its_points(self, capsys, monkeypatch):
+        # SUMCORa's divisor flipped to K(m) + K(-m), which is 0 at m = 1:
+        # the sweep completes, and m = 1 fails as x/0
+        anchor = next(r.anchor for r in registry() if r.id == "SUMCORa")
+        changed = _changed(anchor)
+        assert changed.endswith("/ (K(m) + K(-m))")
+        _with_anchor(monkeypatch, "SUMCORa", changed)
+        assert main(["verify", "SUMCORa", "--format", "json"]) == 1
+        [report] = json.loads(capsys.readouterr().out)
+        assert report["status"] == "fail" and report["cases"] == 1650
+        by_zero = [f for f in report["failures"] if f["indices"][0] == 1]
+        assert len(by_zero) == 30  # (1, 0, n), 1 <= n <= 30
+        assert all(f["right"].endswith("/0") for f in by_zero)
+
+    def test_quotient_by_zero_equals_nothing(self):
+        quotient = identities._quotient
+        assert quotient(5, 0) != 5 and not quotient(5, 0) == 5
+        assert quotient(5, 0) != quotient(5, 0)
+        assert matrices.decimal_form(quotient(-7, 0)) == "-7/0"
+        ones = Mat3((1,) * 9)
+        assert quotient(ones, 0) != ones
+        assert matrices.decimal_form(quotient(ones, 0)) == [["1/0"] * 3] * 3
+        big = 7 ** 6000  # past the int-to-str limit
+        assert matrices.decimal_form(quotient(big, 0)).endswith("1/0")
 
     def test_chain_evaluates_each_side_once(self, monkeypatch):
         tm3, tm5, tm7 = t_matrix(3), t_matrix(5), t_matrix(7)
@@ -283,7 +357,8 @@ class TestFormMemo:
     evaluated once per value of that form."""
 
     def test_memoised_sides(self):
-        # exactly the right sides of THM18c-e and COR19c-e, all m + n
+        # exactly the right sides of THM18c-e and COR19c-e, all of m + n,
+        # each keyed by its first reader argument
         found = {}
         for id, anchor, shape, *_ in identities.FORMULAS:
             sides = anchor.replace("^", "**").split(" = ")
@@ -291,9 +366,9 @@ class TestFormMemo:
                 form = identities._one_form(side, shape.indices.split(", "))
                 if form is not None:
                     found[id] = (i == len(sides) - 1, form)
-        assert found == dict.fromkeys(
-            ["THM18c", "THM18d", "THM18e", "COR19c", "COR19d", "COR19e"],
-            (True, "m + n"))
+        assert found == {"THM18c": (True, "m+n+2"), "THM18d": (True, "m+n"),
+                         "THM18e": (True, "m+n"), "COR19c": (True, "m+n+2"),
+                         "COR19d": (True, "m+n"), "COR19e": (True, "m+n")}
 
     @pytest.mark.parametrize("side,indices,form", [
         ("TM(m+n)", "m, n", None),                      # a bare read
@@ -306,9 +381,10 @@ class TestFormMemo:
         ("TM(m+n) - 2*TM()", "m, n", None),             # a call without one
         ("TM(m+n) - 2*TM(m+n, m)", "m, n", None),       # argument
         ("TM(m+n) - 2*TM(n=m+n)", "m, n", None),
-        ("TM(2*m+n) - TM(2*m+n+1)", "m, n", "2*m + n"),
-        ("T(n-r+1) - 2*T(n-r)", "n, r", "n - r"),
-        ("T(3-m-2*n) + T(-m-2*n)", "m, n", "-m - 2*n"),
+        ("TM(2*m+n) - TM(2*m+n+1)", "m, n", "2*m+n"),
+        ("T(n-r+1) - 2*T(n-r)", "n, r", "n-r+1"),
+        ("T(3-m-2*n) + T(-m-2*n)", "m, n", "3-m-2*n"),
+        ("2*T(m+n-1) + T(m + n)", "m, n", "m+n-1"),  # first in the text
     ])
     def test_form_finder(self, side, indices, form):
         assert identities._one_form(side, indices.split(", ")) == form
@@ -385,7 +461,7 @@ class TestVerify:
         with pytest.raises(ValueError) as excinfo:
             verify(identity_id, bounds)
         assert str(excinfo.value) == \
-            f"{identity_id}: no case in {record.shape.describe(bounds)}"
+            f"{identity_id}: no case in {record.shape.sweep(bounds)[0]}"
 
     def test_deterministic(self):
         first = verify("EQ4")
@@ -465,7 +541,7 @@ class TestSumOracle:
     def test_call_order_does_not_matter(self, identity_id, monkeypatch):
         kind = SUM_RECORDS[identity_id]
         quick = PROFILE_BOUNDS[Profile.QUICK]
-        points = list(_sum_record(identity_id).shape.grid(quick))
+        points = list(_sum_record(identity_id).shape.sweep(quick)[1])
         shuffled = random.Random(20180101).sample(points, len(points))
         # per (m, j): steps up, repeats, skips forwards and backwards
         uneven_n = (1, 2, 2, 4, 5, 3, 4, 4, 7, 6, 10, 1)
@@ -580,7 +656,7 @@ class TestCompiledSums:
         report = verify_record(record, PROFILE_BOUNDS[Profile.QUICK])
         assert report.cases == 550
         expected = []
-        for m, j, n in record.shape.grid(PROFILE_BOUNDS[Profile.QUICK]):
+        for m, j, n in record.shape.sweep(PROFILE_BOUNDS[Profile.QUICK])[1]:
             left = sum((term(m * i + j) for i in range(1, n)), term(j))
             right = _mutated(term, mutation, m, j, n)
             if left != right:
@@ -608,7 +684,7 @@ class TestCompiledSums:
         for record in registry():
             if record.shape.indices != "m, j, n":
                 continue
-            for point in record.shape.grid(PROFILE_BOUNDS[Profile.QUICK]):
+            for point in record.shape.sweep(PROFILE_BOUNDS[Profile.QUICK])[1]:
                 left, right = record.evaluate(*point)
                 assert left == right
                 assert all(type(x) is int
@@ -636,6 +712,14 @@ class TestCompiledSums:
         assert payload["failures"][1]["right"] == \
             [["7/2", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]
         json.dumps(payload)
+
+    def test_big_fraction_printed(self):
+        # past the int-to-str limit, a Fraction prints term by term
+        big = Fraction(10 ** 5000 + 1, 2)
+        text = "1" + "0" * 4999 + "1/2"
+        assert matrices.decimal_form(big) == text
+        assert matrices.decimal_form(Mat3((big,) + (0,) * 8))[0] == \
+            [text, "0", "0"]
 
 
 class TestReports:
