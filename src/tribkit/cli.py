@@ -7,8 +7,9 @@ outgrow 64-bit parsers within a few dozen indices).
 
 Each command states its answer once, as an Output that writes itself in
 each format; `emit` writes the one asked for, a listing item by item.
-An answer past the index `decimal_route` gives is computed on
-decimal.Decimal, so it is already decimal text.
+An answer past the index `decimal_route` gives, and a `gf` listing from
+the count it gives, is computed on decimal.Decimal, so it is already
+decimal text.
 
 `main` parses with one tree per process, so a later in-process call
 pays only for `parse_args`; it runs `cmd_<command>` as bound in this
@@ -19,6 +20,7 @@ a run that evaluates Binet reads TRIBKIT_PRECISION.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import os
@@ -28,7 +30,7 @@ from typing import Iterator
 
 from .bench import STRATEGIES, run_bench
 from .binet import DEFAULT_PRECISION
-from .core import SequenceKind
+from .core import SequenceKind, to_decimal
 from .errors import PrecisionExhausted, StrategyMismatch, UnknownIdentity
 from .identities import (PROFILE_BOUNDS, Profile, format_report_table,
                          registry, report_to_dict, verify_record)
@@ -80,24 +82,27 @@ def _csv_join(fields) -> str:
     return ",".join([_csv_field(x) for x in fields])
 
 
-def _write_cells(write, fields: dict, value, extra: dict, header: bool):
-    """CSV rows of an int or Mat3 between `fields` and `extra`, one write
-    per row; matrix cells carry 1-based row and column, matching the
-    prose convention."""
-    doc = decimal_form(value)
-    scalar = isinstance(doc, str)
-    if header:
-        columns = ("value",) if scalar else ("row", "col", "value")
-        write(_csv_join([*fields, *columns, *extra]) + "\n")
-    head = _csv_join(fields.values()) + "," if fields else ""
-    tail = "," + _csv_join(extra.values()) + "\n" if extra else "\n"
-    if scalar:
-        write(head + doc + tail)
-        return
-    # decimal text and indices never need quoting
-    for r, row in enumerate(doc, 1):
-        for c, x in enumerate(row, 1):
-            write(f"{head}{r},{c},{x}{tail}")
+# The CSV columns of a number and of a matrix, and a matrix cell's 1-based
+# row and column, matching the prose convention, as the fields before
+# its value
+_CSV_COLUMNS = (("value",), ("row", "col", "value"))
+_CSV_CELLS = tuple(f"{r},{c}," for r in (1, 2, 3) for c in (1, 2, 3))
+
+
+def _csv_prefix(fields: dict) -> str:
+    """The values of `fields` as the CSV text before a value's columns."""
+    return "".join([_csv_field(x) + "," for x in fields.values()])
+
+
+def _write_cells(write, head: str, value, tail: str = "\n"):
+    """The CSV rows of an int, Decimal or Mat3 between the text `head`
+    and `tail`, one write per row; decimal text and indices never need
+    quoting."""
+    if isinstance(value, Mat3):
+        for cell, x in zip(_CSV_CELLS, value.entries):
+            write(head + cell + to_decimal(x) + tail)
+    else:
+        write(head + to_decimal(value) + tail)
 
 
 @dataclass(frozen=True)
@@ -122,13 +127,27 @@ class Value(Output):
         write(json.dumps(doc) + "\n")
 
     def csv(self, write):
-        _write_cells(write, self.fields, self.value, self.extra, True)
+        columns = _CSV_COLUMNS[isinstance(self.value, Mat3)]
+        write(_csv_join([*self.fields, *columns, *self.extra]) + "\n")
+        tail = "".join(["," + _csv_field(x) for x in self.extra.values()])
+        _write_cells(write, _csv_prefix(self.fields), self.value, tail + "\n")
+
+
+# A matrix of a listing as one line of plain text after its index, and
+# as JSON; decimal text never needs escaping.  Their entries are passed
+# as a list: `*map(...)` of nine builds a tuple ten long and shrinks it,
+# so each one freed stays in CPython's free list of 9-tuples, up to
+# 2000 of them (0.2 MiB traced in `gf TM 4000 --format json`).
+_PLAIN_MATRIX = "\n{}: {} {} {} | {} {} {} | {} {} {}".format
+_JSON_MATRIX = ('[["{}", "{}", "{}"], ["{}", "{}", "{}"], '
+                '["{}", "{}", "{}"]]').format
 
 
 @dataclass(frozen=True)
 class Listing(Output):
-    """Ints or Mat3s drawn one at a time, value i named by `fields` and
-    "i"; JSON is an array of the bare values."""
+    """Ints, Decimals or Mat3s drawn one at a time, value i named by
+    `fields` and "i"; JSON is an array of the bare values.  A value is
+    one write in plain text and JSON, and one per CSV row."""
 
     fields: dict
     values: Iterator
@@ -136,21 +155,29 @@ class Listing(Output):
     def plain(self, write):
         for i, value in enumerate(self.values):
             if isinstance(value, Mat3):  # a line each
-                text = f"\n{i}: " + _text(value).replace("\n", " | ")
+                text = _PLAIN_MATRIX(i, *list(map(to_decimal, value.entries)))
             else:
-                text = " " + _text(value)
+                text = " " + to_decimal(value)
             write(text[1:] if i == 0 else text)
         write("\n")
 
     def json(self, write):
         write("[")
         for i, value in enumerate(self.values):
-            write((", " if i else "") + json.dumps(decimal_form(value)))
+            if isinstance(value, Mat3):
+                text = _JSON_MATRIX(*list(map(to_decimal, value.entries)))
+            else:
+                text = '"' + to_decimal(value) + '"'
+            write(", " + text if i else text)
         write("]\n")
 
     def csv(self, write):
+        prefix = _csv_prefix(self.fields)
         for i, value in enumerate(self.values):
-            _write_cells(write, {**self.fields, "i": i}, value, {}, i == 0)
+            if i == 0:
+                columns = _CSV_COLUMNS[isinstance(value, Mat3)]
+                write(_csv_join([*self.fields, "i", *columns]) + "\n")
+            _write_cells(write, f"{prefix}{i},", value)
 
 
 @dataclass(frozen=True)
@@ -322,8 +349,10 @@ def cmd_sum(args) -> Output:
 
 
 def cmd_gf(args) -> Output:
-    return Listing({"kind": args.kind},
-                   gf_stream(KINDS[args.kind], args.count))
+    kind = KINDS[args.kind]
+    one = (decimal.Decimal(1)
+           if decimal_route(kind, args.count, listing=True) else 1)
+    return Listing({"kind": args.kind}, gf_stream(kind, args.count, one))
 
 
 def cmd_verify(args) -> Output:

@@ -506,12 +506,37 @@ def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
 # in [7*10^4, 10^5] fits, and it stays at 10^5.
 DECIMAL_CROSSOVER = 10**5
 MATRIX_DECIMAL_CROSSOVER = 2 * 10**3
+# Count from which a `gf` listing takes the decimal route
+# (`series.gf_stream` with a Decimal unit).  A listing prints every term
+# below its count, and both its arithmetic (additions) and its text are
+# paid per entry, so a matrix listing, nine scalar ones entry for entry,
+# crosses over at the same count as a scalar one.  One listing of each
+# kind drawn in-process into a list, median of 5 rounds, each best of
+# up to 100 (2 vCPUs, CPython 3.11; BENCH_gf_listings.json), plain text:
+#   count    int + to_decimal   Decimal + str
+#   T 512         0.207 ms          0.227 ms
+#   T 768         0.375             0.375
+#   T 832         0.425             0.425
+#   T 1024        0.608             0.556
+#   T 2000        2.57              1.47
+#   TM 512        2.00              2.16
+#   TM 768        3.61              3.62
+#   TM 832        4.12              4.06
+#   TM 1024       5.93              5.44
+#   TM 2000      24.3              14.4
+# K, KM, JSON and CSV give the same picture: from 768 to 832 the two
+# routes are within 2% of each other.
+LISTING_DECIMAL_CROSSOVER = 800
 
 
-def decimal_route(kind, n: int) -> bool:
+def decimal_route(kind, n: int, listing: bool = False) -> bool:
     """Whether an answer of `kind` at index n (a term's, or a sum's top
     index) is cheaper printed from the decimal route (`decimal_term`,
-    `series.decimal_sum`) than from the int kernel and `to_decimal`."""
+    `series.decimal_sum`) than from the int kernel and `to_decimal`;
+    with `listing`, whether a `gf` listing of the first n coefficients
+    is (`series.gf_stream` with a Decimal unit), of either shape."""
+    if listing:
+        return n >= LISTING_DECIMAL_CROSSOVER
     start = (MATRIX_DECIMAL_CROSSOVER if isinstance(kind, MatrixKind)
              else DECIMAL_CROSSOVER)
     return n >= start or n <= -2 * start

@@ -35,28 +35,51 @@ def gf_numerators(kind: AnyKind):
     return (s0, s1 - s0, s2 - s1 - s0)
 
 
-def gf_stream(kind: AnyKind, count: int) -> Iterator:
+def gf_stream(kind: AnyKind, count: int, one=1) -> Iterator:
     """First `count` series coefficients of `kind`, one at a time.
 
     Coefficient i equals term i.  Each comes from the three before it by
     forward substitution, c(i) = num(i) + c(i-1) + c(i-2) + c(i-3) with
-    missing terms zero, so the stream holds three coefficients, never
-    the listing.  A count below 1 raises here, before anything is drawn.
+    missing terms zero, so the stream holds three coefficients and one
+    block of `_BLOCK` entries, never the listing.  The coefficients have
+    the type of `one`, the unit: ints, or Mat3s of ints, by default;
+    integral Decimals with decimal.Decimal(1), already decimal text, for
+    printing (`cli` picks the unit by `matrices.decimal_route`).  Each
+    block is added up under `matrices.EXACT`, and the context is left
+    before any of it is yielded, so the caller never runs in it.  A
+    count below 1 raises here, before anything is drawn.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    return _expand(gf_numerators(kind), count)
+    return _expand(gf_numerators(kind), count, one)
 
 
-def _expand(numerator: tuple, count: int) -> Iterator:
-    # c(i-1), c(i-2), c(i-3), starting as zeros of the numerator's type
-    c1 = c2 = c3 = numerator[0] - numerator[0]
-    for i in range(count):
-        c = c1 + c2 + c3
-        if i < len(numerator):
-            c = numerator[i] + c
-        yield c
-        c1, c2, c3 = c, c1, c2
+# Entries added up per entry into the exact context, and held until the
+# last of them is made: 144 scalar coefficients, or 16 matrices.  An
+# entry into the context costs about 0.5 us, half a dozen Decimal
+# additions; 16 matrices of `gf TM 4000` hold about 0.1 MiB.
+_BLOCK = 144
+
+
+def _expand(numerator: tuple, count: int, one) -> Iterator:
+    # c(i-1), c(i-2), c(i-3), starting as zeros of the unit's type; the
+    # int numerators then add into that type
+    zero = one - one
+    if isinstance(numerator[0], Mat3):
+        c1, size = Mat3((zero,) * 9), _BLOCK // 9
+    else:
+        c1, size = zero, _BLOCK
+    c2 = c3 = c1
+    for start in range(0, count, size):
+        block = []
+        with decimal.localcontext(matrices.EXACT):
+            for i in range(start, min(start + size, count)):
+                c = c1 + c2 + c3
+                if i < len(numerator):
+                    c = numerator[i] + c
+                block.append(c)
+                c1, c2, c3 = c, c1, c2
+        yield from block
 
 
 def gf_coeffs(kind: SequenceKind, count: int) -> list[int]:

@@ -22,8 +22,8 @@ from tribkit import (PROFILE_BOUNDS, MatrixKind, Profile, SequenceKind,
                      mat_pow, partial_sum, partial_sum_bruteforce, registry,
                      t_matrix, to_decimal, trib, trib_fast, verify_record)
 from tribkit.cli import main
-from tribkit.matrices import (DECIMAL_CROSSOVER, MATRIX_DECIMAL_CROSSOVER,
-                              decimal_form)
+from tribkit.matrices import (DECIMAL_CROSSOVER, LISTING_DECIMAL_CROSSOVER,
+                              MATRIX_DECIMAL_CROSSOVER, decimal_form)
 
 
 def run(argv, capsys):
@@ -193,8 +193,8 @@ class TestGf:
 
     @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
     def test_listing_streams(self, fmt):
-        # memory of about one term: holding the listing, in any format,
-        # would take several times the bytes written
+        # memory of a block of terms, the README's promise: holding the
+        # listing, in any format, would take 36 times the bound
         sink = Discard()
         tracemalloc.start()
         try:
@@ -204,8 +204,8 @@ class TestGf:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert sink.written > 15 * 2**20
-        assert peak < sink.written / 4
+        assert sink.written > 18 * 2**20
+        assert peak < 2**19
 
 
 class TestVerify:
@@ -703,6 +703,81 @@ class TestDecimalRoute:
         assert code == 0
         assert sink.written > 9 * 25000  # nine entries near K(99 993)
         assert peak <= 8 * sink.written
+
+
+def _same_text(a: str, b: str) -> bool:
+    """a == b, told by the first differing character: pytest's own diff
+    of two multi-megabyte listings would take minutes."""
+    if a == b:
+        return True
+    at = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+              min(len(a), len(b)))
+    lo = max(at - 20, 0)
+    print(f"differ at {at}: {a[lo:at + 20]!r} != {b[lo:at + 20]!r}")
+    return False
+
+
+class TestGfRoute:
+    """`gf` from LISTING_DECIMAL_CROSSOVER coefficients up draws them on
+    decimal.Decimal (`gf_stream` with a Decimal unit); the int unit is
+    its oracle, byte for byte."""
+
+    @staticmethod
+    def outputs(argv, capsys, monkeypatch):
+        """The output of `argv` on the route `decimal_route` picks, and on
+        the other one, and the unit of the first."""
+        units, real = [], cli.gf_stream
+
+        def spy(kind, count, one=1):
+            units.append(type(one))
+            return real(kind, count, one)
+
+        monkeypatch.setattr(cli, "gf_stream", spy)
+        code, routed, _ = run(argv, capsys)
+        assert code == 0
+        other = units[0] is int
+        monkeypatch.setattr(cli, "decimal_route",
+                            lambda kind, n, listing=False: other)
+        code, forced, _ = run(argv, capsys)
+        assert code == 0
+        assert units[1] is not units[0]
+        return routed, forced, units[0]
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("kind", ["T", "K", "TM", "KM"])
+    def test_both_routes_at_the_crossover(self, kind, offset, fmt, capsys,
+                                          monkeypatch):
+        count = LISTING_DECIMAL_CROSSOVER + offset
+        routed, forced, unit = self.outputs(
+            ["gf", kind, str(count), "--format", fmt], capsys, monkeypatch)
+        assert unit is (int if offset < 0 else decimal.Decimal)
+        assert _same_text(routed, forced)
+        assert not re.search(r"(?<!\d)-0(?!\d)", routed)
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_past_the_digit_limit(self, fmt, capsys, monkeypatch,
+                                  unlimited_str):
+        # T(16499) has 4 366 digits: str() of the int refuses it
+        routed, forced, unit = self.outputs(
+            ["gf", "T", "16500", "--format", fmt], capsys, monkeypatch)
+        assert unit is decimal.Decimal
+        assert _same_text(routed, forced)
+        last = unlimited_str(trib_fast(16499))
+        assert len(last) > 4300
+        assert routed.endswith({"plain": f" {last}\n", "json": f'"{last}"]\n',
+                                "csv": f"T,16499,{last}\n"}[fmt])
+
+    def test_caller_context_kept(self, capsys):
+        # 28 digits by default, far fewer than the listing's longest
+        with decimal.localcontext(decimal.DefaultContext) as caller:
+            code, out, _ = run(["gf", "T", str(LISTING_DECIMAL_CROSSOVER)],
+                               capsys)
+            assert decimal.getcontext() is caller
+            assert caller.prec == 28
+        assert code == 0
+        assert out.split() == [str(trib(i))
+                               for i in range(LISTING_DECIMAL_CROSSOVER)]
 
 
 def _entries(fmt, out):

@@ -1,3 +1,4 @@
+import decimal
 import tracemalloc
 from collections import Counter
 
@@ -12,7 +13,7 @@ from tribkit import (PROFILE_BOUNDS, DegenerateDenominator,
                      lucas_fast, lucas_trib, partial_sum,
                      partial_sum_bruteforce, registry, t_matrix, term_reader,
                      trib, verify_record)
-from tribkit.matrices import KIND_SEEDS, kernel_term
+from tribkit.matrices import KIND_SEEDS, decimal_form, kernel_term
 
 T = SequenceKind.TRIBONACCI
 K = SequenceKind.TRIBONACCI_LUCAS
@@ -94,6 +95,56 @@ class TestGeneratingFunctions:
         listed = (gf_coeffs if kind in (T, K) else gf_matrix_coeffs)(
             kind, count)
         assert list(stream) == listed == expected
+
+
+def _entry_types(coefficients) -> set:
+    return {type(x) for c in coefficients
+            for x in (c.entries if isinstance(c, Mat3) else (c,))}
+
+
+class TestDecimalStream:
+    """`gf_stream` with a Decimal unit, the stream of a long `gf` listing.
+    Decimal == int, so the tests that compare values would pass on
+    either unit; these pin the types and the contexts."""
+
+    # several blocks of either shape: 144 scalars, 16 matrices a block
+    COUNT = 400
+
+    @pytest.mark.parametrize("kind", [T, K, TM, KM], ids=lambda k: k.value)
+    def test_default_unit_is_int(self, kind):
+        listed = (gf_coeffs if kind in (T, K) else gf_matrix_coeffs)(
+            kind, self.COUNT)
+        streamed = list(gf_stream(kind, self.COUNT))
+        shape = int if kind in (T, K) else Mat3
+        for coefficients in (listed, streamed):
+            assert {type(c) for c in coefficients} == {shape}
+            assert _entry_types(coefficients) == {int}
+
+    @pytest.mark.parametrize("kind", [T, K, TM, KM], ids=lambda k: k.value)
+    def test_decimal_unit_matches_int_unit(self, kind):
+        values = list(gf_stream(kind, self.COUNT, decimal.Decimal(1)))
+        assert _entry_types(values) == {decimal.Decimal}
+        assert ([decimal_form(c) for c in values]
+                == [decimal_form(c) for c in gf_stream(kind, self.COUNT)])
+
+    @pytest.mark.parametrize("kind", [T, TM], ids=lambda k: k.value)
+    def test_caller_context_between_coefficients(self, kind):
+        # the stream computes under matrices.EXACT, a block at a time,
+        # and never yields inside it
+        with decimal.localcontext() as caller:
+            caller.prec = 9
+            for _ in gf_stream(kind, self.COUNT, decimal.Decimal(1)):
+                assert decimal.getcontext() is caller
+                assert caller.prec == 9
+
+    def test_exact_under_the_default_context(self):
+        # 28 digits by default; T(399) has 106
+        with decimal.localcontext(decimal.DefaultContext):
+            assert decimal.getcontext().prec == 28
+            values = list(gf_stream(T, self.COUNT, decimal.Decimal(1)))
+        assert len(str(values[-1])) > 100
+        assert [str(c) for c in values] == [str(trib(i))
+                                            for i in range(self.COUNT)]
 
 
 class TestSumSpec:
