@@ -22,17 +22,22 @@ built only by products of the registry's own TM(n) or KM(n), never by
 the kernel that builds the right side, so the two sides stay
 independent.
 
-A registry memoises a side that reads one form: when every reader
-argument of a side is one affine form f of two or more indices plus a
-constant, as the right sides of THM18c-e and COR19c-e read only m+n,
-the side is evaluated once per value of f, keyed by (record id and
-side, its first reader argument, whose value f determines).  Its memo
-holds one entry per value of f that the sweeps meet: 121 on Deep,
-against 3721 grid points.  A side keyed by the whole grid point is not
-memoised: one record's sweep meets each point once, so its memo would
-never hit, and one shared between records would hold an entry per
-point, of memory the sweep otherwise frees.  Bare reads are memoised by
-the readers, and `^` sides continued by the power reader.
+A registry memoises what reads fewer indices than its record has: in
+each +/- chain of a side, the two or more terms that together read
+fewer independent combinations of the indices than the record has
+indices are one group, evaluated once per value of those combinations
+and looked up inline in a dict of the registry's own.  The group is
+keyed by the indices it reads when it reads that many combinations --
+a sum record's `- X(j+m) - X(j-m) - (1-K(m))*X(j)` by (m, j), its
+divisor `K(m) - K(-m)` by m -- and otherwise by its first reader
+arguments that fix them: the whole right sides of THM18c-e and
+COR19c-e, which read only m+n, by their first argument (121 values on
+Deep, against 3721 grid points).  A lone read is not grouped, as its
+reader memoises it, nor a term that reads no index or every
+combination: one record's sweep meets each grid point once, so a memo
+keyed by the whole point would never hit.  A non-affine argument
+(`TM(m*n)`) reads every index it names, and a reader's own argument is
+never grouped.
 
 A chain X = Y = Z evaluates each side once, to ((X, Y), (Y, Z)),
 compared slotwise, so a failure in either leg surfaces.
@@ -221,16 +226,18 @@ def _compile(id: str, anchor: str, indices: str) -> CodeType:
     """`lambda <indices>: (left, right)` from the anchor's own text.
 
     `^` is a call `_pow(base, e)` of the registry's power reader, `/` a
-    call `_div(a, d)` of `_quotient`; a side that `_one_form` finds one
-    affine form of is `_memo(key, a, lambda: side)`, `a` its first
-    reader argument; a chain A = B = C yields ((A, B), (B, C)), B
-    evaluated once.  Cached, so an anchor is compiled once per process.
+    call `_div(a, d)` of `_quotient`; each group that `_Groups` finds is
+    an inline lookup in a dict of its own, `_s0`, `_s1`, ..., which the
+    lambda takes as keyword-only defaults, so each evaluation of the
+    lambda, one per registry, makes fresh ones; a chain A = B = C yields
+    ((A, B), (B, C)), B evaluated once.  Cached, so an anchor is
+    compiled once per process.
     """
     sides = anchor.replace("^", "**").split(" = ")
     if len(sides) not in (2, 3):
         raise ValueError(f"{id}: an anchor has two or three sides")
-    # the sides' own names are checked before the chain binds `_mid`,
-    # a side becomes `_memo(...)`, `^` becomes `_pow` and `/` `_div`
+    # the sides' own names are checked before the chain binds `_mid`, a
+    # group `_v` and its dict, `^` becomes `_pow` and `/` `_div`
     code = compile(f"lambda {indices}: ({', '.join(sides)})", f"<{id}>",
                    "eval")
     names = indices.split(", ")
@@ -239,45 +246,108 @@ def _compile(id: str, anchor: str, indices: str) -> CodeType:
         raise ValueError(f"{id}: its anchor names {', '.join(sorted(unknown))}"
                          f"; only {', '.join(sorted(READERS))} and "
                          f"{indices} are allowed")
-    for i, side in enumerate(sides):
-        form = _one_form(side, names)
-        if form is not None:
-            sides[i] = f"_memo({f'{id}.{i}'!r}, {form}, lambda: {side})"
     body = (", ".join(sides) if len(sides) == 2
             else "({}, (_mid := {})), (_mid, {})".format(*sides))
-    tree = _ReaderCalls().visit(ast.parse(f"lambda {indices}: ({body})",
-                                          mode="eval"))
+    source = f"lambda {indices}: ({body})"
+    groups = _Groups(source, names)
+    tree = _ReaderCalls().visit(groups.visit(ast.parse(source, mode="eval")))
+    tree.body.args.kwonlyargs = [ast.arg(f"_s{i}")
+                                 for i in range(len(groups.found))]
+    tree.body.args.kw_defaults = [ast.Dict([], []) for _ in groups.found]
     return compile(ast.fix_missing_locations(tree), f"<{id}>", "eval")
 
 
-def _one_form(side: str, indices: list[str]) -> str | None:
-    """The text of the first reader argument in `side` when every reader
-    argument is one affine form f of two or more indices plus a constant,
-    and no index appears outside them, else None; its value fixes f's.
+class _Groups(ast.NodeTransformer):
+    """Rewrites the terms of each +/- chain that read fewer independent
+    combinations of the indices than there are indices into an inline
+    lookup, evaluated once per value of those combinations.
 
-    None too for a bare reader call, which its reader memoises, and for
-    a side with `**`, whose powers the power reader continues.
+    A chain's terms are taken with their signs, as the anchor writes
+    them.  Its group is every term that reads at least one and fewer
+    than all of the combinations, when there are two or more such terms
+    and together they still read fewer: a term that reads none is a
+    constant, and a lone term at most one read, which its reader
+    memoises.  The group becomes `(_v if (_v := _sI.get(key)) is not
+    None else _sI.setdefault(key, group))`, `key` from `_key`, added
+    after the chain's other terms.  A reader's argument is index
+    arithmetic, never grouped.  `found` lists each group's (text, key).
     """
-    tree = ast.parse(side, mode="eval").body
-    if isinstance(tree, ast.Call) or any(
-            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
-            for node in ast.walk(tree)):
-        return None
-    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
-    if any(len(call.args) != 1 or call.keywords for call in calls):
-        return None
-    args = [call.args[0] for call in calls]
-    forms = {_affine(arg, indices) for arg in args}
-    if len(forms) != 1 or None in forms or sum(map(bool, forms.pop())) < 2:
-        return None
 
-    def uses(node):
-        return sum(isinstance(x, ast.Name) and x.id in indices
-                   for x in ast.walk(node))
-    if uses(tree) != sum(map(uses, args)):
-        return None
-    first = min(args, key=lambda arg: arg.col_offset)
-    return ast.get_source_segment(side, first)
+    def __init__(self, source: str, indices: list[str]):
+        self.source, self.indices = source, indices
+        self.found: list[tuple[str, str]] = []
+
+    def visit_Call(self, node: ast.Call) -> ast.expr:
+        return node
+
+    def visit_BinOp(self, node: ast.BinOp) -> ast.expr:
+        if not isinstance(node.op, (ast.Add, ast.Sub)):
+            return self.generic_visit(node)
+        terms = _terms(node)
+        reads = [_reads(term, self.source, self.indices) for _, term in terms]
+        width = len(self.indices)
+        group = [i for i, read in enumerate(reads)
+                 if 0 < _rank([v for _, v in read]) < width]
+        if len(group) < 2 or _rank(
+                [v for i in group for _, v in reads[i]]) == width:
+            group = []
+        rest = [(op, self.visit(term)) for i, (op, term) in enumerate(terms)
+                if i not in group]
+        if group:
+            text = " ".join(
+                f"{'-' if isinstance(terms[i][0], ast.Sub) else '+'} "
+                f"{_segment(self.source, terms[i][1])}" for i in group)
+            key = _key([r for i in group for r in reads[i]], self.indices)
+            memo = f"_s{len(self.found)}"
+            self.found.append((text.removeprefix("+ "), key))
+            lookup = ast.parse(f"(_v if (_v := {memo}.get({key})) is not None"
+                               f" else {memo}.setdefault({key}, ...))",
+                               mode="eval").body
+            lookup.orelse.args[1] = _chain([terms[i] for i in group])
+            rest.append((ast.Add(), lookup))
+        return _chain(rest)
+
+
+def _terms(node: ast.expr) -> list[tuple[ast.operator, ast.expr]]:
+    """The terms of a +/- chain, each with its sign (`ast.Add` or
+    `ast.Sub`), in the anchor's order; the first's is `ast.Add`."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        return _terms(node.left) + [(node.op, node.right)]
+    return [(ast.Add(), node)]
+
+
+def _chain(terms: list[tuple[ast.operator, ast.expr]]) -> ast.expr:
+    """The +/- chain of signed terms, left to right; a first term's
+    minus is a unary minus."""
+    (op, tree), *others = terms
+    if isinstance(op, ast.Sub):
+        tree = ast.UnaryOp(ast.USub(), tree)
+    for op, term in others:
+        tree = ast.BinOp(tree, op, term)
+    return tree
+
+
+def _segment(source: str, node: ast.expr) -> str:
+    """`node`'s text, in parentheses when it is a +/- chain, whose own
+    text leaves the anchor's parentheses out."""
+    text = ast.get_source_segment(source, node)
+    return f"({text})" if len(_terms(node)) > 1 else text
+
+
+def _reads(node: ast.expr, source: str,
+           indices: list[str]) -> list[tuple[str, tuple[int, ...]]]:
+    """(text, coefficients) of each index combination `node` reads, in
+    the anchor's order: a reader's one argument when it is affine, else
+    each index named, in a non-affine argument (`TM(m*n)`) too."""
+    if isinstance(node, ast.Call) and len(node.args) == 1 \
+            and not node.keywords:
+        form = _affine(node.args[0], indices)
+        if form is not None:
+            return [(ast.get_source_segment(source, node.args[0]), form)]
+    if isinstance(node, ast.Name) and node.id in indices:
+        return [(node.id, _affine(node, indices))]
+    return [read for child in ast.iter_child_nodes(node)
+            for read in _reads(child, source, indices)]
 
 
 def _affine(node: ast.expr, indices: list[str]) -> tuple[int, ...] | None:
@@ -302,6 +372,41 @@ def _affine(node: ast.expr, indices: list[str]) -> tuple[int, ...] | None:
     if isinstance(node.op, ast.Mult) and isinstance(node.left, ast.Constant):
         return tuple(node.left.value * y for y in right)
     return None
+
+
+def _rank(vectors: list[tuple[int, ...]]) -> int:
+    """The rank of integer vectors, by fraction-free elimination."""
+    rows = [v for v in vectors if any(v)]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        col = next(i for i, x in enumerate(pivot) if x)
+        rows = [row for row in ([pivot[col] * x - row[col] * p
+                                 for x, p in zip(row, pivot)] for row in rows)
+                if any(row)]
+        rank += 1
+    return rank
+
+
+def _key(reads: list[tuple[str, tuple[int, ...]]], indices: list[str]) -> str:
+    """The text of a group's memo key, whose value fixes every value the
+    group reads: the indices it reads, in their order, when it reads as
+    many independent combinations as indices (`(m, j)`, `m`), else its
+    first reads, in the anchor's order, that are independent (`m+n+2`).
+    """
+    vectors = [v for _, v in reads]
+    rank = _rank(vectors)
+    named = [name for i, name in enumerate(indices)
+             if any(v[i] for v in vectors)]
+    if len(named) == rank:
+        picked = named
+    else:
+        picked, basis = [], []
+        for text, v in reads:
+            if len(basis) < rank and _rank(basis + [v]) > len(basis):
+                picked.append(text)
+                basis.append(v)
+    return picked[0] if len(picked) == 1 else f"({', '.join(picked)})"
 
 
 class _ReaderCalls(ast.NodeTransformer):
@@ -368,23 +473,6 @@ def _power_reader() -> Callable[[object, int], object]:
     return power
 
 
-def _form_memo() -> Callable[[str, int, Callable[[], object]], object]:
-    """(key, f, side) -> side(), evaluated once per (key, f) value.
-
-    `key` names a record's side, `f` is the value of its first reader
-    argument, which its one form's value determines: one entry per
-    value of the form that a sweep meets.
-    """
-    values = {}
-
-    def memo(key, f, side):
-        value = values.get((key, f))
-        if value is None:
-            value = values[key, f] = side()
-        return value
-    return memo
-
-
 def _names(code: CodeType) -> set[str]:
     """Every name compiled code uses, its nested code's too."""
     return set(code.co_names + code.co_varnames).union(
@@ -402,8 +490,9 @@ def registry() -> list[IdentityRecord]:
     divisor too; S_<kind> keeps a running total of its kind's reads
     (`series.running_bruteforce`), one term per step up the n axis.
     Each registry binds its anchors' `^` to its own power reader
-    (`_power_reader`) and their one-form sides to its own memo
-    (`_form_memo`), so no registry sees another's powers or sides.
+    (`_power_reader`), and each evaluator takes fresh dicts for its
+    groups (`_Groups`) when it is made, so no registry sees another's
+    powers or groups.
     """
     caches = {kind: TermCache(kind) for kind in SequenceKind}
     readers = {kind.value: functools.cache(term_reader(kind, caches[scalar]))
@@ -412,7 +501,7 @@ def registry() -> list[IdentityRecord]:
             for kind in KIND_SEEDS}
     # the anchors' only names: no builtins
     namespace = {"__builtins__": {}, "_pow": _power_reader(),
-                 "_memo": _form_memo(), "_div": _quotient} | readers | sums
+                 "_div": _quotient} | readers | sums
     return [
         IdentityRecord(id, anchor, shape,
                        eval(_compile(id, anchor, shape.indices), namespace),

@@ -434,10 +434,13 @@ def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
     more mat_muls, and its squares and products as big_muls.
     """
     if isinstance(seeds[0], Mat3):
-        # laid out entry by entry, so the coefficients may be Decimals
+        # laid out entry by entry, so the coefficients may be Decimals;
+        # through a list, so the tuple is allocated at its size: one
+        # grown from a generator and shrunk to nine is freed to a free
+        # list it is never taken back from, which then holds 2000
         a, b, c = _x_power(n, counter, one)
-        return Mat3(tuple(a * x2 + b * x1 + c * x0 for x0, x1, x2 in zip(
-            seeds[0].entries, seeds[1].entries, seeds[2].entries)))
+        return Mat3(tuple([a * x2 + b * x1 + c * x0 for x0, x1, x2 in zip(
+            seeds[0].entries, seeds[1].entries, seeds[2].entries)]))
     # n = 2k + f by shifts, cheaper than divmod(abs(n), 2) at the small
     # indices most calls have
     if n >= 0:

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import functools
 import json
@@ -186,7 +187,7 @@ class TestAnchors:
         "abs(T(n))", "T(m)", "TM(n).entries", "(x := T(n))",
         "[T(k) for k in (n,)]", "__import__('os')", "_mid", "_mid = T(n)",
         "_pow(T(n), 2)", "_memo('EQ3.1', n, lambda: T(n))",
-        "_div(T(n), 1)",
+        "_div(T(n), 1)", "_s0", "_s0.get(n)", "_v", "(_v := T(n))",
     ])
     def test_anchor_naming_anything_else_refused(self, side, monkeypatch):
         _with_anchor(monkeypatch, "EQ3", f"T(n) = {side}")
@@ -352,23 +353,73 @@ def _scalings(patch):
     return count
 
 
+# each record's groups: (side, the terms grouped, its memo key)
+GROUPS = {
+    "THM18c": [(2, "9*TM(m+n+2) - 12*TM(m+n+1) - 2*TM(m+n) + 4*TM(m+n-1) "
+                   "+ TM(m+n-2)", "m+n+2")],
+    "THM18d": [(1, "TM(m+n) + 4*TM(m+n-1) + 10*TM(m+n-2) + 12*TM(m+n-3) "
+                   "+ 9*TM(m+n-4)", "m+n")],
+    "THM18e": [(1, "TM(m+n) - 8*TM(m+n+1) + 18*TM(m+n+2) - 8*TM(m+n+3) "
+                   "+ TM(m+n+4)", "m+n")],
+    "COR19a": [(1, "T(m-1) + T(m-2)", "m")],
+    "COR19b": [(1, "T(m-1) + T(m-2)", "m")],
+    "COR19c": [(0, "K(m-1) + K(m-2)", "m"),
+               (1, "9*T(m+n+2) - 12*T(m+n+1) - 2*T(m+n) + 4*T(m+n-1) "
+                   "+ T(m+n-2)", "m+n+2")],
+    "COR19d": [(0, "K(m-1) + K(m-2)", "m"),
+               (1, "T(m+n) + 4*T(m+n-1) + 10*T(m+n-2) + 12*T(m+n-3) "
+                   "+ 9*T(m+n-4)", "m+n")],
+    "COR19e": [(0, "K(m-1) + K(m-2)", "m"),
+               (1, "T(m+n) - 8*T(m+n+1) + 18*T(m+n+2) - 8*T(m+n+3) "
+                   "+ T(m+n+4)", "m+n")],
+} | {
+    id: [(1, f"- {x}(j+m) - {x}(j-m) - (1-K(m))*{x}(j)", "(m, j)"),
+         (1, "K(m) - K(-m)", "m")]
+    for id, x in (("SUMTHMa", "TM"), ("SUMTHMb", "KM"), ("SUMCORa", "T"),
+                  ("SUMCORb", "K"))
+}
+
+
+def _groups(side, indices):
+    """(text, key) of each group `_compile` memoises in `side`."""
+    groups = identities._Groups(side, indices)
+    groups.visit(ast.parse(side, mode="eval"))
+    return groups.found
+
+
+def _side_groups(anchor, indices):
+    """(side, text, key) of each group `_compile` memoises in `anchor`."""
+    sides = anchor.replace("^", "**").split(" = ")
+    return [(i, text, key) for i, side in enumerate(sides)
+            for text, key in _groups(side, indices.split(", "))]
+
+
+def _keyed_by_first_index(patch):
+    """Every group keyed by its record's first index alone, recompiled."""
+    patch.setattr(identities, "_key", lambda reads, indices: indices[0])
+    patch.setattr(identities, "_compile",
+                  functools.cache(identities._compile.__wrapped__))
+
+
 class TestFormMemo:
-    """A side that reads only one form of two or more indices is
-    evaluated once per value of that form."""
+    """The terms of a +/- chain that read fewer independent combinations
+    of the indices than the record has are evaluated once per value of
+    those combinations."""
 
     def test_memoised_sides(self):
-        # exactly the right sides of THM18c-e and COR19c-e, all of m + n,
-        # each keyed by its first reader argument
+        # the whole right sides of THM18c-e and COR19c-e, all of m + n,
+        # keyed by their first reader argument; the m-only sum of COR19's
+        # middle factor; and each sum record's (m, j) terms and divisor.
+        # No left side is grouped whole: each is evaluated at every point
         found = {}
         for id, anchor, shape, *_ in identities.FORMULAS:
-            sides = anchor.replace("^", "**").split(" = ")
-            for i, side in enumerate(sides):
-                form = identities._one_form(side, shape.indices.split(", "))
-                if form is not None:
-                    found[id] = (i == len(sides) - 1, form)
-        assert found == {"THM18c": (True, "m+n+2"), "THM18d": (True, "m+n"),
-                         "THM18e": (True, "m+n"), "COR19c": (True, "m+n+2"),
-                         "COR19d": (True, "m+n"), "COR19e": (True, "m+n")}
+            groups = _side_groups(anchor, shape.indices)
+            if groups:
+                found[id] = groups
+        assert found == GROUPS
+        for id, anchor, *_ in identities.FORMULAS:
+            left = anchor.replace("^", "**").split(" = ")[0]
+            assert all(text != left for _, text, _ in found.get(id, ())), id
 
     @pytest.mark.parametrize("side,indices,form", [
         ("TM(m+n)", "m, n", None),                      # a bare read
@@ -385,9 +436,63 @@ class TestFormMemo:
         ("T(n-r+1) - 2*T(n-r)", "n, r", "n-r+1"),
         ("T(3-m-2*n) + T(-m-2*n)", "m, n", "3-m-2*n"),
         ("2*T(m+n-1) + T(m + n)", "m, n", "m+n-1"),  # first in the text
+        # a sum record's closed form: its (m, j) terms and its divisor
+        ("(TM(m*n+j+m) + TM(m*n+j-m) + (1-K(m))*TM(m*n+j) - TM(j+m) "
+         "- TM(j-m) - (1-K(m))*TM(j)) / (K(m) - K(-m))", "m, j, n",
+         ("(m, j)", "m")),
+        ("(T(m*n+j+m) - T(j+m) - T(j-m)) / (K(m) - K(-m))", "m, j, n",
+         ("(m, j)", "m")),
+        ("T(m*n+j) - T(j) - T(j+1)", "m, j, n", "j"),
+        ("T(m*n+j) - T(j+n) - T(j-n)", "m, j, n", "(j, n)"),
+        ("T(m*n+j) - T(m+j) - T(m+j+1)", "m, j, n", "m+j"),
+        ("T(m*n+j) - T(m+j) - T(m+j+n) - T(n)", "m, j, n",
+         "(m+j, m+j+n)"),
+        ("T(m*n) - T(j) - T(m+j) - T(m*j)", "m, j, n", None),  # all three
+        ("T(m*n+j) - T(n) - T(m*j+n)", "m, j, n", None),  # a lone term
+        ("T(m*n+j+m) - T(j+m) - T(j-m) + T(m+n)", "m, j, n", None),
+        ("T(j) - (T(j+1) - T(j+2))", "m, j, n", "j"),  # a term in brackets
     ])
     def test_form_finder(self, side, indices, form):
-        assert identities._one_form(side, indices.split(", ")) == form
+        keys = tuple(key for _, key in
+                     _groups(side, indices.split(", ")))
+        assert keys == (() if form is None else (form,)
+                        if isinstance(form, str) else form)
+
+    def test_group_text_is_the_anchors(self):
+        # each group is the anchor's own terms with their own signs; a
+        # term that is itself a chain keeps its brackets
+        assert _groups("T(j) - (T(j+1) - T(j+2)) + T(m*n+j)",
+                                  ["m", "j", "n"]) == \
+            [("T(j) - (T(j+1) - T(j+2))", "j")]
+        for id, anchor, shape, *_ in identities.FORMULAS:
+            for side, text, _ in _side_groups(anchor, shape.indices):
+                assert text.lstrip("- ") in anchor, id
+
+    @pytest.mark.parametrize("side", [
+        "T(j) - T(j+1) - T(m*n+j)",            # the chain's first terms
+        "- T(j) + T(m*n+j) - T(j+1)",          # a unary minus grouped
+        "T(m*n+j) - T(j) - T(j+1)",
+        "T(m*n+j) - (T(j) - T(j+1)) - T(m+j) - T(m+j+1)",  # in brackets
+        "T(n)*(T(m-1) - T(m+1)) - 2*(T(m)**2 - K(m)) + T(m*j+n)",
+        "(T(m*n+j) - T(j+m) - T(j-m) - (1-K(m))*T(j)) / (K(m) - K(-m))",
+    ])
+    def test_grouped_side_evaluates_as_written(self, side):
+        # the compiled side, grouped and memoised, against the side's own
+        # text evaluated directly over Fractions, at every point of a
+        # grid, twice
+        assert _groups(side, ["m", "j", "n"])
+        code = identities._compile("X", f"T(n) = {side}", "m, j, n")
+        readers = {"T": trib, "K": lucas_trib, "_div": identities._quotient,
+                   "_pow": lambda base, e: base ** e}
+        evaluate = eval(code, {"__builtins__": {}} | readers)
+        points = [(m, j, n) for m in range(1, 5) for j in range(m)
+                  for n in range(1, 5)]
+        for m, j, n in points + points:
+            expected = eval(side, {
+                "__builtins__": {}, "T": lambda i: Fraction(trib(i)),
+                "K": lambda i: Fraction(lucas_trib(i)), "m": m, "j": j,
+                "n": n})
+            assert evaluate(m, j, n)[1] == expected, (m, j, n)
 
     # a fresh sweep evaluates each side 3721 times; its form m + n takes
     # 121 values on Deep
@@ -403,38 +508,82 @@ class TestFormMemo:
         assert per_side >= 3
         assert scalings["rmul"] == 121 * per_side
 
+    @pytest.mark.parametrize("identity_id", ["SUMTHMa", "SUMTHMb"])
+    def test_sum_group_evaluated_once_per_m_j(self, identity_id, monkeypatch):
+        # (1-K(m))*X(m*n+j) is scaled at every case, the group's
+        # (1-K(m))*X(j) once per (m, j): 55 on Deep, against a scaling
+        # of each at all 3300 cases; the direct sum S_X(m, j, n), the
+        # whole left side, is still read at every case
+        reads = Counter()
+        real_oracle = identities.running_bruteforce
+
+        def counting_oracle(kind, term):
+            direct = real_oracle(kind, term)
+
+            def counted(m, j, n):
+                reads[kind] += 1
+                return direct(m, j, n)
+            return counted
+
+        monkeypatch.setattr(identities, "running_bruteforce", counting_oracle)
+        record = next(r for r in registry() if r.id == identity_id)
+        scalings = _scalings(monkeypatch)
+        report = verify_record(record, PROFILE_BOUNDS[Profile.DEEP])
+        assert report.passed and report.cases == 3300
+        assert scalings["rmul"] == 3300 + 55
+        assert sum(reads.values()) == 3300
+
     def test_negative_control_wrong_form(self, monkeypatch):
         # keyed by m alone, a side returns its value at (m, 0) for every n
-        real_one_form = identities._one_form
-        monkeypatch.setattr(
-            identities, "_one_form",
-            lambda side, indices: real_one_form(side, indices)
-            and indices[0])
-        monkeypatch.setattr(identities, "_compile",
-                            functools.cache(identities._compile.__wrapped__))
+        _keyed_by_first_index(monkeypatch)
         report = _standard_sweep(registry(), "THM18c")
         assert report.cases == 961
         assert [f.indices for f in report.failures] == \
             [(m, n) for m in range(31) for n in range(1, 31)]
 
+    @pytest.mark.parametrize("identity_id", ["SUMTHMa", "SUMTHMb"])
+    def test_negative_control_sum_group_keyed_by_m(self, identity_id,
+                                                   monkeypatch):
+        # keyed by m alone, the (m, j) terms return their value at
+        # (m, 0) for every j: exactly the points with j >= 1 fail, 1350
+        # of 1650; the divisor, which reads m only, stays right
+        _keyed_by_first_index(monkeypatch)
+        report = _standard_sweep(registry(), identity_id)
+        assert report.cases == 1650
+        assert [f.indices for f in report.failures] == \
+            [(m, j, n) for m in range(1, 11) for j in range(1, m)
+             for n in range(1, 31)]
+        assert len(report.failures) == 1350
+
     def test_registries_share_no_memo(self, monkeypatch):
         # the first registry holds THM18c's right side wrong at every
-        # m + n <= 30; the second, built alongside it, sweeps as a fresh
-        # registry does
+        # m + n <= 30, and SUMTHMa's (m, j) terms wrong at every (m, j);
+        # the second, built alongside it, sweeps as a fresh registry does
         first, second = registry(), registry()
         with monkeypatch.context() as patch:
             patch.setattr(matrices.Mat3, "__rmul__", lambda self, k: self)
             thm18c = next(r for r in first if r.id == "THM18c")
             for n in range(31):
                 thm18c.evaluate(0, n)
+            sumthma = next(r for r in first if r.id == "SUMTHMa")
+            for m in range(1, 11):
+                for j in range(m):
+                    sumthma.evaluate(m, j, 1)
         with monkeypatch.context() as patch:
             scalings = _scalings(patch)
             assert _standard_sweep(second, "THM18c").passed
             assert scalings["rmul"] == 61 * 4
+        with monkeypatch.context() as patch:
+            scalings = _scalings(patch)
+            assert _standard_sweep(second, "SUMTHMa").passed
+            # one scaling a case, and 55 group evaluations
+            assert scalings["rmul"] == 1650 + 55
         # the first registry still reads its own wrong values
         report = _standard_sweep(first, "THM18c")
         assert [f.indices for f in report.failures] == \
             [(m, n) for m in range(31) for n in range(31) if m + n <= 30]
+        report = _standard_sweep(first, "SUMTHMa")
+        assert report.cases == len(report.failures) == 1650
 
 
 class TestVerify:
@@ -690,7 +839,11 @@ class TestCompiledSums:
                 assert all(type(x) is int
                            for x in _entries(left) + _entries(right))
 
-    def test_sum_sides_unmemoised(self):
+    def test_sum_sides_grouped(self):
+        # a sum record's right side: X(m*n+j+m), X(m*n+j-m) and
+        # (1-K(m))*X(m*n+j) at every case, its other three terms once per
+        # (m, j) and its divisor once per m; its left side S_X(m, j, n)
+        # is one read of the direct sum, never grouped
         sums = [(id, anchor) for id, anchor, shape, *_ in identities.FORMULAS
                 if shape.indices == "m, j, n"]
         assert [id for id, _ in sums] == \
@@ -698,8 +851,11 @@ class TestCompiledSums:
         for id, anchor in sums:
             left, right = anchor.split(" = ")
             assert left.startswith("S_"), id
-            for side in (left, right):
-                assert identities._one_form(side, ["m", "j", "n"]) is None
+            x = left[2:left.index("(")]
+            assert _groups(left, ["m", "j", "n"]) == [], id
+            assert _groups(right, ["m", "j", "n"]) == [
+                (f"- {x}(j+m) - {x}(j-m) - (1-K(m))*{x}(j)", "(m, j)"),
+                ("K(m) - K(-m)", "m")], id
 
     def test_fraction_failure_reported_as_ratio(self):
         half = Fraction(7, 2)
