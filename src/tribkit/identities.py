@@ -225,32 +225,28 @@ READERS = frozenset(name for kind in KIND_SEEDS  # T, K, TM, KM, S_T, ...
 def _compile(id: str, anchor: str, indices: str) -> CodeType:
     """`lambda <indices>: (left, right)` from the anchor's own text.
 
-    `^` is a call `_pow(base, e)` of the registry's power reader, `/` a
-    call `_div(a, d)` of `_quotient`; each group that `_Groups` finds is
-    an inline lookup in a dict of its own, `_s0`, `_s1`, ..., which the
-    lambda takes as keyword-only defaults, so each evaluation of the
-    lambda, one per registry, makes fresh ones; a chain A = B = C yields
-    ((A, B), (B, C)), B evaluated once.  Cached, so an anchor is
-    compiled once per process.
+    Each side is parsed alone and read once by `_Groups`: `^` becomes a
+    call `_pow(base, e)` of the registry's power reader, `/` a call
+    `_div(a, d)` of `_quotient`, and each group an inline lookup in a
+    dict of its own, `_s0`, `_s1`, ..., which the lambda takes as
+    keyword-only defaults, so each evaluation of the lambda, one per
+    registry, makes fresh ones; a chain A = B = C yields ((A, B), (B,
+    C)), B evaluated once.  Cached: compiled once per process.
     """
     sides = anchor.replace("^", "**").split(" = ")
     if len(sides) not in (2, 3):
         raise ValueError(f"{id}: an anchor has two or three sides")
-    # the sides' own names are checked before the chain binds `_mid`, a
-    # group `_v` and its dict, `^` becomes `_pow` and `/` `_div`
-    code = compile(f"lambda {indices}: ({', '.join(sides)})", f"<{id}>",
-                   "eval")
-    names = indices.split(", ")
-    unknown = _names(code) - READERS - set(names)
-    if unknown:
-        raise ValueError(f"{id}: its anchor names {', '.join(sorted(unknown))}"
-                         f"; only {', '.join(sorted(READERS))} and "
-                         f"{indices} are allowed")
-    body = (", ".join(sides) if len(sides) == 2
-            else "({}, (_mid := {})), (_mid, {})".format(*sides))
-    source = f"lambda {indices}: ({body})"
-    groups = _Groups(source, names)
-    tree = _ReaderCalls().visit(groups.visit(ast.parse(source, mode="eval")))
+    groups = _Groups(id, indices.split(", "))
+    try:
+        a, b, *c = [groups.side(side) for side in sides]
+    except SyntaxError as error:
+        raise ValueError(f"{id}: {error.text}: {error.msg}") from None
+    if c:  # ((A, (_mid := B)), (_mid, C))
+        mid = ast.NamedExpr(ast.Name("_mid", ast.Store()), b)
+        a, b = (ast.Tuple([a, mid], ast.Load()),
+                ast.Tuple([ast.Name("_mid", ast.Load()), *c], ast.Load()))
+    tree = ast.parse(f"lambda {indices}: ()", mode="eval")
+    tree.body.body.elts = [a, b]
     tree.body.args.kwonlyargs = [ast.arg(f"_s{i}")
                                  for i in range(len(groups.found))]
     tree.body.args.kw_defaults = [ast.Dict([], []) for _ in groups.found]
@@ -260,7 +256,8 @@ def _compile(id: str, anchor: str, indices: str) -> CodeType:
 class _Groups(ast.NodeTransformer):
     """Rewrites the terms of each +/- chain that read fewer independent
     combinations of the indices than there are indices into an inline
-    lookup, evaluated once per value of those combinations.
+    lookup, evaluated once per value of those combinations; `read`, the
+    one walk over a side, records each node's reads in `reads`.
 
     A chain's terms are taken with their signs, as the anchor writes
     them.  Its group is every term that reads at least one and fewer
@@ -269,22 +266,96 @@ class _Groups(ast.NodeTransformer):
     constant, and a lone term at most one read, which its reader
     memoises.  The group becomes `(_v if (_v := _sI.get(key)) is not
     None else _sI.setdefault(key, group))`, `key` from `_key`, added
-    after the chain's other terms.  A reader's argument is index
-    arithmetic, never grouped.  `found` lists each group's (text, key).
+    after the chain's other terms.  A reader's argument is never
+    grouped.  `found` lists each group's (text, key).
     """
 
-    def __init__(self, source: str, indices: list[str]):
-        self.source, self.indices = source, indices
-        self.found: list[tuple[str, str]] = []
+    def __init__(self, id: str, indices: list[str]):
+        self.id, self.indices = id, indices
+        self.reads, self.found = {}, []
+
+    def side(self, source: str) -> ast.expr:
+        """The side `source` read, then grouped."""
+        self.source = source
+        return self.visit(self.read(ast.parse(source, mode="eval").body))
+
+    def read(self, node: ast.expr) -> ast.expr:
+        """`node` checked against the formula language and its reads
+        recorded, `a ** e` rewritten into `_pow(a, e)` and `a / d` into
+        `_div(a, d)`."""
+        reads = []
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None)
+            if name not in READERS or node.keywords:
+                self.refuse(node.keywords[0] if name in READERS else node.func)
+            if len(node.args) != (3 if name.startswith("S_") else 1):
+                self.refuse(node, f" of {len(node.args)} arguments")
+            for arg in node.args:
+                form = self.affine(arg, named := [])
+                reads += named if form is None else [
+                    (ast.get_source_segment(self.source, arg), form)]
+        elif isinstance(node, (ast.Name, ast.Constant)):
+            self.affine(node, reads)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            node.operand = self.read(node.operand)
+            reads = self.reads[node.operand]
+        elif isinstance(getattr(node, "op", None),
+                        (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)):
+            node.left, node.right = self.read(node.left), self.read(node.right)
+            reads = self.reads[node.left] + self.reads[node.right]
+            name = {ast.Pow: "_pow", ast.Div: "_div"}.get(type(node.op))
+            if name:
+                node = ast.copy_location(ast.Call(ast.Name(name, ast.Load()),
+                                                  [node.left, node.right], []),
+                                         node)
+        else:
+            self.refuse(node)
+        self.reads[node] = reads
+        return node
+
+    def affine(self, node: ast.expr, named: list) -> tuple[int, ...] | None:
+        """The indices' coefficients in index arithmetic (its constant
+        dropped), or None for `m*n`; `named` gains each index's read."""
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return (0,) * len(self.indices)
+        if isinstance(node, ast.Name) and node.id in self.indices:
+            named.append((node.id, tuple(int(i == node.id)
+                                         for i in self.indices)))
+            return named[-1][1]
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            inner = self.affine(node.operand, named)
+            return None if inner is None else tuple(-x for x in inner)
+        if not isinstance(getattr(node, "op", None),
+                          (ast.Add, ast.Sub, ast.Mult)):
+            self.refuse(node, " in a reader's argument")
+        left, right = (self.affine(x, named) for x in (node.left, node.right))
+        if left is None or right is None:
+            return None
+        if isinstance(node.op, ast.Add):
+            return tuple(x + y for x, y in zip(left, right))
+        if isinstance(node.op, ast.Sub):
+            return tuple(x - y for x, y in zip(left, right))
+        if isinstance(node.left, ast.Constant):
+            return tuple(node.left.value * y for y in right)
+        return None
+
+    def refuse(self, node: ast.AST, detail: str = ""):
+        """Raise a ValueError naming the id and `node`'s construct, with
+        `detail` unless it is a name or a constant, wrong anywhere."""
+        kind = type(node.value if isinstance(node, ast.Constant)
+                    else getattr(node, "op", node)).__name__
+        detail *= not isinstance(node, (ast.Name, ast.Constant))
+        raise ValueError(f"{self.id}: no formula holds {kind}{detail}: "
+                         f"{ast.get_source_segment(self.source, node)}")
 
     def visit_Call(self, node: ast.Call) -> ast.expr:
-        return node
+        return node if node.func.id in READERS else self.generic_visit(node)
 
     def visit_BinOp(self, node: ast.BinOp) -> ast.expr:
         if not isinstance(node.op, (ast.Add, ast.Sub)):
             return self.generic_visit(node)
         terms = _terms(node)
-        reads = [_reads(term, self.source, self.indices) for _, term in terms]
+        reads = [self.reads[term] for _, term in terms]
         width = len(self.indices)
         group = [i for i, read in enumerate(reads)
                  if 0 < _rank([v for _, v in read]) < width]
@@ -334,46 +405,6 @@ def _segment(source: str, node: ast.expr) -> str:
     return f"({text})" if len(_terms(node)) > 1 else text
 
 
-def _reads(node: ast.expr, source: str,
-           indices: list[str]) -> list[tuple[str, tuple[int, ...]]]:
-    """(text, coefficients) of each index combination `node` reads, in
-    the anchor's order: a reader's one argument when it is affine, else
-    each index named, in a non-affine argument (`TM(m*n)`) too."""
-    if isinstance(node, ast.Call) and len(node.args) == 1 \
-            and not node.keywords:
-        form = _affine(node.args[0], indices)
-        if form is not None:
-            return [(ast.get_source_segment(source, node.args[0]), form)]
-    if isinstance(node, ast.Name) and node.id in indices:
-        return [(node.id, _affine(node, indices))]
-    return [read for child in ast.iter_child_nodes(node)
-            for read in _reads(child, source, indices)]
-
-
-def _affine(node: ast.expr, indices: list[str]) -> tuple[int, ...] | None:
-    """The indices' coefficients in an integer affine expression of them
-    (its constant dropped), or None when it is not one."""
-    if isinstance(node, ast.Constant) and type(node.value) is int:
-        return (0,) * len(indices)
-    if isinstance(node, ast.Name) and node.id in indices:
-        return tuple(int(name == node.id) for name in indices)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        inner = _affine(node.operand, indices)
-        return None if inner is None else tuple(-x for x in inner)
-    if not isinstance(node, ast.BinOp):
-        return None
-    left, right = _affine(node.left, indices), _affine(node.right, indices)
-    if left is None or right is None:
-        return None
-    if isinstance(node.op, ast.Add):
-        return tuple(x + y for x, y in zip(left, right))
-    if isinstance(node.op, ast.Sub):
-        return tuple(x - y for x, y in zip(left, right))
-    if isinstance(node.op, ast.Mult) and isinstance(node.left, ast.Constant):
-        return tuple(node.left.value * y for y in right)
-    return None
-
-
 def _rank(vectors: list[tuple[int, ...]]) -> int:
     """The rank of integer vectors, by fraction-free elimination."""
     rows = [v for v in vectors if any(v)]
@@ -407,19 +438,6 @@ def _key(reads: list[tuple[str, tuple[int, ...]]], indices: list[str]) -> str:
                 picked.append(text)
                 basis.append(v)
     return picked[0] if len(picked) == 1 else f"({', '.join(picked)})"
-
-
-class _ReaderCalls(ast.NodeTransformer):
-    """Rewrites every `base ** e` into `_pow(base, e)` and every `a / d`
-    into `_div(a, d)`."""
-
-    def visit_BinOp(self, node: ast.BinOp) -> ast.expr:
-        self.generic_visit(node)
-        name = {ast.Pow: "_pow", ast.Div: "_div"}.get(type(node.op))
-        if name is None:
-            return node
-        return ast.Call(ast.Name(name, ast.Load()), [node.left, node.right],
-                        [])
 
 
 class _Undefined(str):
@@ -471,12 +489,6 @@ def _power_reader() -> Callable[[object, int], object]:
         latest[base] = e, value
         return value
     return power
-
-
-def _names(code: CodeType) -> set[str]:
-    """Every name compiled code uses, its nested code's too."""
-    return set(code.co_names + code.co_varnames).union(
-        *(_names(c) for c in code.co_consts if isinstance(c, CodeType)))
 
 
 def registry() -> list[IdentityRecord]:
