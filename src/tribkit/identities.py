@@ -5,15 +5,23 @@ an operation elsewhere (Binet evaluation, generating functions) lives
 here as an IdentityRecord: a stable id, the formula itself as the
 anchor, a Shape (index names, declared domain and sweep), and an
 evaluator returning the two sides.  A formula's evaluator is its
-anchor's own text, compiled once per process with `^` read as a call of
-the registry's power reader and `/` as exact division over the
-rationals (`_quotient`); its only names are its indices and the
-registry's readers T, K, TM and KM, and S_T, S_K, S_TM and S_KM, the
-direct strided sums, so the formula a report prints is the formula that
-was checked.  Verification sweeps a profile-sized grid, whose points
-and bounds text come from one call of the shape's sweep, and demands
-exact equality at every point -- integer identities get no tolerance;
-a quotient by zero equals no side, so it fails its points.
+anchor's own text, compiled once per process, so the formula a report
+prints is the formula that was checked.  An anchor is two or three
+sides joined by ` = `.  A side is calls of the registry's readers T,
+K, TM and KM with one positional argument and of S_T, S_K, S_TM and
+S_KM, the direct strided sums, with three; the record's indices; and
+int constants (never a bool, float or str); joined by +, -, *, /, ^
+and unary minus.  A reader's argument is index arithmetic: the indices
+and int constants joined by +, -, * and unary minus.  One walk over
+each side (`_Groups.read`) refuses anything else with a ValueError
+naming the id and the construct, when the registry is built.  `^` is a
+call of the registry's power reader, exact for a negative power of a
+number too, and `/` exact division over the rationals (`_quotient`).
+Verification sweeps a profile-sized grid, whose points and bounds text
+come from one call of the shape's sweep, and demands exact equality at
+every point -- integer identities get no tolerance; a quotient by zero
+equals no side and is the value of every operation on it, so it fails
+its points wherever it stands.
 
 A registry memoises powers: its reader keeps the latest power of each
 matrix base and steps it by one product when the exponent grows by one,
@@ -441,14 +449,28 @@ def _key(reads: list[tuple[str, tuple[int, ...]]], indices: list[str]) -> str:
 
 
 class _Undefined(str):
-    """A quotient by zero as its text, n/0, which equals nothing: a side
-    holding one fails its point."""
+    """A quotient by zero as its text, n/0, which equals nothing and is
+    the result of every operation on it, a quotient too: a side holding
+    one anywhere fails its point."""
+
+    __hash__ = str.__hash__
 
     def __eq__(self, other):
         return False
 
     def __ne__(self, other):
         return True
+
+    def _absorb(self, *other):
+        return self
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _absorb
+    __neg__ = __pow__ = __rpow__ = _absorb
+
+    def __divmod__(self, other):  # so `_quotient` returns it, exactly
+        return self, 0
+
+    __rdivmod__ = __divmod__
 
 
 def _quotient(numerator, divisor: int):
@@ -473,15 +495,20 @@ def _quotient(numerator, divisor: int):
 def _power_reader() -> Callable[[object, int], object]:
     """(base, e) -> base ** e, continuing the latest power of a matrix base.
 
-    One entry per base, keyed by its value: the latest (e, power).  The
-    same e costs nothing, and e one past it costs one product,
-    `power * base`; any other e, and an int base, is `base ** e`.
+    One entry per matrix base, keyed by its value: the latest (e,
+    power).  The same e costs nothing, and e one past it costs one
+    product, `power * base`; any other e is `base ** e`.  A number base
+    is exact: `base ** e`, or `1 / base ** -e` over the rationals
+    (`_quotient`) at a negative e, so `2^(-1)` is 1/2 and `0^(-1)` is
+    1/0, never a float.  A quotient by zero as the exponent is the power.
     """
     latest = {}
 
     def power(base, e):
-        if isinstance(base, int):
-            return base ** e
+        if isinstance(e, _Undefined):
+            return e
+        if not isinstance(base, Mat3):
+            return base ** e if e >= 0 else _quotient(1, base ** -e)
         e0, value = latest.get(base, (None, None))
         if e0 == e:
             return value

@@ -260,6 +260,65 @@ class TestAnchors:
         big = 7 ** 6000  # past the int-to-str limit
         assert matrices.decimal_form(quotient(big, 0)).endswith("1/0")
 
+    @pytest.mark.parametrize("anchor,right", [
+        ("2*T(n) = T(n) + T(n)*(n/n)", "0/0"),
+        ("T(n) = T(n) + 0*(1/n)", "1/0"),
+        ("T(n) = T(n) + 0*n^(-1)", "1/0"),
+        ("TM(n) = TM(n) + 0*(TM(n)/n)",
+         [["1/0", "0/0", "0/0"], ["0/0", "1/0", "0/0"],
+          ["0/0", "0/0", "1/0"]]),
+    ])
+    def test_quotient_by_zero_inside_a_term_fails_its_point(
+            self, anchor, right, capsys, monkeypatch):
+        # a quotient by zero is the value of every operation on it, a
+        # power and a quotient too, so only n = 0 fails, with no traceback
+        _with_anchor(monkeypatch, "EQ3", anchor)
+        assert main(["verify", "EQ3", "--profile", "quick",
+                     "--format", "json"]) == 1
+        [report] = json.loads(capsys.readouterr().out)
+        assert report["cases"] == 21
+        assert [(f["indices"], f["right"]) for f in report["failures"]] == \
+            [([0], right)]
+
+    def test_quotient_by_zero_is_absorbing(self):
+        undefined = identities._quotient(1, 0)
+        ones = Mat3((1,) * 9)
+        for value in (undefined + 2, 2 + undefined, undefined - 2,
+                      2 - undefined, 2 * undefined, undefined * ones,
+                      -undefined, undefined ** 2, 2 ** undefined,
+                      identities._quotient(undefined, 3),
+                      identities._quotient(3, undefined),
+                      identities._power_reader()(undefined, -2),
+                      identities._power_reader()(2, undefined),
+                      identities._power_reader()(ones, undefined)):
+            assert value is undefined
+        assert ones * undefined is undefined
+        undefined_entries = identities._quotient(ones, 0)
+        assert (ones + undefined_entries) != ones + ones
+        # a matrix holding one is still a power's base, keyed by its value
+        assert identities._power_reader()(undefined_entries, 2) != ones
+
+    def test_negative_int_power_is_exact(self):
+        power = identities._power_reader()
+        half = power(2, -1)
+        assert half == Fraction(1, 2) and type(half) is Fraction
+        assert power(-3, -3) == Fraction(-1, 27)
+        assert power(3, 0) == 1 and type(power(3, 2)) is int
+        assert matrices.decimal_form(power(0, -1)) == "1/0"
+
+    @pytest.mark.parametrize("anchor", [
+        "T(n) = T(n)*3^n*3^(-n)",
+        "T(n)*3^n = T(n+3)*3^n - T(n+2)*3^n - T(n+1)*3^n",
+    ])
+    def test_true_identity_with_negative_powers_passes(self, anchor, capsys,
+                                                       monkeypatch):
+        # 3^n at n < 0 is the exact 1/3^-n: a float would fail from
+        # n = -35 or so on Standard
+        _with_anchor(monkeypatch, "EQ3", anchor)
+        assert main(["verify", "EQ3", "--format", "json"]) == 0
+        [report] = json.loads(capsys.readouterr().out)
+        assert report["cases"] == 81 and report["failures"] == []
+
     def test_chain_evaluates_each_side_once(self, monkeypatch):
         tm3, tm5, tm7 = t_matrix(3), t_matrix(5), t_matrix(7)
         square = matrices.mat_mul(tm5, tm5)
