@@ -492,23 +492,46 @@ def _quotient(numerator, divisor: int):
     return Fraction(numerator, divisor)
 
 
+def _inverse_power(base: Mat3, k: int) -> Mat3:
+    """base ** -k over the rationals, k >= 1: adj(base) ** k over
+    det(base) ** k (`_quotient`), so a singular base is 1/0 or 0/0 at
+    every entry."""
+    a, b, c, d, e, f, g, h, i = base.entries
+    a1, a4, a7 = e * i - f * h, f * g - d * i, d * h - e * g
+    adjugate = Mat3((a1, c * h - b * i, b * f - c * e,
+                     a4, a * i - c * g, c * d - a * f,
+                     a7, b * g - a * h, a * e - b * d))
+    return _quotient(adjugate ** k, (a * a1 + b * a4 + c * a7) ** k)
+
+
 def _power_reader() -> Callable[[object, int], object]:
     """(base, e) -> base ** e, continuing the latest power of a matrix base.
 
     One entry per matrix base, keyed by its value: the latest (e,
-    power).  The same e costs nothing, and e one past it costs one
-    product, `power * base`; any other e is `base ** e`.  A number base
-    is exact: `base ** e`, or `1 / base ** -e` over the rationals
-    (`_quotient`) at a negative e, so `2^(-1)` is 1/2 and `0^(-1)` is
-    1/0, never a float.  A quotient by zero as the exponent is the power.
+    power), e >= 0.  The same e costs nothing, and e one past it costs
+    one product, `power * base`; any other e is `base ** e`.  Every power is
+    exact over the rationals, never a float: a negative one is
+    `1 / base ** -e` for a number (`_quotient`), so `2^(-1)` is 1/2 and
+    `0^(-1)` is 1/0, and the inverse power for a matrix
+    (`_inverse_power`), so `TM(n)^(-1)` is TM(-n).  An exponent that is
+    no int at a point, a quotient by zero or a non-integral Fraction
+    such as `n/2` at odd n, makes the power a quotient by zero too.
     """
     latest = {}
 
     def power(base, e):
-        if isinstance(e, _Undefined):
-            return e
+        if not isinstance(e, int):
+            if isinstance(e, _Undefined):
+                return e
+            base_text = "" if isinstance(base, Mat3) else to_decimal(base)
+            return _Undefined(f"{base_text}^({to_decimal(e)})")
         if not isinstance(base, Mat3):
             return base ** e if e >= 0 else _quotient(1, base ** -e)
+        if e < 0:
+            # never kept: each side makes its own quotients by zero, so
+            # even slotwise, where a tuple takes one object for equal to
+            # itself, a singular base's power equals nothing
+            return _inverse_power(base, -e)
         e0, value = latest.get(base, (None, None))
         if e0 == e:
             return value

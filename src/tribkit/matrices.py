@@ -241,9 +241,42 @@ def mat_pow(a: Mat3, e: int, counter: OpCounter | None = None) -> Mat3:
 #   8192         -8.5        -76
 #   65536      -391         -243
 #   262144    -4095        -1737
-# A scalar on the decimal route (from n = 10^5) squares some x**e with e
+# A scalar on the decimal route (from n = 4*10^4) squares some x**e with e
 # in [2048, 4096), so the switch sits where Decimal starts to win.
 FIVE_SQUARES_FROM = 2048
+
+# libmpdec squares by the schoolbook method while an operand has at most
+# 256 words (of 19 digits on a 64-bit build, 9 on a 32-bit one; `_mpd_qmul`
+# in mpdecimal), by a number-theoretic transform past that, and a square
+# of 257 words costs what one of about 132 costs by schoolbook.  So a
+# Decimal square in between is cheaper padded with zeros past 256 words
+# (medians of 7 rounds of 50 calls; 2 vCPUs, CPython 3.11;
+# BENCH_decimal_band.json):
+#   digits     direct    padded (ms)
+#   2 300      0.097     0.116
+#   2 508      0.114     0.116
+#   2 509      0.116     0.116
+#   3 200      0.188     0.117
+#   4 000      0.300     0.117
+#   4 864      0.436     0.117
+#   4 865      0.116       -
+_WORD_DIGITS = 19 if decimal.MAX_PREC > 425_000_000 else 9
+_SCHOOLBOOK_DIGITS = 256 * _WORD_DIGITS
+_PAD_FROM_DIGITS = 132 * _WORD_DIGITS
+
+
+def _decimal_square(x):
+    """x * x for an integral Decimal under `EXACT`.  A coefficient in the
+    band (`_PAD_FROM_DIGITS`, `_SCHOOLBOOK_DIGITS`] gets s zeros past 256
+    words, is squared by transform, and loses exactly 2s zeros again, so
+    an unpad that is not exact raises Inexact."""
+    digits = x.adjusted() + 1
+    if not _PAD_FROM_DIGITS < digits <= _SCHOOLBOOK_DIGITS:
+        return x * x
+    s = _SCHOOLBOOK_DIGITS + 1 - digits
+    x = x.scaleb(s).quantize(1)
+    x *= x
+    return x.scaleb(-2 * s).quantize(1)
 
 
 def _x_power(n: int, counter: OpCounter | None = None,
@@ -261,7 +294,9 @@ def _x_power(n: int, counter: OpCounter | None = None,
 
     Only `*`, `+`, `-` and `divmod` touch the coefficients, so they are
     of the type of `one`, the unit: ints by default, or
-    `decimal.Decimal` under `EXACT` for `decimal_term`.
+    `decimal.Decimal` under `EXACT` for `decimal_term`, whose five
+    squares go through `_decimal_square` each, one by one, so the
+    divisions by 2 and 6 and their check see unscaled values.
 
     The counter gets one mat_muls per squaring or step of the chain,
     the 6 or 5 multiplications of each squaring, and every addition,
@@ -273,6 +308,7 @@ def _x_power(n: int, counter: OpCounter | None = None,
     a, b, c = (zero, one, zero) if n > 0 else (one, -one, -one)
     bits = bin(abs(n))[3:]  # bits below the most significant one
     five_from = FIVE_SQUARES_FROM
+    square = _decimal_square if isinstance(one, decimal.Decimal) else None
     e = 1  # x**e is squared next
     for bit in bits:
         if e < five_from:
@@ -310,16 +346,16 @@ def _x_power(n: int, counter: OpCounter | None = None,
             q = p - b  # P(-1)
             p += b  # P(1)
             t = 2 * (p + a) - c  # P(2) = 4a + 2b + c
-            p *= p
-            q *= q
+            p = square(p) if square else p * p
+            q = square(q) if square else q * q
             q = p - q
             q, rem2 = divmod(q, 2)  # r1 + r3
             p -= q  # r0 + r2 + r4
-            a *= a
-            c *= c
+            a = square(a) if square else a * a
+            c = square(c) if square else c * c
             p -= c
             p -= a  # r2
-            t *= t
+            t = square(t) if square else t * t
             t -= c
             t -= 16 * a
             t -= 4 * p
@@ -355,13 +391,46 @@ def _x_power(n: int, counter: OpCounter | None = None,
 
 # A sum adds the forms of its u seeds (`series.partial_sum`), one key per
 # (kind, m, f): a sweep of both scalar kinds over m in 1..10 and every
-# j < m holds 45 keys, T's and K's own included; a key takes about 60 us
-# to build
+# j < m holds 45 keys, T's and K's own included; a reduction takes about
+# 60 us, and a key one to three of them
 @lru_cache(maxsize=64)
 def _square_forms(seeds: tuple[int, int, int], f: int):
     """(d, forms): d*s(2k + f) is the sum of w*(l . p)*(m . p) over
     (w, *l, m) in forms, p = (c, b, a) the coefficients of x**k, any k;
     m is None for a square (m = l).
+
+    The reduction of the form at f (`_reduce`) or of the one at f - 2 or
+    f + 2, whichever has the fewest squares and products, f's own on a
+    tie: s(2k + f) is also s(2(k + 1) + f - 2) and s(2(k - 1) + f + 2),
+    read off x**(k + 1) = (a + b)*x^2 + (a + c)*x + a or
+    x**(k - 1) = c*x^2 + (a - c)*x + b - c, whose coefficients are
+    integer lines in p, so a line of those forms composes to one in p.
+    For K at even n that is f - 2, one product and one square over d = 1
+    against three squares over 6.  At odd n no split of K's form takes
+    fewer than three: K(2k + f) is Tr(x**f * y**2), y = x**k, the trace
+    of Q(x), and y -> x*y makes the forms at f and f + 2 equivalent over
+    Z.  At f = 1 the form is X^2 - 2Y^2 + 22Z^2 in unimodular lines,
+    which has no rational zero: modulo 11 a zero makes X^2 = 2Y^2, and 2
+    is no square mod 11, so 11 divides X and Y, hence Z, and no primitive
+    zero exists.  One product and one square would vanish where a factor
+    of the product and the square's line do, and two squares have rank
+    2, not 3.
+    """
+    best = _reduce(seeds, f)
+    # the lines of the forms at f - 2 and f + 2 composed into p's
+    for shift, step in ((-2, lambda l0, l1, l2: (l1, l2, l0 + l1 + l2)),
+                        (2, lambda l0, l1, l2: (l2 - l0 - l1, l0, l1))):
+        if len(best[1]) <= 2:
+            break
+        d, forms = _reduce(seeds, f + shift)
+        if len(forms) < len(best[1]):
+            best = d, tuple((w, *step(*l), None if m is None else step(*m))
+                            for w, *l, m in forms)
+    return best
+
+
+def _reduce(seeds: tuple[int, int, int], f: int):
+    """`_square_forms` of the form at f itself.
 
     s(2k + f) = s(k + k + f) = sum of p_i*p_j*s(i + j + f) over i, j in
     {0, 1, 2}: a quadratic form whose matrix H holds the terms
@@ -425,10 +494,10 @@ def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
     form sum of p_i*p_j*s(i + j + f), which `_square_forms` writes as
     weighted squares and products of linear forms over one exact
     division.  So the top level costs 3 big multiplications instead of
-    6, and 2 for T, whose forms pair two opposite squares into one
-    product at every f; each is folded into the total as soon as it is
-    made, and the total is of the size of the answer.  For T with
-    f = 0, T(2k) = (a + b)*(3a + b + 2c) + a**2.
+    6, and 2 for T at every f and for K at even n, whose forms pair two
+    opposite squares into one product; each is folded into the total as
+    soon as it is made, and the total is of the size of the answer.  For
+    T with f = 0, T(2k) = (a + b)*(3a + b + 2c) + a**2.
 
     `counter` and `one` go to `_x_power`; the read-out counts as one
     more mat_muls, and its squares and products as big_muls.
@@ -459,7 +528,7 @@ def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
             v *= m0 * c + m1 * b + m2 * a
         v *= w
         total += v
-    if d == 1:  # T's forms, and K's at f = 1: nothing to divide or check
+    if d == 1:  # T's forms, and K's at f = 0 and 1: nothing to divide
         value = total
     else:
         value, remainder = divmod(total, d)
@@ -480,34 +549,36 @@ def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
 # The decimal route: the kernel run on decimal.Decimal under `EXACT`,
 # whose answer is already decimal text (`str()` is linear), where
 # turning a big int answer into text costs about as much as computing
-# it.  libmpdec multiplies large numbers with a number-theoretic
-# transform.
+# it.  libmpdec multiplies by the schoolbook method up to 256 words and
+# by a number-theoretic transform past that, and `_decimal_square` pads
+# a square in between past the base case.
 # Index from which an answer takes the decimal route, where the two
 # routes cost about the same; on the negative side it is taken from
 # -2 * the crossover, since backwards the terms grow only like
 # sqrt(1.839...)**|n|, and T(-2m) has as many digits as T(m).  A scalar
 # answer prints one term, a matrix answer nine, so text overtakes the
-# arithmetic at a smaller index there.  Medians of 3 rounds in one
-# interpreter, each best of 5 (20 below 10^5, 150 for TM and KM at 1500
-# and 2*10^3), both routes with five squares a squaring and the
-# read-out of `kernel_term` (2 vCPUs, CPython 3.11;
-# BENCH_five_squares.json):
+# arithmetic at a smaller index there.  Medians of 9, each best of 3, in
+# one interpreter (2 vCPUs, CPython 3.11; BENCH_decimal_band.json; the
+# TM and KM rows from BENCH_five_squares.json):
 #   n         int kernel + to_decimal   Decimal kernel + str
-#   T 10^4           0.12 ms                  0.15 ms
-#   T 3*10^4         0.98                     1.14
-#   T 7*10^4         3.8                      3.7
-#   T 10^5           5.7                      3.8
-#   T 3*10^5        28                       13
-#   T 10^6         133                       35
-#   T -10^5          2.3                      2.2
-#   T -2*10^5        6.0                      4.0
-#   T -10^6         51                       16
+#   T 3*10^4         0.98 ms                  1.12 ms
+#   T 3.6*10^4       1.38                     1.60
+#   T 3.8*10^4       1.19                     1.08
+#   T 4*10^4         1.26                     1.12
+#   T 5*10^4         1.91                     1.40
+#   T 7*10^4         3.75                     2.06
+#   T 10^5           4.98                     2.98
+#   T 10^6         110                       28
+#   T -8*10^4        1.27                     1.12
+#   T -10^6         44                       13
+#   K 4*10^4         1.26                     1.12
+#   K 10^5           5.25                     2.98
 #   TM 1500          0.029                    0.030
 #   TM, KM 2*10^3    0.041                    0.036
-# From 4*10^4 to 7*10^4 the two routes are within 10% of each other (T a
-# little cheaper on Decimal, K on int; medians of 7), so any crossover
-# in [7*10^4, 10^5] fits, and it stays at 10^5.
-DECIMAL_CROSSOVER = 10**5
+# The Decimal chain wins from where it squares a coefficient of the
+# padded band, x**9500 on the way to T(3.8*10^4), and K gives the same
+# picture.
+DECIMAL_CROSSOVER = 4 * 10**4
 MATRIX_DECIMAL_CROSSOVER = 2 * 10**3
 # Count from which a `gf` listing takes the decimal route
 # (`series.gf_stream` with a Decimal unit).  A listing prints every term
@@ -609,5 +680,6 @@ def trib_fast(n: int, counter: OpCounter | None = None) -> int:
 
 def lucas_fast(n: int, counter: OpCounter | None = None) -> int:
     """K(n) by `kernel_term` on the K seeds, any signed n: the squarings
-    of `trib_fast`, and three squares at the top."""
+    of `trib_fast`, and at the top one product and one square at even n,
+    three squares at odd n."""
     return kernel_term(SEEDS[SequenceKind.TRIBONACCI_LUCAS], n, counter)

@@ -560,8 +560,12 @@ class TestDecimalRoute:
     EDGES = [DECIMAL_CROSSOVER - 1, DECIMAL_CROSSOVER,
              DECIMAL_CROSSOVER + 1, -DECIMAL_CROSSOVER,
              1 - 2 * DECIMAL_CROSSOVER, -2 * DECIMAL_CROSSOVER]
+    # the edges of the crossover at 10^5, on the decimal route since the
+    # route pads its squares past libmpdec's schoolbook band
+    FORMER_EDGES = [10**5 - 1, 10**5, 10**5 + 1, -10**5, 1 - 2 * 10**5,
+                    -2 * 10**5]
 
-    @pytest.mark.parametrize("n", EDGES)
+    @pytest.mark.parametrize("n", EDGES + FORMER_EDGES)
     @pytest.mark.parametrize("kind", ["T", "K"])
     def test_term_at_the_crossover(self, kind, n, capsys):
         code, out, _ = run(["term", kind, str(n)], capsys)
@@ -608,6 +612,7 @@ class TestDecimalRoute:
     @pytest.mark.parametrize("kind,m,j,top,routed", [
         ("T", 3, 1, DECIMAL_CROSSOVER - 1, False),
         ("T", 3, 1, DECIMAL_CROSSOVER, True),
+        ("T", 3, 1, 10**5, True),  # the former crossover
         ("TM", 7, 3, MATRIX_DECIMAL_CROSSOVER - 1, False),
         ("KM", 7, 3, MATRIX_DECIMAL_CROSSOVER, True),
     ])

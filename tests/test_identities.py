@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from tribkit import (IDENTITY, GridBounds, Mat3, MatrixKind, PROFILE_BOUNDS,
-                     Profile, SequenceKind, SumSpec, T_MAT_SEEDS, TermCache,
+from tribkit import (IDENTITY, GridBounds, K_MAT_SEEDS, Mat3, MatrixKind,
+                     NegativeExponent, PROFILE_BOUNDS, Profile,
+                     SequenceKind, SumSpec, T_MAT_SEEDS, TermCache,
                      UnknownIdentity, format_report_table,
                      VerifyReport, lucas_trib, partial_sum_bruteforce,
                      registry, report_to_dict, t_matrix, trib,
@@ -318,6 +319,74 @@ class TestAnchors:
         assert main(["verify", "EQ3", "--format", "json"]) == 0
         [report] = json.loads(capsys.readouterr().out)
         assert report["cases"] == 81 and report["failures"] == []
+
+    @pytest.mark.parametrize("anchor", [
+        "T(n) = T(n) + 0*2^(n/2)",
+        "TM(n) = TM(n) + 0*TM(1)^(n/2)",
+        "T(n) = T(n) + 0*2^(1/(n - n))",
+    ])
+    def test_non_integral_exponent_fails_its_point(self, anchor, capsys,
+                                                   monkeypatch):
+        # n/2 is a Fraction at odd n and an int at even n; 1/0 is a
+        # quotient by zero: neither is a float or a traceback
+        _with_anchor(monkeypatch, "EQ3", anchor)
+        assert main(["verify", "EQ3", "--format", "json"]) == 1
+        [report] = json.loads(capsys.readouterr().out)
+        assert report["cases"] == 81
+        failed = [f["indices"][0] for f in report["failures"]]
+        if "n - n" in anchor:
+            assert failed == list(range(-40, 41))
+        else:
+            assert failed == list(range(-39, 40, 2))
+        if anchor.startswith("T(n) = T(n) + 0*2^(n/2)"):
+            assert report["failures"][0]["right"] == "2^(-39/2)"
+
+    def test_non_integral_exponent_is_undefined(self):
+        power = identities._power_reader()
+        for base in (2, Fraction(1, 3), t_matrix(2)):
+            value = power(base, Fraction(1, 2))
+            assert isinstance(value, identities._Undefined)
+            assert value != value and value + 1 is value
+        undefined = identities._quotient(1, 0)
+        assert power(t_matrix(2), undefined) is undefined
+
+    def test_matrix_negative_power_is_the_inverse_power(self):
+        power = identities._power_reader()
+        # det TM(1) = 1: TM(n)^(-k) = TM(-k*n), ints
+        for e in (-3, -2, -1, 0, 1, -4):
+            assert power(t_matrix(2), e) == t_matrix(2 * e), e
+        assert {type(x) for x in power(t_matrix(5), -2).entries} == {int}
+        # det KM(0) = 44: the inverse has Fractions, and is one
+        inverse = power(K_MAT_SEEDS[0], -1)
+        assert Fraction in {type(x) for x in inverse.entries}
+        assert matrices.mat_mul(inverse, K_MAT_SEEDS[0]) == IDENTITY
+        assert power(K_MAT_SEEDS[0], -2) == matrices.mat_mul(inverse, inverse)
+        # a singular base is undefined at every entry, so it equals nothing
+        singular = power(Mat3((1, 2, 3, 2, 4, 6, 0, 0, 1)), -1)
+        assert all(isinstance(x, identities._Undefined) and x != x
+                   for x in singular.entries)
+        # mat_pow itself still refuses
+        with pytest.raises(NegativeExponent):
+            matrices.mat_pow(t_matrix(2), -1)
+
+    def test_matrix_inverse_anchor_passes(self, capsys, monkeypatch):
+        _with_anchor(monkeypatch, "THM15a", "TM(-n) = TM(n)^(-1)")
+        assert main(["verify", "THM15a", "EQ3", "--profile", "quick",
+                     "--format", "json"]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert [(r["id"], r["status"], r["cases"]) for r in reports] == \
+            [("THM15a", "pass", 21), ("EQ3", "pass", 21)]
+        # a singular base fails every point, and only its own record, on
+        # both sides too: each side makes its own quotients by zero
+        for anchor in ("TM(-n) = (TM(n) - TM(n))^(-1)",
+                       "TM(n) + (TM(n) - TM(n))^(-1) = "
+                       "TM(n) + (TM(n) - TM(n))^(-1)"):
+            _with_anchor(monkeypatch, "THM15a", anchor)
+            assert main(["verify", "THM15a", "EQ3", "--profile", "quick",
+                         "--format", "json"]) == 1
+            reports = json.loads(capsys.readouterr().out)
+            assert [(r["id"], len(r["failures"])) for r in reports] == \
+                [("THM15a", 21), ("EQ3", 0)], anchor
 
     def test_chain_evaluates_each_side_once(self, monkeypatch):
         tm3, tm5, tm7 = t_matrix(3), t_matrix(5), t_matrix(7)

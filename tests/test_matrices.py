@@ -292,11 +292,12 @@ def test_trib_fast_matches_iteration(t_cache):
 
 
 def test_trib_fast_multiplication_bound():
-    # T's read-out pairs two opposite squares into one product; K's is
-    # three squares
-    for run, read_out in ((trib_fast, 2), (lucas_fast, 3)):
+    # T's read-out is one product and one square; K's too at even n, and
+    # three squares at odd n
+    for run, odd_read_out in ((trib_fast, 2), (lucas_fast, 3)):
         for n in (5, 10, 149, 1000, 8191, 8192, 65536, 10**6, -5, -1000,
-                  -10**5):
+                  -10**5, -10**5 - 1):
+            read_out = odd_read_out if n % 2 else 2
             counter = OpCounter()
             run(n, counter)
             assert counter.mat_muls <= 2 * math.ceil(math.log2(abs(n))) + 2
@@ -467,10 +468,11 @@ def test_read_out_weight_off_by_one_fails(kind, f, monkeypatch):
     d, forms = forms_of(SEEDS[kind], f)
     lines = form_lines(forms)
     assert len(lines) == 3 and det3(lines) != 0  # the form has rank 3
-    # T's read-out is one product and one square, K's three squares
+    # T's read-out is one product and one square, and K's at even n;
+    # K's at odd n three squares
     products = sum(m is not None for *_, m in forms)
     assert (products, len(forms)) == (
-        (1, 2) if kind is SequenceKind.TRIBONACCI else (0, 3))
+        (0, 3) if kind is SequenceKind.TRIBONACCI_LUCAS and f else (1, 2))
     for i in range(len(forms)):
         skewed = list(forms)
         skewed[i] = (forms[i][0] + 1, *forms[i][1:])
@@ -509,6 +511,28 @@ def test_square_forms_are_derived_from_the_seeds():
             assert kernel_term(seeds, n) == walk(seeds, n), (seeds, n)
 
 
+def test_square_forms_take_the_fewest_multiplications():
+    k_seeds = SEEDS[SequenceKind.TRIBONACCI_LUCAS]
+    # K at f = 0 reduces to three squares over 6; its form at f - 2, with
+    # the lines composed, to one product and one square over 1
+    assert len(matrices._reduce(k_seeds, 0)[1]) == 3
+    d, forms = matrices._square_forms(k_seeds, 0)
+    assert d == 1 and len(forms) == 2
+    # at f = 1 it is X^2 - 2Y^2 + 22Z^2 in unimodular lines, with no zero
+    # mod 11 but X = Y = 0 (2 is no square mod 11), so no rational zero,
+    # which a product of two lines would give: three squares stay
+    d, forms = matrices._square_forms(k_seeds, 1)
+    assert d == 1 and sorted(w for w, *_ in forms) == [-2, 1, 22]
+    assert all(m is None for *_, m in forms)
+    assert abs(det3(form_lines(forms))) == 1
+    assert [(x, y) for x in range(11) for y in range(11)
+            if (x * x - 2 * y * y) % 11 == 0] == [(0, 0)]
+    # f = -1 is equivalent to it over Z, and none of its splits is shorter
+    for g in (-3, -1, 1, 3):
+        assert len(matrices._reduce(k_seeds, g)[1]) == 3
+    assert len(matrices._square_forms(k_seeds, -1)[1]) == 3
+
+
 @pytest.mark.parametrize("n", [7, -7])
 def test_bench_strategies_return_int(n):
     for kind in SequenceKind:
@@ -516,7 +540,9 @@ def test_bench_strategies_return_int(n):
             assert type(run(kind, n, 256, None)) is int, name
 
 
-@pytest.mark.parametrize("n", [DECIMAL_CROSSOVER, -DECIMAL_CROSSOVER])
+# and past the former crossover, 10^5
+@pytest.mark.parametrize("n", [DECIMAL_CROSSOVER, -DECIMAL_CROSSOVER,
+                               10**5, -10**5])
 def test_fast_terms_stay_int_past_the_crossover(n):
     assert type(trib_fast(n)) is int
     assert type(lucas_fast(n)) is int
@@ -544,15 +570,16 @@ def x_power_on(unit, n, counter=None):
     return abc
 
 
-def mutated_x_power(monkeypatch, old, new):
-    """`_x_power` compiled from its own source with `old` replaced by
-    `new`, patched into the module; returns the copy's globals."""
-    source = textwrap.dedent(inspect.getsource(matrices._x_power))
+def mutated(monkeypatch, old, new, name="_x_power"):
+    """The function `name` of `matrices` compiled from its own source with
+    `old` replaced by `new`, patched into the module; returns the copy's
+    globals."""
+    source = textwrap.dedent(inspect.getsource(getattr(matrices, name)))
     assert source.count(old) == 1, old
     namespace = dict(vars(matrices))
     exec(compile(source.replace(old, new), matrices.__file__, "exec",
                  __future__.annotations.compiler_flag), namespace)
-    monkeypatch.setattr(matrices, "_x_power", namespace["_x_power"])
+    monkeypatch.setattr(matrices, name, namespace[name])
     return namespace
 
 
@@ -630,15 +657,15 @@ class TestFiveSquares:
         # the evaluation point 2 moved to 3: P(3) = 9a + 3b + c
         ("t = 2 * (p + a) - c", "t = 3 * (p + 2 * a) - 2 * c", "either"),
         # P(2)**2 perturbed: off by 1 it is no multiple of 6 ...
-        ("t *= t", "t = t * t + 1", "raises"),
+        ("t = square(t) if square else t * t", "t = t * t + 1", "raises"),
         # ... off by 6, r3 is off by one
-        ("t *= t", "t = t * t + 6", "wrong"),
+        ("t = square(t) if square else t * t", "t = t * t + 6", "wrong"),
     ], ids=["point-3", "square-plus-1", "square-plus-6"])
     @pytest.mark.parametrize("kind", SequenceKind)
     def test_mutation_fails_exactly_where_used(self, kind, old, new, outcome,
                                                monkeypatch):
         C = 64
-        mutated_x_power(monkeypatch, old, new)["FIVE_SQUARES_FROM"] = C
+        mutated(monkeypatch, old, new)["FIVE_SQUARES_FROM"] = C
         seeds = SEEDS[kind]
         raised, wrong = set(), set()
         for n in self.SIGNED:
@@ -653,6 +680,98 @@ class TestFiveSquares:
             assert raised == expected
         elif outcome == "wrong":
             assert wrong == expected
+
+
+class TestPaddedBand:
+    """A Decimal square whose coefficient has (`_PAD_FROM_DIGITS`,
+    `_SCHOOLBOOK_DIGITS`] digits, libmpdec's schoolbook band, is padded
+    past it with s zeros, squared and unpadded by exactly 2s zeros
+    (`_decimal_square`), each of the five squares of a squaring on its
+    own; the int route is the oracle."""
+
+    # Indices whose chain squares x**e with coefficients in the band,
+    # about 9 500 <= e <= 18 380 and, for x**-e, 19 000 <= e <= 36 760
+    # on a 64-bit build: a scalar s(n) squares x**(|n| // 4) last, a
+    # matrix x**(|n| // 2); near both edges, inside, and one level below
+    # the top (s(10^5) squares x**12500 and then x**25000)
+    SCALARS = [38000, 40001, 50002, 60003, 73500, 10**5,
+               -76000, -80001, -100002, -140003, -147000, -2 * 10**5]
+    MATRICES = [19000, 20001, 30000, 36700, 5 * 10**4,
+                -38000, -40001, -60000, -73500, -10**5]
+
+    @staticmethod
+    def padded(monkeypatch):
+        """The digits of every square `_decimal_square` pads, as made."""
+        digits, square = [], matrices._decimal_square
+
+        def counted(x):
+            if matrices._PAD_FROM_DIGITS < x.adjusted() + 1 \
+                    <= matrices._SCHOOLBOOK_DIGITS:
+                digits.append(x.adjusted() + 1)
+            return square(x)
+
+        monkeypatch.setattr(matrices, "_decimal_square", counted)
+        return digits
+
+    @classmethod
+    def indices(cls, kind):
+        return cls.MATRICES if isinstance(kind, MatrixKind) else cls.SCALARS
+
+    @pytest.mark.parametrize("digits", [1, 2000, 2508, 2509, 2510, 3001,
+                                        4863, 4864, 4865, 6000])
+    def test_square_at_the_edges(self, digits):
+        # against the direct square, all nines, a power of ten, a leading
+        # digit and zeros, and a mixed one; the padding keeps every digit
+        texts = ["9" * digits, "-1" + "0" * (digits - 1),
+                 "7" + "0" * (digits - 1),
+                 ("123456789" * (digits // 9 + 1))[:digits]]
+        with decimal.localcontext(matrices.EXACT):
+            for text in texts:
+                x = decimal.Decimal(text)
+                y = matrices._decimal_square(x)
+                assert y.as_tuple().exponent == 0
+                assert y == x * x, text[:10]
+
+    @pytest.mark.parametrize("kind", [*SequenceKind, TM, KM],
+                             ids=lambda k: k.value)
+    def test_decimal_route_matches_int_route(self, kind, monkeypatch):
+        digits = self.padded(monkeypatch)
+        seeds = KIND_SEEDS[kind][0]
+        for n in self.indices(kind):
+            digits.clear()
+            assert decimal_form(decimal_term(kind, n)) == \
+                decimal_form(kernel_term(seeds, n)), n
+            # the padded branch ran, once for each of the five squares
+            assert len(digits) == 5, (n, digits)
+
+    def test_int_route_never_pads(self, monkeypatch):
+        def refuse(x):
+            raise AssertionError("an int square went through Decimal")
+
+        monkeypatch.setattr(matrices, "_decimal_square", refuse)
+        for n in (40001, -80001):
+            assert trib_fast(n) == walk(SEEDS[SequenceKind.TRIBONACCI], n)
+
+    @pytest.mark.parametrize("new,outcome", [
+        # 2s + 1 zeros off takes a digit of the square: Inexact
+        ("x.scaleb(-1 - 2 * s)", "raises"),
+        # 2s - 1 zeros off leaves every padded square ten times too
+        # large: exact, so the linear interpolation carries it on to a
+        # wrong answer
+        ("x.scaleb(1 - 2 * s)", "wrong"),
+    ], ids=["2s+1", "2s-1"])
+    @pytest.mark.parametrize("kind", [*SequenceKind, TM, KM],
+                             ids=lambda k: k.value)
+    def test_unpad_off_by_one_fails(self, kind, new, outcome, monkeypatch):
+        mutated(monkeypatch, "x.scaleb(-2 * s)", new, "_decimal_square")
+        seeds = KIND_SEEDS[kind][0]
+        for n in self.indices(kind):
+            if outcome == "raises":
+                with pytest.raises(decimal.Inexact):
+                    decimal_term(kind, n)
+            else:
+                assert decimal_form(decimal_term(kind, n)) != \
+                    decimal_form(kernel_term(seeds, n)), n
 
 
 def test_matrix_read_out_holds_no_tuples():

@@ -58,6 +58,7 @@ def test_import_leaves_mpmath_out(module):
 @pytest.mark.parametrize("argv", [
     ["term", "T", "50"],
     ["term", "T", str(DECIMAL_CROSSOVER)],  # the decimal route
+    ["term", "T", "100000"],  # its former crossover, inside it now
     ["term", "K", "-50", "--strategy", "iterate"],
     ["matrix", "K", "12"],
     ["sum", "T", "3", "1", "40"],
