@@ -7,9 +7,9 @@ outgrow 64-bit parsers within a few dozen indices).
 
 Each command states its answer once, as an Output that writes itself in
 each format; `emit` writes the one asked for, a listing item by item.
-An answer past the index `decimal_route` gives, and a `gf` listing from
-the count it gives, is computed on decimal.Decimal, so it is already
-decimal text.
+A matrix answer, a term or sum past the index `decimal_route` gives,
+and a `gf` listing from the count it gives, is computed on
+decimal.Decimal, so it is already decimal text.
 
 `main` parses with one tree per process, so a later in-process call
 pays only for `parse_args`; it runs `cmd_<command>` as bound in this
@@ -35,7 +35,7 @@ from .errors import PrecisionExhausted, StrategyMismatch, UnknownIdentity
 from .identities import (PROFILE_BOUNDS, Profile, format_report_table,
                          registry, report_to_dict, verify_record)
 from .matrices import (Mat3, MatrixKind, decimal_form, decimal_route,
-                       decimal_term, k_matrix, t_matrix)
+                       decimal_term)
 from .series import (SumSpec, decimal_sum, gf_stream, partial_sum,
                      partial_sum_bruteforce)
 
@@ -322,12 +322,8 @@ def cmd_term(args) -> Output:
 
 
 def cmd_matrix(args) -> Output:
-    kind = KINDS[args.kind + "M"]
-    if decimal_route(kind, args.n):
-        value = decimal_term(kind, args.n)
-    else:
-        value = (t_matrix if args.kind == "T" else k_matrix)(args.n)
-    return Value({"kind": args.kind, "n": args.n}, value, bare=True)
+    return Value({"kind": args.kind, "n": args.n},
+                 decimal_term(KINDS[args.kind + "M"], args.n), bare=True)
 
 
 def cmd_sum(args) -> Output:

@@ -14,8 +14,9 @@ class OpCounter:
     small multiple or an exact division by a small int counts as one
     addition); index bookkeeping on machine ints is never counted.  A
     squaring of the polynomial kernel counts 6 big multiplications
-    below `matrices.FIVE_SQUARES_FROM` and 5 from there on; its
-    read-out counts one per square or product, 2 for T and 3 for K.
+    below `matrices.FIVE_SQUARES_FROM` and 5 from there on, and a step
+    by x or by x**-1 2 additions; its read-out counts one per square or
+    product: 2 for T, and for K 2 at even n and 3 at odd n.
     `mat_muls` counts the products of a power chain: whole 3x3 matrix
     products in `mat_pow`, each squaring and each step by x or 1/x of
     the polynomial kernel behind `trib_fast` and `lucas_fast`, and its

@@ -11,10 +11,11 @@ x**(n/2) and reads s(n) off one quadratic form in its coefficients, as
 weighted squares and products of linear forms; a matrix term reads
 s(n) = a*s(2) + b*s(1) + c*s(0) off x**n = a*x^2 + b*x + c.  The
 entries of TM(n) and KM(n) are shifted T and K terms, laid out in
-`_closed_form`; row 2, column 1 (1-based) of TM(n) holds T(n).  `walk`, `mat_pow` (TM(1)**n by matrix
-products) and KM(0) @ TM(n) are independent oracles, called by name.
-`decimal_term` runs the same kernel on decimal.Decimal, for answers
-that are only printed, from the index `decimal_route` gives.
+`_closed_form`; row 2, column 1 (1-based) of TM(n) holds T(n).  `walk`,
+`mat_pow` (TM(1)**n by matrix products) and KM(0) @ TM(n) are
+independent oracles, called by name.  `decimal_term` runs the same
+kernel on decimal.Decimal, for answers that are only printed: every
+matrix answer, and a scalar one from the index `decimal_route` gives.
 """
 
 from __future__ import annotations
@@ -384,8 +385,7 @@ def _x_power(n: int, counter: OpCounter | None = None,
         squarings, steps = len(bits), bits.count("1")
         counter.mat_muls += squarings + steps
         counter.big_muls += 6 * squarings - fives
-        counter.big_adds += (12 * squarings + 13 * fives
-                             + (2 if n > 0 else 3) * steps)
+        counter.big_adds += 12 * squarings + 13 * fives + 2 * steps
     return a, b, c
 
 
@@ -446,7 +446,13 @@ def _reduce(seeds: tuple[int, int, int], f: int):
     """
     h = [[walk(seeds, i + j + f) for j in range(3)] for i in range(3)]
     d, forms = 1, []
+    pivots = 0
     while any(map(any, h)):
+        if pivots == 3:  # H has rank at most 3, and a pivot lowers it
+            raise ArithmeticError(
+                f"the form of seeds {seeds} at f = {f} is not reduced "
+                f"after three pivots")
+        pivots += 1
         t = next((t for t in range(3) if h[t][t]), None)
         if t is None:  # a zero diagonal: pivot on two unit vectors' sum
             s, t = next((s, t) for s in range(3) for t in range(3) if h[s][t])
@@ -500,8 +506,18 @@ def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
     T with f = 0, T(2k) = (a + b)*(3a + b + 2c) + a**2.
 
     `counter` and `one` go to `_x_power`; the read-out counts as one
-    more mat_muls, and its squares and products as big_muls.
+    more mat_muls, and its squares and products as big_muls.  A Decimal
+    unit computes under `EXACT`, whatever the caller's context, which
+    is left as it was; an int unit enters no context.
     """
+    if isinstance(one, decimal.Decimal):
+        with decimal.localcontext(EXACT):
+            return _kernel_term(seeds, n, counter, one)
+    return _kernel_term(seeds, n, counter, one)
+
+
+def _kernel_term(seeds, n: int, counter: OpCounter | None, one):
+    """`kernel_term` in the current context."""
     if isinstance(seeds[0], Mat3):
         # laid out entry by entry, so the coefficients may be Decimals;
         # through a list, so the tuple is allocated at its size: one
@@ -552,14 +568,12 @@ def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
 # it.  libmpdec multiplies by the schoolbook method up to 256 words and
 # by a number-theoretic transform past that, and `_decimal_square` pads
 # a square in between past the base case.
-# Index from which an answer takes the decimal route, where the two
-# routes cost about the same; on the negative side it is taken from
+# Index from which a scalar answer takes the decimal route, where the
+# two routes cost about the same; on the negative side it is taken from
 # -2 * the crossover, since backwards the terms grow only like
-# sqrt(1.839...)**|n|, and T(-2m) has as many digits as T(m).  A scalar
-# answer prints one term, a matrix answer nine, so text overtakes the
-# arithmetic at a smaller index there.  Medians of 9, each best of 3, in
-# one interpreter (2 vCPUs, CPython 3.11; BENCH_decimal_band.json; the
-# TM and KM rows from BENCH_five_squares.json):
+# sqrt(1.839...)**|n|, and T(-2m) has as many digits as T(m).  Medians of
+# 9, each best of 3, in one interpreter (2 vCPUs, CPython 3.11;
+# BENCH_decimal_band.json):
 #   n         int kernel + to_decimal   Decimal kernel + str
 #   T 3*10^4         0.98 ms                  1.12 ms
 #   T 3.6*10^4       1.38                     1.60
@@ -573,13 +587,13 @@ def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
 #   T -10^6         44                       13
 #   K 4*10^4         1.26                     1.12
 #   K 10^5           5.25                     2.98
-#   TM 1500          0.029                    0.030
-#   TM, KM 2*10^3    0.041                    0.036
 # The Decimal chain wins from where it squares a coefficient of the
 # padded band, x**9500 on the way to T(3.8*10^4), and K gives the same
-# picture.
+# picture.  A matrix answer, nine entries of text, takes the decimal
+# route at every index: an int route below 2*10^3 saved at most 5 us a
+# term and 12 us a sum in process, and under 0.4% of any end-to-end
+# metric (BENCH_route_forks.json).
 DECIMAL_CROSSOVER = 4 * 10**4
-MATRIX_DECIMAL_CROSSOVER = 2 * 10**3
 # Count from which a `gf` listing takes the decimal route
 # (`series.gf_stream` with a Decimal unit).  A listing prints every term
 # below its count, and both its arithmetic (additions) and its text are
@@ -608,20 +622,19 @@ def decimal_route(kind, n: int, listing: bool = False) -> bool:
     index) is cheaper printed from the decimal route (`decimal_term`,
     `series.decimal_sum`) than from the int kernel and `to_decimal`;
     with `listing`, whether a `gf` listing of the first n coefficients
-    is (`series.gf_stream` with a Decimal unit), of either shape."""
+    is (`series.gf_stream` with a Decimal unit), of either shape.  A
+    matrix answer always is."""
     if listing:
         return n >= LISTING_DECIMAL_CROSSOVER
-    start = (MATRIX_DECIMAL_CROSSOVER if isinstance(kind, MatrixKind)
-             else DECIMAL_CROSSOVER)
-    return n >= start or n <= -2 * start
+    return (isinstance(kind, MatrixKind) or n >= DECIMAL_CROSSOVER
+            or n <= -2 * DECIMAL_CROSSOVER)
 
 
 def decimal_term(kind, n: int):
     """The term of any kind at any signed n, an integral Decimal or a Mat3
     of them, computed under `EXACT`, for printing only: `int()` of a big
     Decimal is quadratic in its digits."""
-    with decimal.localcontext(EXACT):
-        return kernel_term(KIND_SEEDS[kind][0], n, one=decimal.Decimal(1))
+    return kernel_term(KIND_SEEDS[kind][0], n, one=decimal.Decimal(1))
 
 
 def _closed_form(term: Callable[[int], int], n: int) -> Mat3:

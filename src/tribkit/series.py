@@ -130,8 +130,18 @@ def partial_sum(spec: SumSpec, one=1):
     not the top index.  The divisor is read by `lucas_fast`.  The
     division is exact by theorem: a remainder raises
     DivisibilityViolation (a bug, not bad input), and a zero divisor,
-    impossible for m >= 1, raises DegenerateDenominator.
+    impossible for m >= 1, raises DegenerateDenominator.  A Decimal
+    unit computes under `matrices.EXACT`, whatever the caller's context,
+    which is left as it was; an int unit enters no context.
     """
+    if isinstance(one, decimal.Decimal):
+        with decimal.localcontext(matrices.EXACT):
+            return _partial_sum(spec, one)
+    return _partial_sum(spec, one)
+
+
+def _partial_sum(spec: SumSpec, one):
+    """`partial_sum` in the current context."""
     m, j, n = spec.m, spec.j, spec.n
     k_m = lucas_fast(m)
     divisor = k_m - lucas_fast(-m)
@@ -158,8 +168,7 @@ def _u_seeds(seeds, m: int, w: int):
 def decimal_sum(spec: SumSpec):
     """`partial_sum` on the decimal route: an integral Decimal, or a Mat3
     of them, computed under `matrices.EXACT`, for printing only."""
-    with decimal.localcontext(matrices.EXACT):
-        return partial_sum(spec, one=decimal.Decimal(1))
+    return partial_sum(spec, one=decimal.Decimal(1))
 
 
 class _SlidingWindow:

@@ -23,7 +23,7 @@ from tribkit import (PROFILE_BOUNDS, MatrixKind, Profile, SequenceKind,
                      t_matrix, to_decimal, trib, trib_fast, verify_record)
 from tribkit.cli import main
 from tribkit.matrices import (DECIMAL_CROSSOVER, LISTING_DECIMAL_CROSSOVER,
-                              MATRIX_DECIMAL_CROSSOVER, decimal_form)
+                              decimal_form)
 
 
 def run(argv, capsys):
@@ -551,10 +551,10 @@ class TestBigAnswers:
 
 
 class TestDecimalRoute:
-    """`term --strategy matpow` from n = DECIMAL_CROSSOVER up and from
-    n = -2 * DECIMAL_CROSSOVER down runs the kernel on decimal.Decimal,
-    and `matrix` and `sum` without --check from MATRIX_DECIMAL_CROSSOVER
-    for a matrix answer (for a sum, at its top index m*n + j); the int
+    """`term --strategy matpow` and a scalar `sum` without --check (at
+    its top index m*n + j) from DECIMAL_CROSSOVER up and from
+    -2 * DECIMAL_CROSSOVER down run the kernel on decimal.Decimal, and
+    `matrix` and a matrix `sum` without --check at every index; the int
     route is its oracle."""
 
     EDGES = [DECIMAL_CROSSOVER - 1, DECIMAL_CROSSOVER,
@@ -581,10 +581,12 @@ class TestDecimalRoute:
         (["term", "T", str(-2 * DECIMAL_CROSSOVER)], True),
         (["term", "T", str(DECIMAL_CROSSOVER), "--strategy", "iterate"],
          False),
-        (["matrix", "K", str(MATRIX_DECIMAL_CROSSOVER - 1)], False),
-        (["matrix", "K", str(MATRIX_DECIMAL_CROSSOVER)], True),
-        (["matrix", "T", str(1 - 2 * MATRIX_DECIMAL_CROSSOVER)], False),
-        (["matrix", "T", str(-2 * MATRIX_DECIMAL_CROSSOVER)], True),
+        # a matrix answer at every index, the former crossover's edges
+        # among them
+        (["matrix", "K", "1999"], True),
+        (["matrix", "K", "2000"], True),
+        (["matrix", "T", "-3999"], True),
+        (["matrix", "T", "-4000"], True),
     ])
     def test_route_starts_at_the_crossover(self, argv, routed, capsys,
                                            monkeypatch):
@@ -613,8 +615,8 @@ class TestDecimalRoute:
         ("T", 3, 1, DECIMAL_CROSSOVER - 1, False),
         ("T", 3, 1, DECIMAL_CROSSOVER, True),
         ("T", 3, 1, 10**5, True),  # the former crossover
-        ("TM", 7, 3, MATRIX_DECIMAL_CROSSOVER - 1, False),
-        ("KM", 7, 3, MATRIX_DECIMAL_CROSSOVER, True),
+        ("TM", 7, 3, 1999, True),  # a matrix sum at every top index
+        ("KM", 7, 3, 2000, True),
     ])
     def test_sum_routes_by_its_top_index(self, kind, m, j, top, routed,
                                          capsys, monkeypatch):
@@ -637,35 +639,70 @@ class TestDecimalRoute:
         assert len(calls) == routed
 
     @pytest.mark.parametrize("kind", ["T", "K"])
-    def test_matrix_text_on_both_routes(self, kind, capsys, monkeypatch):
-        # every n in [-300, 300] and +-5*10^4, each on both routes: the
-        # same text, and a zero entry is "0", never "-0"
+    def test_matrix_text_on_both_routes(self, kind, capsys):
+        # every n in [-300, 300] and +-5*10^4: the decimal route's text
+        # is the int kernel's, and a zero entry is "0", never "-0"
         scalar = trib if kind == "T" else lucas_trib
+        oracle = t_matrix if kind == "T" else k_matrix
         for n in [*range(-300, 301), 5 * 10**4, -5 * 10**4]:
-            outs = []
-            for routed in (True, False):
-                monkeypatch.setattr(cli, "decimal_route",
-                                    lambda kind, n, routed=routed: routed)
-                outs.append(run(["matrix", kind, str(n)], capsys)[1])
-            assert outs[0] == outs[1], n
-            assert "-0 " not in outs[0] and "-0\n" not in outs[0], n
+            out = run(["matrix", kind, str(n)], capsys)[1]
+            assert out == cli._text(oracle(n)) + "\n", n
+            assert "-0 " not in out and "-0\n" not in out, n
             if abs(n) <= 300:  # the row 2, column 1 entry is s(n)
-                assert outs[0].split()[3] == str(scalar(n)), n
+                assert out.split()[3] == str(scalar(n)), n
 
     @pytest.mark.parametrize("kind", ["TM", "KM"])
-    def test_matrix_sum_text_on_both_routes(self, kind, capsys,
-                                            monkeypatch):
+    def test_matrix_sum_text_on_both_routes(self, kind, capsys):
         cases = [(m, j, n) for m in range(1, 7) for j in range(m)
                  for n in range(1, 41)] + [(7, 3, 14285)]  # top 99 998
         for m, j, n in cases:
-            outs = []
-            for routed in (True, False):
-                monkeypatch.setattr(cli, "decimal_route",
-                                    lambda kind, n, routed=routed: routed)
-                outs.append(run(["sum", kind, str(m), str(j), str(n)],
-                                capsys)[1])
-            assert outs[0] == outs[1], (m, j, n)
-            assert "-0" not in outs[0].split(), (m, j, n)
+            out = run(["sum", kind, str(m), str(j), str(n)], capsys)[1]
+            spec = SumSpec(cli.KINDS[kind], m, j, n)
+            assert out == cli._text(partial_sum(spec)) + "\n", (m, j, n)
+            assert "-0" not in out.split(), (m, j, n)
+
+    @staticmethod
+    def int_route(out, fmt):
+        """What `out` writes in `fmt`: the text of an int answer."""
+        written = []
+        getattr(out, fmt)(written.append)
+        return "".join(written)
+
+    @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+    def test_every_matrix_answer_is_decimal(self, fmt, capsys, monkeypatch):
+        # each `matrix` answer, and each matrix `sum` without --check,
+        # comes from the decimal route, digit for digit the int kernel's
+        calls = []
+
+        def spy(route):
+            def called(*args):
+                calls.append(route.__name__)
+                return route(*args)
+            return called
+
+        monkeypatch.setattr(cli, "decimal_term", spy(cli.decimal_term))
+        monkeypatch.setattr(cli, "decimal_sum", spy(cli.decimal_sum))
+        for n in (0, 1, -1, 2, -2, 7, -7, 100, -100, 1999, 2000, -3999,
+                  -4000, 5 * 10**4):
+            for kind, oracle in (("T", t_matrix), ("K", k_matrix)):
+                calls.clear()
+                code, out, _ = run(["matrix", kind, str(n), "--format", fmt],
+                                   capsys)
+                assert code == 0 and calls == ["decimal_term"], (kind, n)
+                expected = cli.Value({"kind": kind, "n": n}, oracle(n),
+                                     bare=True)
+                assert out == self.int_route(expected, fmt), (kind, n)
+        # top indices m*n + j of 1, 10, 1999 and 2000
+        for m, j, n in ((1, 0, 1), (3, 1, 3), (7, 4, 285), (7, 5, 285)):
+            for kind in ("TM", "KM"):
+                calls.clear()
+                code, out, _ = run(["sum", kind, str(m), str(j), str(n),
+                                    "--format", fmt], capsys)
+                assert code == 0 and calls == ["decimal_sum"], (kind, m, j)
+                spec = SumSpec(cli.KINDS[kind], m, j, n)
+                expected = cli.Value({"kind": kind, "m": m, "j": j, "n": n},
+                                     partial_sum(spec))
+                assert out == self.int_route(expected, fmt), (kind, m, j)
 
     @pytest.mark.parametrize("argv", [
         ["term", "T", str(DECIMAL_CROSSOVER)],
@@ -932,7 +969,7 @@ class TestReadme:
     def test_module_table_names_exist(self):
         table = README.split("## What is in the box", 1)[1].split("\n\n")[1]
         rows = re.findall(r"^\| `(tribkit\.\w+)` +\|(.*)\|$", table, re.M)
-        assert len(rows) == 7
+        assert len(rows) == 9
         for module_name, contents in rows:
             module = importlib.import_module(module_name)
             for name in re.findall(r"`([A-Za-z_]\w*)(?:\(.*?\))?`", contents):

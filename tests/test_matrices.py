@@ -7,6 +7,7 @@ import inspect
 import math
 import pickle
 import textwrap
+import time
 import tracemalloc
 
 import pytest
@@ -23,6 +24,7 @@ from tribkit.bench import STRATEGIES
 from tribkit.matrices import (DECIMAL_CROSSOVER, FIVE_SQUARES_FROM,
                               KIND_SEEDS, decimal_form, decimal_term,
                               kernel_term, term_reader)
+from tribkit.series import SumSpec, partial_sum
 
 TM = MatrixKind.TRIB_MATRIX
 KM = MatrixKind.LUCAS_MATRIX
@@ -779,7 +781,7 @@ def test_matrix_read_out_holds_no_tuples():
     # to a free list that no later read-out takes it from: built so,
     # 3000 read-outs left 1997 tuples (218 KiB) held at its line
     seeds = KIND_SEEDS[TM][0]
-    lines, first = inspect.getsourcelines(kernel_term)
+    lines, first = inspect.getsourcelines(matrices._kernel_term)
     body = range(first, first + len(lines))
     tracemalloc.start()
     try:
@@ -792,3 +794,108 @@ def test_matrix_read_out_holds_no_tuples():
                if stat.traceback[0].filename == matrices.__file__
                and stat.traceback[0].lineno in body)
     assert held < 8 * 1024
+
+
+class TestDecimalUnit:
+    """A Decimal unit computes under `EXACT` whatever the caller's
+    context, and leaves that context as it was; the int unit is the
+    oracle, digit for digit."""
+
+    T, K = SequenceKind
+    CALLS = {
+        "T(500)": lambda one: kernel_term(SEEDS[TestDecimalUnit.T], 500,
+                                          one=one),
+        "K(-777)": lambda one: kernel_term(SEEDS[TestDecimalUnit.K], -777,
+                                           one=one),
+        "TM(300)": lambda one: kernel_term(T_MAT_SEEDS, 300, one=one),
+        "KM(-301)": lambda one: kernel_term(K_MAT_SEEDS, -301, one=one),
+        "sum T 1 0 120": lambda one: partial_sum(
+            SumSpec(TestDecimalUnit.T, 1, 0, 120), one=one),
+        "sum KM 3 1 200": lambda one: partial_sum(SumSpec(KM, 3, 1, 200),
+                                                  one=one),
+    }
+
+    @pytest.mark.parametrize("context", [decimal.DefaultContext,
+                                         decimal.Context(prec=5)],
+                             ids=["default", "prec-5"])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_equals_the_int_unit(self, call, context):
+        compute = self.CALLS[call]
+        expected = decimal_form(compute(1))
+        with decimal.localcontext(context) as caller:
+            state = (caller.prec, caller.Emax, caller.Emin, caller.rounding,
+                     dict(caller.flags), dict(caller.traps))
+            value = compute(decimal.Decimal(1))
+            assert decimal.getcontext() is caller
+            assert (caller.prec, caller.Emax, caller.Emin, caller.rounding,
+                    dict(caller.flags), dict(caller.traps)) == state
+        assert decimal_form(value) == expected
+
+
+def counting_unit():
+    """An int subclass and its tally: a product of two of its values
+    counts in "muls"; a sum, difference, small multiple or division by
+    a small int in "adds".  A negation is not counted."""
+    tally = {"muls": 0, "adds": 0}
+
+    class Unit(int):
+        def _made(self, value, kind="adds"):
+            tally[kind] += 1
+            return Unit(value)
+
+        def __add__(self, other):
+            return self._made(int.__add__(self, other))
+
+        __radd__ = __add__
+
+        def __sub__(self, other):
+            return self._made(int.__sub__(self, other))
+
+        def __rsub__(self, other):
+            return self._made(int.__rsub__(self, other))
+
+        def __mul__(self, other):
+            kind = "muls" if isinstance(other, Unit) else "adds"
+            return self._made(int.__mul__(self, other), kind)
+
+        __rmul__ = __mul__
+
+        def __divmod__(self, other):
+            q, r = int.__divmod__(self, other)
+            return self._made(q), r
+
+        def __neg__(self):
+            return Unit(int.__neg__(self))
+
+    return Unit, tally
+
+
+# both sides of FIVE_SQUARES_FROM: s(n) squares up to x**(|n| // 2)
+@pytest.mark.parametrize("n", [5, -5, 4095, -4095, 4097, -4097, 10**4,
+                               -10**4, 2 * 10**5 + 3, -2 * 10**5 - 3])
+@pytest.mark.parametrize("kind", SequenceKind, ids=lambda k: k.value)
+def test_counter_counts_the_operations_made(kind, n):
+    unit, tally = counting_unit()
+    counter = OpCounter()
+    value = kernel_term(SEEDS[kind], n, counter, one=unit(1))
+    assert value == (trib_fast if kind is SequenceKind.TRIBONACCI
+                     else lucas_fast)(n)
+    assert tally["muls"] == counter.big_muls
+    # the two `one - one` that make the chain's and the read-out's zeros
+    assert tally["adds"] - 2 == counter.big_adds
+
+
+def test_reduction_stops_after_three_pivots(monkeypatch):
+    # a pivot that does not lower the form's rank: this mutant once
+    # looped without end, growing past 300 MB
+    mutated(monkeypatch, "pivot * x - li * lj", "pivot * x + li * lj",
+            name="_reduce")
+    matrices._square_forms.cache_clear()
+    try:
+        for run, n in ((trib_fast, 10), (lucas_fast, 11)):
+            start = time.perf_counter()
+            with pytest.raises(ArithmeticError, match="three pivots"):
+                run(n)
+            assert time.perf_counter() - start < 1
+    finally:
+        matrices._square_forms.cache_clear()
