@@ -1,12 +1,18 @@
-"""Wall-clock and operation-count comparison of nth-term strategies."""
+"""Wall-clock and operation-count comparison of nth-term strategies.
+
+`tribkit` registers this module as a lazy one, as it does `binet`: it
+runs on the first read of one of its names.  It reads `binet` through
+the module, so a run that evaluates no Binet never runs that module.
+"""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 
-from .binet import DEFAULT_PRECISION, binet_lucas, binet_trib
-from .core import SequenceKind, lucas_trib, to_decimal, trib
+from . import binet
+from .core import (DEFAULT_PRECISION, SequenceKind, lucas_trib, to_decimal,
+                   trib)
 from .counters import OpCounter
 from .errors import StrategyMismatch
 from .matrices import lucas_fast, trib_fast
@@ -23,7 +29,8 @@ def _run_matpow(kind, n, precision, counter):
 
 
 def _run_binet(kind, n, precision, counter):
-    fn = binet_trib if kind is SequenceKind.TRIBONACCI else binet_lucas
+    fn = (binet.binet_trib if kind is SequenceKind.TRIBONACCI
+          else binet.binet_lucas)
     return fn(n, precision, counter=counter)
 
 
@@ -58,8 +65,9 @@ def run_bench(kind: SequenceKind, ns: list[int], strategies: list[str],
     counter, and the values of those same runs must agree
     (StrategyMismatch otherwise).  No untimed warm-up precedes them, so
     a strategy's first run at an index is the one reported.  Process
-    startup never lands inside the timed region, nor does the import of
-    mpmath, which Binet evaluation loads on its first run.
+    startup never lands inside the timed region, nor does the first run
+    of the lazy `binet` module, nor the import of mpmath, which Binet
+    evaluation loads on its first run.
     """
     unknown = [s for s in strategies if s not in STRATEGIES]
     if unknown:
@@ -68,8 +76,9 @@ def run_bench(kind: SequenceKind, ns: list[int], strategies: list[str],
         raise ValueError("no strategies selected")
     if not ns:
         raise ValueError("no indices selected")
-    if "binet" in strategies:
-        import mpmath  # noqa: F401 -- loaded here, before the first timer
+    if "binet" in strategies:  # both loaded here, before the first timer
+        binet.compute_roots  # noqa: B018 -- a read runs the lazy module
+        import mpmath  # noqa: F401
     results = []
     for n in ns:
         values = {}

@@ -31,22 +31,23 @@ which the guard bits cover across the safe range.  gamma is the
 conjugate of beta, so the gamma term is the conjugate of the beta term
 and costs no power of its own.
 
-Loading: each function that evaluates imports mpmath when it runs, so
-mpmath is loaded on the first Binet evaluation, not with this module.
-Every process imports `tribkit.binet` (the CLI's strategy table names
-its functions), and mpmath is about a fifth of a process's startup,
-which the exact routes never use (BENCH_startup.json).
+Loading: `tribkit` registers this module as a lazy one, so it runs on
+the first read of one of its names, not at import; the CLI reads it
+only for a Binet run.  Each function that evaluates imports mpmath when
+it runs, so mpmath is loaded on the first Binet evaluation, not with
+this module: mpmath is about a fifth of a process's startup, which the
+exact routes never use (BENCH_startup.json).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .core import DEFAULT_PRECISION
 from .counters import OpCounter
 from .errors import PrecisionExhausted
 from .matrices import K_MAT_SEEDS, T_MAT_SEEDS, Mat3, MatrixKind
 
-DEFAULT_PRECISION = 256
 _GUARD_BITS = 32
 _ROUND_TOL = 0.25
 

@@ -15,6 +15,14 @@ decimal.Decimal, so it is already decimal text.
 pays only for `parse_args`; it runs `cmd_<command>` as bound in this
 module when it is called.  `build_parser()` returns a fresh tree.  Only
 a run that evaluates Binet reads TRIBKIT_PRECISION.
+
+Loading: `bench`, `binet` and `identities` are lazy modules (see
+`tribkit`), read here through the module when a command runs, so each
+runs only in a process that needs it.  The parser's choices are
+constants of this module, checked against their homes by the tests.
+`term` and `bench` run `bench` (a `term` on the decimal route does
+not), a Binet strategy runs `binet` too, and `verify` runs
+`identities`; `matrix`, `sum` and `gf` run none of the three.
 """
 
 from __future__ import annotations
@@ -28,12 +36,9 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .bench import STRATEGIES, run_bench
-from .binet import DEFAULT_PRECISION
-from .core import SequenceKind, to_decimal
+from . import bench, identities
+from .core import DEFAULT_PRECISION, SequenceKind, to_decimal
 from .errors import PrecisionExhausted, StrategyMismatch, UnknownIdentity
-from .identities import (PROFILE_BOUNDS, Profile, format_report_table,
-                         registry, report_to_dict, verify_record)
 from .matrices import (Mat3, MatrixKind, decimal_form, decimal_route,
                        decimal_term)
 from .series import (SumSpec, decimal_sum, gf_stream, partial_sum,
@@ -48,6 +53,10 @@ EXIT_MEMORY = 5
 # command-line kind -> sequence, e.g. "T", "KM"
 KINDS = {kind.value: kind for kind in (*SequenceKind, *MatrixKind)}
 _SCALAR_CHOICES = sorted(kind.value for kind in SequenceKind)
+# the values of identities.Profile and the names of bench.STRATEGIES,
+# stated here so that building the parser runs neither module
+_PROFILE_CHOICES = ("quick", "standard", "deep")
+_STRATEGY_CHOICES = ("iterate", "matpow", "binet")
 _BENCH_FIELDS = ("strategy", "kind", "n", "elapsed_ms", "big_adds",
                  "big_muls", "mat_muls", "precision")
 
@@ -187,12 +196,13 @@ class Reports(Output):
 
     def plain(self, write):
         failed = [r.identity_id for r in self.reports if not r.passed]
-        write(format_report_table(self.reports) + "\n"
+        write(identities.format_report_table(self.reports) + "\n"
               + (f"FAILED: {', '.join(failed)}" if failed
                  else f"all {len(self.reports)} identities passed") + "\n")
 
     def json(self, write):
-        write(json.dumps([report_to_dict(r) for r in self.reports]) + "\n")
+        write(json.dumps([identities.report_to_dict(r)
+                          for r in self.reports]) + "\n")
 
     def csv(self, write):
         write("id,status,cases,failures,elapsed_ms\n")
@@ -259,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("term", "nth term of T or K", precision=True)
     p.add_argument("kind", choices=_SCALAR_CHOICES)
     p.add_argument("n", type=int)
-    p.add_argument("--strategy", choices=tuple(STRATEGIES),
+    p.add_argument("--strategy", choices=_STRATEGY_CHOICES,
                    default="matpow")
 
     p = command("matrix", "nth matrix term TM(n) or KM(n)")
@@ -280,14 +290,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", "run identity verification")
     p.add_argument("ids", nargs="*", help="identity ids (default: all)")
-    p.add_argument("--profile", choices=[pr.value for pr in Profile],
-                   default=Profile.STANDARD.value)
+    p.add_argument("--profile", choices=_PROFILE_CHOICES,
+                   default="standard")
 
     p = command("bench", "compare nth-term strategies", precision=True)
     p.add_argument("--n", required=True,
                    help="comma-separated indices, e.g. 1000,100000")
     p.add_argument("--strategies", default="iterate,matpow",
-                   help="comma-separated subset of " + ",".join(STRATEGIES))
+                   help="comma-separated subset of "
+                        + ",".join(_STRATEGY_CHOICES))
     p.add_argument("--kind", choices=_SCALAR_CHOICES, default="T")
 
     return parser
@@ -315,7 +326,7 @@ def cmd_term(args) -> Output:
     if args.strategy == "matpow" and decimal_route(kind, args.n):
         value = decimal_term(kind, args.n)
     else:
-        value = STRATEGIES[args.strategy](
+        value = bench.STRATEGIES[args.strategy](
             kind, args.n, _precision(args, [args.strategy]), None)
     return Value({"kind": args.kind, "n": args.n,
                   "strategy": args.strategy}, value)
@@ -352,12 +363,12 @@ def cmd_gf(args) -> Output:
 
 
 def cmd_verify(args) -> Output:
-    records = {record.id: record for record in registry()}
+    records = {record.id: record for record in identities.registry()}
     for identity_id in args.ids:
         if identity_id not in records:
             raise UnknownIdentity(identity_id)
-    bounds = PROFILE_BOUNDS[Profile(args.profile)]
-    reports = [verify_record(records[identity_id], bounds)
+    bounds = identities.PROFILE_BOUNDS[identities.Profile(args.profile)]
+    reports = [identities.verify_record(records[identity_id], bounds)
                for identity_id in args.ids or records]
     return Reports(reports, 1 if any(not r.passed for r in reports)
                    else EXIT_OK)
@@ -370,8 +381,8 @@ def cmd_bench(args) -> Output:
         raise ValueError(f"--n takes comma-separated integers, "
                          f"got {args.n!r}") from None
     strategies = [part for part in args.strategies.split(",") if part]
-    results = run_bench(KINDS[args.kind], ns, strategies,
-                        _precision(args, strategies))
+    results = bench.run_bench(KINDS[args.kind], ns, strategies,
+                              _precision(args, strategies))
     return BenchRows([dict(zip(_BENCH_FIELDS, (
         r.strategy, args.kind, r.n, round(r.elapsed_s * 1000, 3),
         r.big_adds, r.big_muls, r.mat_muls, r.precision)))

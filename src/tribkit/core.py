@@ -13,7 +13,6 @@ All arithmetic is on Python ints; results are exact at every index.
 from __future__ import annotations
 
 import decimal
-import threading
 from enum import Enum
 
 from .counters import OpCounter
@@ -36,15 +35,13 @@ class TermCache:
     """Growing contiguous window of one sequence's terms.
 
     The window covers [lo, hi] and only ever extends; a value, once
-    stored, is never rewritten.  Extension is serialized by a lock, so a
-    shared instance behaves as if all calls executed in some order.
+    stored, is never rewritten.  A cache serves one thread at a time.
     """
 
     def __init__(self, kind: SequenceKind):
         self.kind = kind
         self._fwd = list(SEEDS[kind])  # values at indices 0, 1, 2, ...
         self._bwd: list[int] = []      # values at indices -1, -2, ...
-        self._lock = threading.Lock()
 
     @property
     def lo(self) -> int:
@@ -64,22 +61,24 @@ class TermCache:
             fwd = self._fwd
             if n < len(fwd):
                 return fwd[n]
-            with self._lock:
-                while n >= len(fwd):
-                    fwd.append(fwd[-1] + fwd[-2] + fwd[-3])
+            while n >= len(fwd):
+                fwd.append(fwd[-1] + fwd[-2] + fwd[-3])
             return fwd[n]
         bwd = self._bwd
         if -n <= len(bwd):
             return bwd[-n - 1]
-        with self._lock:
-            while -n > len(bwd):
-                k = len(bwd) + 1  # next backward index is -k
-                bwd.append(self._at(3 - k) - self._at(2 - k) - self._at(1 - k))
+        while -n > len(bwd):
+            k = len(bwd) + 1  # next backward index is -k
+            bwd.append(self._at(3 - k) - self._at(2 - k) - self._at(1 - k))
         return bwd[-n - 1]
 
     def _at(self, i: int) -> int:
         return self._fwd[i] if i >= 0 else self._bwd[-i - 1]
 
+
+# Binet's working precision in bits when none is given; here, not in
+# `binet`, so the command line can print it without loading Binet
+DEFAULT_PRECISION = 256
 
 # The one context of exact decimal arithmetic: `to_decimal` and the
 # decimal route (`matrices.decimal_term`, `series.decimal_sum`) compute

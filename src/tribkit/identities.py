@@ -545,12 +545,13 @@ def registry() -> list[IdentityRecord]:
     """The full static registry; ids are stable and unique.
 
     Each call binds the compiled anchors to fresh readers over private
-    term caches, so returned registries are independent of each other
-    and safe to use concurrently.  A registry reads each kind through
-    one memoised reader, both sides of the sum records too, so each
-    TM(n) and KM(n) is built once, and each K(+-m) of a closed form's
-    divisor too; S_<kind> keeps a running total of its kind's reads
-    (`series.running_bruteforce`), one term per step up the n axis.
+    term caches, so returned registries are independent of each other;
+    a registry, like its caches, serves one thread at a time.  A
+    registry reads each kind through one memoised reader, both sides of
+    the sum records too, so each TM(n) and KM(n) is built once, and
+    each K(+-m) of a closed form's divisor too; S_<kind> keeps a running
+    total of its kind's reads (`series.running_bruteforce`), one term
+    per step up the n axis.
     Each registry binds its anchors' `^` to its own power reader
     (`_power_reader`), and each evaluator takes fresh dicts for its
     groups (`_Groups`) when it is made, so no registry sees another's

@@ -18,8 +18,8 @@ from typing import Callable, Iterator, Union
 from . import matrices
 from .core import SEEDS, SequenceKind, walk
 from .errors import DegenerateDenominator, DivisibilityViolation
-from .matrices import (KIND_SEEDS, ZERO, Mat3, MatrixKind, kernel_term,
-                       lucas_fast, term_reader)
+from .matrices import (KIND_SEEDS, ZERO, Mat3, MatrixKind, _kernel_term,
+                       kernel_term, lucas_fast, term_reader)
 
 AnyKind = Union[SequenceKind, MatrixKind]
 
@@ -141,14 +141,15 @@ def partial_sum(spec: SumSpec, one=1):
 
 
 def _partial_sum(spec: SumSpec, one):
-    """`partial_sum` in the current context."""
+    """`partial_sum` in the current context; the top read-out takes the
+    unit there, so a Decimal one enters `EXACT` once, in `partial_sum`."""
     m, j, n = spec.m, spec.j, spec.n
     k_m = lucas_fast(m)
     divisor = k_m - lucas_fast(-m)
     if divisor == 0:
         raise DegenerateDenominator(f"K({m}) - K({-m}) = 0")
     u = _u_seeds(KIND_SEEDS[spec.kind][0], m, 1 - k_m)
-    numerator = kernel_term(u, spec.top, one=one) - kernel_term(u, j)
+    numerator = _kernel_term(u, spec.top, None, one) - kernel_term(u, j)
     if isinstance(numerator, Mat3):
         return numerator.div_exact(divisor)
     q, r = divmod(numerator, divisor)

@@ -249,15 +249,16 @@ class TestVerify:
         assert lines[1].startswith("EQ4,pass,81,0,")
 
     def test_one_registry_per_request(self, capsys, monkeypatch):
-        import tribkit.cli as cli
-        original = cli.registry
+        import tribkit.identities as identities
+        original = identities.registry
         calls = []
 
         def counted():
             calls.append(1)
             return original()
 
-        monkeypatch.setattr(cli, "registry", counted)
+        # cli reads the lazy module's binding when verify runs
+        monkeypatch.setattr(identities, "registry", counted)
         code, _, _ = run(["verify", "EQ4", "EQ5", "TNEG", "--profile",
                           "quick"], capsys)
         assert code == 0
@@ -350,6 +351,38 @@ class TestFlags:
         code, out, _ = run(["gf", "T", "3"], capsys)
         assert code == 0
         assert out.strip() == "0 1 1"
+
+
+class TestParserConstants:
+    """The parser's choices and help are constants that run no lazy
+    module; each equals the value at its home."""
+
+    @staticmethod
+    def option(command: str, dest: str) -> argparse.Action:
+        commands = next(a for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        return next(a for a in commands.choices[command]._actions
+                    if a.dest == dest)
+
+    def test_profiles_are_identities_profiles(self):
+        from tribkit import identities
+        option = self.option("verify", "profile")
+        assert list(option.choices) == [p.value for p in identities.Profile]
+        assert option.default == identities.Profile.STANDARD.value
+
+    def test_strategies_are_bench_strategies(self):
+        from tribkit import bench
+        assert self.option("term", "strategy").choices == tuple(
+            bench.STRATEGIES)
+        assert self.option("bench", "strategies").help.endswith(
+            ",".join(bench.STRATEGIES))
+
+    @pytest.mark.parametrize("command", ["term", "bench"])
+    def test_precision_help_is_binet_default(self, command):
+        from tribkit import binet
+        assert self.option(command, "precision").help == (
+            "working precision in bits (default: TRIBKIT_PRECISION or "
+            f"{binet.DEFAULT_PRECISION})")
 
 
 class TestSharedParser:
