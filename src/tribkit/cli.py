@@ -50,6 +50,17 @@ EXIT_PRECISION = 3
 EXIT_MISMATCH = 4
 EXIT_MEMORY = 5
 
+# What leaves `main` other than an answer: (exception type, exit code,
+# message of its one `error:` line), the first row that matches winning
+EXITS = (
+    (PrecisionExhausted, EXIT_PRECISION, "{}"),
+    (StrategyMismatch, EXIT_MISMATCH, "{}"),
+    (UnknownIdentity, EXIT_USAGE, "unknown identity: {0.args[0]}"),
+    (ValueError, EXIT_USAGE, "{}"),
+    (MemoryError, EXIT_MEMORY,
+     "out of memory; ask for a smaller index, count or profile"),
+)
+
 # command-line kind -> sequence, e.g. "T", "KM"
 KINDS = {kind.value: kind for kind in (*SequenceKind, *MatrixKind)}
 _SCALAR_CHOICES = sorted(kind.value for kind in SequenceKind)
@@ -395,22 +406,11 @@ def main(argv: list[str] | None = None) -> int:
         # looked up per call, so a rebound cmd_* is the one that runs
         out = globals()["cmd_" + args.command](args)
         emit(out, args.format)
-    except PrecisionExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except StrategyMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except UnknownIdentity as exc:
-        print(f"error: unknown identity: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError:
-        print("error: out of memory; ask for a smaller index, count or "
-              "profile", file=sys.stderr)
-        return EXIT_MEMORY
+    except tuple(row[0] for row in EXITS) as exc:
+        code, message = next(row[1:] for row in EXITS
+                             if isinstance(exc, row[0]))
+        print("error: " + message.format(exc), file=sys.stderr)
+        return code
     return out.code
 
 
