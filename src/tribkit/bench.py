@@ -66,8 +66,7 @@ def run_bench(kind: SequenceKind, ns: list[int], strategies: list[str],
     (StrategyMismatch otherwise).  No untimed warm-up precedes them, so
     a strategy's first run at an index is the one reported.  Process
     startup never lands inside the timed region, nor does the first run
-    of the lazy `binet` module, nor the import of mpmath, which Binet
-    evaluation loads on its first run.
+    of the lazy `binet` module, which imports mpmath.
     """
     unknown = [s for s in strategies if s not in STRATEGIES]
     if unknown:
@@ -76,9 +75,8 @@ def run_bench(kind: SequenceKind, ns: list[int], strategies: list[str],
         raise ValueError("no strategies selected")
     if not ns:
         raise ValueError("no indices selected")
-    if "binet" in strategies:  # both loaded here, before the first timer
+    if "binet" in strategies:  # run here, with mpmath, before the first timer
         binet.compute_roots  # noqa: B018 -- a read runs the lazy module
-        import mpmath  # noqa: F401
     results = []
     for n in ns:
         values = {}

@@ -1,9 +1,19 @@
 """Command-line front end: term, matrix, sum, gf, verify, bench.
 
-Exit codes: 0 success, 2 usage/parse/constraint error, 3 precision
-exhausted, 4 cross-strategy value mismatch, 5 out of memory.  Big
-integers are emitted as decimal strings in JSON (never floats -- values
-outgrow 64-bit parsers within a few dozen indices).
+Exit codes: `0` success, `1` `verify` found an identity false, `2`
+usage, parse or constraint error, `3` precision exhausted, `4`
+cross-strategy value mismatch, `5` out of memory, `6` the output could
+not be written, `130` interrupted, `141` stdout closed before the
+output ended (128 + SIGPIPE).  A parse error prints argparse's usage
+and its error; every other failure is one `error:` line on stderr (none
+for 141) from its row of `EXITS`, never a traceback.  A fault the
+package detects in itself (DivisibilityViolation,
+DegenerateDenominator, a trapped decimal signal) keeps its traceback.
+A listing streams, so output can precede a failure: on any code but 0,
+discard what you read (on `verify`'s 1 the report is whole).
+
+Big integers are emitted as decimal strings in JSON (never floats --
+values outgrow 64-bit parsers within a few dozen indices).
 
 Each command states its answer once, as an Output that writes itself in
 each format; `emit` writes the one asked for, a listing item by item.
@@ -45,13 +55,20 @@ from .series import (SumSpec, decimal_sum, gf_stream, partial_sum,
                      partial_sum_bruteforce)
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
 EXIT_MISMATCH = 4
 EXIT_MEMORY = 5
+EXIT_OUTPUT = 6
+EXIT_INTERRUPT = 130  # 128 + SIGINT
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
-# What leaves `main` other than an answer: (exception type, exit code,
-# message of its one `error:` line), the first row that matches winning
+# What leaves the process other than an answer or verify's verdict:
+# (exception type, exit code, message of its one `error:` line, None for
+# none), the first row that matches winning.  `main` applies the rows a
+# request can raise; `main_entry` the last three, which only a whole
+# process meets, so an in-process caller of `main` still sees them raised.
 EXITS = (
     (PrecisionExhausted, EXIT_PRECISION, "{}"),
     (StrategyMismatch, EXIT_MISMATCH, "{}"),
@@ -59,7 +76,11 @@ EXITS = (
     (ValueError, EXIT_USAGE, "{}"),
     (MemoryError, EXIT_MEMORY,
      "out of memory; ask for a smaller index, count or profile"),
+    (BrokenPipeError, EXIT_PIPE, None),  # the reader ended the output
+    (OSError, EXIT_OUTPUT, "cannot write the output: {}"),
+    (KeyboardInterrupt, EXIT_INTERRUPT, "interrupted"),
 )
+_REQUEST_EXITS, _PROCESS_EXITS = EXITS[:5], EXITS[5:]
 
 # command-line kind -> sequence, e.g. "T", "KM"
 KINDS = {kind.value: kind for kind in (*SequenceKind, *MatrixKind)}
@@ -381,7 +402,7 @@ def cmd_verify(args) -> Output:
     bounds = identities.PROFILE_BOUNDS[identities.Profile(args.profile)]
     reports = [identities.verify_record(records[identity_id], bounds)
                for identity_id in args.ids or records]
-    return Reports(reports, 1 if any(not r.passed for r in reports)
+    return Reports(reports, EXIT_FAILED if any(not r.passed for r in reports)
                    else EXIT_OK)
 
 
@@ -406,16 +427,31 @@ def main(argv: list[str] | None = None) -> int:
         # looked up per call, so a rebound cmd_* is the one that runs
         out = globals()["cmd_" + args.command](args)
         emit(out, args.format)
-    except tuple(row[0] for row in EXITS) as exc:
-        code, message = next(row[1:] for row in EXITS
-                             if isinstance(exc, row[0]))
-        print("error: " + message.format(exc), file=sys.stderr)
-        return code
+    except tuple(row[0] for row in _REQUEST_EXITS) as exc:
+        return _exit(exc, _REQUEST_EXITS)
     return out.code
 
 
+def _exit(exc: BaseException, rows) -> int:
+    """The code of the first of `rows` that `exc` matches, after its line
+    on stderr."""
+    code, message = next(row[1:] for row in rows if isinstance(exc, row[0]))
+    if message is not None:
+        print("error: " + message.format(exc), file=sys.stderr)
+    return code
+
+
 def main_entry() -> None:
-    raise SystemExit(main())
+    """The console script: `main`, then stdout flushed, so that a closed
+    pipe or a failed write is raised here and not in the flush at exit."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except tuple(row[0] for row in _PROCESS_EXITS) as exc:
+        if isinstance(exc, OSError):  # the flush at exit writes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = _exit(exc, _PROCESS_EXITS)
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

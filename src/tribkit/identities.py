@@ -58,6 +58,7 @@ import functools
 import time
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from types import CodeType
 from typing import Callable, Iterator
 
@@ -476,7 +477,7 @@ class _Undefined(str):
 def _quotient(numerator, divisor: int):
     """numerator / divisor over the rationals, entrywise for a Mat3: an
     int where the divisor divides, an `_Undefined` by zero, else a
-    `Fraction` (imported only then) that equals no int; never a float."""
+    `Fraction` that equals no int; never a float."""
     if isinstance(numerator, Mat3):
         try:
             return numerator.div_exact(divisor)
@@ -488,7 +489,6 @@ def _quotient(numerator, divisor: int):
     q, r = divmod(numerator, divisor)
     if not r:
         return q
-    from fractions import Fraction
     return Fraction(numerator, divisor)
 
 

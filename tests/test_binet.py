@@ -4,6 +4,7 @@ from functools import partial
 import pytest
 from mpmath import mp
 
+import tribkit.binet as binet
 from tribkit import (MatrixKind, OpCounter, PrecisionExhausted,
                      SequenceKind, binet_constants, binet_lucas,
                      binet_matrix, binet_trib, check_constant_algebra,
@@ -11,6 +12,28 @@ from tribkit import (MatrixKind, OpCounter, PrecisionExhausted,
                      t_matrix, term_reader, trib)
 
 ALPHA_64 = 1.839286755214161  # real root, double precision reference
+
+
+class TestRoundToInt:
+    """The 0.25 window: a value further from an integer is refused."""
+
+    @pytest.mark.parametrize("z", [(7.4, 0), (-7.4, 0), (7, 0.3), (7, -0.3)],
+                             ids=str)
+    def test_outside_the_window_raises(self, z):
+        z = mp.mpc(*z)
+        with mp.workprec(256), pytest.raises(
+                PrecisionExhausted, match="probe: .* is not within 0.25 of "
+                                          "an integer"):
+            binet._round_to_int(z, (z,), "probe", 256)
+
+    @pytest.mark.parametrize("z,expected", [
+        ((7.2, 0), 7), ((-7.2, 0), -7), ((6.8, 0.2), 7), ((0.2, -0.2), 0)],
+        ids=str)
+    def test_inside_the_window_rounds(self, z, expected):
+        z = mp.mpc(*z)
+        with mp.workprec(256):
+            value = binet._round_to_int(z, (z,), "probe", 256)
+        assert value == expected and type(value) is int
 
 
 def _residual(x):

@@ -1,12 +1,19 @@
 import argparse
+import ast
 import contextlib
 import csv
 import decimal
 import importlib
+import inspect
 import io
 import json
+import os
 import re
 import shlex
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -298,6 +305,11 @@ class TestBench:
         assert code == 2
         assert out == ""
         assert message in err
+
+    def test_no_strategy_exits_2(self, capsys):
+        code, out, err = run(["bench", "--n", "5", "--strategies", ","],
+                             capsys)
+        assert (code, out, err) == (2, "", "error: no strategies selected\n")
 
     def test_value_mismatch_exits_4(self, capsys, monkeypatch):
         import tribkit.bench as bench
@@ -1044,3 +1056,123 @@ class TestDeterminism:
                     for rep in json.loads(text)]
 
         assert strip_ms(out_a) == strip_ms(out_b)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def entry(*argv: str, code: str | None = None, **popen) -> subprocess.Popen:
+    """`tribkit argv` as a process of its own, through `main_entry` (by
+    `python -m tribkit.cli`, or `python -c code`), this checkout's
+    package first on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    head = ["-m", "tribkit.cli"] if code is None else ["-c", code]
+    return subprocess.Popen([sys.executable, *head, *argv], env=env,
+                            stderr=subprocess.PIPE, text=True, **popen)
+
+
+def finish(process: subprocess.Popen, timeout: float = 60):
+    """The (stdout, stderr) of `process` once it exits, its pipes closed;
+    killed if it outlasts `timeout` seconds."""
+    with process:
+        try:
+            return process.communicate(timeout=timeout)
+        finally:
+            process.kill()  # a no-op once it has exited
+
+
+def listed_codes(text: str) -> list[int]:
+    """The codes that the paragraph from "Exit codes:" lists, in order."""
+    paragraph = text.split("Exit codes:", 1)[1].split("\n\n", 1)[0]
+    return [int(code) for code in re.findall(r"`(\d+)`", paragraph)]
+
+
+class TestExits:
+    """Every way out of the process but an answer is a row of
+    `cli.EXITS`: a code and at most one line, never a traceback."""
+
+    CODES = [0, 1, 2, 3, 4, 5, 6, 130, 141]
+
+    def test_docs_list_the_table_codes(self):
+        codes = sorted({cli.EXIT_OK, cli.EXIT_FAILED}
+                       | {code for _, code, _ in cli.EXITS})
+        assert codes == self.CODES
+        assert listed_codes(cli.__doc__) == codes
+        assert listed_codes(README) == codes
+
+    @pytest.mark.parametrize("function", [cli.main, cli.main_entry],
+                             ids=lambda f: f.__name__)
+    def test_one_except_clause(self, function):
+        tree = ast.parse(inspect.getsource(function))
+        handlers = [node for node in ast.walk(tree)
+                    if isinstance(node, ast.ExceptHandler)]
+        assert len(handlers) == 1
+
+    @pytest.mark.parametrize("exc", [
+        KeyboardInterrupt(), BrokenPipeError(32, "Broken pipe"),
+        OSError(28, "No space left on device")], ids=repr)
+    def test_main_leaves_the_process_rows_to_main_entry(self, exc,
+                                                        monkeypatch):
+        # an in-process caller, a closed loop or a test, still sees them
+        def raising(args):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_term", raising)
+        with pytest.raises(type(exc)):
+            main(["term", "T", "5"])
+
+    def test_closed_stdout_exits_141_silently(self):
+        # `tribkit gf T 30000 | head -c 10`: the reader quits early
+        process = entry("gf", "T", "30000", stdout=subprocess.PIPE)
+        assert process.stdout.read(10) == "0 1 1 2 4 "
+        process.stdout.close()
+        _, err = finish(process)
+        assert (process.returncode, err) == (cli.EXIT_PIPE, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full on this platform")
+    def test_failed_write_exits_6(self):
+        with open("/dev/full", "w") as full:
+            process = entry("gf", "T", "30000", stdout=full)
+            _, err = finish(process)
+        assert process.returncode == cli.EXIT_OUTPUT == 6
+        assert err.startswith("error: cannot write the output: [Errno 28] ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_interrupt_exits_130(self):
+        # a walk of minutes in about a megabyte.  A shell without job
+        # control starts a background job with SIGINT ignored, and a
+        # child inherits that, so the child restores Python's handler.
+        process = entry(
+            "term", "T", "3000000", "--strategy", "iterate",
+            code="import runpy, signal; "
+                 "signal.signal(signal.SIGINT, signal.default_int_handler); "
+                 "runpy.run_module('tribkit.cli', run_name='__main__', "
+                 "alter_sys=True)",
+            stdout=subprocess.DEVNULL)
+        time.sleep(1)
+        assert process.poll() is None
+        process.send_signal(signal.SIGINT)
+        _, err = finish(process, timeout=30)
+        assert (process.returncode, err) == (130, "error: interrupted\n")
+
+    @pytest.mark.parametrize("fault", [
+        "tribkit.errors.DivisibilityViolation('a planted fault')",
+        "tribkit.errors.DegenerateDenominator('a planted fault')",
+        "decimal.Inexact('a planted fault')",
+    ])
+    def test_own_faults_keep_their_traceback(self, fault):
+        process = entry(
+            "term", "T", "5",
+            code="import decimal, sys, tribkit.cli, tribkit.errors\n"
+                 "def fault(args):\n"
+                 f"    raise {fault}\n"
+                 "tribkit.cli.cmd_term = fault\n"
+                 "tribkit.cli.main_entry()\n",
+            stdout=subprocess.PIPE)
+        out, err = finish(process)
+        assert (process.returncode, out) == (1, "")
+        assert err.startswith("Traceback")
+        assert err.endswith(f"{fault.rsplit('.', 1)[1].split('(')[0]}: "
+                            "a planted fault\n")

@@ -13,7 +13,7 @@ from tribkit import (IDENTITY, GridBounds, K_MAT_SEEDS, Mat3, MatrixKind,
                      SequenceKind, SumSpec, T_MAT_SEEDS, TermCache,
                      UnknownIdentity, format_report_table,
                      VerifyReport, lucas_trib, partial_sum_bruteforce,
-                     registry, report_to_dict, t_matrix, trib,
+                     k_matrix, registry, report_to_dict, t_matrix, trib,
                      verify, verify_all, verify_record)
 from tribkit import identities, matrices
 from tribkit.cli import main
@@ -235,6 +235,44 @@ class TestAnchors:
             registry()
         assert str(refused.value).startswith("EQ3: ")
         assert REFUSED[side] in str(refused.value)
+
+    @pytest.mark.parametrize("anchor", ["T(n)", "T(n) = T(n) = T(n) = T(n)"])
+    def test_anchor_of_one_or_four_sides_refused(self, anchor, monkeypatch):
+        _with_anchor(monkeypatch, "EQ3", anchor)
+        with pytest.raises(ValueError) as refused:
+            registry()
+        assert str(refused.value) == "EQ3: an anchor has two or three sides"
+
+    def test_failing_three_sided_anchor_reports_both_links(self, capsys,
+                                                           monkeypatch):
+        # LEM16a's middle side doubled: both links of A = B = C fail at
+        # every point, and a failure's sides are the pairs (A, B), (B, C)
+        anchor = next(r.anchor for r in registry() if r.id == "LEM16a")
+        assert anchor == "KM(0)*TM(n) = TM(n)*KM(0) = KM(n)"
+        _with_anchor(monkeypatch, "LEM16a",
+                     "KM(0)*TM(n) = 2*TM(n)*KM(0) = KM(n)")
+        argv = ["verify", "LEM16a", "--profile", "quick", "--format"]
+        assert main([*argv, "json"]) == 1
+        [report] = json.loads(capsys.readouterr().out)
+        assert report["status"] == "fail"
+        assert len(report["failures"]) == report["cases"] > 0
+        for failure in report["failures"]:
+            for side in (failure["left"], failure["right"]):
+                assert len(side) == 2
+                assert all(len(m) == 3 and all(
+                    len(row) == 3 and all(isinstance(x, str) for x in row)
+                    for row in m) for m in side)
+            [n] = failure["indices"]
+            a = matrices.mat_mul(K_MAT_SEEDS[0], t_matrix(n))
+            b = 2 * matrices.mat_mul(t_matrix(n), K_MAT_SEEDS[0])
+            assert failure["left"] == matrices.decimal_form((a, b))
+            assert failure["right"] == matrices.decimal_form((b, k_matrix(n)))
+        cases = report["cases"]
+        assert main([*argv, "plain"]) == 1
+        assert capsys.readouterr().out.endswith("FAILED: LEM16a\n")
+        assert main([*argv, "csv"]) == 1
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.startswith(f"LEM16a,fail,{cases},{cases},")
 
     def test_zero_divisor_fails_its_points(self, capsys, monkeypatch):
         # SUMCORa's divisor flipped to K(m) + K(-m), which is 0 at m = 1:
