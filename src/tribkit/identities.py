@@ -49,6 +49,25 @@ never grouped.
 
 A chain X = Y = Z evaluates each side once, to ((X, Y), (Y, Z)),
 compared slotwise, so a failure in either leg surfaces.
+
+Every matrix a registry reads or builds is an element of Z[Q], Q =
+TM(1), which is Z[x]/(x^3 - x^2 - x - 1), the ring `matrices._x_power`
+computes in: a `ZQ`, a*Q^2 + b*Q + c*I held as (a, b, c), whose product
+costs 9 multiplications where a Mat3 product costs 27.  That rests on
+one lemma: the paper's TM or KM matrix, built from any solution s of the
+recurrence, lies in Z[Q].  The matrix at n is linear in s and is the
+matrix at 0 of s shifted by n, another solution, so three basis
+solutions at n = 0 prove it; a matrix lies in Z[Q] exactly when it
+commutes with the companion matrix Q, and each of the three does
+(tests/test_identities.py).  So a matrix is fixed by its first column
+(s(n+1), s(n), s(n-1)) = (u, v, w), whose coordinates (w, v - w,
+u - v - w) the registry's TM and KM readers take: a unimodular map, so
+two matrices are equal, and d divides every entry, exactly when the same
+holds of their coordinates.  Z[Q] is commutative, so the commutation
+legs of THM18a-c and LEM16a/b hold by construction; what they check is
+the lemma, through the readers.  A `ZQ` is a Mat3 wherever one is read,
+and a failure's sides are mapped back to plain Mat3s when it is
+recorded, so reports print Mat3 rows.
 """
 
 from __future__ import annotations
@@ -63,8 +82,9 @@ from types import CodeType
 from typing import Callable, Iterator
 
 from .core import SequenceKind, TermCache, to_decimal
-from .errors import DivisibilityViolation, UnknownIdentity
-from .matrices import KIND_SEEDS, Mat3, decimal_form, term_reader
+from .errors import DivisibilityViolation, NegativeExponent, UnknownIdentity
+from .matrices import (KIND_SEEDS, T_MAT_SEEDS, Mat3, _combine, decimal_form,
+                       term_reader)
 from .series import running_bruteforce
 
 
@@ -165,7 +185,8 @@ class IdentityRecord:
 
     `anchor` is the formula in plain notation; `evaluate` maps a point of
     `shape`'s grid to (left, right), both the same kind of value (int,
-    Mat3, or a tuple of those for chained equalities).
+    an element of Z[Q] for a matrix, `ZQ`, or a tuple of those for
+    chained equalities).
     """
 
     id: str
@@ -474,10 +495,129 @@ class _Undefined(str):
     __rdivmod__ = __divmod__
 
 
+class ZQ(Mat3):
+    """a*Q^2 + b*Q + c*I, Q = TM(1): a Mat3 of Z[Q], which is
+    Z[x]/(x^3 - x^2 - x - 1), held as its coordinates (a, b, c).
+
+    A product of two costs the 9 products of the coordinates, reduced by
+    x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1 (a Mat3 product costs 27), a
+    sum or difference 3 additions, a scaling by an int 3 multiplications
+    and equality one comparison of the coordinates.  They are ints, or
+    `_Undefined` after a division by one.  Any other operand goes to the
+    Mat3 operator, on `entries`, laid out only when read.  So a ZQ is a
+    Mat3 wherever one is read, and equals the Mat3 of its entries, whose
+    hash it shares (`Mat3.__hash__`).
+    """
+
+    __slots__ = ("coordinates",)  # (a, b, c)
+
+    def __init__(self, a, b, c):
+        # one slot, set past the frozen __setattr__, as `matrices._mat3`
+        _set_coordinates(self, (a, b, c))
+
+    @staticmethod
+    def of_column(u, v, w) -> "ZQ":
+        """The element whose matrix has first column (u, v, w): that
+        column is (2a + b + c, a + b, a), a unimodular map, so d divides
+        every entry exactly when it divides every coordinate."""
+        return ZQ(w, v - w, u - v - w)
+
+    @property
+    def entries(self) -> tuple:
+        """a*Q^2 + b*Q + c*I, entry by entry."""
+        return _combine(T_MAT_SEEDS, *self.coordinates).entries
+
+    def __repr__(self):
+        return f"ZQ{self.coordinates!r}"
+
+    def __eq__(self, other):
+        if isinstance(other, ZQ):
+            return self.coordinates == other.coordinates
+        if isinstance(other, Mat3):
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self):
+        a, b, c = self.coordinates
+        return hash((a + a + b + c, a + b, a))  # the first column
+
+    def __add__(self, other):
+        if not isinstance(other, ZQ):
+            return Mat3.__add__(self, other)
+        a1, b1, c1 = self.coordinates
+        a2, b2, c2 = other.coordinates
+        return ZQ(a1 + a2, b1 + b2, c1 + c2)
+
+    def __sub__(self, other):
+        if not isinstance(other, ZQ):
+            return Mat3.__sub__(self, other)
+        a1, b1, c1 = self.coordinates
+        a2, b2, c2 = other.coordinates
+        return ZQ(a1 - a2, b1 - b2, c1 - c2)
+
+    def __neg__(self):
+        a, b, c = self.coordinates
+        return ZQ(-a, -b, -c)
+
+    def __rmul__(self, k):
+        if not isinstance(k, int):
+            return Mat3.__rmul__(self, k)
+        a, b, c = self.coordinates
+        return ZQ(k * a, k * b, k * c)
+
+    def __mul__(self, other):
+        if not isinstance(other, ZQ):
+            return Mat3.__mul__(self, other)
+        a1, b1, c1 = self.coordinates
+        a2, b2, c2 = other.coordinates
+        x4 = a1 * a2
+        x3 = a1 * b2 + b1 * a2 + x4  # x^3, and the x^4 term's x^2 + x + 1
+        return ZQ(a1 * c2 + b1 * b2 + c1 * a2 + x3 + x4,
+                  b1 * c2 + c1 * b2 + x3 + x4,
+                  c1 * c2 + x3)
+
+    def div_exact(self, d) -> "ZQ":
+        """Coordinatewise exact division, which divides every entry; a
+        remainder in a coordinate leaves one in an entry, and raises as
+        `Mat3.div_exact` does."""
+        a, b, c = self.coordinates
+        (a, ra), (b, rb), (c, rc) = divmod(a, d), divmod(b, d), divmod(c, d)
+        if ra or rb or rc:
+            return Mat3.div_exact(self, d)
+        return ZQ(a, b, c)
+
+    def __pow__(self, e: int) -> "ZQ":
+        """self**e by left-to-right binary powering, as `mat_pow`."""
+        if e < 0:
+            raise NegativeExponent(f"exponent must be non-negative, got {e}")
+        if e == 0:
+            return ZQ(0, 0, 1)
+        acc = self
+        for bit in bin(e)[3:]:  # bits below the most significant one
+            acc = acc * acc
+            if bit == "1":
+                acc = acc * self
+        return acc
+
+
+_set_coordinates = ZQ.coordinates.__set__
+
+
+def _as_mat3(value):
+    """`value` with each ZQ in it, a tuple's items too, as a plain Mat3."""
+    if isinstance(value, ZQ):
+        return Mat3(value.entries)
+    if isinstance(value, tuple):
+        return tuple(_as_mat3(item) for item in value)
+    return value
+
+
 def _quotient(numerator, divisor: int):
     """numerator / divisor over the rationals, entrywise for a Mat3: an
     int where the divisor divides, an `_Undefined` by zero, else a
-    `Fraction` that equals no int; never a float."""
+    `Fraction` that equals no int; never a float.  A ZQ stays one where
+    the divisor divides (`ZQ.div_exact`), and is a Mat3 of its entries'
+    quotients otherwise."""
     if isinstance(numerator, Mat3):
         try:
             return numerator.div_exact(divisor)
@@ -492,15 +632,17 @@ def _quotient(numerator, divisor: int):
     return Fraction(numerator, divisor)
 
 
-def _inverse_power(base: Mat3, k: int) -> Mat3:
-    """base ** -k over the rationals, k >= 1: adj(base) ** k over
-    det(base) ** k (`_quotient`), so a singular base is 1/0 or 0/0 at
-    every entry."""
+def _inverse_power(base, k: int):
+    """base ** -k over the rationals, k >= 1, for a Mat3 or a ZQ base:
+    adj(base) ** k over det(base) ** k (`_quotient`), so a singular base
+    is 1/0 or 0/0 at every entry.  A ZQ's adjugate is a polynomial in it
+    (Cayley-Hamilton), so a ZQ too, fixed by its first column."""
     a, b, c, d, e, f, g, h, i = base.entries
     a1, a4, a7 = e * i - f * h, f * g - d * i, d * h - e * g
-    adjugate = Mat3((a1, c * h - b * i, b * f - c * e,
-                     a4, a * i - c * g, c * d - a * f,
-                     a7, b * g - a * h, a * e - b * d))
+    adjugate = ZQ.of_column(a1, a4, a7) if isinstance(base, ZQ) else Mat3((
+        a1, c * h - b * i, b * f - c * e,
+        a4, a * i - c * g, c * d - a * f,
+        a7, b * g - a * h, a * e - b * d))
     return _quotient(adjugate ** k, (a * a1 + b * a4 + c * a7) ** k)
 
 
@@ -547,8 +689,9 @@ def registry() -> list[IdentityRecord]:
     Each call binds the compiled anchors to fresh readers over private
     term caches, so returned registries are independent of each other;
     a registry, like its caches, serves one thread at a time.  A
-    registry reads each kind through one memoised reader, both sides of
-    the sum records too, so each TM(n) and KM(n) is built once, and
+    registry reads each kind through one memoised reader, a matrix kind
+    as `ZQ`s, both sides of the sum records too, so each TM(n) and KM(n)
+    is built once, and
     each K(+-m) of a closed form's divisor too; S_<kind> keeps a running
     total of its kind's reads (`series.running_bruteforce`), one term
     per step up the n axis.
@@ -558,7 +701,8 @@ def registry() -> list[IdentityRecord]:
     powers or groups.
     """
     caches = {kind: TermCache(kind) for kind in SequenceKind}
-    readers = {kind.value: functools.cache(term_reader(kind, caches[scalar]))
+    readers = {kind.value: functools.cache(
+                   term_reader(kind, caches[scalar], ZQ.of_column))
                for kind, (_, scalar) in KIND_SEEDS.items()}
     sums = {f"S_{kind.value}": running_bruteforce(kind, readers[kind.value])
             for kind in KIND_SEEDS}
@@ -586,7 +730,8 @@ def verify_record(record: IdentityRecord, bounds: GridBounds) -> VerifyReport:
         left, right = record.evaluate(*indices)
         cases += 1
         if left != right:
-            failures.append(Failure(tuple(indices), left, right))
+            failures.append(Failure(tuple(indices), _as_mat3(left),
+                                    _as_mat3(right)))
     elapsed = time.perf_counter() - start
     if not cases:
         raise ValueError(f"{record.id}: no case in {described}")

@@ -10,10 +10,10 @@ once the coefficients are large.  A scalar term stops the chain at
 x**(n/2) and reads s(n) off one quadratic form in its coefficients, as
 weighted squares and products of linear forms; a matrix term reads
 s(n) = a*s(2) + b*s(1) + c*s(0) off x**n = a*x^2 + b*x + c.  The
-entries of TM(n) and KM(n) are shifted T and K terms, laid out in
-`_closed_form`; row 2, column 1 (1-based) of TM(n) holds T(n).  `walk`,
-`mat_pow` (TM(1)**n by matrix products) and KM(0) @ TM(n) are
-independent oracles, called by name.  `decimal_term` runs the same
+entries of TM(n) and KM(n) are shifted T and K terms, fixed by the first
+column that `_closed_form` reads; row 2, column 1 (1-based) of TM(n)
+holds T(n).  `walk`, `mat_pow` (TM(1)**n by matrix products) and
+KM(0) @ TM(n) are independent oracles, called by name.  `decimal_term` runs the same
 kernel on decimal.Decimal, for answers that are only printed: every
 matrix answer, and a scalar one from the index `decimal_route` gives.
 """
@@ -63,6 +63,12 @@ class Mat3:
         # copy and pickle would restore the slot through the frozen
         # __setattr__; rebuild through the constructor instead
         return Mat3, (self.entries,)
+
+    def __hash__(self):
+        # by the first column, which fixes a matrix of Z[Q] (Q = TM(1)):
+        # `identities.ZQ` holds one as its coordinates, and hashes alike
+        e = self.entries
+        return hash((e[0], e[3], e[6]))
 
     def rows(self) -> tuple[tuple[int, int, int], ...]:
         e = self.entries
@@ -516,16 +522,25 @@ def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
     return _kernel_term(seeds, n, counter, one)
 
 
+def _combine(seeds, a, b, c) -> Mat3:
+    """a*s(2) + b*s(1) + c*s(0) for matrix seeds, entry by entry: the
+    term read off x**n = a*x^2 + b*x + c.  Over the TM seeds (I, Q, Q^2),
+    Q = TM(1), it is a*Q^2 + b*Q + c*I.
+
+    Only `*` and `+` touch a, b and c, so they may be Decimals, Fractions
+    or any values those operators take.  The tuple is built through a
+    list, so it is allocated at its size: one grown from a generator and
+    shrunk to nine is freed to a free list it is never taken back from,
+    which then holds 2000.
+    """
+    return _mat3(tuple([a * x2 + b * x1 + c * x0 for x0, x1, x2 in zip(
+        seeds[0].entries, seeds[1].entries, seeds[2].entries)]))
+
+
 def _kernel_term(seeds, n: int, counter: OpCounter | None, one):
     """`kernel_term` in the current context."""
     if isinstance(seeds[0], Mat3):
-        # laid out entry by entry, so the coefficients may be Decimals;
-        # through a list, so the tuple is allocated at its size: one
-        # grown from a generator and shrunk to nine is freed to a free
-        # list it is never taken back from, which then holds 2000
-        a, b, c = _x_power(n, counter, one)
-        return Mat3(tuple([a * x2 + b * x1 + c * x0 for x0, x1, x2 in zip(
-            seeds[0].entries, seeds[1].entries, seeds[2].entries)]))
+        return _combine(seeds, *_x_power(n, counter, one))
     # n = 2k + f by shifts, cheaper than divmod(abs(n), 2) at the small
     # indices most calls have
     if n >= 0:
@@ -637,20 +652,34 @@ def decimal_term(kind, n: int):
     return kernel_term(KIND_SEEDS[kind][0], n, one=decimal.Decimal(1))
 
 
-def _closed_form(term: Callable[[int], int], n: int) -> Mat3:
-    t1, t0 = term(n + 1), term(n)
-    tm1, tm2, tm3 = term(n - 1), term(n - 2), term(n - 3)
-    return Mat3((t1, t0 + tm1, t0,
-                 t0, tm1 + tm2, tm1,
-                 tm1, tm2 + tm3, tm2))
+def _closed_form(term: Callable[[int], int], n: int) -> tuple[int, int, int]:
+    """(s(n+1), s(n), s(n-1)), s(i) = term(i): the first column of TM(n)
+    or KM(n), which fixes the matrix.
+
+    The paper lays the matrix out of s(n-3) .. s(n+1), rows (s(n+1),
+    s(n) + s(n-1), s(n)), (s(n), s(n-1) + s(n-2), s(n-1)) and (s(n-1),
+    s(n-2) + s(n-3), s(n-2)), for s = T or K.  That matrix lies in Z[Q],
+    Q = TM(1) (`identities`), and a*Q^2 + b*Q + c*I has the first column
+    (2a + b + c, a + b, a), so the column gives a, b and c back.
+    """
+    return term(n + 1), term(n), term(n - 1)
 
 
-def term_reader(kind, cache: TermCache):
+def _column_matrix(u, v, w) -> Mat3:
+    """The matrix of Z[Q] with first column (u, v, w): s(n-2) is
+    u - v - w, and s(n-2) + s(n-3) is v - w."""
+    d = u - v
+    return _mat3((u, v + w, v, v, d, w, w, v - w, d - w))
+
+
+def term_reader(kind, cache: TermCache, matrix=_column_matrix):
     """n -> the term of `kind` at any signed n, read from `cache`; the one
     place a cache turns into terms.
 
-    The cache's scalar terms, laid out by `_closed_form` for a matrix
-    kind.  A cache of the other sequence raises ValueError.
+    A matrix kind's term is `matrix(*_closed_form(get, n))` of the
+    cache's scalar terms: a Mat3 by default, and an element of Z[Q] in
+    the identity registry.  A cache of the other sequence raises
+    ValueError.
     """
     scalar = KIND_SEEDS[kind][1]
     if cache.kind is not scalar:
@@ -658,7 +687,7 @@ def term_reader(kind, cache: TermCache):
                          f"{cache.kind.value} terms")
     get = cache.get
     if isinstance(kind, MatrixKind):
-        return lambda n: _closed_form(get, n)
+        return lambda n: matrix(*_closed_form(get, n))
     return get
 
 

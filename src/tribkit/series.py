@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Union
 from . import matrices
 from .core import SEEDS, SequenceKind, walk
 from .errors import DegenerateDenominator, DivisibilityViolation
-from .matrices import (KIND_SEEDS, ZERO, Mat3, MatrixKind, _kernel_term,
+from .matrices import (KIND_SEEDS, Mat3, MatrixKind, _kernel_term,
                        kernel_term, lucas_fast, term_reader)
 
 AnyKind = Union[SequenceKind, MatrixKind]
@@ -176,8 +176,8 @@ class _SlidingWindow:
     """A scalar term cache that keeps only the five latest terms.
 
     Any k >= -3; a get may fall at most four below the highest index got
-    so far, which covers the rising indices of a strided sum, each laid
-    out by `_closed_form` from k - 3 .. k + 1.
+    so far, which covers the rising indices of a strided sum, each matrix
+    term read by `_closed_form` from k - 1 .. k + 1.
     """
 
     def __init__(self, kind: SequenceKind):
@@ -213,17 +213,17 @@ def running_bruteforce(kind: AnyKind, term: Callable):
     any other call sums from i = 0 in the same loop.  So a sweep up the
     n axis costs O(n) terms instead of O(n^2), and stays plain
     summation.  The latest ((m, j), n, total) is stored as one tuple,
-    so a shared instance always reads a matching triple.
+    so a shared instance always reads a matching triple.  A sum starts
+    from its first term, so it has the type of the terms `term` reads.
     """
-    zero = ZERO if isinstance(kind, MatrixKind) else 0
-    latest = (None, 0, zero)
+    latest = (None, 0, None)
 
     def total(m: int, j: int, n: int):
         nonlocal latest
         key, done, value = latest
         if key != (m, j) or done > n:
             SumSpec(kind, m, j, n)  # rejects indices off the stated domain
-            done, value = 0, zero
+            done, value = 1, term(j)  # n >= 1
         for i in range(done, n):
             value = value + term(m * i + j)
         latest = ((m, j), n, value)

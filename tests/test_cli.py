@@ -1061,14 +1061,15 @@ class TestDeterminism:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def entry(*argv: str, code: str | None = None, **popen) -> subprocess.Popen:
+def entry(*argv: str, code: str | None = None, module: str = "tribkit.cli",
+          **popen) -> subprocess.Popen:
     """`tribkit argv` as a process of its own, through `main_entry` (by
-    `python -m tribkit.cli`, or `python -c code`), this checkout's
-    package first on its path."""
+    `python -m module`, or `python -c code`), this checkout's package
+    first on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    head = ["-m", "tribkit.cli"] if code is None else ["-c", code]
+    head = ["-m", module] if code is None else ["-c", code]
     return subprocess.Popen([sys.executable, *head, *argv], env=env,
                             stderr=subprocess.PIPE, text=True, **popen)
 
@@ -1156,6 +1157,24 @@ class TestExits:
         process.send_signal(signal.SIGINT)
         _, err = finish(process, timeout=30)
         assert (process.returncode, err) == (130, "error: interrupted\n")
+
+    @pytest.mark.parametrize("argv,code,out", [
+        (["term", "T", "10"], 0, "149\n"),
+        (["verify", "NOPE"], cli.EXIT_USAGE, ""),
+    ])
+    def test_python_m_tribkit_is_the_console_script(self, argv, code, out):
+        # `python -m tribkit` against what the console script runs,
+        # `sys.exit(main_entry())`
+        console = ("import sys; from tribkit.cli import main_entry; "
+                   "sys.exit(main_entry())")
+        runs = []
+        for process in (entry(*argv, code=None, module="tribkit",
+                              stdout=subprocess.PIPE),
+                        entry(*argv, code=console, stdout=subprocess.PIPE)):
+            out_err = finish(process)
+            runs.append((process.returncode, *out_err))
+        assert runs[0] == runs[1]
+        assert runs[0][:2] == (code, out)
 
     @pytest.mark.parametrize("fault", [
         "tribkit.errors.DivisibilityViolation('a planted fault')",

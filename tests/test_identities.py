@@ -7,18 +7,20 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tribkit import (IDENTITY, GridBounds, K_MAT_SEEDS, Mat3, MatrixKind,
                      NegativeExponent, PROFILE_BOUNDS, Profile,
                      SequenceKind, SumSpec, T_MAT_SEEDS, TermCache,
                      UnknownIdentity, format_report_table,
                      VerifyReport, lucas_trib, partial_sum_bruteforce,
-                     k_matrix, registry, report_to_dict, t_matrix, trib,
-                     verify, verify_all, verify_record)
+                     k_matrix, registry, report_to_dict, t_matrix,
+                     term_reader, trib, verify, verify_all, verify_record)
 from tribkit import identities, matrices
+from tribkit.errors import DivisibilityViolation
 from tribkit.cli import main
 from tribkit.core import walk
-from tribkit.identities import Failure
+from tribkit.identities import ZQ, Failure
 
 EXPECTED_IDS = {
     "EQ3", "TNEG", "EQ4", "EQ5", "EQ6",
@@ -430,13 +432,13 @@ class TestAnchors:
         tm3, tm5, tm7 = t_matrix(3), t_matrix(5), t_matrix(7)
         square = matrices.mat_mul(tm5, tm5)
         exponents = []
-        real_pow = matrices.mat_pow
+        real_pow = ZQ.__pow__
 
-        def counting_pow(a, e, counter=None):
+        def counting_pow(a, e):
             exponents.append(e)
-            return real_pow(a, e, counter)
+            return real_pow(a, e)
 
-        monkeypatch.setattr(matrices, "mat_pow", counting_pow)
+        monkeypatch.setattr(ZQ, "__pow__", counting_pow)
         record = next(r for r in registry() if r.id == "THM20c")
         # TM(n-r)*TM(n+r) = TM(n)^2 = TM(2)^n at (n, r) = (5, 2): the legs
         # pair neighbouring sides and share one TM(n)^2
@@ -453,22 +455,34 @@ class TestAnchors:
 
 
 def _count_ops(patch):
-    """Counts of `mat_mul` and `mat_pow` calls from now on; a product
-    inside `mat_pow` counts as a `mat_mul`."""
-    ops = Counter(mat_mul=0, mat_pow=0)
-    real_mul, real_pow = matrices.mat_mul, matrices.mat_pow
+    """Counts of the ring's products and powers (`ZQ`) from now on, a
+    product inside a power counted as a product, and of `mat_mul`
+    calls, which the ring leaves none of."""
+    ops = Counter(product=0, power=0, mat_mul=0)
+    real_product, real_power, real_mul = ZQ.__mul__, ZQ.__pow__, \
+        matrices.mat_mul
+
+    def counting_product(a, b):
+        ops["product"] += 1
+        return real_product(a, b)
+
+    def counting_power(a, e):
+        ops["power"] += 1
+        return real_power(a, e)
 
     def counting_mul(a, b, counter=None):
         ops["mat_mul"] += 1
         return real_mul(a, b, counter)
 
-    def counting_pow(a, e, counter=None):
-        ops["mat_pow"] += 1
-        return real_pow(a, e, counter)
-
+    patch.setattr(ZQ, "__mul__", counting_product)
+    patch.setattr(ZQ, "__pow__", counting_power)
     patch.setattr(matrices, "mat_mul", counting_mul)
-    patch.setattr(matrices, "mat_pow", counting_pow)
     return ops
+
+
+def _ring(n):
+    """TM(n) in the ring, from the first column of `trib`'s terms."""
+    return ZQ.of_column(trib(n + 1), trib(n), trib(n - 1))
 
 
 def _standard_sweep(records, identity_id):
@@ -479,9 +493,9 @@ def _standard_sweep(records, identity_id):
 class TestPowers:
     """`^` continues the registry's latest power of its base."""
 
-    # one Standard sweep of a fresh registry; a fresh mat_pow at every
-    # case makes 961 / 4309, 1922 / 9579, 1922 / 9579, 992 / 3704 and
-    # 496 / 992
+    # one Standard sweep of a fresh registry, in the ring's powers and
+    # products; a fresh power at every case makes 961 / 4309, 1922 /
+    # 9579, 1922 / 9579, 992 / 3704 and 496 / 992
     @pytest.mark.parametrize("identity_id,pows,products", [
         ("THM20a", 31, 930),      # e = 0 once per base, then one a step
         ("THM20b", 31, 1891),     # TM(1)^m read once per m
@@ -493,24 +507,24 @@ class TestPowers:
         records = registry()
         ops = _count_ops(monkeypatch)
         assert _standard_sweep(records, identity_id).passed
-        assert ops == {"mat_pow": pows, "mat_mul": products}
+        assert ops == {"power": pows, "product": products, "mat_mul": 0}
 
     def test_negative_control_power_one_product_short(self, monkeypatch):
         # THM20a's TM(n0)^m0 comes back as TM(n0)^(m0-1); every later m
         # of n0 builds on it and fails too, nothing else does.  TM(0) is
         # the identity, whose powers would hide the error: m0, n0 >= 1.
         m0, n0 = 4, 3
-        base, short = t_matrix(n0), t_matrix(n0 * (m0 - 1))
-        real_mul = matrices.mat_mul
+        base, short = _ring(n0), _ring(n0 * (m0 - 1))
+        real_product = ZQ.__mul__
         skipped = []
 
-        def short_mul(a, b, counter=None):
+        def short_product(a, b):
             if (a, b) == (short, base) and not skipped:  # once only
                 skipped.append((a, b))
                 return a
-            return real_mul(a, b, counter)
+            return real_product(a, b)
 
-        monkeypatch.setattr(matrices, "mat_mul", short_mul)
+        monkeypatch.setattr(ZQ, "__mul__", short_product)
         report = _standard_sweep(registry(), "THM20a")
         assert report.cases == 961
         assert report.failures == tuple(
@@ -521,21 +535,21 @@ class TestPowers:
         # the first registry holds every TM(n)^0, TM(n0)'s wrong; the
         # second, built alongside it, sweeps as a fresh registry does
         first, second = registry(), registry()
-        n0, base = 3, t_matrix(3)
-        real_pow = matrices.mat_pow
+        n0, base = 3, _ring(3)
+        real_power = ZQ.__pow__
 
-        def wrong_pow(a, e, counter=None):
-            return a if (a, e) == (base, 0) else real_pow(a, e, counter)
+        def wrong_power(a, e):
+            return a if (a, e) == (base, 0) else real_power(a, e)
 
         with monkeypatch.context() as patch:
-            patch.setattr(matrices, "mat_pow", wrong_pow)
+            patch.setattr(ZQ, "__pow__", wrong_power)
             thm20a = next(r for r in first if r.id == "THM20a")
             for n in range(31):
                 thm20a.evaluate(0, n)
         with monkeypatch.context() as patch:
             ops = _count_ops(patch)
             assert _standard_sweep(second, "THM20a").passed
-            assert ops == {"mat_pow": 31, "mat_mul": 930}
+            assert ops == {"power": 31, "product": 930, "mat_mul": 0}
         # the first registry still continues its own wrong power
         report = _standard_sweep(first, "THM20a")
         assert [f.indices for f in report.failures] == \
@@ -548,15 +562,15 @@ def _right_side(identity_id):
 
 
 def _scalings(patch):
-    """Counts of `k * Mat3` products from now on."""
+    """Counts of the ring's scalings `k * ZQ` from now on."""
     count = Counter()
-    real_rmul = matrices.Mat3.__rmul__
+    real_rmul = ZQ.__rmul__
 
     def counting_rmul(self, k):
         count["rmul"] += 1
         return real_rmul(self, k)
 
-    patch.setattr(matrices.Mat3, "__rmul__", counting_rmul)
+    patch.setattr(ZQ, "__rmul__", counting_rmul)
     return count
 
 
@@ -765,7 +779,7 @@ class TestFormMemo:
         # the second, built alongside it, sweeps as a fresh registry does
         first, second = registry(), registry()
         with monkeypatch.context() as patch:
-            patch.setattr(matrices.Mat3, "__rmul__", lambda self, k: self)
+            patch.setattr(ZQ, "__rmul__", lambda self, k: self)
             thm18c = next(r for r in first if r.id == "THM18c")
             for n in range(31):
                 thm18c.evaluate(0, n)
@@ -1128,3 +1142,148 @@ def test_convolution_right_sides_mutually_equal():
             third = (trib(s) - 8 * trib(s + 1) + 18 * trib(s + 2)
                      - 8 * trib(s + 3) + trib(s + 4))
             assert first == second == third
+
+
+# Q = TM(1), the companion matrix of x^3 - x^2 - x - 1
+Q = T_MAT_SEEDS[1]
+
+
+def _paper_matrix(s, n):
+    """The paper's matrix of a sequence s at n, from s(n-3) .. s(n+1)."""
+    return Mat3((s(n + 1), s(n) + s(n - 1), s(n),
+                 s(n), s(n - 1) + s(n - 2), s(n - 1),
+                 s(n - 1), s(n - 2) + s(n - 3), s(n - 2)))
+
+
+small = st.integers(min_value=-10**6, max_value=10**6)
+ring = st.builds(ZQ, small, small, small)
+
+
+class TestRing:
+    """The verifier's matrices are elements of Z[Q], three coordinates
+    each; mapped back to Mat3 they are the paper's matrices."""
+
+    def test_paper_matrix_lies_in_the_ring(self):
+        # The paper's matrix is linear in its sequence, and s shifted by n
+        # is a solution too, so the lemma for every solution at every n
+        # is the lemma for three basis solutions at n = 0: a matrix lies
+        # in Z[Q] exactly when it commutes with the companion matrix Q
+        for seeds in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            m = _paper_matrix(lambda i: walk(seeds, i), 0)
+            assert matrices.mat_mul(m, Q) == matrices.mat_mul(Q, m), seeds
+        # negative control: a sequence off the recurrence leaves Z[Q]
+        m = _paper_matrix(lambda i: i * i, 0)
+        assert matrices.mat_mul(m, Q) != matrices.mat_mul(Q, m)
+
+    def test_reader_coordinates_map_back(self):
+        # the registry's reader, three terms off a cache, against the
+        # kernel and the paper's layout, on a signed range
+        tm = term_reader(MatrixKind.TRIB_MATRIX,
+                         TermCache(SequenceKind.TRIBONACCI), ZQ.of_column)
+        km = term_reader(MatrixKind.LUCAS_MATRIX,
+                         TermCache(SequenceKind.TRIBONACCI_LUCAS),
+                         ZQ.of_column)
+        for n in range(-60, 61):
+            assert type(tm(n)) is ZQ and type(km(n)) is ZQ
+            assert Mat3(tm(n).entries) == t_matrix(n) == \
+                _paper_matrix(trib, n), n
+            assert Mat3(km(n).entries) == k_matrix(n) == \
+                _paper_matrix(lucas_trib, n), n
+        assert tm(0).coordinates == (0, 0, 1)  # I
+        assert tm(1).coordinates == (0, 1, 0)  # Q
+
+    @given(x=ring, y=ring, k=small, e=st.integers(min_value=0, max_value=6))
+    def test_operations_are_the_matrices(self, x, y, k, e):
+        mx, my = Mat3(x.entries), Mat3(y.entries)
+        assert Mat3((x * y).entries) == matrices.mat_mul(mx, my)
+        assert Mat3((x + y).entries) == mx + my
+        assert Mat3((x - y).entries) == mx - my
+        assert Mat3((k * x).entries) == k * mx
+        assert Mat3((-x).entries) == -mx
+        assert Mat3((x ** e).entries) == matrices.mat_pow(mx, e)
+        assert type(x * y) is type(x + y) is type(k * x) is ZQ
+        assert (x == y) == (mx == my) and x == mx and mx == x
+        assert hash(x) == hash(mx)
+        assert ZQ.of_column(*mx.entries[::3]) == x
+
+    @given(x=ring, d=st.integers(min_value=-50, max_value=50).filter(bool))
+    def test_exact_division_is_coordinatewise(self, x, d):
+        # d divides every entry exactly when it divides every coordinate
+        quotient = (d * x).div_exact(d)
+        assert type(quotient) is ZQ and quotient == x
+        if any(v % d for v in x.coordinates):
+            with pytest.raises(DivisibilityViolation) as ring_error:
+                x.div_exact(d)
+            with pytest.raises(DivisibilityViolation) as matrix_error:
+                Mat3(x.entries).div_exact(d)
+            assert str(ring_error.value) == str(matrix_error.value)
+        with pytest.raises(ZeroDivisionError):
+            x.div_exact(0)
+
+    def test_a_mat3_operand_gives_a_mat3(self):
+        x, m = _ring(4), t_matrix(4)
+        for value in (x + m, m + x, x - m, m - x, x * m, m * x):
+            assert type(value) is Mat3
+        assert (x + m, x * m) == (2 * m, matrices.mat_mul(m, m))
+        with pytest.raises(NegativeExponent):
+            x ** -1
+
+    def test_failures_hold_plain_mat3(self, monkeypatch):
+        _with_anchor(monkeypatch, "THM15a", _changed(
+            next(a for id, a, *_ in identities.FORMULAS if id == "THM15a")))
+        report = verify("THM15a", PROFILE_BOUNDS[Profile.QUICK])
+        assert report.failures
+        assert {type(side) for f in report.failures
+                for side in (f.left, f.right)} == {Mat3}
+
+
+def _reference_namespace():
+    """The anchors' names on Mat3s: `term_reader`'s Mat3 readers, `^` by
+    `mat_pow`, `/` entrywise over Fractions and each S_X by
+    `partial_sum_bruteforce`; no power reader and no ring."""
+    caches = {kind: TermCache(kind) for kind in SequenceKind}
+    readers = {kind.value: term_reader(kind, caches[scalar])
+               for kind, (_, scalar) in matrices.KIND_SEEDS.items()}
+    sums = {f"S_{kind.value}": functools.partial(
+                lambda kind, m, j, n: partial_sum_bruteforce(
+                    SumSpec(kind, m, j, n)), kind)
+            for kind in matrices.KIND_SEEDS}
+    return {"__builtins__": {}, "_div": _rational,
+            "_pow": lambda base, e: (matrices.mat_pow(base, e)
+                                     if isinstance(base, Mat3) else base ** e),
+            } | readers | sums
+
+
+class TestDifferential:
+    """Every record's compiled anchor bound to the ring and, in the test,
+    to Mat3s with no memo of powers, gives the same values at every
+    point of its Quick grid, and a changed anchor the same failures."""
+
+    @pytest.mark.parametrize("changed", [False, True],
+                             ids=["anchor", "changed"])
+    @pytest.mark.parametrize("identity_id", ALL_IDS)
+    def test_ring_agrees_with_mat3(self, identity_id, changed, monkeypatch):
+        _, anchor, shape, *_ = next(row for row in identities.FORMULAS
+                                    if row[0] == identity_id)
+        if changed:
+            anchor = _changed(anchor)
+            _with_anchor(monkeypatch, identity_id, anchor)
+        record = next(r for r in registry() if r.id == identity_id)
+        reference = eval(identities._compile(identity_id, anchor,
+                                             shape.indices),
+                         _reference_namespace())
+        ring_failed, reference_failed = [], []
+        for point in shape.sweep(PROFILE_BOUNDS[Profile.QUICK])[1]:
+            left, right = record.evaluate(*point)
+            if left != right:
+                ring_failed.append(point)
+            try:
+                expected = reference(*point)
+            except ZeroDivisionError:  # a quotient by zero fails its point
+                reference_failed.append(point)
+                continue
+            if expected[0] != expected[1]:
+                reference_failed.append(point)
+            assert identities._as_mat3((left, right)) == expected, point
+        assert ring_failed == reference_failed
+        assert bool(ring_failed) == changed
