@@ -570,8 +570,8 @@ class ZQ(Mat3):
             return Mat3.__mul__(self, other)
         a1, b1, c1 = self.coordinates
         a2, b2, c2 = other.coordinates
-        x4 = a1 * a2
-        x3 = a1 * b2 + b1 * a2 + x4  # x^3, and the x^4 term's x^2 + x + 1
+        x4 = a1 * a2  # x^4 = x^3 + x^2 + x, and x^3 = x^2 + x + 1
+        x3 = a1 * b2 + b1 * a2 + x4  # every x^3, x^4's too
         return ZQ(a1 * c2 + b1 * b2 + c1 * a2 + x3 + x4,
                   b1 * c2 + c1 * b2 + x3 + x4,
                   c1 * c2 + x3)
@@ -691,10 +691,9 @@ def registry() -> list[IdentityRecord]:
     a registry, like its caches, serves one thread at a time.  A
     registry reads each kind through one memoised reader, a matrix kind
     as `ZQ`s, both sides of the sum records too, so each TM(n) and KM(n)
-    is built once, and
-    each K(+-m) of a closed form's divisor too; S_<kind> keeps a running
-    total of its kind's reads (`series.running_bruteforce`), one term
-    per step up the n axis.
+    is built once, and each K(+-m) of a closed form's divisor too;
+    S_<kind> keeps a running total of its kind's reads
+    (`series.running_bruteforce`), one term per step up the n axis.
     Each registry binds its anchors' `^` to its own power reader
     (`_power_reader`), and each evaluator takes fresh dicts for its
     groups (`_Groups`) when it is made, so no registry sees another's

@@ -17,9 +17,9 @@ from tribkit import (IDENTITY, GridBounds, K_MAT_SEEDS, Mat3, MatrixKind,
                      k_matrix, registry, report_to_dict, t_matrix,
                      term_reader, trib, verify, verify_all, verify_record)
 from tribkit import identities, matrices
-from tribkit.errors import DivisibilityViolation
 from tribkit.cli import main
 from tribkit.core import walk
+from tribkit.errors import DivisibilityViolation
 from tribkit.identities import ZQ, Failure
 
 EXPECTED_IDS = {
