@@ -2,4 +2,5 @@
 
 from .cli import main_entry
 
-main_entry()
+if __name__ == "__main__":
+    main_entry()

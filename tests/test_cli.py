@@ -1168,11 +1168,10 @@ class TestExits:
         console = ("import sys; from tribkit.cli import main_entry; "
                    "sys.exit(main_entry())")
         runs = []
-        for process in (entry(*argv, code=None, module="tribkit",
-                              stdout=subprocess.PIPE),
-                        entry(*argv, code=console, stdout=subprocess.PIPE)):
-            out_err = finish(process)
-            runs.append((process.returncode, *out_err))
+        for head in ({"module": "tribkit"}, {"code": console}):
+            process = entry(*argv, stdout=subprocess.PIPE, **head)
+            out, err = finish(process)
+            runs.append((process.returncode, out, err))
         assert runs[0] == runs[1]
         assert runs[0][:2] == (code, out)
 
