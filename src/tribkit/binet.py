@@ -40,6 +40,7 @@ with it, so it is loaded by that first read too.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
@@ -47,7 +48,8 @@ from mpmath import mp, mpc, mpf
 from .core import DEFAULT_PRECISION
 from .counters import OpCounter
 from .errors import PrecisionExhausted
-from .matrices import K_MAT_SEEDS, T_MAT_SEEDS, Mat3, MatrixKind
+from .matrices import (K_MAT_SEEDS, T_MAT_SEEDS, Mat3, MatrixKind,
+                       binary_power)
 
 _GUARD_BITS = 32
 _ROUND_TOL = 0.25
@@ -177,26 +179,18 @@ def _round_to_int(z, terms, context: str, precision: int) -> int:
 
 
 def _power(z, n: int, counter: OpCounter | None = None):
-    """z**n at the working precision, any signed n, by left-to-right
-    binary powering; n < 0 takes one reciprocal of z**-n.
+    """z**n at the working precision, any signed n, by `binary_power`;
+    n < 0 takes one reciprocal of z**-n.
 
     The counter gets one mat_muls and one big_muls for each product of
     the chain, the reciprocal included; a complex product counts as one.
     """
-    if n == 0:
-        return z ** 0
-    acc = z
-    products = 0
-    for bit in bin(abs(n))[3:]:  # bits below the most significant one
-        acc *= acc
-        products += 1
-        if bit == "1":
-            acc *= z
-            products += 1
+    acc = binary_power(z, abs(n), operator.mul, z ** 0)
     if n < 0:
         acc = 1 / acc
-        products += 1
     if counter is not None:
+        bits = bin(abs(n))[3:]  # bits below the most significant one
+        products = len(bits) + bits.count("1") + (n < 0)
         counter.mat_muls += products
         counter.big_muls += products
     return acc

@@ -11,17 +11,20 @@ sides joined by ` = `.  A side is calls of the registry's readers T,
 K, TM and KM with one positional argument and of S_T, S_K, S_TM and
 S_KM, the direct strided sums, with three; the record's indices; and
 int constants (never a bool, float or str); joined by +, -, *, /, ^
-and unary minus.  A reader's argument is index arithmetic: the indices
-and int constants joined by +, -, * and unary minus.  One walk over
-each side (`_Groups.read`) refuses anything else with a ValueError
-naming the id and the construct, when the registry is built.  `^` is a
-call of the registry's power reader, exact for a negative power of a
-number too, and `/` exact division over the rationals (`_quotient`).
-Verification sweeps a profile-sized grid, whose points and bounds text
-come from one call of the shape's sweep, and demands exact equality at
-every point -- integer identities get no tolerance; a quotient by zero
-equals no side and is the value of every operation on it, so it fails
-its points wherever it stands.
+and unary minus.  A number multiplies a matrix only from the left, and
+only an int does: a matrix times a number, a quotient that is not an
+int times a matrix, and a number added to or taken from a matrix raise
+TypeError at the first point that evaluates them.  A reader's argument
+is index arithmetic: the indices and int constants joined by +, -, *
+and unary minus.  One walk over each side (`_Groups.read`) refuses
+anything else with a ValueError naming the id and the construct, when
+the registry is built.  `^` is a call of the registry's power reader,
+exact for a negative power of a number too, and `/` exact division over
+the rationals (`_quotient`).  Verification sweeps a profile-sized grid,
+whose points and bounds text come from one call of the shape's sweep,
+and demands exact equality at every point -- integer identities get no
+tolerance; a quotient by zero equals no side and is the value of every
+operation on it, so it fails its points wherever it stands.
 
 A registry memoises powers: its reader keeps the latest power of each
 matrix base and steps it by one product when the exponent grows by one,
@@ -74,6 +77,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import operator
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -82,9 +86,9 @@ from types import CodeType
 from typing import Callable, Iterator
 
 from .core import SequenceKind, TermCache, to_decimal
-from .errors import DivisibilityViolation, NegativeExponent, UnknownIdentity
-from .matrices import (KIND_SEEDS, T_MAT_SEEDS, Mat3, _combine, decimal_form,
-                       term_reader)
+from .errors import DivisibilityViolation, UnknownIdentity
+from .matrices import (KIND_SEEDS, T_MAT_SEEDS, Mat3, _combine, binary_power,
+                       decimal_form, term_reader)
 from .series import running_bruteforce
 
 
@@ -502,11 +506,13 @@ class ZQ(Mat3):
     A product of two costs the 9 products of the coordinates, reduced by
     x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1 (a Mat3 product costs 27), a
     sum or difference 3 additions, a scaling by an int 3 multiplications
-    and equality one comparison of the coordinates.  They are ints, or
-    `_Undefined` after a division by one.  Any other operand goes to the
-    Mat3 operator, on `entries`, laid out only when read.  So a ZQ is a
-    Mat3 wherever one is read, and equals the Mat3 of its entries, whose
-    hash it shares (`Mat3.__hash__`).
+    and equality one comparison of the coordinates.  They are ints on
+    every path that builds a ZQ: `of_column`, the ring operations, int
+    scaling, `div_exact` and powers; a quotient by zero leaves the ring
+    as a Mat3 of `_Undefined` entries (`_quotient`).  Any other operand
+    goes to the Mat3 operator, on `entries`, laid out only when read.  So
+    a ZQ is a Mat3 wherever one is read, and equals the Mat3 of its
+    entries, whose hash it shares (`Mat3.__hash__`).
     """
 
     __slots__ = ("coordinates",)  # (a, b, c)
@@ -587,17 +593,8 @@ class ZQ(Mat3):
         return ZQ(a, b, c)
 
     def __pow__(self, e: int) -> "ZQ":
-        """self**e by left-to-right binary powering, as `mat_pow`."""
-        if e < 0:
-            raise NegativeExponent(f"exponent must be non-negative, got {e}")
-        if e == 0:
-            return ZQ(0, 0, 1)
-        acc = self
-        for bit in bin(e)[3:]:  # bits below the most significant one
-            acc = acc * acc
-            if bit == "1":
-                acc = acc * self
-        return acc
+        """self**e by `binary_power` over ZQ products, never `mat_mul`."""
+        return binary_power(self, e, operator.mul, ZQ(0, 0, 1))
 
 
 _set_coordinates = ZQ.coordinates.__set__

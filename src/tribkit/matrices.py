@@ -78,9 +78,11 @@ class Mat3:
         """Entry at 0-based (row, col)."""
         return self.entries[3 * row + col]
 
-    # The entrywise operators are unrolled over the nine entries: the
-    # verifier calls them at every case, and on its small entries a
-    # generator through tuple() costs more than the arithmetic.
+    # `+` alone is unrolled over the nine entries: `gf` matrix listings
+    # and `sum --check` call it at every step, and on small entries it
+    # costs 0.48 us against 0.97 us as a list comprehension (best of 7
+    # x 200 000; 2 vCPUs, CPython 3.11).  The other entrywise operators
+    # run a few times a request.
     def __add__(self, other: "Mat3") -> "Mat3":
         if not isinstance(other, Mat3):
             return NotImplemented
@@ -92,21 +94,16 @@ class Mat3:
     def __sub__(self, other: "Mat3") -> "Mat3":
         if not isinstance(other, Mat3):
             return NotImplemented
-        a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.entries
-        b1, b2, b3, b4, b5, b6, b7, b8, b9 = other.entries
-        return _mat3((a1 - b1, a2 - b2, a3 - b3, a4 - b4, a5 - b5, a6 - b6,
-                      a7 - b7, a8 - b8, a9 - b9))
+        return _mat3(tuple([a - b for a, b in zip(self.entries,
+                                                  other.entries)]))
 
     def __neg__(self) -> "Mat3":
-        a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.entries
-        return _mat3((-a1, -a2, -a3, -a4, -a5, -a6, -a7, -a8, -a9))
+        return _mat3(tuple([-a for a in self.entries]))
 
     def __rmul__(self, k: int) -> "Mat3":
         if not isinstance(k, int):
             return NotImplemented
-        a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.entries
-        return _mat3((k * a1, k * a2, k * a3, k * a4, k * a5, k * a6,
-                      k * a7, k * a8, k * a9))
+        return _mat3(tuple([k * a for a in self.entries]))
 
     def __mul__(self, other: "Mat3") -> "Mat3":
         if not isinstance(other, Mat3):
@@ -121,22 +118,15 @@ class Mat3:
     def div_exact(self, d: int) -> "Mat3":
         """Entrywise exact division; a remainder raises, naming the first
         entry that leaves one."""
-        a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.entries
-        q1, r1 = divmod(a1, d)
-        q2, r2 = divmod(a2, d)
-        q3, r3 = divmod(a3, d)
-        q4, r4 = divmod(a4, d)
-        q5, r5 = divmod(a5, d)
-        q6, r6 = divmod(a6, d)
-        q7, r7 = divmod(a7, d)
-        q8, r8 = divmod(a8, d)
-        q9, r9 = divmod(a9, d)
-        if r1 or r2 or r3 or r4 or r5 or r6 or r7 or r8 or r9:
-            i, x = next((i, x) for i, x in enumerate(self.entries) if x % d)
-            raise DivisibilityViolation(
-                f"{d} does not divide entry {x} at row {i // 3 + 1}, "
-                f"column {i % 3 + 1}")
-        return _mat3((q1, q2, q3, q4, q5, q6, q7, q8, q9))
+        quotients = []
+        for i, x in enumerate(self.entries):
+            q, r = divmod(x, d)
+            if r:
+                raise DivisibilityViolation(
+                    f"{d} does not divide entry {x} at row {i // 3 + 1}, "
+                    f"column {i % 3 + 1}")
+            quotients.append(q)
+        return _mat3(tuple(quotients))
 
 
 _new = object.__new__
@@ -212,22 +202,32 @@ def mat_mul(a: Mat3, b: Mat3, counter: OpCounter | None = None) -> Mat3:
     ))
 
 
-def mat_pow(a: Mat3, e: int, counter: OpCounter | None = None) -> Mat3:
-    """a**e by left-to-right binary exponentiation; a**0 is the identity.
+def binary_power(x, e: int, mul, one):
+    """x**e by left-to-right binary powering with `mul`; `one` at e = 0.
 
-    At most 2*ceil(log2(e)) multiplications for e >= 1.  The squaring
-    chain never assumes its operands commute.
+    Each bit of e below the most significant one squares the power so
+    far and, where the bit is set, multiplies it by x on the right, so
+    the chain never assumes its operands commute: len(bits) +
+    bits.count("1") products, bits = bin(e)[3:], at most 2*log2(e).
+    `mat_pow`, `identities.ZQ` and Binet's roots power through it.
     """
     if e < 0:
         raise NegativeExponent(f"exponent must be non-negative, got {e}")
     if e == 0:
-        return IDENTITY
-    acc = a
+        return one
+    acc = x
     for bit in bin(e)[3:]:  # bits below the most significant one
-        acc = mat_mul(acc, acc, counter)
+        acc = mul(acc, acc)
         if bit == "1":
-            acc = mat_mul(acc, a, counter)
+            acc = mul(acc, x)
     return acc
+
+
+def mat_pow(a: Mat3, e: int, counter: OpCounter | None = None) -> Mat3:
+    """a**e by `binary_power` over `mat_mul`; a**0 is the identity."""
+    # mat_mul is read from the module at each product, so a wrapper bound
+    # there in its place sees every one
+    return binary_power(a, e, lambda x, y: mat_mul(x, y, counter), IDENTITY)
 
 
 # Exponent from which a squaring of `_x_power` takes five big squares

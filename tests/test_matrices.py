@@ -88,6 +88,20 @@ def test_mat_pow_rejects_negative_exponent():
         mat_pow(T_MAT_SEEDS[1], -1)
 
 
+@pytest.mark.parametrize("e", [0, 1, 2, 3, 255, 256])
+def test_mat_pow_counter_credits_the_chain(e):
+    # a squaring for each bit below the most significant one, and a
+    # product by the base for each of those that is set: the rule that
+    # Binet's root powers are held to as well (test_binet.py)
+    bits = bin(e)[3:]
+    products = len(bits) + bits.count("1")
+    counter = OpCounter()
+    assert mat_pow(T_MAT_SEEDS[1], e, counter) == walk(T_MAT_SEEDS, e)
+    assert counter.mat_muls == products
+    assert counter.big_muls == 27 * products
+    assert counter.big_adds == 18 * products
+
+
 def test_operators_are_mat_mul_and_mat_pow():
     a, b = t_matrix(5), k_matrix(-3)
     assert a * b == mat_mul(a, b)
@@ -778,10 +792,11 @@ class TestPaddedBand:
 
 def test_matrix_read_out_holds_no_tuples():
     # a tuple grown from a generator and shrunk to nine entries is freed
-    # to a free list that no later read-out takes it from: built so,
-    # 3000 read-outs left 1997 tuples (218 KiB) held at its line
+    # to a free list that no later read-out takes it from: built so in
+    # `_combine`, which lays the read-out's entries out, 3000 read-outs
+    # left 222 KB held at its lines
     seeds = KIND_SEEDS[TM][0]
-    lines, first = inspect.getsourcelines(matrices._kernel_term)
+    lines, first = inspect.getsourcelines(matrices._combine)
     body = range(first, first + len(lines))
     tracemalloc.start()
     try:
