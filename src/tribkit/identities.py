@@ -55,15 +55,15 @@ compared slotwise, so a failure in either leg surfaces.
 
 Every matrix a registry reads or builds is an element of Z[Q], Q =
 TM(1), which is Z[x]/(x^3 - x^2 - x - 1), the ring `matrices._x_power`
-computes in: a `ZQ`, a*Q^2 + b*Q + c*I held as (a, b, c), whose product
-costs 9 multiplications where a Mat3 product costs 27.  That rests on
-one lemma: the paper's TM or KM matrix, built from any solution s of the
-recurrence, lies in Z[Q].  The matrix at n is linear in s and is the
-matrix at 0 of s shifted by n, another solution, so three basis
-solutions at n = 0 prove it; a matrix lies in Z[Q] exactly when it
-commutes with the companion matrix Q, and each of the three does
-(tests/test_identities.py).  So a matrix is fixed by its first column
-(s(n+1), s(n), s(n-1)) = (u, v, w), whose coordinates (w, v - w,
+computes in: a `matrices.ZQ`, a*Q^2 + b*Q + c*I held as (a, b, c),
+whose product costs 9 multiplications where a Mat3 product costs 27.
+That rests on one lemma: the paper's TM or KM matrix, built from any
+solution s of the recurrence, lies in Z[Q].  The matrix at n is linear
+in s and is the matrix at 0 of s shifted by n, another solution, so
+three basis solutions at n = 0 prove it; a matrix lies in Z[Q] exactly
+when it commutes with the companion matrix Q, and each of the three
+does (tests/test_identities.py).  So a matrix is fixed by its first
+column (s(n+1), s(n), s(n-1)) = (u, v, w), whose coordinates (w, v - w,
 u - v - w) the registry's TM and KM readers take: a unimodular map, so
 two matrices are equal, and d divides every entry, exactly when the same
 holds of their coordinates.  Z[Q] is commutative, so the commutation
@@ -77,7 +77,6 @@ from __future__ import annotations
 
 import ast
 import functools
-import operator
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -87,8 +86,7 @@ from typing import Callable, Iterator
 
 from .core import SequenceKind, TermCache, to_decimal
 from .errors import DivisibilityViolation, UnknownIdentity
-from .matrices import (KIND_SEEDS, T_MAT_SEEDS, Mat3, _combine, binary_power,
-                       decimal_form, term_reader)
+from .matrices import KIND_SEEDS, ZQ, Mat3, decimal_form, term_reader
 from .series import running_bruteforce
 
 
@@ -499,107 +497,6 @@ class _Undefined(str):
     __rdivmod__ = __divmod__
 
 
-class ZQ(Mat3):
-    """a*Q^2 + b*Q + c*I, Q = TM(1): a Mat3 of Z[Q], which is
-    Z[x]/(x^3 - x^2 - x - 1), held as its coordinates (a, b, c).
-
-    A product of two costs the 9 products of the coordinates, reduced by
-    x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1 (a Mat3 product costs 27), a
-    sum or difference 3 additions, a scaling by an int 3 multiplications
-    and equality one comparison of the coordinates.  They are ints on
-    every path that builds a ZQ: `of_column`, the ring operations, int
-    scaling, `div_exact` and powers; a quotient by zero leaves the ring
-    as a Mat3 of `_Undefined` entries (`_quotient`).  Any other operand
-    goes to the Mat3 operator, on `entries`, laid out only when read.  So
-    a ZQ is a Mat3 wherever one is read, and equals the Mat3 of its
-    entries, whose hash it shares (`Mat3.__hash__`).
-    """
-
-    __slots__ = ("coordinates",)  # (a, b, c)
-
-    def __init__(self, a, b, c):
-        # one slot, set past the frozen __setattr__, as `matrices._mat3`
-        _set_coordinates(self, (a, b, c))
-
-    @staticmethod
-    def of_column(u, v, w) -> "ZQ":
-        """The element whose matrix has first column (u, v, w): that
-        column is (2a + b + c, a + b, a), a unimodular map, so d divides
-        every entry exactly when it divides every coordinate."""
-        return ZQ(w, v - w, u - v - w)
-
-    @property
-    def entries(self) -> tuple:
-        """a*Q^2 + b*Q + c*I, entry by entry."""
-        return _combine(T_MAT_SEEDS, *self.coordinates).entries
-
-    def __repr__(self):
-        return f"ZQ{self.coordinates!r}"
-
-    def __eq__(self, other):
-        if isinstance(other, ZQ):
-            return self.coordinates == other.coordinates
-        if isinstance(other, Mat3):
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self):
-        a, b, c = self.coordinates
-        return hash((a + a + b + c, a + b, a))  # the first column
-
-    def __add__(self, other):
-        if not isinstance(other, ZQ):
-            return Mat3.__add__(self, other)
-        a1, b1, c1 = self.coordinates
-        a2, b2, c2 = other.coordinates
-        return ZQ(a1 + a2, b1 + b2, c1 + c2)
-
-    def __sub__(self, other):
-        if not isinstance(other, ZQ):
-            return Mat3.__sub__(self, other)
-        a1, b1, c1 = self.coordinates
-        a2, b2, c2 = other.coordinates
-        return ZQ(a1 - a2, b1 - b2, c1 - c2)
-
-    def __neg__(self):
-        a, b, c = self.coordinates
-        return ZQ(-a, -b, -c)
-
-    def __rmul__(self, k):
-        if not isinstance(k, int):
-            return Mat3.__rmul__(self, k)
-        a, b, c = self.coordinates
-        return ZQ(k * a, k * b, k * c)
-
-    def __mul__(self, other):
-        if not isinstance(other, ZQ):
-            return Mat3.__mul__(self, other)
-        a1, b1, c1 = self.coordinates
-        a2, b2, c2 = other.coordinates
-        x4 = a1 * a2  # x^4 = x^3 + x^2 + x, and x^3 = x^2 + x + 1
-        x3 = a1 * b2 + b1 * a2 + x4  # every x^3, x^4's too
-        return ZQ(a1 * c2 + b1 * b2 + c1 * a2 + x3 + x4,
-                  b1 * c2 + c1 * b2 + x3 + x4,
-                  c1 * c2 + x3)
-
-    def div_exact(self, d) -> "ZQ":
-        """Coordinatewise exact division, which divides every entry; a
-        remainder in a coordinate leaves one in an entry, and raises as
-        `Mat3.div_exact` does."""
-        a, b, c = self.coordinates
-        (a, ra), (b, rb), (c, rc) = divmod(a, d), divmod(b, d), divmod(c, d)
-        if ra or rb or rc:
-            return Mat3.div_exact(self, d)
-        return ZQ(a, b, c)
-
-    def __pow__(self, e: int) -> "ZQ":
-        """self**e by `binary_power` over ZQ products, never `mat_mul`."""
-        return binary_power(self, e, operator.mul, ZQ(0, 0, 1))
-
-
-_set_coordinates = ZQ.coordinates.__set__
-
-
 def _as_mat3(value):
     """`value` with each ZQ in it, a tuple's items too, as a plain Mat3."""
     if isinstance(value, ZQ):
@@ -698,7 +595,7 @@ def registry() -> list[IdentityRecord]:
     """
     caches = {kind: TermCache(kind) for kind in SequenceKind}
     readers = {kind.value: functools.cache(
-                   term_reader(kind, caches[scalar], ZQ.of_column))
+                   term_reader(kind, caches[scalar]))
                for kind, (_, scalar) in KIND_SEEDS.items()}
     sums = {f"S_{kind.value}": running_bruteforce(kind, readers[kind.value])
             for kind in KIND_SEEDS}

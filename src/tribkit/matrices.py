@@ -21,6 +21,7 @@ matrix answer, and a scalar one from the index `decimal_route` gives.
 from __future__ import annotations
 
 import decimal
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -66,7 +67,7 @@ class Mat3:
 
     def __hash__(self):
         # by the first column, which fixes a matrix of Z[Q] (Q = TM(1)):
-        # `identities.ZQ` holds one as its coordinates, and hashes alike
+        # `ZQ` holds one as its coordinates, and hashes alike
         e = self.entries
         return hash((e[0], e[3], e[6]))
 
@@ -79,10 +80,10 @@ class Mat3:
         return self.entries[3 * row + col]
 
     # `+` alone is unrolled over the nine entries: `gf` matrix listings
-    # and `sum --check` call it at every step, and on small entries it
-    # costs 0.48 us against 0.97 us as a list comprehension (best of 7
-    # x 200 000; 2 vCPUs, CPython 3.11).  The other entrywise operators
-    # run a few times a request.
+    # call it at every step (`sum --check` adds `ZQ`s), and on small
+    # entries it costs 0.48 us against 0.97 us as a list comprehension
+    # (best of 7 x 200 000; 2 vCPUs, CPython 3.11).  The other entrywise
+    # operators run a few times a request.
     def __add__(self, other: "Mat3") -> "Mat3":
         if not isinstance(other, Mat3):
             return NotImplemented
@@ -209,7 +210,7 @@ def binary_power(x, e: int, mul, one):
     far and, where the bit is set, multiplies it by x on the right, so
     the chain never assumes its operands commute: len(bits) +
     bits.count("1") products, bits = bin(e)[3:], at most 2*log2(e).
-    `mat_pow`, `identities.ZQ` and Binet's roots power through it.
+    `mat_pow`, `ZQ` and Binet's roots power through it.
     """
     if e < 0:
         raise NegativeExponent(f"exponent must be non-negative, got {e}")
@@ -500,18 +501,22 @@ def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
     matrices, by O(log |n|) squarings of `_x_power`.
 
     Matrix seeds read s(n) = a*s(2) + b*s(1) + c*s(0) off the whole
-    x**n = a*x^2 + b*x + c.  Int seeds stop the chain a level below the
-    top: with n = 2k + f, or -2k + f when n < 0, and f in {-1, 0, 1},
-    x**(+-k) has coefficients p = (c, b, a), and s(n) is the quadratic
-    form sum of p_i*p_j*s(i + j + f), which `_square_forms` writes as
-    weighted squares and products of linear forms over one exact
-    division.  So the top level costs 3 big multiplications instead of
-    6, and 2 for T at every f and for K at even n, whose forms pair two
-    opposite squares into one product; each is folded into the total as
-    soon as it is made, and the total is of the size of the answer.  For
-    T with f = 0, T(2k) = (a + b)*(3a + b + 2c) + a**2.
+    x**n = a*x^2 + b*x + c, and must lie in Z[Q], Q = TM(1), as TM's,
+    KM's and every integer combination of their terms do: only the first
+    column is read off, 9 multiplications, and `_column_matrix` lays the
+    Mat3 out of it in the unit's context.  Int seeds stop the chain a
+    level below the top: with n = 2k + f, or -2k + f when n < 0, and f
+    in {-1, 0, 1}, x**(+-k) has coefficients p = (c, b, a), and s(n) is
+    the quadratic form sum of p_i*p_j*s(i + j + f), which
+    `_square_forms` writes as weighted squares and products of linear
+    forms over one exact division.  So the top level costs 3 big
+    multiplications instead of 6, and 2 for T at every f and for K at
+    even n, whose forms pair two opposite squares into one product; each
+    is folded into the total as soon as it is made, and the total is of
+    the size of the answer.  For T with f = 0,
+    T(2k) = (a + b)*(3a + b + 2c) + a**2.
 
-    `counter` and `one` go to `_x_power`; the read-out counts as one
+    `counter` and `one` go to `_x_power`; a scalar read-out counts as one
     more mat_muls, and its squares and products as big_muls.  A Decimal
     unit computes under `EXACT`, whatever the caller's context, which
     is left as it was; an int unit enters no context.
@@ -522,25 +527,15 @@ def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
     return _kernel_term(seeds, n, counter, one)
 
 
-def _combine(seeds, a, b, c) -> Mat3:
-    """a*s(2) + b*s(1) + c*s(0) for matrix seeds, entry by entry: the
-    term read off x**n = a*x^2 + b*x + c.  Over the TM seeds (I, Q, Q^2),
-    Q = TM(1), it is a*Q^2 + b*Q + c*I.
-
-    Only `*` and `+` touch a, b and c, so they may be Decimals, Fractions
-    or any values those operators take.  The tuple is built through a
-    list, so it is allocated at its size: one grown from a generator and
-    shrunk to nine is freed to a free list it is never taken back from,
-    which then holds 2000.
-    """
-    return _mat3(tuple([a * x2 + b * x1 + c * x0 for x0, x1, x2 in zip(
-        seeds[0].entries, seeds[1].entries, seeds[2].entries)]))
-
-
 def _kernel_term(seeds, n: int, counter: OpCounter | None, one):
     """`kernel_term` in the current context."""
     if isinstance(seeds[0], Mat3):
-        return _combine(seeds, *_x_power(n, counter, one))
+        # the first column of a*s(2) + b*s(1) + c*s(0), laid out in Z[Q]
+        a, b, c = _x_power(n, counter, one)
+        s0, s1, s2 = [s.entries for s in seeds]
+        return _column_matrix(a * s2[0] + b * s1[0] + c * s0[0],
+                              a * s2[3] + b * s1[3] + c * s0[3],
+                              a * s2[6] + b * s1[6] + c * s0[6])
     # n = 2k + f by shifts, cheaper than divmod(abs(n), 2) at the small
     # indices most calls have
     if n >= 0:
@@ -660,25 +655,131 @@ def _closed_form(term: Callable[[int], int], n: int) -> tuple[int, int, int]:
     s(n) + s(n-1), s(n)), (s(n), s(n-1) + s(n-2), s(n-1)) and (s(n-1),
     s(n-2) + s(n-3), s(n-2)), for s = T or K.  That matrix lies in Z[Q],
     Q = TM(1) (`identities`), and a*Q^2 + b*Q + c*I has the first column
-    (2a + b + c, a + b, a), so the column gives a, b and c back.
+    (2a + b + c, a + b, a), so the column gives a, b and c back (`ZQ`).
     """
     return term(n + 1), term(n), term(n - 1)
 
 
 def _column_matrix(u, v, w) -> Mat3:
     """The matrix of Z[Q] with first column (u, v, w): s(n-2) is
-    u - v - w, and s(n-2) + s(n-3) is v - w."""
+    u - v - w, and s(n-2) + s(n-3) is v - w.  The one layout of nine
+    entries from a first column: `ZQ.entries` and the matrix read-out of
+    `kernel_term` take it."""
     d = u - v
     return _mat3((u, v + w, v, v, d, w, w, v - w, d - w))
 
 
-def term_reader(kind, cache: TermCache, matrix=_column_matrix):
+class ZQ(Mat3):
+    """a*Q^2 + b*Q + c*I, Q = TM(1): a Mat3 of Z[Q], which is
+    Z[x]/(x^3 - x^2 - x - 1), held as its coordinates (a, b, c).
+
+    A product of two costs the 9 products of the coordinates, reduced by
+    x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1 (a Mat3 product costs 27), a
+    sum or difference 3 additions, a scaling by an int 3 multiplications
+    and equality one comparison of the coordinates.  They are ints on
+    every path that builds a ZQ: `of_column`, the ring operations, int
+    scaling, `div_exact` and powers; a quotient by zero leaves the ring
+    as a Mat3 of `_Undefined` entries (`identities._quotient`).  Never
+    Decimals: `entries` are laid out by `_column_matrix` only when read,
+    outside any exact context.  Any other operand goes to the Mat3
+    operator, on `entries`.  So a ZQ is a Mat3 wherever one is read, and
+    equals the Mat3 of its entries, whose hash it shares
+    (`Mat3.__hash__`).
+    """
+
+    __slots__ = ("coordinates",)  # (a, b, c)
+
+    def __init__(self, a, b, c):
+        # one slot, set past the frozen __setattr__, as `_mat3`
+        _set_coordinates(self, (a, b, c))
+
+    @staticmethod
+    def of_column(u, v, w) -> "ZQ":
+        """The element whose matrix has first column (u, v, w): that
+        column is (2a + b + c, a + b, a), a unimodular map, so d divides
+        every entry exactly when it divides every coordinate."""
+        return ZQ(w, v - w, u - v - w)
+
+    @property
+    def entries(self) -> tuple:
+        """a*Q^2 + b*Q + c*I, entry by entry, from its first column."""
+        a, b, c = self.coordinates
+        return _column_matrix(a + a + b + c, a + b, a).entries
+
+    def __repr__(self):
+        return f"ZQ{self.coordinates!r}"
+
+    def __eq__(self, other):
+        if isinstance(other, ZQ):
+            return self.coordinates == other.coordinates
+        if isinstance(other, Mat3):
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self):
+        a, b, c = self.coordinates
+        return hash((a + a + b + c, a + b, a))  # the first column
+
+    def __add__(self, other):
+        if not isinstance(other, ZQ):
+            return Mat3.__add__(self, other)
+        a1, b1, c1 = self.coordinates
+        a2, b2, c2 = other.coordinates
+        return ZQ(a1 + a2, b1 + b2, c1 + c2)
+
+    def __sub__(self, other):
+        if not isinstance(other, ZQ):
+            return Mat3.__sub__(self, other)
+        a1, b1, c1 = self.coordinates
+        a2, b2, c2 = other.coordinates
+        return ZQ(a1 - a2, b1 - b2, c1 - c2)
+
+    def __neg__(self):
+        a, b, c = self.coordinates
+        return ZQ(-a, -b, -c)
+
+    def __rmul__(self, k):
+        if not isinstance(k, int):
+            return Mat3.__rmul__(self, k)
+        a, b, c = self.coordinates
+        return ZQ(k * a, k * b, k * c)
+
+    def __mul__(self, other):
+        if not isinstance(other, ZQ):
+            return Mat3.__mul__(self, other)
+        a1, b1, c1 = self.coordinates
+        a2, b2, c2 = other.coordinates
+        x4 = a1 * a2  # x^4 = x^3 + x^2 + x, and x^3 = x^2 + x + 1
+        x3 = a1 * b2 + b1 * a2 + x4  # every x^3, x^4's too
+        return ZQ(a1 * c2 + b1 * b2 + c1 * a2 + x3 + x4,
+                  b1 * c2 + c1 * b2 + x3 + x4,
+                  c1 * c2 + x3)
+
+    def div_exact(self, d) -> "ZQ":
+        """Coordinatewise exact division, which divides every entry; a
+        remainder in a coordinate leaves one in an entry, and raises as
+        `Mat3.div_exact` does."""
+        a, b, c = self.coordinates
+        (a, ra), (b, rb), (c, rc) = divmod(a, d), divmod(b, d), divmod(c, d)
+        if ra or rb or rc:
+            return Mat3.div_exact(self, d)
+        return ZQ(a, b, c)
+
+    def __pow__(self, e: int) -> "ZQ":
+        """self**e by `binary_power` over ZQ products, never `mat_mul`."""
+        return binary_power(self, e, operator.mul, ZQ(0, 0, 1))
+
+
+_set_coordinates = ZQ.coordinates.__set__
+
+
+def term_reader(kind, cache: TermCache):
     """n -> the term of `kind` at any signed n, read from `cache`; the one
     place a cache turns into terms.
 
-    A matrix kind's term is `matrix(*_closed_form(get, n))` of the
-    cache's scalar terms: a Mat3 by default, and an element of Z[Q] in
-    the identity registry.  A cache of the other sequence raises
+    A matrix kind's term is the `ZQ` of its first column,
+    `_closed_form` of the cache's scalar terms: three coordinates, a
+    Mat3 wherever one is read.  A cache of the other sequence raises
     ValueError.
     """
     scalar = KIND_SEEDS[kind][1]
@@ -687,7 +788,8 @@ def term_reader(kind, cache: TermCache, matrix=_column_matrix):
                          f"{cache.kind.value} terms")
     get = cache.get
     if isinstance(kind, MatrixKind):
-        return lambda n: matrix(*_closed_form(get, n))
+        of_column = ZQ.of_column
+        return lambda n: of_column(*_closed_form(get, n))
     return get
 
 

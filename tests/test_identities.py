@@ -20,6 +20,7 @@ from tribkit import identities, matrices
 from tribkit.cli import main
 from tribkit.core import walk
 from tribkit.errors import DivisibilityViolation
+from tribkit.series import running_bruteforce
 from tribkit.identities import ZQ, Failure
 
 EXPECTED_IDS = {
@@ -1179,10 +1180,9 @@ class TestRing:
         # the registry's reader, three terms off a cache, against the
         # kernel and the paper's layout, on a signed range
         tm = term_reader(MatrixKind.TRIB_MATRIX,
-                         TermCache(SequenceKind.TRIBONACCI), ZQ.of_column)
+                         TermCache(SequenceKind.TRIBONACCI))
         km = term_reader(MatrixKind.LUCAS_MATRIX,
-                         TermCache(SequenceKind.TRIBONACCI_LUCAS),
-                         ZQ.of_column)
+                         TermCache(SequenceKind.TRIBONACCI_LUCAS))
         for n in range(-60, 61):
             assert type(tm(n)) is ZQ and type(km(n)) is ZQ
             assert Mat3(tm(n).entries) == t_matrix(n) == \
@@ -1238,15 +1238,17 @@ class TestRing:
 
 
 def _reference_namespace():
-    """The anchors' names on Mat3s: `term_reader`'s Mat3 readers, `^` by
+    """The anchors' names on Mat3s: each matrix kind read as the paper's
+    layout of its cached scalar terms (`_paper_matrix`), `^` by
     `mat_pow`, `/` entrywise over Fractions and each S_X by
-    `partial_sum_bruteforce`; no power reader and no ring."""
+    `running_bruteforce` over those readers; no power reader and no
+    ring."""
     caches = {kind: TermCache(kind) for kind in SequenceKind}
-    readers = {kind.value: term_reader(kind, caches[scalar])
-               for kind, (_, scalar) in matrices.KIND_SEEDS.items()}
-    sums = {f"S_{kind.value}": functools.partial(
-                lambda kind, m, j, n: partial_sum_bruteforce(
-                    SumSpec(kind, m, j, n)), kind)
+    readers = {kind.value: cache.get for kind, cache in caches.items()} | {
+        kind.value: functools.partial(_paper_matrix, caches[scalar].get)
+        for kind, (_, scalar) in matrices.KIND_SEEDS.items()
+        if isinstance(kind, MatrixKind)}
+    sums = {f"S_{kind.value}": running_bruteforce(kind, readers[kind.value])
             for kind in matrices.KIND_SEEDS}
     return {"__builtins__": {}, "_div": _rational,
             "_pow": lambda base, e: (matrices.mat_pow(base, e)

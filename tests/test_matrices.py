@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 
 from tribkit import (DivisibilityViolation, IDENTITY, K_MAT_SEEDS, Mat3,
                      MatrixKind, NegativeExponent, OpCounter,
-                     SequenceKind, T_MAT_SEEDS, k_matrix, lucas_fast,
-                     lucas_trib, mat_mul, mat_pow, matrices, t_matrix,
-                     to_decimal, trib, trib_fast)
+                     SequenceKind, T_MAT_SEEDS, identities, k_matrix,
+                     lucas_fast, lucas_trib, mat_mul, mat_pow, matrices,
+                     t_matrix, to_decimal, trib, trib_fast)
 from tribkit.core import SEEDS, walk
 from tribkit.bench import STRATEGIES
 from tribkit.matrices import (DECIMAL_CROSSOVER, FIVE_SQUARES_FROM,
-                              KIND_SEEDS, decimal_form, decimal_term,
+                              KIND_SEEDS, ZQ, decimal_form, decimal_term,
                               kernel_term, term_reader)
 from tribkit.series import SumSpec, partial_sum
 
@@ -793,11 +793,13 @@ class TestPaddedBand:
 def test_matrix_read_out_holds_no_tuples():
     # a tuple grown from a generator and shrunk to nine entries is freed
     # to a free list that no later read-out takes it from: built so in
-    # `_combine`, which lays the read-out's entries out, 3000 read-outs
-    # left 222 KB held at its lines
+    # `_column_matrix`, which lays the read-out's entries out, 3000
+    # read-outs left 224 KB held at its lines
     seeds = KIND_SEEDS[TM][0]
-    lines, first = inspect.getsourcelines(matrices._combine)
-    body = range(first, first + len(lines))
+    body = set()
+    for function in (matrices._kernel_term, matrices._column_matrix):
+        lines, first = inspect.getsourcelines(function)
+        body.update(range(first, first + len(lines)))
     tracemalloc.start()
     try:
         for n in range(3000):
@@ -850,8 +852,9 @@ class TestDecimalUnit:
 def counting_unit():
     """An int subclass and its tally: a product of two of its values
     counts in "muls"; a sum, difference, small multiple or division by
-    a small int in "adds".  A negation is not counted."""
-    tally = {"muls": 0, "adds": 0}
+    a small int in "adds", a multiple by a plain int in "scalings" too.
+    A negation is not counted."""
+    tally = {"muls": 0, "adds": 0, "scalings": 0}
 
     class Unit(int):
         def _made(self, value, kind="adds"):
@@ -871,6 +874,8 @@ def counting_unit():
 
         def __mul__(self, other):
             kind = "muls" if isinstance(other, Unit) else "adds"
+            if kind == "adds":
+                tally["scalings"] += 1
             return self._made(int.__mul__(self, other), kind)
 
         __rmul__ = __mul__
@@ -898,6 +903,37 @@ def test_counter_counts_the_operations_made(kind, n):
     assert tally["muls"] == counter.big_muls
     # the two `one - one` that make the chain's and the read-out's zeros
     assert tally["adds"] - 2 == counter.big_adds
+
+
+@pytest.mark.parametrize("n", [0, 5, -5, 4097, -4097])
+@pytest.mark.parametrize("kind", [TM, KM], ids=lambda k: k.value)
+def test_matrix_read_out_takes_nine_multiplications(kind, n):
+    # the first column of a*s(2) + b*s(1) + c*s(0) alone, each
+    # coefficient times an int seed entry, then laid out by additions;
+    # the whole matrix took 27
+    unit, tally = counting_unit()
+    matrices._x_power(n, one=unit(1))
+    chain = dict(tally)
+    tally.update(dict.fromkeys(tally, 0))
+    seeds = KIND_SEEDS[kind][0]
+    assert kernel_term(seeds, n, one=unit(1)) == walk(seeds, n)
+    assert tally["scalings"] - chain["scalings"] == 9
+    assert tally["muls"] == chain["muls"]
+
+
+@given(s0=st.builds(ZQ, *[st.integers(-10**6, 10**6)] * 3))
+def test_matrix_read_out_takes_any_seeds_of_the_ring(s0):
+    # s(n) = s0 * Q^n: the read-out holds for seeds off TM and KM
+    q = ZQ(0, 1, 0)
+    seeds = tuple(Mat3(x.entries) for x in (s0, s0 * q, s0 * q * q))
+    for n in range(-40, 41):
+        value = kernel_term(seeds, n)
+        assert type(value) is Mat3 and value == walk(seeds, n), n
+
+
+def test_zq_is_the_matrices_class():
+    # one class, which the identities module reads from here
+    assert identities.ZQ is ZQ and ZQ.__module__ == "tribkit.matrices"
 
 
 def test_reduction_stops_after_three_pivots(monkeypatch):
