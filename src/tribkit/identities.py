@@ -27,11 +27,11 @@ tolerance; a quotient by zero equals no side and is the value of every
 operation on it, so it fails its points wherever it stands.
 
 A registry memoises powers: its reader keeps the latest power of each
-matrix base and steps it by one product when the exponent grows by one,
-as the sweeps walk m upwards.  Such a power is the left side of THM20a,
-built only by products of the registry's own TM(n) or KM(n), never by
-the kernel that builds the right side, so the two sides stay
-independent.
+matrix base, a `ZQ` keyed by its coordinates, and steps it by one
+product when the exponent grows by one, as the sweeps walk m upwards.
+Such a power is the left side of THM20a, built only by products of the
+registry's own TM(n) or KM(n), never by the kernel that builds the
+right side, so the two sides stay independent.
 
 A registry memoises what reads fewer indices than its record has: in
 each +/- chain of a side, the two or more terms that together read
@@ -543,15 +543,17 @@ def _inverse_power(base, k: int):
 def _power_reader() -> Callable[[object, int], object]:
     """(base, e) -> base ** e, continuing the latest power of a matrix base.
 
-    One entry per matrix base, keyed by its value: the latest (e,
-    power), e >= 0.  The same e costs nothing, and e one past it costs
-    one product, `power * base`; any other e is `base ** e`.  Every power is
-    exact over the rationals, never a float: a negative one is
-    `1 / base ** -e` for a number (`_quotient`), so `2^(-1)` is 1/2 and
-    `0^(-1)` is 1/0, and the inverse power for a matrix
-    (`_inverse_power`), so `TM(n)^(-1)` is TM(-n).  An exponent that is
-    no int at a point, a quotient by zero or a non-integral Fraction
-    such as `n/2` at odd n, makes the power a quotient by zero too.
+    One entry per matrix base, keyed by its value, a `ZQ` by its
+    coordinates (hashed and compared in C; a tuple never equals a Mat3
+    key): the latest (e, power), e >= 0.  The same e costs nothing, and
+    e one past it costs one product, `power * base`; any other e is
+    `base ** e`.  Every power is exact over the rationals, never a
+    float: a negative one is `1 / base ** -e` for a number
+    (`_quotient`), so `2^(-1)` is 1/2 and `0^(-1)` is 1/0, and the
+    inverse power for a matrix (`_inverse_power`), so `TM(n)^(-1)` is
+    TM(-n).  An exponent that is no int at a point, a quotient by zero
+    or a non-integral Fraction such as `n/2` at odd n, makes the power a
+    quotient by zero too.
     """
     latest = {}
 
@@ -568,11 +570,12 @@ def _power_reader() -> Callable[[object, int], object]:
             # even slotwise, where a tuple takes one object for equal to
             # itself, a singular base's power equals nothing
             return _inverse_power(base, -e)
-        e0, value = latest.get(base, (None, None))
+        key = base.coordinates if type(base) is ZQ else base
+        e0, value = latest.get(key, (None, None))
         if e0 == e:
             return value
         value = value * base if e0 == e - 1 else base ** e
-        latest[base] = e, value
+        latest[key] = e, value
         return value
     return power
 

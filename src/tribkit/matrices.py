@@ -685,20 +685,29 @@ class ZQ(Mat3):
     operator, on `entries`.  So a ZQ is a Mat3 wherever one is read, and
     equals the Mat3 of its entries, whose hash it shares
     (`Mat3.__hash__`).
+
+    `ZQ(a, b, c)` is for callers; every result above is built by `_zq`,
+    which sets the coordinates past the constructor, as `_mat3` does for
+    a Mat3.  `==` and `!=` between two ZQs compare the coordinates
+    alone, and a copy or a pickle of a ZQ is a ZQ.
     """
 
     __slots__ = ("coordinates",)  # (a, b, c)
 
     def __init__(self, a, b, c):
-        # one slot, set past the frozen __setattr__, as `_mat3`
+        # one slot, set past the frozen __setattr__, as `_zq`
         _set_coordinates(self, (a, b, c))
+
+    def __reduce__(self):
+        # not Mat3's, which would restore a Mat3 of the entries
+        return ZQ, self.coordinates
 
     @staticmethod
     def of_column(u, v, w) -> "ZQ":
         """The element whose matrix has first column (u, v, w): that
         column is (2a + b + c, a + b, a), a unimodular map, so d divides
         every entry exactly when it divides every coordinate."""
-        return ZQ(w, v - w, u - v - w)
+        return _zq((w, v - w, u - v - w))
 
     @property
     def entries(self) -> tuple:
@@ -709,51 +718,59 @@ class ZQ(Mat3):
     def __repr__(self):
         return f"ZQ{self.coordinates!r}"
 
+    # ZQ has no subclass, so `type(other) is ZQ` stands for isinstance
     def __eq__(self, other):
-        if isinstance(other, ZQ):
+        if type(other) is ZQ:
             return self.coordinates == other.coordinates
         if isinstance(other, Mat3):
             return self.entries == other.entries
         return NotImplemented
+
+    def __ne__(self, other):
+        # answered here, not by object.__ne__ calling __eq__
+        if type(other) is ZQ:
+            return self.coordinates != other.coordinates
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     def __hash__(self):
         a, b, c = self.coordinates
         return hash((a + a + b + c, a + b, a))  # the first column
 
     def __add__(self, other):
-        if not isinstance(other, ZQ):
+        if type(other) is not ZQ:
             return Mat3.__add__(self, other)
         a1, b1, c1 = self.coordinates
         a2, b2, c2 = other.coordinates
-        return ZQ(a1 + a2, b1 + b2, c1 + c2)
+        return _zq((a1 + a2, b1 + b2, c1 + c2))
 
     def __sub__(self, other):
-        if not isinstance(other, ZQ):
+        if type(other) is not ZQ:
             return Mat3.__sub__(self, other)
         a1, b1, c1 = self.coordinates
         a2, b2, c2 = other.coordinates
-        return ZQ(a1 - a2, b1 - b2, c1 - c2)
+        return _zq((a1 - a2, b1 - b2, c1 - c2))
 
     def __neg__(self):
         a, b, c = self.coordinates
-        return ZQ(-a, -b, -c)
+        return _zq((-a, -b, -c))
 
     def __rmul__(self, k):
         if not isinstance(k, int):
             return Mat3.__rmul__(self, k)
         a, b, c = self.coordinates
-        return ZQ(k * a, k * b, k * c)
+        return _zq((k * a, k * b, k * c))
 
     def __mul__(self, other):
-        if not isinstance(other, ZQ):
+        if type(other) is not ZQ:
             return Mat3.__mul__(self, other)
         a1, b1, c1 = self.coordinates
         a2, b2, c2 = other.coordinates
         x4 = a1 * a2  # x^4 = x^3 + x^2 + x, and x^3 = x^2 + x + 1
         x3 = a1 * b2 + b1 * a2 + x4  # every x^3, x^4's too
-        return ZQ(a1 * c2 + b1 * b2 + c1 * a2 + x3 + x4,
-                  b1 * c2 + c1 * b2 + x3 + x4,
-                  c1 * c2 + x3)
+        return _zq((a1 * c2 + b1 * b2 + c1 * a2 + x3 + x4,
+                    b1 * c2 + c1 * b2 + x3 + x4,
+                    c1 * c2 + x3))
 
     def div_exact(self, d) -> "ZQ":
         """Coordinatewise exact division, which divides every entry; a
@@ -763,14 +780,22 @@ class ZQ(Mat3):
         (a, ra), (b, rb), (c, rc) = divmod(a, d), divmod(b, d), divmod(c, d)
         if ra or rb or rc:
             return Mat3.div_exact(self, d)
-        return ZQ(a, b, c)
+        return _zq((a, b, c))
 
     def __pow__(self, e: int) -> "ZQ":
         """self**e by `binary_power` over ZQ products, never `mat_mul`."""
-        return binary_power(self, e, operator.mul, ZQ(0, 0, 1))
+        return binary_power(self, e, operator.mul, _zq((0, 0, 1)))
 
 
 _set_coordinates = ZQ.coordinates.__set__
+
+
+def _zq(coordinates: tuple) -> ZQ:
+    """A ZQ of `coordinates`, three ints by construction, set straight
+    into its slot: `ZQ(a, b, c)` costs a call of `__init__` on top."""
+    z = _new(ZQ)
+    _set_coordinates(z, coordinates)
+    return z
 
 
 def term_reader(kind, cache: TermCache):

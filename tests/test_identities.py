@@ -532,6 +532,16 @@ class TestPowers:
             Failure((m, n0), t_matrix(n0 * (m - 1)), t_matrix(n0 * m))
             for m in range(m0, 31))
 
+    @pytest.mark.parametrize("identity_id", [
+        "THM20a", "THM20b", "THMFINALb", "THM20c", "THMFINALa"])
+    def test_memo_hashes_no_ring_element(self, identity_id, monkeypatch):
+        # the memo keys a ZQ base by its coordinates, hashed in C
+        def refused(self):
+            raise AssertionError(f"hashed {self!r}")
+
+        monkeypatch.setattr(ZQ, "__hash__", refused)
+        assert verify(identity_id, PROFILE_BOUNDS[Profile.QUICK]).passed
+
     def test_registries_share_no_powers(self, monkeypatch):
         # the first registry holds every TM(n)^0, TM(n0)'s wrong; the
         # second, built alongside it, sweeps as a fresh registry does
@@ -1219,6 +1229,32 @@ class TestRing:
             assert str(ring_error.value) == str(matrix_error.value)
         with pytest.raises(ZeroDivisionError):
             x.div_exact(0)
+
+    @given(x=ring, y=ring, k=small)
+    def test_unequal_is_not_equal(self, x, y, k):
+        # both orders, against a ZQ, a Mat3, an int and a quotient by
+        # zero, which equals nothing
+        undefined = identities._Undefined("1/0")
+        for other in (x, y, Mat3(x.entries), Mat3(y.entries), k, undefined):
+            assert (x != other) is (not (x == other)), other
+            assert (other != x) is (not (other == x)), other
+        assert x != undefined and undefined != x
+        assert not (x == undefined or undefined == x)
+
+    def test_unequal_compares_coordinates(self, monkeypatch):
+        # `!=` between two ZQs never goes through `__eq__`
+        x, y = _ring(4), _ring(5)
+        calls = []
+        real_eq = ZQ.__eq__
+
+        def recorded(self, other):
+            calls.append(other)
+            return real_eq(self, other)
+
+        monkeypatch.setattr(ZQ, "__eq__", recorded)
+        assert x != y and not (x != _ring(4))
+        assert calls == []
+        assert x != Mat3(y.entries) and calls == [Mat3(y.entries)]
 
     def test_a_mat3_operand_gives_a_mat3(self):
         x, m = _ring(4), t_matrix(4)

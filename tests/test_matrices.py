@@ -401,6 +401,48 @@ def test_mat3_copies_and_pickles():
         assert type(b) is Mat3 and b == a and hash(b) == hash(a)
 
 
+def test_zq_copies_and_pickles():
+    x = ZQ(1, 2, 3)
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is ZQ and y.coordinates == x.coordinates
+        assert y == x and hash(y) == hash(x)
+
+
+# every way the ring builds a ZQ
+RING_OPERATORS = {
+    "add": lambda x, y: x + y,
+    "sub": lambda x, y: x - y,
+    "neg": lambda x, y: -x,
+    "rmul": lambda x, y: 7 * x,
+    "mul": lambda x, y: x * y,
+    "pow": lambda x, y: x ** 3,
+    "pow0": lambda x, y: x ** 0,
+    "div_exact": lambda x, y: (22 * x).div_exact(22),
+    "of_column": lambda x, y: ZQ.of_column(*k_matrix(-3).entries[::3]),
+}
+
+
+@pytest.mark.parametrize("op", RING_OPERATORS)
+def test_ring_results_skip_the_constructor(op, monkeypatch):
+    x, y = ZQ(2, -1, 3), ZQ(0, 5, -4)
+    built = []
+    real_init = ZQ.__init__
+
+    def recorded(self, *abc):
+        built.append(abc)
+        real_init(self, *abc)
+
+    monkeypatch.setattr(ZQ, "__init__", recorded)
+    result = RING_OPERATORS[op](x, y)
+    # the result skipped ZQ.__init__ ...
+    assert built == []
+    monkeypatch.undo()
+    # ... and is what the constructor gives for its coordinates
+    assert type(result) is ZQ and len(result.coordinates) == 3
+    assert result == ZQ(*result.coordinates)
+    assert hash(result) == hash(Mat3(result.entries))
+
+
 # The decimal route is a second arithmetic: its text must be the int
 # kernel's, digit for digit, and both share the read-out, so both are
 # also held to the walk, which shares no arithmetic with them.
