@@ -17,8 +17,9 @@ values outgrow 64-bit parsers within a few dozen indices).
 
 Each command states its answer once, as an Output that writes itself in
 each format; `emit` writes the one asked for, a listing item by item.
-A matrix answer, a term or sum past the index `decimal_route` gives,
-and a `gf` listing from the count it gives, is computed on
+A matrix answer is a `matrices.ZQ`, printed as the rows of its
+entries.  A matrix answer, a term or sum past the index `decimal_route`
+gives, and a `gf` listing from the count it gives, is computed on
 decimal.Decimal, so it is already decimal text.
 
 `main` parses with one tree per process, so a later in-process call
@@ -49,7 +50,7 @@ from typing import Iterator
 from . import bench, identities
 from .core import DEFAULT_PRECISION, SequenceKind, to_decimal
 from .errors import PrecisionExhausted, StrategyMismatch, UnknownIdentity
-from .matrices import (Mat3, MatrixKind, decimal_form, decimal_route,
+from .matrices import (_MATRICES, MatrixKind, decimal_form, decimal_route,
                        decimal_term)
 from .series import (SumSpec, decimal_sum, gf_stream, partial_sum,
                      partial_sum_bruteforce)
@@ -136,10 +137,10 @@ def _csv_prefix(fields: dict) -> str:
 
 
 def _write_cells(write, head: str, value, tail: str = "\n"):
-    """The CSV rows of an int, Decimal or Mat3 between the text `head`
+    """The CSV rows of a number or a matrix between the text `head`
     and `tail`, one write per row; decimal text and indices never need
     quoting."""
-    if isinstance(value, Mat3):
+    if isinstance(value, _MATRICES):
         for cell, x in zip(_CSV_CELLS, value.entries):
             write(head + cell + to_decimal(x) + tail)
     else:
@@ -148,7 +149,7 @@ def _write_cells(write, head: str, value, tail: str = "\n"):
 
 @dataclass(frozen=True)
 class Value(Output):
-    """An int or Mat3 named by `fields`, the keys of its JSON object
+    """A number or a matrix named by `fields`, the keys of its JSON object
     (bare=True: the value alone) and the first CSV columns; `extra`
     follows the value there, and `note` lines follow it in plain text."""
 
@@ -168,7 +169,7 @@ class Value(Output):
         write(json.dumps(doc) + "\n")
 
     def csv(self, write):
-        columns = _CSV_COLUMNS[isinstance(self.value, Mat3)]
+        columns = _CSV_COLUMNS[isinstance(self.value, _MATRICES)]
         write(_csv_join([*self.fields, *columns, *self.extra]) + "\n")
         tail = "".join(["," + _csv_field(x) for x in self.extra.values()])
         _write_cells(write, _csv_prefix(self.fields), self.value, tail + "\n")
@@ -186,7 +187,7 @@ _JSON_MATRIX = ('[["{}", "{}", "{}"], ["{}", "{}", "{}"], '
 
 @dataclass(frozen=True)
 class Listing(Output):
-    """Ints, Decimals or Mat3s drawn one at a time, value i named by
+    """Numbers or matrices drawn one at a time, value i named by
     `fields` and "i"; JSON is an array of the bare values.  A value is
     one write in plain text and JSON, and one per CSV row."""
 
@@ -195,7 +196,7 @@ class Listing(Output):
 
     def plain(self, write):
         for i, value in enumerate(self.values):
-            if isinstance(value, Mat3):  # a line each
+            if isinstance(value, _MATRICES):  # a line each
                 text = _PLAIN_MATRIX(i, *list(map(to_decimal, value.entries)))
             else:
                 text = " " + to_decimal(value)
@@ -205,7 +206,7 @@ class Listing(Output):
     def json(self, write):
         write("[")
         for i, value in enumerate(self.values):
-            if isinstance(value, Mat3):
+            if isinstance(value, _MATRICES):
                 text = _JSON_MATRIX(*list(map(to_decimal, value.entries)))
             else:
                 text = '"' + to_decimal(value) + '"'
@@ -216,7 +217,7 @@ class Listing(Output):
         prefix = _csv_prefix(self.fields)
         for i, value in enumerate(self.values):
             if i == 0:
-                columns = _CSV_COLUMNS[isinstance(value, Mat3)]
+                columns = _CSV_COLUMNS[isinstance(value, _MATRICES)]
                 write(_csv_join([*self.fields, "i", *columns]) + "\n")
             _write_cells(write, f"{prefix}{i},", value)
 

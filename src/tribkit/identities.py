@@ -56,7 +56,7 @@ compared slotwise, so a failure in either leg surfaces.
 Every matrix a registry reads or builds is an element of Z[Q], Q =
 TM(1), which is Z[x]/(x^3 - x^2 - x - 1), the ring `matrices._x_power`
 computes in: a `matrices.ZQ`, a*Q^2 + b*Q + c*I held as (a, b, c),
-whose product costs 9 multiplications where a Mat3 product costs 27.
+whose product costs 9 multiplications where a 3x3 product costs 27.
 That rests on one lemma: the paper's TM or KM matrix, built from any
 solution s of the recurrence, lies in Z[Q].  The matrix at n is linear
 in s and is the matrix at 0 of s shifted by n, another solution, so
@@ -68,9 +68,9 @@ u - v - w) the registry's TM and KM readers take: a unimodular map, so
 two matrices are equal, and d divides every entry, exactly when the same
 holds of their coordinates.  Z[Q] is commutative, so the commutation
 legs of THM18a-c and LEM16a/b hold by construction; what they check is
-the lemma, through the readers.  A `ZQ` is a Mat3 wherever one is read,
-and a failure's sides are mapped back to plain Mat3s when it is
-recorded, so reports print Mat3 rows.
+the lemma, through the readers.  A quotient stays in the ring over Q:
+its coordinates are the quotients of the numerator's (`_quotient`).  A
+failure keeps its ZQs, and a report prints their entries' rows.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ from typing import Callable, Iterator
 
 from .core import SequenceKind, TermCache, to_decimal
 from .errors import DivisibilityViolation, UnknownIdentity
-from .matrices import KIND_SEEDS, ZQ, Mat3, decimal_form, term_reader
+from .matrices import KIND_SEEDS, ZQ, _zq, decimal_form, term_reader
 from .series import running_bruteforce
 
 
@@ -497,27 +497,17 @@ class _Undefined(str):
     __rdivmod__ = __divmod__
 
 
-def _as_mat3(value):
-    """`value` with each ZQ in it, a tuple's items too, as a plain Mat3."""
-    if isinstance(value, ZQ):
-        return Mat3(value.entries)
-    if isinstance(value, tuple):
-        return tuple(_as_mat3(item) for item in value)
-    return value
-
-
 def _quotient(numerator, divisor: int):
-    """numerator / divisor over the rationals, entrywise for a Mat3: an
-    int where the divisor divides, an `_Undefined` by zero, else a
-    `Fraction` that equals no int; never a float.  A ZQ stays one where
-    the divisor divides (`ZQ.div_exact`), and is a Mat3 of its entries'
-    quotients otherwise."""
-    if isinstance(numerator, Mat3):
+    """numerator / divisor over the rationals: an int where the divisor
+    divides, an `_Undefined` by zero, else a `Fraction` that equals no
+    int; never a float.  A ZQ is divided coordinate by coordinate, so it
+    stays a ZQ, of ints where the divisor divides (`ZQ.div_exact`)."""
+    if isinstance(numerator, ZQ):
         try:
             return numerator.div_exact(divisor)
         except (DivisibilityViolation, ZeroDivisionError):
-            return Mat3(tuple(_quotient(x, divisor)
-                              for x in numerator.entries))
+            return _zq(tuple([_quotient(x, divisor)
+                              for x in numerator.coordinates]))
     if not divisor:
         return _Undefined(f"{to_decimal(numerator)}/0")
     q, r = divmod(numerator, divisor)
@@ -526,29 +516,25 @@ def _quotient(numerator, divisor: int):
     return Fraction(numerator, divisor)
 
 
-def _inverse_power(base, k: int):
-    """base ** -k over the rationals, k >= 1, for a Mat3 or a ZQ base:
-    adj(base) ** k over det(base) ** k (`_quotient`), so a singular base
-    is 1/0 or 0/0 at every entry.  A ZQ's adjugate is a polynomial in it
-    (Cayley-Hamilton), so a ZQ too, fixed by its first column."""
+def _inverse_power(base: ZQ, k: int):
+    """base ** -k over the rationals, k >= 1: adj(base) ** k over
+    det(base) ** k (`_quotient`), so a singular base is a quotient by
+    zero.  The adjugate is a polynomial in the base (Cayley-Hamilton),
+    so a ZQ too, fixed by its first column."""
     a, b, c, d, e, f, g, h, i = base.entries
     a1, a4, a7 = e * i - f * h, f * g - d * i, d * h - e * g
-    adjugate = ZQ.of_column(a1, a4, a7) if isinstance(base, ZQ) else Mat3((
-        a1, c * h - b * i, b * f - c * e,
-        a4, a * i - c * g, c * d - a * f,
-        a7, b * g - a * h, a * e - b * d))
-    return _quotient(adjugate ** k, (a * a1 + b * a4 + c * a7) ** k)
+    return _quotient(ZQ.of_column(a1, a4, a7) ** k,
+                     (a * a1 + b * a4 + c * a7) ** k)
 
 
 def _power_reader() -> Callable[[object, int], object]:
     """(base, e) -> base ** e, continuing the latest power of a matrix base.
 
-    One entry per matrix base, keyed by its value, a `ZQ` by its
-    coordinates (hashed and compared in C; a tuple never equals a Mat3
-    key): the latest (e, power), e >= 0.  The same e costs nothing, and
-    e one past it costs one product, `power * base`; any other e is
-    `base ** e`.  Every power is exact over the rationals, never a
-    float: a negative one is `1 / base ** -e` for a number
+    One entry per matrix base, keyed by its coordinates (hashed and
+    compared in C): the latest (e, power), e >= 0.  The same e costs
+    nothing, and e one past it costs one product, `power * base`; any
+    other e is `base ** e`.  Every power is exact over the rationals,
+    never a float: a negative one is `1 / base ** -e` for a number
     (`_quotient`), so `2^(-1)` is 1/2 and `0^(-1)` is 1/0, and the
     inverse power for a matrix (`_inverse_power`), so `TM(n)^(-1)` is
     TM(-n).  An exponent that is no int at a point, a quotient by zero
@@ -561,16 +547,16 @@ def _power_reader() -> Callable[[object, int], object]:
         if not isinstance(e, int):
             if isinstance(e, _Undefined):
                 return e
-            base_text = "" if isinstance(base, Mat3) else to_decimal(base)
+            base_text = "" if isinstance(base, ZQ) else to_decimal(base)
             return _Undefined(f"{base_text}^({to_decimal(e)})")
-        if not isinstance(base, Mat3):
+        if not isinstance(base, ZQ):
             return base ** e if e >= 0 else _quotient(1, base ** -e)
         if e < 0:
             # never kept: each side makes its own quotients by zero, so
             # even slotwise, where a tuple takes one object for equal to
             # itself, a singular base's power equals nothing
             return _inverse_power(base, -e)
-        key = base.coordinates if type(base) is ZQ else base
+        key = base.coordinates
         e0, value = latest.get(key, (None, None))
         if e0 == e:
             return value
@@ -626,8 +612,7 @@ def verify_record(record: IdentityRecord, bounds: GridBounds) -> VerifyReport:
         left, right = record.evaluate(*indices)
         cases += 1
         if left != right:
-            failures.append(Failure(tuple(indices), _as_mat3(left),
-                                    _as_mat3(right)))
+            failures.append(Failure(tuple(indices), left, right))
     elapsed = time.perf_counter() - start
     if not cases:
         raise ValueError(f"{record.id}: no case in {described}")

@@ -8,14 +8,16 @@ Comput. 14(1), 1985) in O(log |n|) squarings at any signed n, each of
 six big squares, or of five (Toom-3; Bodrato and Zanoni, ISSAC 2007)
 once the coefficients are large.  A scalar term stops the chain at
 x**(n/2) and reads s(n) off one quadratic form in its coefficients, as
-weighted squares and products of linear forms; a matrix term reads
-s(n) = a*s(2) + b*s(1) + c*s(0) off x**n = a*x^2 + b*x + c.  The
-entries of TM(n) and KM(n) are shifted T and K terms, fixed by the first
-column that `_closed_form` reads; row 2, column 1 (1-based) of TM(n)
-holds T(n).  `walk`, `mat_pow` (TM(1)**n by matrix products) and
-KM(0) @ TM(n) are independent oracles, called by name.  `decimal_term` runs the same
-kernel on decimal.Decimal, for answers that are only printed: every
-matrix answer, and a scalar one from the index `decimal_route` gives.
+weighted squares and products of linear forms; a matrix term is
+a*s(2) + b*s(1) + c*s(0) for x**n = a*x^2 + b*x + c.  Every matrix the
+package computes lies in Z[Q], Q = TM(1) (TM(n) = Q^n, KM(n) = KM(0)
+Q^n), and is a `ZQ`, held as its coordinates (a, b, c); row 2, column 1
+(1-based) of TM(n) holds T(n).  `Mat3` is left to the independent
+oracles, called by name: `walk` over `T_MAT_SEEDS` or `K_MAT_SEEDS`,
+`mat_pow` (TM(1)**n by matrix products), `mat_mul` and
+`binet.binet_matrix`.  `decimal_term` runs the same kernel on
+decimal.Decimal, for answers that are only printed: every matrix answer,
+and a scalar one from the index `decimal_route` gives.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from .errors import DivisibilityViolation, NegativeExponent
 
 @dataclass(frozen=True)
 class Mat3:
-    """Immutable 3x3 integer matrix, entries row-major.
-
-    The entries are ints, or integral Decimals on the decimal route
-    (`decimal_term`), where only `+`, `-` and `div_exact` meet them.
+    """Immutable 3x3 integer matrix, entries row-major: the independent
+    oracles' matrix (`mat_mul`, `mat_pow`, `walk` over `T_MAT_SEEDS` or
+    `K_MAT_SEEDS`, `binet.binet_matrix`), and what `t_matrix` and
+    `k_matrix` return.  Everything else computes in `ZQ`.
 
     Code indexes rows and columns from 0; prose and reports use the
     1-based convention, under which the scalar-bearing cell "row 2,
@@ -67,7 +69,7 @@ class Mat3:
 
     def __hash__(self):
         # by the first column, which fixes a matrix of Z[Q] (Q = TM(1)):
-        # `ZQ` holds one as its coordinates, and hashes alike
+        # a `ZQ` equals the Mat3 of its entries, and hashes alike
         e = self.entries
         return hash((e[0], e[3], e[6]))
 
@@ -79,18 +81,11 @@ class Mat3:
         """Entry at 0-based (row, col)."""
         return self.entries[3 * row + col]
 
-    # `+` alone is unrolled over the nine entries: `gf` matrix listings
-    # call it at every step (`sum --check` adds `ZQ`s), and on small
-    # entries it costs 0.48 us against 0.97 us as a list comprehension
-    # (best of 7 x 200 000; 2 vCPUs, CPython 3.11).  The other entrywise
-    # operators run a few times a request.
     def __add__(self, other: "Mat3") -> "Mat3":
         if not isinstance(other, Mat3):
             return NotImplemented
-        a1, a2, a3, a4, a5, a6, a7, a8, a9 = self.entries
-        b1, b2, b3, b4, b5, b6, b7, b8, b9 = other.entries
-        return _mat3((a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6,
-                      a7 + b7, a8 + b8, a9 + b9))
+        return _mat3(tuple([a + b for a, b in zip(self.entries,
+                                                  other.entries)]))
 
     def __sub__(self, other: "Mat3") -> "Mat3":
         if not isinstance(other, Mat3):
@@ -119,15 +114,10 @@ class Mat3:
     def div_exact(self, d: int) -> "Mat3":
         """Entrywise exact division; a remainder raises, naming the first
         entry that leaves one."""
-        quotients = []
-        for i, x in enumerate(self.entries):
-            q, r = divmod(x, d)
-            if r:
-                raise DivisibilityViolation(
-                    f"{d} does not divide entry {x} at row {i // 3 + 1}, "
-                    f"column {i % 3 + 1}")
-            quotients.append(q)
-        return _mat3(tuple(quotients))
+        quotients = [divmod(x, d) for x in self.entries]
+        if any(r for _, r in quotients):
+            raise _indivisible(self.entries, d)
+        return _mat3(tuple([q for q, _ in quotients]))
 
 
 _new = object.__new__
@@ -143,11 +133,19 @@ def _mat3(entries: tuple) -> Mat3:
     return m
 
 
+def _indivisible(entries: tuple, d) -> DivisibilityViolation:
+    """The error of an exact division by d of a matrix of `entries`,
+    naming the first entry that d leaves a remainder in."""
+    i, x = next((i, x) for i, x in enumerate(entries) if x % d)
+    return DivisibilityViolation(f"{d} does not divide entry {x} at row "
+                                 f"{i // 3 + 1}, column {i % 3 + 1}")
+
+
 def decimal_form(value):
     """An int or integral Decimal as its decimal string (`to_decimal`), a
-    Mat3 as rows of those and a tuple as a list of its items' forms;
-    every output format writes these."""
-    if isinstance(value, Mat3):
+    ZQ or Mat3 as rows of those and a tuple as a list of its items'
+    forms; every output format writes these."""
+    if isinstance(value, _MATRICES):
         return [[to_decimal(x) for x in row] for row in value.rows()]
     if isinstance(value, tuple):
         return [decimal_form(item) for item in value]
@@ -174,12 +172,6 @@ class MatrixKind(Enum):
 
     TRIB_MATRIX = "TM"
     LUCAS_MATRIX = "KM"
-
-
-# kind -> (its seed triple, the scalar sequence its terms are read from)
-KIND_SEEDS = {kind: (SEEDS[kind], kind) for kind in SequenceKind} | {
-    MatrixKind.TRIB_MATRIX: (T_MAT_SEEDS, SequenceKind.TRIBONACCI),
-    MatrixKind.LUCAS_MATRIX: (K_MAT_SEEDS, SequenceKind.TRIBONACCI_LUCAS)}
 
 
 def mat_mul(a: Mat3, b: Mat3, counter: OpCounter | None = None) -> Mat3:
@@ -500,16 +492,16 @@ def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
     """s(n) at any signed n from the seeds (s(0), s(1), s(2)), ints or
     matrices, by O(log |n|) squarings of `_x_power`.
 
-    Matrix seeds read s(n) = a*s(2) + b*s(1) + c*s(0) off the whole
-    x**n = a*x^2 + b*x + c, and must lie in Z[Q], Q = TM(1), as TM's,
-    KM's and every integer combination of their terms do: only the first
-    column is read off, 9 multiplications, and `_column_matrix` lays the
-    Mat3 out of it in the unit's context.  Int seeds stop the chain a
-    level below the top: with n = 2k + f, or -2k + f when n < 0, and f
-    in {-1, 0, 1}, x**(+-k) has coefficients p = (c, b, a), and s(n) is
-    the quadratic form sum of p_i*p_j*s(i + j + f), which
-    `_square_forms` writes as weighted squares and products of linear
-    forms over one exact division.  So the top level costs 3 big
+    Matrix seeds must lie in Z[Q], Q = TM(1), as TM's, KM's and every
+    integer combination of their terms do: `ZQ`s, or Mat3s turned into
+    them by `ZQ.of_matrix`, which raises ValueError outside Z[Q].  s(n)
+    is the ZQ a*s(2) + b*s(1) + c*s(0) for x**n = a*x^2 + b*x + c, 9
+    multiplications; over the TM seeds it is x**n itself.  Int seeds
+    stop the chain a level below the top: with n = 2k + f, or -2k + f
+    when n < 0, and f in {-1, 0, 1}, x**(+-k) has coefficients p = (c,
+    b, a), and s(n) is the quadratic form sum of p_i*p_j*s(i + j + f),
+    which `_square_forms` writes as weighted squares and products of
+    linear forms over one exact division.  So the top level costs 3 big
     multiplications instead of 6, and 2 for T at every f and for K at
     even n, whose forms pair two opposite squares into one product; each
     is folded into the total as soon as it is made, and the total is of
@@ -529,13 +521,13 @@ def kernel_term(seeds, n: int, counter: OpCounter | None = None, one=1):
 
 def _kernel_term(seeds, n: int, counter: OpCounter | None, one):
     """`kernel_term` in the current context."""
-    if isinstance(seeds[0], Mat3):
-        # the first column of a*s(2) + b*s(1) + c*s(0), laid out in Z[Q]
+    if isinstance(seeds[0], (ZQ, Mat3)):
+        s0, s1, s2 = [(s if type(s) is ZQ else ZQ.of_matrix(s)).coordinates
+                      for s in seeds]
         a, b, c = _x_power(n, counter, one)
-        s0, s1, s2 = [s.entries for s in seeds]
-        return _column_matrix(a * s2[0] + b * s1[0] + c * s0[0],
-                              a * s2[3] + b * s1[3] + c * s0[3],
-                              a * s2[6] + b * s1[6] + c * s0[6])
+        return _zq((a * s2[0] + b * s1[0] + c * s0[0],
+                    a * s2[1] + b * s1[1] + c * s0[1],
+                    a * s2[2] + b * s1[2] + c * s0[2]))
     # n = 2k + f by shifts, cheaper than divmod(abs(n), 2) at the small
     # indices most calls have
     if n >= 0:
@@ -641,7 +633,7 @@ def decimal_route(kind, n: int, listing: bool = False) -> bool:
 
 
 def decimal_term(kind, n: int):
-    """The term of any kind at any signed n, an integral Decimal or a Mat3
+    """The term of any kind at any signed n, an integral Decimal or a ZQ
     of them, computed under `EXACT`, for printing only: `int()` of a big
     Decimal is quadratic in its digits."""
     return kernel_term(KIND_SEEDS[kind][0], n, one=decimal.Decimal(1))
@@ -660,47 +652,29 @@ def _closed_form(term: Callable[[int], int], n: int) -> tuple[int, int, int]:
     return term(n + 1), term(n), term(n - 1)
 
 
-def _column_matrix(u, v, w) -> Mat3:
-    """The matrix of Z[Q] with first column (u, v, w): s(n-2) is
-    u - v - w, and s(n-2) + s(n-3) is v - w.  The one layout of nine
-    entries from a first column: `ZQ.entries` and the matrix read-out of
-    `kernel_term` take it."""
-    d = u - v
-    return _mat3((u, v + w, v, v, d, w, w, v - w, d - w))
-
-
-class ZQ(Mat3):
-    """a*Q^2 + b*Q + c*I, Q = TM(1): a Mat3 of Z[Q], which is
+class ZQ:
+    """a*Q^2 + b*Q + c*I, Q = TM(1): an element of Z[Q], which is
     Z[x]/(x^3 - x^2 - x - 1), held as its coordinates (a, b, c).
 
-    A product of two costs the 9 products of the coordinates, reduced by
-    x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1 (a Mat3 product costs 27), a
-    sum or difference 3 additions, a scaling by an int 3 multiplications
-    and equality one comparison of the coordinates.  They are ints on
-    every path that builds a ZQ: `of_column`, the ring operations, int
-    scaling, `div_exact` and powers; a quotient by zero leaves the ring
-    as a Mat3 of `_Undefined` entries (`identities._quotient`).  Never
-    Decimals: `entries` are laid out by `_column_matrix` only when read,
-    outside any exact context.  Any other operand goes to the Mat3
-    operator, on `entries`.  So a ZQ is a Mat3 wherever one is read, and
-    equals the Mat3 of its entries, whose hash it shares
-    (`Mat3.__hash__`).
+    A product of two, `*` or `@`, costs the 9 products of the
+    coordinates, reduced by x^3 = x^2 + x + 1 and x^4 = 2x^2 + 2x + 1 (a
+    Mat3 product costs 27), a sum or difference 3 additions, a scaling by
+    an int 3 multiplications and equality one comparison of the
+    coordinates; any other operand, a Mat3 too, raises TypeError.  The
+    coordinates are ints, integral Decimals on the decimal route, or
+    Fractions and quotients by zero from `identities._quotient`.  The
+    read-only `entries` lay the matrix out when read; a ZQ equals, and
+    hashes as, the Mat3 of its entries, as the oracles compare it.
 
     `ZQ(a, b, c)` is for callers; every result above is built by `_zq`,
-    which sets the coordinates past the constructor, as `_mat3` does for
-    a Mat3.  `==` and `!=` between two ZQs compare the coordinates
-    alone, and a copy or a pickle of a ZQ is a ZQ.
+    which sets the coordinates past the constructor.  `==` and `!=`
+    between two ZQs compare the coordinates alone.
     """
 
     __slots__ = ("coordinates",)  # (a, b, c)
 
     def __init__(self, a, b, c):
-        # one slot, set past the frozen __setattr__, as `_zq`
-        _set_coordinates(self, (a, b, c))
-
-    def __reduce__(self):
-        # not Mat3's, which would restore a Mat3 of the entries
-        return ZQ, self.coordinates
+        self.coordinates = (a, b, c)
 
     @staticmethod
     def of_column(u, v, w) -> "ZQ":
@@ -709,11 +683,30 @@ class ZQ(Mat3):
         every entry exactly when it divides every coordinate."""
         return _zq((w, v - w, u - v - w))
 
+    @staticmethod
+    def of_matrix(m: Mat3) -> "ZQ":
+        """The element whose matrix is m; ValueError, naming m, when m
+        is not the layout of its first column, so outside Z[Q]."""
+        x = ZQ.of_column(*m.entries[::3])
+        if x.entries != m.entries:
+            raise ValueError(f"{m!r} lies outside Z[Q], Q = TM(1)")
+        return x
+
     @property
     def entries(self) -> tuple:
-        """a*Q^2 + b*Q + c*I, entry by entry, from its first column."""
+        """a*Q^2 + b*Q + c*I row by row, four additions from its first
+        column (2a + b + c, a + b, a): the rows are (2a + b + c, 2a + b,
+        a + b), (a + b, a + c, a) and (a, b, c).  Decimal coordinates add
+        under `EXACT`, whatever the caller's context, so no digit rounds
+        away."""
         a, b, c = self.coordinates
-        return _column_matrix(a + a + b + c, a + b, a).entries
+        add = _exact_add if isinstance(a, decimal.Decimal) else operator.add
+        v = add(a, b)
+        s = add(v, a)
+        return (add(s, c), s, v, v, add(a, c), a, a, b, c)
+
+    rows = Mat3.rows
+    entry = Mat3.entry
 
     def __repr__(self):
         return f"ZQ{self.coordinates!r}"
@@ -733,20 +726,18 @@ class ZQ(Mat3):
         equal = self.__eq__(other)
         return equal if equal is NotImplemented else not equal
 
-    def __hash__(self):
-        a, b, c = self.coordinates
-        return hash((a + a + b + c, a + b, a))  # the first column
+    __hash__ = Mat3.__hash__
 
     def __add__(self, other):
         if type(other) is not ZQ:
-            return Mat3.__add__(self, other)
+            return NotImplemented
         a1, b1, c1 = self.coordinates
         a2, b2, c2 = other.coordinates
         return _zq((a1 + a2, b1 + b2, c1 + c2))
 
     def __sub__(self, other):
         if type(other) is not ZQ:
-            return Mat3.__sub__(self, other)
+            return NotImplemented
         a1, b1, c1 = self.coordinates
         a2, b2, c2 = other.coordinates
         return _zq((a1 - a2, b1 - b2, c1 - c2))
@@ -757,13 +748,13 @@ class ZQ(Mat3):
 
     def __rmul__(self, k):
         if not isinstance(k, int):
-            return Mat3.__rmul__(self, k)
+            return NotImplemented
         a, b, c = self.coordinates
         return _zq((k * a, k * b, k * c))
 
     def __mul__(self, other):
         if type(other) is not ZQ:
-            return Mat3.__mul__(self, other)
+            return NotImplemented
         a1, b1, c1 = self.coordinates
         a2, b2, c2 = other.coordinates
         x4 = a1 * a2  # x^4 = x^3 + x^2 + x, and x^3 = x^2 + x + 1
@@ -772,14 +763,16 @@ class ZQ(Mat3):
                     b1 * c2 + c1 * b2 + x3 + x4,
                     c1 * c2 + x3))
 
+    __matmul__ = __mul__
+
     def div_exact(self, d) -> "ZQ":
         """Coordinatewise exact division, which divides every entry; a
         remainder in a coordinate leaves one in an entry, and raises as
-        `Mat3.div_exact` does."""
+        `Mat3.div_exact` does, naming that entry."""
         a, b, c = self.coordinates
         (a, ra), (b, rb), (c, rc) = divmod(a, d), divmod(b, d), divmod(c, d)
         if ra or rb or rc:
-            return Mat3.div_exact(self, d)
+            raise _indivisible(self.entries, d)
         return _zq((a, b, c))
 
     def __pow__(self, e: int) -> "ZQ":
@@ -788,23 +781,35 @@ class ZQ(Mat3):
 
 
 _set_coordinates = ZQ.coordinates.__set__
+_exact_add = EXACT.add
 
 
 def _zq(coordinates: tuple) -> ZQ:
-    """A ZQ of `coordinates`, three ints by construction, set straight
-    into its slot: `ZQ(a, b, c)` costs a call of `__init__` on top."""
+    """A ZQ of `coordinates`, three by construction, set straight into
+    its slot: `ZQ(a, b, c)` costs a call of `__init__` on top."""
     z = _new(ZQ)
     _set_coordinates(z, coordinates)
     return z
+
+
+# What prints as a matrix: the package's ZQs, and a caller's Mat3
+_MATRICES = (ZQ, Mat3)
+
+
+# kind -> (its seed triple, the scalar sequence its terms are read from)
+KIND_SEEDS = {kind: (SEEDS[kind], kind) for kind in SequenceKind} | {
+    MatrixKind.TRIB_MATRIX: (tuple(map(ZQ.of_matrix, T_MAT_SEEDS)),
+                             SequenceKind.TRIBONACCI),
+    MatrixKind.LUCAS_MATRIX: (tuple(map(ZQ.of_matrix, K_MAT_SEEDS)),
+                              SequenceKind.TRIBONACCI_LUCAS)}
 
 
 def term_reader(kind, cache: TermCache):
     """n -> the term of `kind` at any signed n, read from `cache`; the one
     place a cache turns into terms.
 
-    A matrix kind's term is the `ZQ` of its first column,
-    `_closed_form` of the cache's scalar terms: three coordinates, a
-    Mat3 wherever one is read.  A cache of the other sequence raises
+    A matrix kind's term is the `ZQ` of its first column, `_closed_form`
+    of the cache's scalar terms.  A cache of the other sequence raises
     ValueError.
     """
     scalar = KIND_SEEDS[kind][1]
@@ -819,23 +824,23 @@ def term_reader(kind, cache: TermCache):
 
 
 def t_matrix(n: int) -> Mat3:
-    """Tribonacci matrix TM(n) at any signed n, by `kernel_term`.
+    """Tribonacci matrix TM(n) at any signed n, `kernel_term` as a Mat3.
 
     Oracles: `walk(T_MAT_SEEDS, n)`, and `mat_pow(T_MAT_SEEDS[1], n)` or
-    the integer TM(-1) to the power -n.  Its entries are laid out by
-    `term_reader(MatrixKind.TRIB_MATRIX, cache)`.
+    the integer TM(-1) to the power -n.
     """
-    return kernel_term(T_MAT_SEEDS, n)
+    return _mat3(kernel_term(KIND_SEEDS[MatrixKind.TRIB_MATRIX][0], n).entries)
 
 
 def k_matrix(n: int) -> Mat3:
-    """Tribonacci-Lucas matrix KM(n) at any signed n, by `kernel_term`.
+    """Tribonacci-Lucas matrix KM(n) at any signed n, `kernel_term` as a
+    Mat3.
 
     Oracles: `walk(K_MAT_SEEDS, n)`, and `K_MAT_SEEDS[0] * t_matrix(n)`
-    (LEM16a).  Its entries are laid out by
-    `term_reader(MatrixKind.LUCAS_MATRIX, cache)`.
+    (LEM16a).
     """
-    return kernel_term(K_MAT_SEEDS, n)
+    return _mat3(kernel_term(KIND_SEEDS[MatrixKind.LUCAS_MATRIX][0],
+                             n).entries)
 
 
 def trib_fast(n: int, counter: OpCounter | None = None) -> int:

@@ -5,7 +5,9 @@ common denominator 1 - x - x**2 - x**3.  Coefficients are extracted by
 exact forward substitution, c(i) = num(i) + c(i-1) + c(i-2) + c(i-3),
 never by floating division.  Partial sums of strided subsequences have a
 closed form whose divisor K(m) - K(-m) always divides exactly; a brute
-force summer is kept alongside as the oracle.
+force summer is kept alongside as the oracle.  A matrix coefficient,
+term or sum is a `matrices.ZQ`, an element of Z[Q] added up in its
+three coordinates, not in nine entries.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Iterator, Union
 from . import matrices
 from .core import SEEDS, SequenceKind, walk
 from .errors import DegenerateDenominator, DivisibilityViolation
-from .matrices import (KIND_SEEDS, Mat3, MatrixKind, _kernel_term,
+from .matrices import (KIND_SEEDS, ZQ, MatrixKind, _kernel_term,
                        kernel_term, lucas_fast, term_reader)
 
 AnyKind = Union[SequenceKind, MatrixKind]
@@ -42,7 +44,7 @@ def gf_stream(kind: AnyKind, count: int, one=1) -> Iterator:
     forward substitution, c(i) = num(i) + c(i-1) + c(i-2) + c(i-3) with
     missing terms zero, so the stream holds three coefficients and one
     block of `_BLOCK` entries, never the listing.  The coefficients have
-    the type of `one`, the unit: ints, or Mat3s of ints, by default;
+    the type of `one`, the unit: ints, or `ZQ`s of ints, by default;
     integral Decimals with decimal.Decimal(1), already decimal text, for
     printing (`cli` picks the unit by `matrices.decimal_route`).  Each
     block is added up under `matrices.EXACT`, and the context is left
@@ -54,10 +56,10 @@ def gf_stream(kind: AnyKind, count: int, one=1) -> Iterator:
     return _expand(gf_numerators(kind), count, one)
 
 
-# Entries added up per entry into the exact context, and held until the
-# last of them is made: 144 scalar coefficients, or 16 matrices.  An
-# entry into the context costs about 0.5 us, half a dozen Decimal
-# additions; 16 matrices of `gf TM 4000` hold about 0.1 MiB.
+# Numbers added up per entry into the exact context, and held until the
+# last of them is made: 144 scalar coefficients, or the coordinates of 48
+# matrices.  An entry into the context costs about 0.5 us, half a dozen
+# Decimal additions; 48 matrices of `gf TM 4000` hold about 0.1 MiB.
 _BLOCK = 144
 
 
@@ -65,8 +67,8 @@ def _expand(numerator: tuple, count: int, one) -> Iterator:
     # c(i-1), c(i-2), c(i-3), starting as zeros of the unit's type; the
     # int numerators then add into that type
     zero = one - one
-    if isinstance(numerator[0], Mat3):
-        c1, size = Mat3((zero,) * 9), _BLOCK // 9
+    if isinstance(numerator[0], ZQ):
+        c1, size = ZQ(zero, zero, zero), _BLOCK // 3
     else:
         c1, size = zero, _BLOCK
     c2 = c3 = c1
@@ -87,8 +89,8 @@ def gf_coeffs(kind: SequenceKind, count: int) -> list[int]:
     return list(gf_stream(kind, count))
 
 
-def gf_matrix_coeffs(kind: MatrixKind, count: int) -> list[Mat3]:
-    """First `count` matrix series coefficients, expanded entrywise."""
+def gf_matrix_coeffs(kind: MatrixKind, count: int) -> list[ZQ]:
+    """First `count` matrix series coefficients, expanded in Z[Q]."""
     return list(gf_stream(kind, count))
 
 
@@ -150,7 +152,7 @@ def _partial_sum(spec: SumSpec, one):
         raise DegenerateDenominator(f"K({m}) - K({-m}) = 0")
     u = _u_seeds(KIND_SEEDS[spec.kind][0], m, 1 - k_m)
     numerator = _kernel_term(u, spec.top, None, one) - kernel_term(u, j)
-    if isinstance(numerator, Mat3):
+    if isinstance(numerator, ZQ):
         return numerator.div_exact(divisor)
     q, r = divmod(numerator, divisor)
     if r:
@@ -161,13 +163,13 @@ def _partial_sum(spec: SumSpec, one):
 
 def _u_seeds(seeds, m: int, w: int):
     """(u(0), u(1), u(2)) for u(i) = s(i + m) + s(i - m) + w*s(i), s the
-    sequence of `seeds`, ints or matrices."""
+    sequence of `seeds`, ints or `ZQ`s."""
     return tuple(kernel_term(seeds, i + m) + kernel_term(seeds, i - m)
                  + w * seeds[i] for i in range(3))
 
 
 def decimal_sum(spec: SumSpec):
-    """`partial_sum` on the decimal route: an integral Decimal, or a Mat3
+    """`partial_sum` on the decimal route: an integral Decimal, or a ZQ
     of them, computed under `matrices.EXACT`, for printing only."""
     return partial_sum(spec, one=decimal.Decimal(1))
 

@@ -296,7 +296,7 @@ class TestAnchors:
         assert quotient(5, 0) != 5 and not quotient(5, 0) == 5
         assert quotient(5, 0) != quotient(5, 0)
         assert matrices.decimal_form(quotient(-7, 0)) == "-7/0"
-        ones = Mat3((1,) * 9)
+        ones = ZQ(1, 1, 1)  # each entry reads one coordinate's quotient
         assert quotient(ones, 0) != ones
         assert matrices.decimal_form(quotient(ones, 0)) == [["1/0"] * 3] * 3
         big = 7 ** 6000  # past the int-to-str limit
@@ -306,8 +306,9 @@ class TestAnchors:
         ("2*T(n) = T(n) + T(n)*(n/n)", "0/0"),
         ("T(n) = T(n) + 0*(1/n)", "1/0"),
         ("T(n) = T(n) + 0*n^(-1)", "1/0"),
+        # I/0, of coordinates (0/0, 0/0, 1/0): row 3 is (a, b, c)
         ("TM(n) = TM(n) + 0*(TM(n)/n)",
-         [["1/0", "0/0", "0/0"], ["0/0", "1/0", "0/0"],
+         [["0/0", "0/0", "0/0"], ["0/0", "0/0", "0/0"],
           ["0/0", "0/0", "1/0"]]),
     ])
     def test_quotient_by_zero_inside_a_term_fails_its_point(
@@ -324,7 +325,7 @@ class TestAnchors:
 
     def test_quotient_by_zero_is_absorbing(self):
         undefined = identities._quotient(1, 0)
-        ones = Mat3((1,) * 9)
+        ones = ZQ(1, 1, 1)
         for value in (undefined + 2, 2 + undefined, undefined - 2,
                       2 - undefined, 2 * undefined, undefined * ones,
                       -undefined, undefined ** 2, 2 ** undefined,
@@ -395,15 +396,18 @@ class TestAnchors:
         power = identities._power_reader()
         # det TM(1) = 1: TM(n)^(-k) = TM(-k*n), ints
         for e in (-3, -2, -1, 0, 1, -4):
-            assert power(t_matrix(2), e) == t_matrix(2 * e), e
-        assert {type(x) for x in power(t_matrix(5), -2).entries} == {int}
+            assert power(_ring(2), e) == t_matrix(2 * e), e
+        assert {type(x) for x in power(_ring(5), -2).entries} == {int}
         # det KM(0) = 44: the inverse has Fractions, and is one
-        inverse = power(K_MAT_SEEDS[0], -1)
+        km0 = ZQ.of_matrix(K_MAT_SEEDS[0])
+        inverse = power(km0, -1)
         assert Fraction in {type(x) for x in inverse.entries}
         assert matrices.mat_mul(inverse, K_MAT_SEEDS[0]) == IDENTITY
-        assert power(K_MAT_SEEDS[0], -2) == matrices.mat_mul(inverse, inverse)
-        # a singular base is undefined at every entry, so it equals nothing
-        singular = power(Mat3((1, 2, 3, 2, 4, 6, 0, 0, 1)), -1)
+        assert power(km0, -2) == matrices.mat_mul(inverse, inverse)
+        # a singular base is undefined at every entry, so it equals
+        # nothing; Z[Q] has no zero divisor, so 0 is its one singular
+        # element
+        singular = power(ZQ(0, 0, 0), -1)
         assert all(isinstance(x, identities._Undefined) and x != x
                    for x in singular.entries)
         # mat_pow itself still refuses
@@ -1006,7 +1010,9 @@ def _mutated(term, mutation, m, j, n):
 
 
 def _entries(value):
-    return value.entries if isinstance(value, Mat3) else (value,)
+    """A side's numbers: a ZQ's coordinates, which are ints exactly when
+    its entries are."""
+    return value.coordinates if isinstance(value, ZQ) else (value,)
 
 
 class TestCompiledSums:
@@ -1051,12 +1057,16 @@ class TestCompiledSums:
         assert type(quotient(-12, 4)) is int and quotient(-12, 4) == -3
         assert type(quotient(7, -2)) is Fraction
         assert quotient(7, -2) == Fraction(-7, 2)
-        assert quotient(Mat3((2, 4, 6, 8, 10, 12, 14, 16, 18)), 2) == \
-            Mat3((1, 2, 3, 4, 5, 6, 7, 8, 9))
-        mixed = quotient(Mat3((2, 3, 0, 0, 0, 0, 0, 0, 4)), 2)
-        assert [type(x) for x in mixed.entries] == \
-            [int, Fraction] + [int] * 7
-        assert mixed.entries[:2] == (1, Fraction(3, 2))
+        exact = quotient(ZQ(2, 4, 6), 2)
+        assert type(exact) is ZQ and exact.coordinates == (1, 2, 3)
+        mixed = quotient(ZQ(2, 3, 4), 2)
+        assert type(mixed) is ZQ
+        assert [type(x) for x in mixed.coordinates] == [int, Fraction, int]
+        assert mixed.coordinates == (1, Fraction(3, 2), 2)
+        # an integral entry of Fractions prints as the int
+        assert matrices.decimal_form(mixed) == [["11/2", "7/2", "5/2"],
+                                                ["5/2", "3", "1"],
+                                                ["1", "3/2", "2"]]
 
     def test_sum_sides_never_floats(self):
         for record in registry():
@@ -1256,21 +1266,25 @@ class TestRing:
         assert calls == []
         assert x != Mat3(y.entries) and calls == [Mat3(y.entries)]
 
-    def test_a_mat3_operand_gives_a_mat3(self):
-        x, m = _ring(4), t_matrix(4)
-        for value in (x + m, m + x, x - m, m - x, x * m, m * x):
-            assert type(value) is Mat3
-        assert (x + m, x * m) == (2 * m, matrices.mat_mul(m, m))
+    def test_matmul_is_the_ring_product(self):
+        # `@` is `*`, in the ring; a Mat3 operand is no element of it
+        x, y, m = _ring(4), _ring(5), t_matrix(4)
+        assert type(x @ y) is ZQ and x @ y == x * y == _ring(9)
+        for mixed in (lambda: x + m, lambda: m + x, lambda: x - m,
+                      lambda: m - x, lambda: x * m, lambda: m * x,
+                      lambda: x @ m, lambda: m @ x):
+            with pytest.raises(TypeError):
+                mixed()
         with pytest.raises(NegativeExponent):
             x ** -1
 
-    def test_failures_hold_plain_mat3(self, monkeypatch):
+    def test_failures_hold_zqs(self, monkeypatch):
         _with_anchor(monkeypatch, "THM15a", _changed(
             next(a for id, a, *_ in identities.FORMULAS if id == "THM15a")))
         report = verify("THM15a", PROFILE_BOUNDS[Profile.QUICK])
         assert report.failures
         assert {type(side) for f in report.failures
-                for side in (f.left, f.right)} == {Mat3}
+                for side in (f.left, f.right)} == {ZQ}
 
 
 def _reference_namespace():
@@ -1322,6 +1336,6 @@ class TestDifferential:
                 continue
             if expected[0] != expected[1]:
                 reference_failed.append(point)
-            assert identities._as_mat3((left, right)) == expected, point
+            assert (left, right) == expected, point
         assert ring_failed == reference_failed
         assert bool(ring_failed) == changed

@@ -6,6 +6,7 @@ import functools
 import inspect
 import math
 import pickle
+import re
 import textwrap
 import time
 import tracemalloc
@@ -835,11 +836,11 @@ class TestPaddedBand:
 def test_matrix_read_out_holds_no_tuples():
     # a tuple grown from a generator and shrunk to nine entries is freed
     # to a free list that no later read-out takes it from: built so in
-    # `_column_matrix`, which lays the read-out's entries out, 3000
-    # read-outs left 224 KB held at its lines
+    # the layout of the entries, `ZQ.entries`, 3000 read-outs left
+    # 224 KB held at its lines
     seeds = KIND_SEEDS[TM][0]
     body = set()
-    for function in (matrices._kernel_term, matrices._column_matrix):
+    for function in (matrices._kernel_term, ZQ.entries.fget):
         lines, first = inspect.getsourcelines(function)
         body.update(range(first, first + len(lines)))
     tracemalloc.start()
@@ -965,12 +966,52 @@ def test_matrix_read_out_takes_nine_multiplications(kind, n):
 
 @given(s0=st.builds(ZQ, *[st.integers(-10**6, 10**6)] * 3))
 def test_matrix_read_out_takes_any_seeds_of_the_ring(s0):
-    # s(n) = s0 * Q^n: the read-out holds for seeds off TM and KM
+    # s(n) = s0 * Q^n: the read-out holds for seeds off TM and KM, as
+    # ZQs or as the Mat3s of their entries, and gives a ZQ
     q = ZQ(0, 1, 0)
-    seeds = tuple(Mat3(x.entries) for x in (s0, s0 * q, s0 * q * q))
+    seeds = (s0, s0 * q, s0 * q * q)
+    as_mat3 = tuple(Mat3(x.entries) for x in seeds)
     for n in range(-40, 41):
-        value = kernel_term(seeds, n)
-        assert type(value) is Mat3 and value == walk(seeds, n), n
+        expected = walk(as_mat3, n)
+        for given_seeds in (seeds, as_mat3):
+            value = kernel_term(given_seeds, n)
+            assert type(value) is ZQ and value == expected, n
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_matrix_seeds_outside_the_ring_raise(position):
+    # M does not commute with Q, so it lies outside Z[Q]: laid out from
+    # its first column alone, it would read as another matrix of Z[Q]
+    # and give a wrong term
+    m = Mat3((1, 2, 0, 0, 1, 0, 0, 0, 1))
+    seeds = list(T_MAT_SEEDS)
+    seeds[position] = m
+    with pytest.raises(ValueError, match=re.escape(repr(m))):
+        kernel_term(tuple(seeds), 5)
+    with pytest.raises(ValueError, match=re.escape(repr(m))):
+        ZQ.of_matrix(m)
+    # every seed of the package lies in it, as the ZQ of its first column
+    for mat3_seeds, kind in ((T_MAT_SEEDS, TM), (K_MAT_SEEDS, KM)):
+        assert tuple(map(ZQ.of_matrix, mat3_seeds)) == KIND_SEEDS[kind][0]
+
+
+@pytest.mark.parametrize("prec", [28, 9])
+def test_decimal_entries_are_laid_out_exactly(prec):
+    # a Decimal answer's entries add its coordinates under EXACT, not in
+    # the caller's context, which would round KM(20000)'s 5 000 digits
+    value = decimal_term(KM, 20000)
+    expected = [to_decimal(x)
+                for x in kernel_term(K_MAT_SEEDS, 20000).entries]
+    with decimal.localcontext() as caller:
+        caller.prec = prec
+        state = (caller.prec, caller.Emax, caller.Emin, caller.rounding,
+                 dict(caller.flags), dict(caller.traps))
+        entries = value.entries
+        assert decimal.getcontext() is caller
+        assert (caller.prec, caller.Emax, caller.Emin, caller.rounding,
+                dict(caller.flags), dict(caller.traps)) == state
+    assert {type(x) for x in entries} == {decimal.Decimal}
+    assert [to_decimal(x) for x in entries] == expected
 
 
 def test_zq_is_the_matrices_class():

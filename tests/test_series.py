@@ -13,7 +13,7 @@ from tribkit import (PROFILE_BOUNDS, DegenerateDenominator,
                      lucas_fast, lucas_trib, partial_sum,
                      partial_sum_bruteforce, registry, t_matrix, term_reader,
                      trib, verify_record)
-from tribkit.matrices import KIND_SEEDS, decimal_form, kernel_term
+from tribkit.matrices import KIND_SEEDS, ZQ, decimal_form, kernel_term
 
 T = SequenceKind.TRIBONACCI
 K = SequenceKind.TRIBONACCI_LUCAS
@@ -99,7 +99,7 @@ class TestGeneratingFunctions:
 
 def _entry_types(coefficients) -> set:
     return {type(x) for c in coefficients
-            for x in (c.entries if isinstance(c, Mat3) else (c,))}
+            for x in (c.coordinates if isinstance(c, ZQ) else (c,))}
 
 
 class TestDecimalStream:
@@ -107,7 +107,7 @@ class TestDecimalStream:
     Decimal == int, so the tests that compare values would pass on
     either unit; these pin the types and the contexts."""
 
-    # several blocks of either shape: 144 scalars, 16 matrices a block
+    # several blocks of either shape: 144 scalars, 48 matrices a block
     COUNT = 400
 
     @pytest.mark.parametrize("kind", [T, K, TM, KM], ids=lambda k: k.value)
@@ -115,7 +115,7 @@ class TestDecimalStream:
         listed = (gf_coeffs if kind in (T, K) else gf_matrix_coeffs)(
             kind, self.COUNT)
         streamed = list(gf_stream(kind, self.COUNT))
-        shape = int if kind in (T, K) else Mat3
+        shape = int if kind in (T, K) else ZQ
         for coefficients in (listed, streamed):
             assert {type(c) for c in coefficients} == {shape}
             assert _entry_types(coefficients) == {int}
@@ -263,7 +263,7 @@ class TestOneChain:
                              - s(j + m) - s(j - m) - w * s(j))
                 divisor = lucas_fast(m) - lucas_fast(-m)
                 expected = (numerator.div_exact(divisor)
-                            if isinstance(numerator, Mat3)
+                            if isinstance(numerator, ZQ)
                             else numerator // divisor)
                 assert partial_sum(SumSpec(kind, m, j, top // m)) == \
                     expected, (m, top)
@@ -294,7 +294,7 @@ class TestOneChain:
         real = series._u_seeds
         spec = SumSpec(kind, 3, 1, 20)
         expected = partial_sum_bruteforce(spec)
-        one = Mat3((0, 0, 0, 1, 0, 0, 0, 0, 0)) if kind in (TM, KM) else 1
+        one = ZQ(0, 0, 1) if kind in (TM, KM) else 1
         for i in range(3):
             def off_by_one(seeds, m, w, i=i):
                 u = list(real(seeds, m, w))
