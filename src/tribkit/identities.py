@@ -86,7 +86,7 @@ from typing import Callable, Iterator
 
 from .core import SequenceKind, TermCache, to_decimal
 from .errors import DivisibilityViolation, UnknownIdentity
-from .matrices import KIND_SEEDS, ZQ, _zq, decimal_form, term_reader
+from .matrices import KIND_SEEDS, Mat3, ZQ, _zq, decimal_form, term_reader
 from .series import running_bruteforce
 
 
@@ -539,18 +539,23 @@ def _power_reader() -> Callable[[object, int], object]:
     inverse power for a matrix (`_inverse_power`), so `TM(n)^(-1)` is
     TM(-n).  An exponent that is no int at a point, a quotient by zero
     or a non-integral Fraction such as `n/2` at odd n, makes the power a
-    quotient by zero too.
+    quotient by zero too.  A Mat3 base is powered as its `ZQ.of_matrix`
+    at every exponent, so one outside Z[Q] raises ValueError.
     """
     latest = {}
 
     def power(base, e):
         if not isinstance(e, int):
+            if isinstance(base, Mat3):
+                base = ZQ.of_matrix(base)
             if isinstance(e, _Undefined):
                 return e
             base_text = "" if isinstance(base, ZQ) else to_decimal(base)
             return _Undefined(f"{base_text}^({to_decimal(e)})")
         if not isinstance(base, ZQ):
-            return base ** e if e >= 0 else _quotient(1, base ** -e)
+            if not isinstance(base, Mat3):
+                return base ** e if e >= 0 else _quotient(1, base ** -e)
+            base = ZQ.of_matrix(base)
         if e < 0:
             # never kept: each side makes its own quotients by zero, so
             # even slotwise, where a tuple takes one object for equal to

@@ -46,9 +46,7 @@ class Mat3:
     1-based convention, under which the scalar-bearing cell "row 2,
     column 1" is ``entry(1, 0)``.
 
-    `Mat3(entries)` checks that there are nine entries; the operators
-    and `mat_mul`, whose tuples have nine by construction, build their
-    results by `_mat3` instead.
+    `Mat3(entries)` checks that there are nine entries.
     """
 
     # Declared here, not by `slots=True`: that rebuilds the class and
@@ -67,12 +65,6 @@ class Mat3:
         # __setattr__; rebuild through the constructor instead
         return Mat3, (self.entries,)
 
-    def __hash__(self):
-        # by the first column, which fixes a matrix of Z[Q] (Q = TM(1)):
-        # a `ZQ` equals the Mat3 of its entries, and hashes alike
-        e = self.entries
-        return hash((e[0], e[3], e[6]))
-
     def rows(self) -> tuple[tuple[int, int, int], ...]:
         e = self.entries
         return ((e[0], e[1], e[2]), (e[3], e[4], e[5]), (e[6], e[7], e[8]))
@@ -84,22 +76,22 @@ class Mat3:
     def __add__(self, other: "Mat3") -> "Mat3":
         if not isinstance(other, Mat3):
             return NotImplemented
-        return _mat3(tuple([a + b for a, b in zip(self.entries,
-                                                  other.entries)]))
+        return Mat3(tuple([a + b for a, b in zip(self.entries,
+                                                 other.entries)]))
 
     def __sub__(self, other: "Mat3") -> "Mat3":
         if not isinstance(other, Mat3):
             return NotImplemented
-        return _mat3(tuple([a - b for a, b in zip(self.entries,
-                                                  other.entries)]))
+        return Mat3(tuple([a - b for a, b in zip(self.entries,
+                                                 other.entries)]))
 
     def __neg__(self) -> "Mat3":
-        return _mat3(tuple([-a for a in self.entries]))
+        return Mat3(tuple([-a for a in self.entries]))
 
     def __rmul__(self, k: int) -> "Mat3":
         if not isinstance(k, int):
             return NotImplemented
-        return _mat3(tuple([k * a for a in self.entries]))
+        return Mat3(tuple([k * a for a in self.entries]))
 
     def __mul__(self, other: "Mat3") -> "Mat3":
         if not isinstance(other, Mat3):
@@ -117,20 +109,7 @@ class Mat3:
         quotients = [divmod(x, d) for x in self.entries]
         if any(r for _, r in quotients):
             raise _indivisible(self.entries, d)
-        return _mat3(tuple([q for q, _ in quotients]))
-
-
-_new = object.__new__
-_set_entries = Mat3.entries.__set__  # the slot's setter, past __setattr__
-
-
-def _mat3(entries: tuple) -> Mat3:
-    """A Mat3 of `entries`, nine by construction, set straight into its
-    slot: the dataclass constructor is about half the cost of an
-    operator on small entries."""
-    m = _new(Mat3)
-    _set_entries(m, entries)
-    return m
+        return Mat3(tuple([q for q, _ in quotients]))
 
 
 def _indivisible(entries: tuple, d) -> DivisibilityViolation:
@@ -182,7 +161,7 @@ def mat_mul(a: Mat3, b: Mat3, counter: OpCounter | None = None) -> Mat3:
         counter.mat_muls += 1
         counter.big_muls += 27
         counter.big_adds += 18
-    return _mat3((
+    return Mat3((
         a11 * b11 + a12 * b21 + a13 * b31,
         a11 * b12 + a12 * b22 + a13 * b32,
         a11 * b13 + a12 * b23 + a13 * b33,
@@ -668,13 +647,25 @@ class ZQ:
 
     `ZQ(a, b, c)` is for callers; every result above is built by `_zq`,
     which sets the coordinates past the constructor.  `==` and `!=`
-    between two ZQs compare the coordinates alone.
+    between two ZQs compare the coordinates alone.  A ZQ is immutable,
+    as a Mat3 is: assigning or deleting any attribute raises
+    AttributeError, so one held in a dict cannot change under its hash.
     """
 
     __slots__ = ("coordinates",)  # (a, b, c)
 
     def __init__(self, a, b, c):
-        self.coordinates = (a, b, c)
+        _set_coordinates(self, (a, b, c))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of an immutable ZQ")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of an immutable ZQ")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not __setattr__
+        return ZQ, self.coordinates
 
     @staticmethod
     def of_column(u, v, w) -> "ZQ":
@@ -780,7 +771,8 @@ class ZQ:
         return binary_power(self, e, operator.mul, _zq((0, 0, 1)))
 
 
-_set_coordinates = ZQ.coordinates.__set__
+_new = object.__new__
+_set_coordinates = ZQ.coordinates.__set__  # the slot's, past __setattr__
 _exact_add = EXACT.add
 
 
@@ -829,7 +821,7 @@ def t_matrix(n: int) -> Mat3:
     Oracles: `walk(T_MAT_SEEDS, n)`, and `mat_pow(T_MAT_SEEDS[1], n)` or
     the integer TM(-1) to the power -n.
     """
-    return _mat3(kernel_term(KIND_SEEDS[MatrixKind.TRIB_MATRIX][0], n).entries)
+    return Mat3(kernel_term(KIND_SEEDS[MatrixKind.TRIB_MATRIX][0], n).entries)
 
 
 def k_matrix(n: int) -> Mat3:
@@ -839,8 +831,8 @@ def k_matrix(n: int) -> Mat3:
     Oracles: `walk(K_MAT_SEEDS, n)`, and `K_MAT_SEEDS[0] * t_matrix(n)`
     (LEM16a).
     """
-    return _mat3(kernel_term(KIND_SEEDS[MatrixKind.LUCAS_MATRIX][0],
-                             n).entries)
+    return Mat3(kernel_term(KIND_SEEDS[MatrixKind.LUCAS_MATRIX][0],
+                            n).entries)
 
 
 def trib_fast(n: int, counter: OpCounter | None = None) -> int:

@@ -147,31 +147,30 @@ class TestMatrix:
 
 
 # Commands that answer with matrices, on the decimal route and the int
-# one (`sum --check`, a short `gf`), in every format
+# one (`sum --check`, a short `gf`), in every format, and a sweep of
+# matrix powers and sums in the verifier
 MATRIX_ANSWERS = (["matrix", "K", "20000"],
                   ["matrix", "T", "-7", "--format", "csv"],
                   ["sum", "KM", "7", "3", "1428"],
                   ["sum", "TM", "3", "1", "7", "--check"],
                   ["gf", "TM", "2000", "--format", "json"],
-                  ["gf", "KM", "40", "--format", "csv"])
+                  ["gf", "KM", "40", "--format", "csv"],
+                  ["verify", "THM20b", "THMFINALb", "SUMTHMb",
+                   "--profile", "quick"])
 
 
 @pytest.mark.parametrize("argv", MATRIX_ANSWERS, ids=" ".join)
 def test_matrix_answers_build_no_mat3(argv, capsys, monkeypatch):
-    # a matrix answer is a ZQ from the kernel to the output: no Mat3 is
-    # built, by the operators' `_mat3` or by the constructor
+    # a matrix is a ZQ from the kernel or the verifier's readers to the
+    # output: no Mat3 is built, and the constructor is the only way to
+    # build one
     built = []
-    real_mat3, real_init = matrices._mat3, matrices.Mat3.__init__
-
-    def counted_mat3(entries):
-        built.append(entries)
-        return real_mat3(entries)
+    real_init = matrices.Mat3.__init__
 
     def counted_init(self, *args):
         built.append(args)
         real_init(self, *args)
 
-    monkeypatch.setattr(matrices, "_mat3", counted_mat3)
     monkeypatch.setattr(matrices.Mat3, "__init__", counted_init)
     code, out, _ = run(argv, capsys)
     assert code == 0 and out

@@ -1,9 +1,12 @@
 import dataclasses
 import functools
+import gc
 import json
 import random
 import re
+import weakref
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -391,6 +394,30 @@ class TestAnchors:
             assert value != value and value + 1 is value
         undefined = identities._quotient(1, 0)
         assert power(t_matrix(2), undefined) is undefined
+
+    def test_matrix_base_enters_the_ring(self):
+        # a Mat3 base is powered as its ZQ at every exponent
+        power = identities._power_reader()
+        assert power(t_matrix(2), -1) == t_matrix(-2)
+        assert str(power(t_matrix(2), Fraction(1, 2))) == "^(1/2)"
+        assert str(power(_ring(2), Fraction(1, 2))) == "^(1/2)"
+        outside = Mat3((1, 2, 0, 0, 1, 0, 0, 0, 1))
+        for e in (-1, 0, 2, Fraction(1, 2)):
+            with pytest.raises(ValueError, match="outside Z"):
+                power(outside, e)
+
+    def test_power_reader_is_freed_without_the_collector(self):
+        # a reader in no reference cycle frees its memo of powers with
+        # its registry, not at some later collection
+        gc.disable()
+        try:
+            power = identities._power_reader()
+            power(t_matrix(2), 3)
+            reader = weakref.ref(power)
+            del power
+            assert reader() is None
+        finally:
+            gc.enable()
 
     def test_matrix_negative_power_is_the_inverse_power(self):
         power = identities._power_reader()
@@ -1224,6 +1251,10 @@ class TestRing:
         assert type(x * y) is type(x + y) is type(k * x) is ZQ
         assert (x == y) == (mx == my) and x == mx and mx == x
         assert hash(x) == hash(mx)
+        # Decimal and Fraction coordinates equal and hash alike too
+        for number in (Decimal, Fraction):
+            nx = ZQ(*map(number, x.coordinates))
+            assert nx == mx and hash(nx) == hash(mx)
         assert ZQ.of_column(*mx.entries[::3]) == x
 
     @given(x=ring, d=st.integers(min_value=-50, max_value=50).filter(bool))
