@@ -18,9 +18,13 @@ values outgrow 64-bit parsers within a few dozen indices).
 Each command states its answer once, as an Output that writes itself in
 each format; `emit` writes the one asked for, a listing item by item.
 A matrix answer is a `matrices.ZQ`, printed as the rows of its
-entries.  A matrix answer, a term or sum past the index `decimal_route`
-gives, and a `gf` listing from the count it gives, is computed on
-decimal.Decimal, so it is already decimal text.
+entries, each of its seven distinct entries converted to text once.  A
+`gf` listing of TM or KM holds no matrices: it draws the stream of T or
+K and lays each matrix out of a window of their texts
+(`_matrix_lines`), about two numbers converted a matrix.  A matrix
+answer, a term or sum past the index `decimal_route` gives, and a `gf`
+listing from the count it gives, is computed on decimal.Decimal, so it
+is already decimal text.
 
 `main` parses with one tree per process, so a later in-process call
 pays only for `parse_args`; it runs `cmd_<command>` as bound in this
@@ -42,16 +46,17 @@ import argparse
 import decimal
 import functools
 import json
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from . import bench, identities
-from .core import DEFAULT_PRECISION, SequenceKind, to_decimal
+from . import bench, identities, matrices
+from .core import DEFAULT_PRECISION, SEEDS, SequenceKind, to_decimal, walk
 from .errors import PrecisionExhausted, StrategyMismatch, UnknownIdentity
-from .matrices import (_MATRICES, MatrixKind, decimal_form, decimal_route,
-                       decimal_term)
+from .matrices import (_MATRICES, KIND_SEEDS, ZQ, MatrixKind, decimal_form,
+                       decimal_route, decimal_term)
 from .series import (SumSpec, decimal_sum, gf_stream, partial_sum,
                      partial_sum_bruteforce)
 
@@ -102,8 +107,10 @@ class Output:
 
 
 def _text(value) -> str:
-    doc = decimal_form(value)
-    return doc if isinstance(doc, str) else "\n".join(map(" ".join, doc))
+    """The plain text of a number or a matrix, a matrix row by row."""
+    if isinstance(value, _MATRICES):
+        return _PLAIN_GRID.format(*_entry_texts(value))
+    return decimal_form(value)
 
 
 def _csv_field(x) -> str:
@@ -136,22 +143,53 @@ def _csv_prefix(fields: dict) -> str:
     return "".join([_csv_field(x) + "," for x in fields.values()])
 
 
-def _write_cells(write, head: str, value, tail: str = "\n"):
-    """The CSV rows of a number or a matrix between the text `head`
-    and `tail`, one write per row; decimal text and indices never need
-    quoting."""
-    if isinstance(value, _MATRICES):
-        for cell, x in zip(_CSV_CELLS, value.entries):
-            write(head + cell + to_decimal(x) + tail)
-    else:
-        write(head + to_decimal(value) + tail)
+def _write_cells(write, head: str, texts, tail: str):
+    """The CSV rows of a matrix's nine entry texts, row by row, between
+    the text `head` and `tail`, one write per row; decimal text and
+    indices never need quoting."""
+    for cell, text in zip(_CSV_CELLS, texts):
+        write(head + cell + text + tail)
+
+
+# A matrix laid out from the texts of its nine entries, row by row: as
+# a plain answer, as a line of a plain listing after its index, and as
+# JSON (byte for byte json.dumps's, since decimal text never needs
+# escaping).  "{}" marks a slot.  A single answer fills a layout by
+# str.format; a listing splits it once (`_slots`), then sets each
+# matrix's texts into the slots and joins them, 3 to 4 times faster than
+# str.format, which parses the layout at every call.
+_PLAIN_GRID = "{} {} {}\n{} {} {}\n{} {} {}"
+_PLAIN_LINE = "\n{}: {} {} {} | {} {} {} | {} {} {}"
+_JSON_MATRIX = '[["{}", "{}", "{}"], ["{}", "{}", "{}"], ["{}", "{}", "{}"]]'
+
+
+def _slots(layout: str) -> list:
+    """The fixed pieces of `layout` with a slot between each two: slot k
+    is item 2k + 1."""
+    pieces = layout.split("{}")
+    parts = [None] * (2 * len(pieces) - 1)
+    parts[::2] = pieces
+    return parts
+
+
+def _entry_texts(value) -> list:
+    """The texts of a matrix's nine entries, row by row.  A ZQ has seven
+    distinct entries (`ZQ.entries`: (s + c, s, v, v, a + c, a, a, b, c)),
+    and each is converted once; a caller's Mat3 converts all nine."""
+    if type(value) is not ZQ:
+        return list(map(to_decimal, value.entries))
+    e = value.entries
+    s1, p0, s0, p1, s_1, p2, s_2 = map(
+        to_decimal, (e[0], e[1], e[2], e[4], e[5], e[7], e[8]))
+    return [s1, p0, s0, s0, p1, s_1, s_1, p2, s_2]
 
 
 @dataclass(frozen=True)
 class Value(Output):
     """A number or a matrix named by `fields`, the keys of its JSON object
     (bare=True: the value alone) and the first CSV columns; `extra`
-    follows the value there, and `note` lines follow it in plain text."""
+    follows the value there, and `note` lines follow it in plain text.
+    Neither `fields` nor `extra` has a "value" key."""
 
     fields: dict
     value: object
@@ -163,63 +201,115 @@ class Value(Output):
         write("\n".join([_text(self.value), *self.note]) + "\n")
 
     def json(self, write):
-        doc = decimal_form(self.value)
-        if not self.bare:
-            doc = {**self.fields, "value": doc, **self.extra}
-        write(json.dumps(doc) + "\n")
+        if isinstance(self.value, _MATRICES):
+            doc = _JSON_MATRIX.format(*_entry_texts(self.value))
+        else:
+            doc = json.dumps(decimal_form(self.value))
+        if self.bare:
+            write(doc + "\n")
+            return
+        # json.dumps({**fields, "value": doc, **extra}), with doc's
+        # digits copied once
+        head = json.dumps({**self.fields, "value": 0})[:-2]
+        tail = json.dumps(self.extra)[1:-1]
+        write("".join([head, doc, ", " + tail if tail else "", "}\n"]))
 
     def csv(self, write):
-        columns = _CSV_COLUMNS[isinstance(self.value, _MATRICES)]
-        write(_csv_join([*self.fields, *columns, *self.extra]) + "\n")
+        matrix = isinstance(self.value, _MATRICES)
+        write(_csv_join([*self.fields, *_CSV_COLUMNS[matrix], *self.extra])
+              + "\n")
+        head = _csv_prefix(self.fields)
         tail = "".join(["," + _csv_field(x) for x in self.extra.values()])
-        _write_cells(write, _csv_prefix(self.fields), self.value, tail + "\n")
+        if matrix:
+            _write_cells(write, head, _entry_texts(self.value), tail + "\n")
+        else:
+            write(head + to_decimal(self.value) + tail + "\n")
 
 
-# A matrix of a listing as one line of plain text after its index, and
-# as JSON; decimal text never needs escaping.  Their entries are passed
-# as a list: `*map(...)` of nine builds a tuple ten long and shrinks it,
-# so each one freed stays in CPython's free list of 9-tuples, up to
-# 2000 of them (0.2 MiB traced in `gf TM 4000 --format json`).
-_PLAIN_MATRIX = "\n{}: {} {} {} | {} {} {} | {} {} {}".format
-_JSON_MATRIX = ('[["{}", "{}", "{}"], ["{}", "{}", "{}"], '
-                '["{}", "{}", "{}"]]').format
+def _matrix_lines(kind: MatrixKind, count: int, one) -> Iterator[list]:
+    """The nine entry texts of TM(i) or KM(i) for 0 <= i < count, drawn
+    from the stream of the kind's scalar sequence s, T or K, with the
+    unit `one`.
+
+    Row r of the matrix at i is (s(i+1-r), p(i-r), s(i-r)), with p(k) =
+    s(k) + s(k-1) (`matrices._closed_form`).  So the listing reads
+    s(k) for k in [-3, count] and p(k) for k in [-2, count - 1]: s(0) ..
+    s(count) from `gf_stream`, the rest from the seeds.  Each number is
+    converted to text once, 2*count + 5 in all, and held in a window of
+    the last four texts of s and three of p until the lines that repeat
+    it are made.  A Decimal p(k) is added by `matrices.EXACT.add`, so
+    no digit rounds away in the caller's context and no context is
+    entered.  A count below 1 raises here, before anything is drawn.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    scalar = KIND_SEEDS[kind][1]
+    return _window(gf_stream(scalar, count + 1, one),
+                   [walk(SEEDS[scalar], k) for k in (-3, -2, -1)],
+                   matrices.EXACT.add if isinstance(one, decimal.Decimal)
+                   else operator.add)
+
+
+def _window(stream: Iterator, below: list, add) -> Iterator[list]:
+    """The lines of `_matrix_lines` from the stream s(0), s(1), ... and
+    `below`, (s(-3), s(-2), s(-1)); p(k) is add(s(k), s(k-1))."""
+    text = to_decimal
+    s_3, s_2, s_1 = below
+    t2, p2, t1, p1 = text(s_2), text(s_2 + s_3), text(s_1), text(s_1 + s_2)
+    before, s = s_1, next(stream)  # s(i-1), s(i)
+    t0 = text(s)
+    for after in stream:  # s(i+1)
+        p0 = text(add(s, before))
+        t = text(after)
+        yield [t, p0, t0, t0, p1, t1, t1, p2, t2]
+        t2, t1, t0, p2, p1 = t1, t0, t, p1, p0
+        before, s = s, after
 
 
 @dataclass(frozen=True)
 class Listing(Output):
-    """Numbers or matrices drawn one at a time, value i named by
-    `fields` and "i"; JSON is an array of the bare values.  A value is
-    one write in plain text and JSON, and one per CSV row."""
+    """Numbers, or the nine entry texts of each matrix (`_matrix_lines`,
+    with matrix=True), drawn one at a time, value i named by `fields`
+    and "i"; JSON is an array of the bare values.  A value is one
+    write in plain text and JSON, and one per CSV row."""
 
     fields: dict
     values: Iterator
+    matrix: bool = False
 
     def plain(self, write):
+        matrix, line = self.matrix, _slots(_PLAIN_LINE)
         for i, value in enumerate(self.values):
-            if isinstance(value, _MATRICES):  # a line each
-                text = _PLAIN_MATRIX(i, *list(map(to_decimal, value.entries)))
+            if matrix:  # a line each
+                line[1] = str(i)
+                line[3::2] = value
+                text = "".join(line)
             else:
                 text = " " + to_decimal(value)
             write(text[1:] if i == 0 else text)
         write("\n")
 
     def json(self, write):
+        matrix, grid = self.matrix, _slots(_JSON_MATRIX)
         write("[")
         for i, value in enumerate(self.values):
-            if isinstance(value, _MATRICES):
-                text = _JSON_MATRIX(*list(map(to_decimal, value.entries)))
+            if matrix:
+                grid[1::2] = value
+                text = "".join(grid)
             else:
                 text = '"' + to_decimal(value) + '"'
             write(", " + text if i else text)
         write("]\n")
 
     def csv(self, write):
+        matrix = self.matrix
         prefix = _csv_prefix(self.fields)
+        write(_csv_join([*self.fields, "i", *_CSV_COLUMNS[matrix]]) + "\n")
         for i, value in enumerate(self.values):
-            if i == 0:
-                columns = _CSV_COLUMNS[isinstance(value, _MATRICES)]
-                write(_csv_join([*self.fields, "i", *columns]) + "\n")
-            _write_cells(write, f"{prefix}{i},", value)
+            if matrix:
+                _write_cells(write, f"{prefix}{i},", value, "\n")
+            else:
+                write(f"{prefix}{i},{to_decimal(value)}\n")
 
 
 @dataclass(frozen=True)
@@ -392,6 +482,9 @@ def cmd_gf(args) -> Output:
     kind = KINDS[args.kind]
     one = (decimal.Decimal(1)
            if decimal_route(kind, args.count, listing=True) else 1)
+    if isinstance(kind, MatrixKind):
+        return Listing({"kind": args.kind},
+                       _matrix_lines(kind, args.count, one), matrix=True)
     return Listing({"kind": args.kind}, gf_stream(kind, args.count, one))
 
 

@@ -123,7 +123,8 @@ def _indivisible(entries: tuple, d) -> DivisibilityViolation:
 def decimal_form(value):
     """An int or integral Decimal as its decimal string (`to_decimal`), a
     ZQ or Mat3 as rows of those and a tuple as a list of its items'
-    forms; every output format writes these."""
+    forms, as `verify` failure reports and the command line's numbers
+    write them (`cli` lays a matrix answer out of its entry texts)."""
     if isinstance(value, _MATRICES):
         return [[to_decimal(x) for x in row] for row in value.rows()]
     if isinstance(value, tuple):
@@ -577,24 +578,31 @@ def _kernel_term(seeds, n: int, counter: OpCounter | None, one):
 DECIMAL_CROSSOVER = 4 * 10**4
 # Count from which a `gf` listing takes the decimal route
 # (`series.gf_stream` with a Decimal unit).  A listing prints every term
-# below its count, and both its arithmetic (additions) and its text are
-# paid per entry, so a matrix listing, nine scalar ones entry for entry,
-# crosses over at the same count as a scalar one.  One listing of each
-# kind drawn in-process into a list, median of 5 rounds, each best of
-# up to 100 (2 vCPUs, CPython 3.11; BENCH_gf_listings.json), plain text:
+# below its count, and pays for its additions and its text per number.
+# A matrix listing draws its scalar sequence and converts about two
+# numbers a matrix (`cli._matrix_lines`), and it lays out nine entries
+# a line on either route, so it crosses over a little later than a
+# scalar one.  One listing of each kind drawn in-process into a sink
+# that keeps nothing, median of 5 rounds, each best of 30 (T: of 60, in
+# a second run), the routes alternating (2 vCPUs, CPython 3.11;
+# BENCH_matrix_text.json), plain text:
 #   count    int + to_decimal   Decimal + str
-#   T 512         0.207 ms          0.227 ms
-#   T 768         0.375             0.375
-#   T 832         0.425             0.425
-#   T 1024        0.608             0.556
-#   T 2000        2.57              1.47
-#   TM 512        2.00              2.16
-#   TM 768        3.61              3.62
-#   TM 832        4.12              4.06
-#   TM 1024       5.93              5.44
-#   TM 2000      24.3              14.4
-# K, KM, JSON and CSV give the same picture: from 768 to 832 the two
-# routes are within 2% of each other.
+#   T 512         0.289 ms          0.311 ms
+#   T 768         0.515             0.514
+#   T 800         0.549             0.542
+#   T 896         0.668             0.656
+#   T 1024        0.870             0.791
+#   T 2000        3.68              2.11
+#   TM 512        0.713             0.811
+#   TM 768        1.24              1.29
+#   TM 800        1.31              1.38
+#   TM 896        1.57              1.57
+#   TM 1024       2.02              1.93
+#   TM 2000       7.93              4.99
+# K, KM, JSON and CSV give the same picture: scalar listings cross over
+# near 800, matrix ones near 900.  Between the two the int route is 2-5%
+# faster for a matrix listing, 0.03-0.07 ms a listing: too little for a
+# second constant, so both shapes keep this one.
 LISTING_DECIMAL_CROSSOVER = 800
 
 
@@ -603,8 +611,9 @@ def decimal_route(kind, n: int, listing: bool = False) -> bool:
     index) is cheaper printed from the decimal route (`decimal_term`,
     `series.decimal_sum`) than from the int kernel and `to_decimal`;
     with `listing`, whether a `gf` listing of the first n coefficients
-    is (`series.gf_stream` with a Decimal unit), of either shape.  A
-    matrix answer always is."""
+    is (`series.gf_stream` with a Decimal unit; a matrix listing draws
+    its scalar sequence so), of either shape.  A matrix answer always
+    is."""
     if listing:
         return n >= LISTING_DECIMAL_CROSSOVER
     return (isinstance(kind, MatrixKind) or n >= DECIMAL_CROSSOVER

@@ -49,7 +49,9 @@ def gf_stream(kind: AnyKind, count: int, one=1) -> Iterator:
     printing (`cli` picks the unit by `matrices.decimal_route`).  Each
     block is added up under `matrices.EXACT`, and the context is left
     before any of it is yielded, so the caller never runs in it.  A
-    count below 1 raises here, before anything is drawn.
+    count below 1 raises here, before anything is drawn.  A `gf` listing
+    of TM or KM prints from the stream of T or K, count + 1 terms, not
+    from the matrix stream (`cli._matrix_lines`).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
