@@ -204,7 +204,7 @@ class Value(Output):
         if isinstance(self.value, _MATRICES):
             doc = _JSON_MATRIX.format(*_entry_texts(self.value))
         else:
-            doc = json.dumps(decimal_form(self.value))
+            doc = '"' + to_decimal(self.value) + '"'  # digits need no escape
         if self.bare:
             write(doc + "\n")
             return

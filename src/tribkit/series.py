@@ -1,13 +1,14 @@
 """Generating-function coefficient streams and closed-form partial sums.
 
 All four sequences (two scalar, two matrix) are rational series over the
-common denominator 1 - x - x**2 - x**3.  Coefficients are extracted by
-exact forward substitution, c(i) = num(i) + c(i-1) + c(i-2) + c(i-3),
-never by floating division.  Partial sums of strided subsequences have a
-closed form whose divisor K(m) - K(-m) always divides exactly; a brute
-force summer is kept alongside as the oracle.  A matrix coefficient,
-term or sum is a `matrices.ZQ`, an element of Z[Q] added up in its
-three coordinates, not in nine entries.
+common denominator 1 - x - x**2 - x**3, and coefficient i is term i, so
+each stream is one exact walk of its scalar sequence, T or K, never a
+floating division; a matrix coefficient is laid out from three of its
+terms.  Partial sums of strided subsequences have a closed form whose
+divisor K(m) - K(-m) always divides exactly; a brute force summer is
+kept alongside as the oracle.  A matrix coefficient, term or sum is a
+`matrices.ZQ`, an element of Z[Q] held as its three coordinates, not
+nine entries.
 """
 
 from __future__ import annotations
@@ -20,14 +21,16 @@ from typing import Callable, Iterator, Union
 from . import matrices
 from .core import SEEDS, SequenceKind, walk
 from .errors import DegenerateDenominator, DivisibilityViolation
-from .matrices import (KIND_SEEDS, ZQ, MatrixKind, _kernel_term,
+from .matrices import (KIND_SEEDS, ZQ, MatrixKind, _kernel_term, _zq,
                        kernel_term, lucas_fast, term_reader)
 
 AnyKind = Union[SequenceKind, MatrixKind]
 
 
 def gf_numerators(kind: AnyKind):
-    """Numerator coefficients (constant, x, x^2) of the rational series.
+    """Numerator coefficients (constant, x, x^2) of the rational series:
+    the paper's numerators, and the stream's test oracle by forward
+    substitution, c(i) = num(i) + c(i-1) + c(i-2) + c(i-3).
 
     Derived from the seeds as (s0, s1 - s0, s2 - s1 - s0); for the
     scalars this lands on (0, 1, 0) a.k.a. x and (3, -2, -1) a.k.a.
@@ -40,49 +43,45 @@ def gf_numerators(kind: AnyKind):
 def gf_stream(kind: AnyKind, count: int, one=1) -> Iterator:
     """First `count` series coefficients of `kind`, one at a time.
 
-    Coefficient i equals term i.  Each comes from the three before it by
-    forward substitution, c(i) = num(i) + c(i-1) + c(i-2) + c(i-3) with
-    missing terms zero, so the stream holds three coefficients and one
-    block of `_BLOCK` entries, never the listing.  The coefficients have
-    the type of `one`, the unit: ints, or `ZQ`s of ints, by default;
-    integral Decimals with decimal.Decimal(1), already decimal text, for
-    printing (`cli` picks the unit by `matrices.decimal_route`).  Each
-    block is added up under `matrices.EXACT`, and the context is left
-    before any of it is yielded, so the caller never runs in it.  A
-    count below 1 raises here, before anything is drawn.  A `gf` listing
-    of TM or KM prints from the stream of T or K, count + 1 terms, not
-    from the matrix stream (`cli._matrix_lines`).
+    Coefficient i is term i, so the stream walks the kind's scalar
+    sequence s, T or K, from s(-1), s(-2), s(-3), each term the sum of
+    the three before it.  A scalar kind yields s(i), a matrix kind the
+    `ZQ` (s(i-1), s(i-2) + s(i-3), s(i-2)), the last row of the paper's
+    layout of TM(i) or KM(i): nothing is added in Z[Q].  The stream
+    holds three terms and a block of `_BLOCK` coefficients, never the
+    listing.  The coefficients have the type of `one`, the unit: ints,
+    or `ZQ`s of ints, by default; integral Decimals with
+    decimal.Decimal(1), for printing (`cli` picks the unit by
+    `matrices.decimal_route`).  Each block is added up under
+    `matrices.EXACT`, left before any of it is yielded, so the caller
+    never runs in it.  A count below 1 raises here, before any draw.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    return _expand(gf_numerators(kind), count, one)
+    return _expand(kind, count, one)
 
 
-# Numbers added up per entry into the exact context, and held until the
-# last of them is made: 144 scalar coefficients, or the coordinates of 48
-# matrices.  An entry into the context costs about 0.5 us, half a dozen
-# Decimal additions; 48 matrices of `gf TM 4000` hold about 0.1 MiB.
+# Coefficients made per entry into the exact context, and held until the
+# last of them is made.  An entry into the context costs about 0.5 us,
+# half a dozen Decimal additions; 144 matrices of `gf TM 4000` hold
+# about 0.16 MiB.
 _BLOCK = 144
 
 
-def _expand(numerator: tuple, count: int, one) -> Iterator:
-    # c(i-1), c(i-2), c(i-3), starting as zeros of the unit's type; the
-    # int numerators then add into that type
-    zero = one - one
-    if isinstance(numerator[0], ZQ):
-        c1, size = ZQ(zero, zero, zero), _BLOCK // 3
-    else:
-        c1, size = zero, _BLOCK
-    c2 = c3 = c1
-    for start in range(0, count, size):
+def _expand(kind: AnyKind, count: int, one) -> Iterator:
+    scalar = KIND_SEEDS[kind][1]
+    matrix = scalar is not kind
+    # s(i-1), s(i-2), s(i-3) at i = 0, small ints times the unit, so
+    # exact in any context
+    s1, s2, s3 = (walk(SEEDS[scalar], k) * one for k in (-1, -2, -3))
+    for start in range(0, count, _BLOCK):
         block = []
         with decimal.localcontext(matrices.EXACT):
-            for i in range(start, min(start + size, count)):
-                c = c1 + c2 + c3
-                if i < len(numerator):
-                    c = numerator[i] + c
-                block.append(c)
-                c1, c2, c3 = c, c1, c2
+            for _ in range(start, min(start + _BLOCK, count)):
+                p = s2 + s3
+                s = s1 + p
+                block.append(_zq((s1, p, s2)) if matrix else s)
+                s1, s2, s3 = s, s1, s2
         yield from block
 
 

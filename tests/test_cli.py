@@ -580,6 +580,29 @@ class TestBigAnswers:
             value = out.splitlines()[-1].split(",")[-1]
         assert value == expected
 
+    def test_term_json_passes_no_digits_through_json(self, capsys,
+                                                     monkeypatch,
+                                                     unlimited_str):
+        # decimal text needs no escaping, so the value is quoted as it is
+        # and json.dumps, which would scan and copy it again, never sees it
+        digits = unlimited_str(trib_fast(100000))
+        seen, real = [], json.dumps
+
+        def spy(obj, *args, **kwargs):
+            seen.append(obj)
+            return real(obj, *args, **kwargs)
+
+        monkeypatch.setattr(cli.json, "dumps", spy)
+        code, out, _ = run(["term", "T", "100000", "--format", "json"],
+                           capsys)
+        monkeypatch.undo()
+        assert code == 0
+        assert not [obj for obj in seen if obj == digits or (
+            isinstance(obj, dict) and digits in obj.values())]
+        assert out == json.dumps({"kind": "T", "n": 100000,
+                                  "strategy": "matpow",
+                                  "value": digits}) + "\n"
+
     @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
     def test_matrix(self, fmt, capsys, unlimited_str):
         from tribkit import k_matrix

@@ -13,7 +13,9 @@ from tribkit import (PROFILE_BOUNDS, DegenerateDenominator,
                      lucas_fast, lucas_trib, partial_sum,
                      partial_sum_bruteforce, registry, t_matrix, term_reader,
                      trib, verify_record)
+from tribkit.core import walk
 from tribkit.matrices import KIND_SEEDS, ZQ, decimal_form, kernel_term
+from tribkit.series import _BLOCK
 
 T = SequenceKind.TRIBONACCI
 K = SequenceKind.TRIBONACCI_LUCAS
@@ -97,6 +99,59 @@ class TestGeneratingFunctions:
         assert list(stream) == listed == expected
 
 
+class TestWalk:
+    """`gf_stream` walks the kind's scalar sequence and lays a matrix
+    coefficient out of three of its terms; the paper's numerators and
+    `core.walk` are its oracles."""
+
+    UNITS = [1, decimal.Decimal(1)]
+
+    @pytest.mark.parametrize("one", UNITS, ids=["int", "Decimal"])
+    @pytest.mark.parametrize("kind", [T, K, TM, KM], ids=lambda k: k.value)
+    def test_forward_substitution_from_numerators(self, kind, one):
+        # the rational series: c(i) = num(i) + c(i-1) + c(i-2) + c(i-3),
+        # missing terms zero
+        numerator = gf_numerators(kind)
+        zero = numerator[0] - numerator[0]
+        c = [zero] * 3
+        for i in range(64):
+            c.append(c[-1] + c[-2] + c[-3]
+                     + (numerator[i] if i < 3 else zero))
+        assert list(gf_stream(kind, 64, one)) == c[3:]
+
+    @pytest.mark.parametrize("kind", [T, K, TM, KM], ids=lambda k: k.value)
+    def test_matches_walk_at_block_edges(self, kind):
+        seeds = KIND_SEEDS[kind][0]
+        expected = [walk(seeds, i) for i in range(2 * _BLOCK + 1)]
+        for one in self.UNITS:
+            for count in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
+                assert list(gf_stream(kind, count, one)) == \
+                    expected[:count], (one, count)
+
+    def test_no_addition_in_zq(self, monkeypatch):
+        adds, real = [], ZQ.__add__
+
+        def counted(self, other):
+            adds.append(None)
+            return real(self, other)
+
+        monkeypatch.setattr(ZQ, "__add__", counted)
+        assert len(gf_matrix_coeffs(TM, 500)) == 500
+        assert sum(1 for _ in gf_stream(KM, 500, decimal.Decimal(1))) == 500
+        assert not adds, f"{len(adds)} ZQ additions, not 0"
+
+    def test_decimal_matrix_stream_memory(self):
+        # a block of 144 matrices of up to 1 058 digits, never the listing
+        tracemalloc.start()
+        try:
+            for _ in gf_stream(TM, 4000, decimal.Decimal(1)):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19
+
+
 def _entry_types(coefficients) -> set:
     return {type(x) for c in coefficients
             for x in (c.coordinates if isinstance(c, ZQ) else (c,))}
@@ -107,7 +162,7 @@ class TestDecimalStream:
     Decimal == int, so the tests that compare values would pass on
     either unit; these pin the types and the contexts."""
 
-    # several blocks of either shape: 144 scalars, 48 matrices a block
+    # several blocks of 144 coefficients
     COUNT = 400
 
     @pytest.mark.parametrize("kind", [T, K, TM, KM], ids=lambda k: k.value)
